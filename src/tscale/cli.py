@@ -74,7 +74,8 @@ IDENTITIES = (
 
 # -- scale-spec mini language -------------------------------------------------------
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_NUMBER = re.compile(rf"[-+]?{_UNSIGNED}")
 _NAME = re.compile(r"[a-z]+")
 
 
@@ -543,7 +544,17 @@ def convergence_study(family_name, alpha, target_t, eps_list, tol=1e-12):
 # -- argument parsing -------------------------------------------------------------------
 
 
+# A number, or a pair such as re,im or a,b, that starts with '-'.
+_NEGATIVE_VALUE = re.compile(rf"-{_UNSIGNED}(?:,[-+]?{_UNSIGNED})?\Z")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes any other word starting with '-' for an option, so
+        # "--t0 -1e-3" or "--alpha -0.5,0.25" would lose their value
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
     def error(self, message):  # keep exit-code policy in main()
         raise ValueError(message)
 

@@ -108,24 +108,24 @@ def solve_first_order(
     anchor = grid.index_of(t0s)
     if anchor is None:
         raise GridError(f"t0={t0!r} must be a grid point")
-    n = len(grid.points)
-    values: list[complex] = [0j] * n
+    pts = grid.points
+    values: list[complex] = [0j] * len(pts)
     values[anchor] = complex(x0)
-    for k in range(anchor, n - 1):
-        values[k + 1] = values[k] * _step_factor(scheme, ts, coeff, grid, k, tol)
-    for k in range(anchor, 0, -1):
-        f = _step_factor(scheme, ts, coeff, grid, k - 1, tol)
-        if f == 0:
+    for k, f in enumerate(_step_factors(scheme, ts, coeff, pts[anchor:], tol), anchor):
+        values[k + 1] = values[k] * f
+    back = list(_step_factors(scheme, ts, coeff, pts[: anchor + 1], tol))
+    for k in range(anchor - 1, -1, -1):
+        if back[k] == 0:
             raise RegressivityError("zero step factor cannot be inverted")
-        values[k - 1] = values[k] / f
+        values[k] = values[k + 1] / back[k]
     return SampledFunction(grid, tuple(values))
 
 
 def _validate_scheme(scheme, ts, coeff, grid) -> None:
-    for p in grid.points:
-        if not ts.in_kappa(p):
+    for p, _, _, mu, _ in ts.walk(grid.points):
+        if mu is None:
             continue
-        m = ts.mu(p) * coeff(p)
+        m = mu * coeff(p)
         if scheme is Scheme.EXPLICIT_DELTA:
             if abs(1.0 + m) <= REGRESSIVITY_MARGIN:
                 raise RegressivityError(
@@ -138,22 +138,26 @@ def _validate_scheme(scheme, ts, coeff, grid) -> None:
                 )
 
 
-def _step_factor(scheme, ts, coeff, grid, k, tol) -> complex:
-    p, q = grid.points[k], grid.points[k + 1]
-    s = ts.sigma(p)
-    if s > p:
-        if abs(s - q) > 1e-12:
-            raise GridError(f"grid skips the forward jump of {p!r}")
-        mu = s - p
-        a = coeff(p)
-        if scheme is Scheme.EXPLICIT_DELTA:
-            return 1.0 + mu * a
-        if scheme is Scheme.TRAPEZOIDAL_CAYLEY:
-            return cayley(a, 0.5 * mu)
-        return cmath.exp(a * mu)
-    if scheme is Scheme.EXACT_DISC:
-        return cmath.exp(coeff.constant_value * (q - p))
-    return cmath.exp(ts.delta_integral(coeff.dense, p, q, tol))
+def _step_factors(scheme, ts, coeff, points, tol):
+    """Step factor over each consecutive pair of points."""
+    for p, q, s, _, span in ts.walk(points):
+        if q is None:
+            return
+        if s > p:
+            if abs(s - q) > 1e-12:
+                raise GridError(f"grid skips the forward jump of {p!r}")
+            mu = s - p
+            a = coeff(p)
+            if scheme is Scheme.EXPLICIT_DELTA:
+                yield 1.0 + mu * a
+            elif scheme is Scheme.TRAPEZOIDAL_CAYLEY:
+                yield cayley(a, 0.5 * mu)
+            else:
+                yield cmath.exp(a * mu)
+        elif scheme is Scheme.EXACT_DISC:
+            yield cmath.exp(coeff.constant_value * (q - p))
+        else:
+            yield cmath.exp(ts.step_integral(coeff.dense, p, q, span, tol))
 
 
 # -- correction factors --------------------------------------------------------------

@@ -177,8 +177,8 @@ def exp_evaluate_grid(
     """Evaluate one family at every grid point in linear total cost.
 
     The exponent integral is accumulated incrementally between
-    consecutive grid points, anchored at t0 so the value there is exactly
-    one when t0 lies on the grid.
+    consecutive grid points along one TimeScale.walk of the grid, anchored
+    at t0 so the value there is exactly one when t0 lies on the grid.
     """
     coeff = as_coefficient(alpha)
     if family is ExpFamily.EXACT:
@@ -218,31 +218,39 @@ def _nabla_grid_values(ts, coeff, t0, grid) -> tuple[complex, ...]:
 def _grid_log_integrals(
     family: ExpFamily, ts: TimeScale, coeff: Coefficient, t0: float, grid: Grid, tol: float
 ) -> list[complex]:
-    """Exponent integral from t0 to each grid point, reusing partial sums."""
-    n = len(grid.points)
+    """Exponent integral from t0 to each grid point, reusing partial sums.
+
+    Walks the grid once on each side of the anchor (TimeScale.walk), so
+    the cost is linear in the grid size.
+    """
+    pts = grid.points
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)
-    logs: list[complex] = [0j] * n
+    logs: list[complex] = [0j] * len(pts)
     if anchor is None:
         anchor = 0
-        logs[0] = _log_integral_range(family, ts, coeff, t0s, grid.points[0], tol)
-    for k in range(anchor, n - 1):
-        logs[k + 1] = logs[k] + _log_increment(family, ts, coeff, grid, k, tol)
-    for k in range(anchor, 0, -1):
-        logs[k - 1] = logs[k] - _log_increment(family, ts, coeff, grid, k - 1, tol)
+        logs[0] = _log_integral_range(family, ts, coeff, t0s, pts[0], tol)
+    for k, inc in enumerate(_step_logs(family, ts, coeff, pts[anchor:], tol), anchor):
+        logs[k + 1] = logs[k] + inc
+    back = list(_step_logs(family, ts, coeff, pts[: anchor + 1], tol))
+    for k in range(anchor - 1, -1, -1):
+        logs[k] = logs[k + 1] - back[k]
     return logs
 
 
-def _log_increment(family, ts, coeff, grid, k, tol) -> complex:
-    p, q = grid.points[k], grid.points[k + 1]
-    s = ts.sigma(p)
-    if s > p:
-        if abs(s - q) > 1e-12:
-            raise GridError(
-                f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
-            )
-        return _step_log(family, s - p, coeff(p))
-    return ts.delta_integral(coeff.dense, p, q, tol)
+def _step_logs(family, ts, coeff, points, tol):
+    """Exponent increment over each consecutive pair of points."""
+    for p, q, s, _, span in ts.walk(points):
+        if q is None:
+            return
+        if s > p:
+            if abs(s - q) > 1e-12:
+                raise GridError(
+                    f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
+                )
+            yield _step_log(family, s - p, coeff(p))
+        else:
+            yield ts.step_integral(coeff.dense, p, q, span, tol)
 
 
 # -- degenerate-tolerant forward-step evaluation -----------------------------------

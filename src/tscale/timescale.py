@@ -7,14 +7,23 @@ operations are pure, so scales and grids can be shared across threads.
 Scales with accumulation points are not representable: construction
 requires a finite component list with gaps larger than the membership
 tolerance, which keeps the jump operators and the integral exact.
+
+Cost model, for a scale of C components: locating a point (and so each
+jump operator, graininess or membership query) costs O(log C), since a
+bisection over the component left endpoints picks the few neighbouring
+components whose membership tests decide. Walking a grid of N points
+with TimeScale.walk costs O(N log C) locating plus the quadrature of its
+dense steps, so grid evaluations and solvers built on it are linear in
+N. A pointwise value re-integrated from its anchor t0 (delta_integral,
+scattered_points, dense_segments) still scans the components, O(C).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError, KappaError, OverlapError, ToleranceError
 
@@ -138,6 +147,12 @@ class TimeScale:
                     f"components {a!r} and {b!r} overlap or are closer than "
                     f"{MEMBERSHIP_TOL}"
                 )
+        # Left endpoints less the membership tolerance, for bisection in
+        # _locate. Not a field: equality, hashing and repr see only the
+        # components.
+        object.__setattr__(
+            self, "_lower_bounds", tuple(c.left - MEMBERSHIP_TOL for c in comps)
+        )
 
     # -- membership -------------------------------------------------------
 
@@ -157,12 +172,20 @@ class TimeScale:
         return True
 
     def _locate(self, t: float) -> tuple[int, float]:
-        """Component index and canonically snapped value for a member t."""
+        """Component index and canonically snapped value for a member t.
+
+        The lowest-indexed component whose tolerance test accepts t wins,
+        as in a scan in ascending order. Components whose lower bound lies
+        above t cannot accept it. Since gaps exceed the tolerance, of the
+        others at most the last two can in exact arithmetic, and the last
+        three once rounding of the tolerance tests counts (an ulp above
+        MEMBERSHIP_TOL at |t| near 1e4), so only those three are tested.
+        """
         if not math.isfinite(t):
             raise DomainError(f"t={t!r} is not finite")
-        for i, comp in enumerate(self.components):
-            if t < comp.left - MEMBERSHIP_TOL:
-                break
+        stop = bisect_right(self._lower_bounds, t)
+        for i in range(max(0, stop - 3), stop):
+            comp = self.components[i]
             if isinstance(comp, IsolatedPoint):
                 if abs(t - comp.t) <= MEMBERSHIP_TOL:
                     return i, comp.t
@@ -179,7 +202,10 @@ class TimeScale:
 
     def sigma(self, t: float) -> float:
         """Forward jump: least member above t, or t itself at the supremum."""
-        i, tt = self._locate(t)
+        return self._sigma_at(*self._locate(t))
+
+    def _sigma_at(self, i: int, tt: float) -> float:
+        """Forward jump of tt, located in component i."""
         comp = self.components[i]
         if isinstance(comp, ClosedInterval) and tt < comp.hi:
             return tt
@@ -316,7 +342,55 @@ class TimeScale:
                 jumps += (nxt - end) * f(end)
         return riemann + jumps
 
+    def step_integral(
+        self,
+        f: Callable[[float], complex],
+        p: float,
+        q: float,
+        span: tuple[float, float] | None,
+        tol: float = DEFAULT_TOL,
+    ) -> complex:
+        """delta_integral(f, p, q, tol) for one step of walk, bit for bit.
+
+        A step with a span lies inside one closed interval, where the delta
+        integral is a single Simpson quadrature over the span; any other
+        step goes through delta_integral.
+        """
+        if span is None:
+            return self.delta_integral(f, p, q, tol)
+        # delta_integral adds its zero jump sum, which turns -0.0 into 0.0
+        return _adaptive_simpson(f, span[0], span[1], tol) + 0j
+
     # -- grids ----------------------------------------------------------------
+
+    def walk(self, points: Sequence[float]) -> Iterator[tuple]:
+        """One record per point of an ascending run of members, locating
+        each point once.
+
+        Yields (p, q, sigma, mu, span): p as given, the next point q (None
+        at the last), the forward jump sigma(p), the graininess mu(p) (None
+        at a left-scattered maximum), and span. span is the located pair
+        (p, q) when p < q both lie in the closed interval holding p, which
+        makes p right-dense; it is None otherwise. step_integral integrates
+        over the step with it.
+        """
+        last = len(self.components) - 1
+        located = self._locate(points[0])
+        for k, p in enumerate(points):
+            i, tt = located
+            comp = self.components[i]
+            s = self._sigma_at(i, tt)
+            left_scattered_max = i == last > 0 and isinstance(comp, IsolatedPoint)
+            mu = None if left_scattered_max else s - tt
+            q = span = None
+            if k + 1 < len(points):
+                q = points[k + 1]
+                located = self._locate(q)
+                j, uu = located
+                same_interval = j == i and isinstance(comp, ClosedInterval)
+                if same_interval and comp.lo <= tt < uu <= comp.hi:
+                    span = (tt, uu)
+            yield p, q, s, mu, span
 
     def make_grid(self, t0: float, t1: float, dense_step: float) -> Grid:
         """Deterministic grid on [t0, t1] covering all endpoints in range.

@@ -143,7 +143,8 @@ def _require_real(v: complex, t) -> float:
 def hyp_grid(
     family: TrigFamily, ts: TimeScale, alpha, t0, grid: Grid, tol: float = DEFAULT_TOL
 ) -> TrigPair:
-    """Hyperbolic pair sampled on a grid (linear cost in the grid size)."""
+    """Hyperbolic pair sampled on a grid, linear in the grid size: the
+    exponents come from one TimeScale.walk of the grid."""
     coeff = as_coefficient(alpha)
     if family is TrigFamily.EXACT:
         a = coeff.constant_value
@@ -174,7 +175,10 @@ def hyp_grid(
 def trig_grid(
     family: TrigFamily, ts: TimeScale, omega: float, t0, grid: Grid, tol: float = DEFAULT_TOL
 ) -> TrigPair:
-    """Trigonometric pair sampled on a grid; values are real floats."""
+    """Trigonometric pair sampled on a grid; values are real floats.
+
+    Linear in the grid size, like hyp_grid.
+    """
     omega = float(omega)
     if family in (TrigFamily.EXACT, TrigFamily.HILGER):
         cs = tuple(math.cos(omega * (p - t0)) for p in grid.points)

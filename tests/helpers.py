@@ -1,8 +1,11 @@
-"""Shared scale generators for randomized tests."""
+"""Shared scale generators and slow reference paths for randomized tests."""
+
+import math
 
 import numpy as np
 
-from tscale import TimeScale, interval, isolated, union
+from tscale import DomainError, IsolatedPoint, TimeScale, interval, isolated, union
+from tscale.timescale import MEMBERSHIP_TOL
 
 
 def random_discrete(rng: np.random.Generator, n_min=3, n_max=10) -> TimeScale:
@@ -37,3 +40,23 @@ def random_scale(rng: np.random.Generator) -> TimeScale:
 def max_graininess(ts: TimeScale) -> float:
     jumps = ts.scattered_points(ts.inf, ts.sup)
     return max((mu for _, mu in jumps), default=0.0)
+
+
+def linear_locate(ts: TimeScale, t: float) -> tuple[int, float]:
+    """Slow reference for TimeScale._locate: scan every component in order."""
+    if not math.isfinite(t):
+        raise DomainError(f"t={t!r} is not finite")
+    for i, comp in enumerate(ts.components):
+        if t < comp.left - MEMBERSHIP_TOL:
+            break
+        if isinstance(comp, IsolatedPoint):
+            if abs(t - comp.t) <= MEMBERSHIP_TOL:
+                return i, comp.t
+        else:
+            if t <= comp.hi + MEMBERSHIP_TOL:
+                if abs(t - comp.lo) <= MEMBERSHIP_TOL:
+                    return i, comp.lo
+                if abs(t - comp.hi) <= MEMBERSHIP_TOL:
+                    return i, comp.hi
+                return i, t
+    raise DomainError(f"t={t!r} is not a member of the time scale")

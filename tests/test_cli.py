@@ -131,6 +131,27 @@ def test_cmd_eval_parse_failure_exit(capsys):
     assert main(["eval"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["eval", "--scale", "interval(-1,1)", "--dense-step", "0.5"], "--alpha", "-0.5,0.25"),
+        (["eval", "--scale", "interval(-1,1)", "--dense-step", "0.5"], "--alpha", "-1"),
+        (["solve", "--scale", "interval(-1,1)", "--dense-step", "0.5"], "--alpha", "0.5,-2e-1"),
+        (["eval", "--scale", "uniform(-0.002,0.001,5)"], "--t0", "-1e-3"),
+        (["eval", "--scale", "interval(-2,2)", "--dense-step", "0.5"], "--range", "-1,1"),
+        (["solve", "--scale", "interval(-2,2)", "--dense-step", "0.5"], "--x0", "-.5,-1E0"),
+        (["converge", "--eps-list", "0.5,0.25"], "--alpha", "-0.5,0.25"),
+    ],
+)
+def test_negative_option_values_in_both_spellings(capsys, argv, option, value):
+    assert main([*argv, option, value]) == EXIT_OK
+    spaced = capsys.readouterr()
+    assert main([*argv, f"{option}={value}"]) == EXIT_OK
+    joined = capsys.readouterr()
+    assert spaced.err == joined.err == ""
+    assert spaced.out == joined.out and spaced.out.count("\n") > 1
+
+
 def test_cmd_eval_json_deterministic(capsys):
     argv = [
         "eval",
