@@ -7,7 +7,8 @@ identical configurations produce byte-identical CSV or JSON, with a dot
 decimal separator, 17 significant digits and LF line endings.
 
 Exit codes: 0 success or identity pass, 1 identity fail, 2 regressivity
-failure, 3 parse or configuration error, 4 internal tolerance failure.
+failure, 3 parse or configuration error (non-finite alpha, beta or omega
+included), 4 internal tolerance failure or float overflow.
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ from .timescale import (
     TimeScale,
     normalize_components,
 )
-from .transforms import graininess_coefficient, oplus_cayley, oplus_mu
-from .exponential import ExpFamily, check_semigroup, check_sigma_shift, exp_evaluate_grid
+from .transforms import as_coefficient, graininess_coefficient, oplus_cayley, oplus_mu
+from .exponential import (
+    ExpFamily,
+    _exp_from,
+    _semigroup_residual,
+    _sigma_shift_residual,
+    exp_evaluate_grid,
+)
 from .trig import TrigFamily, TrigKind, pythagorean_residual, trig_grid
 from .dynamic import (
     SampledFunction,
@@ -237,6 +244,10 @@ class RunConfig:
             raise ValueError("dense-step must be positive")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        for name in ("alpha", "beta", "omega"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 _EXP_FAMILIES = {
@@ -407,14 +418,17 @@ def _omega(config: RunConfig) -> float:
 
 
 def _semigroup_report(config, ts, grid) -> ResidualReport:
+    """check_semigroup over every pair t_j <= t_i of grid points, t1 the
+    first; each E(x, t1) is computed once per report."""
     family = _EXP_FAMILIES[config.family]
-    t1 = grid.points[0]
+    coeff = as_coefficient(config.alpha)
+    from_t1 = _exp_from(family, ts, coeff, grid.points[0], config.tol)
     pts, residuals = [], []
     for i, t in enumerate(grid.points):
         worst = 0.0
         for j in range(i + 1):
-            r = check_semigroup(
-                family, ts, config.alpha, t, grid.points[j], t1, config.tol
+            r = _semigroup_residual(
+                family, ts, coeff, t, grid.points[j], from_t1, config.tol
             )
             worst = max(worst, r)
         pts.append(t)
@@ -423,16 +437,18 @@ def _semigroup_report(config, ts, grid) -> ResidualReport:
 
 
 def _sigma_shift_report(config, ts, grid) -> ResidualReport:
+    """check_sigma_shift at every grid point in the differentiation domain,
+    t0 the first; each E(x, t0) is computed once per report."""
     family = _EXP_FAMILIES[config.family]
+    coeff = as_coefficient(config.alpha)
+    from_t0 = _exp_from(family, ts, coeff, grid.points[0], config.tol)
     pts, residuals, skipped = [], [], []
     for t in grid.points:
         if not ts.in_kappa(t):
             skipped.append(t)
             continue
         pts.append(t)
-        residuals.append(
-            check_sigma_shift(family, ts, config.alpha, t, grid.points[0], config.tol)
-        )
+        residuals.append(_sigma_shift_residual(family, ts, coeff, t, from_t0))
     return ResidualReport(
         "sigma-shift", tuple(pts), tuple(residuals), config.tol, skipped=tuple(skipped)
     )
@@ -664,6 +680,9 @@ def main(argv=None) -> int:
         return EXIT_TOLERANCE
     except TscaleError as exc:
         print(f"tscale: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except OverflowError as exc:  # from a site that raises no ToleranceError of its own
+        print(f"tscale: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     if config.out:
         with open(config.out, "w", newline="\n") as fh:

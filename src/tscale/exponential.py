@@ -81,9 +81,18 @@ def _log_integral_range(
 ) -> complex:
     """Exponent integral from t0 to t1: step logs at scattered points plus
     quadrature of the coefficient's dense view on continuous pieces (the
-    cylinder maps reduce to the identity at zero graininess there)."""
-    _, a = ts._locate(t0)
-    _, b = ts._locate(t1)
+    cylinder maps reduce to the identity at zero graininess there).
+
+    Each scattered step is checked for regressivity just before its log is
+    taken, in ascending order, so the first RegressivityError is the one a
+    separate validation pass over [t0, t1] would raise.
+    """
+    # the lower end is located first, as that pass did: of two non-members
+    # the same one is reported
+    if t0 < t1:
+        (_, a), (_, b) = ts._locate(t0), ts._locate(t1)
+    else:
+        (_, b), (_, a) = ts._locate(t1), ts._locate(t0)
     if a == b:
         return 0j
     sign = 1.0
@@ -91,10 +100,27 @@ def _log_integral_range(
         a, b, sign = b, a, -1.0
     total = 0j
     for s, mu in ts.scattered_points(a, b):
-        total += _step_log(family, mu, coeff(s))
+        alpha = coeff(s)
+        _check_step(family, s, mu * alpha)
+        total += _step_log(family, mu, alpha)
     for c, d in ts.dense_segments(a, b):
-        total += ts.delta_integral(coeff.dense, c, d, tol)
+        # each piece lies in one interval: one Simpson quadrature over it
+        total += ts.step_integral(coeff.dense, c, d, (c, d), tol)
     return sign * total
+
+
+def _check_step(family: ExpFamily, s: float, m: complex) -> None:
+    """Raise if the step factor at s, where mu*alpha = m, degenerates."""
+    if family is ExpFamily.HILGER_DELTA:
+        if abs(1.0 + m) <= REGRESSIVITY_MARGIN:
+            raise RegressivityError(
+                f"1 + mu*alpha vanishes at t={s!r} (mu*alpha={m!r})", t=s
+            )
+    elif family is ExpFamily.CAYLEY:
+        if abs(m - 2.0) <= REGRESSIVITY_MARGIN or abs(m + 2.0) <= REGRESSIVITY_MARGIN:
+            raise RegressivityError(
+                f"mu*alpha = {m!r} at t={s!r} is within margin of ±2", t=s
+            )
 
 
 def _validate_regressive(
@@ -102,17 +128,23 @@ def _validate_regressive(
 ) -> None:
     """Fail fast with the first point where the step factor degenerates."""
     for s, mu in ts.scattered_points(lo, hi):
-        m = mu * coeff(s)
-        if family is ExpFamily.HILGER_DELTA:
-            if abs(1.0 + m) <= REGRESSIVITY_MARGIN:
-                raise RegressivityError(
-                    f"1 + mu*alpha vanishes at t={s!r} (mu*alpha={m!r})", t=s
-                )
-        elif family is ExpFamily.CAYLEY:
-            if abs(m - 2.0) <= REGRESSIVITY_MARGIN or abs(m + 2.0) <= REGRESSIVITY_MARGIN:
-                raise RegressivityError(
-                    f"mu*alpha = {m!r} at t={s!r} is within margin of ±2", t=s
-                )
+        _check_step(family, s, mu * coeff(s))
+
+
+def _exp(w: complex) -> complex:
+    """cmath.exp, with overflow reported as a ToleranceError."""
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        raise ToleranceError(f"exponential overflows at exponent {w!r}") from None
+
+
+def _exps(ws: list[complex]) -> tuple[complex, ...]:
+    """_exp of each exponent in order."""
+    try:
+        return tuple(map(cmath.exp, ws))
+    except OverflowError:
+        return tuple(map(_exp, ws))  # raises for the first exponent that overflows
 
 
 # -- pointwise evaluation --------------------------------------------------------
@@ -125,8 +157,7 @@ def exp_hilger(ts: TimeScale, alpha, t: float, t0: float, tol: float = DEFAULT_T
     (1 + alpha*eps) ** (t/eps).
     """
     coeff = as_coefficient(alpha)
-    _validate_regressive(ExpFamily.HILGER_DELTA, ts, coeff, min(t, t0), max(t, t0))
-    return cmath.exp(_log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol))
+    return _exp(_log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol))
 
 
 def exp_cayley(ts: TimeScale, alpha, t: float, t0: float, tol: float = DEFAULT_TOL) -> complex:
@@ -136,8 +167,7 @@ def exp_cayley(ts: TimeScale, alpha, t: float, t0: float, tol: float = DEFAULT_T
     ((1 + alpha*eps/2) / (1 - alpha*eps/2)) ** (t/eps).
     """
     coeff = as_coefficient(alpha)
-    _validate_regressive(ExpFamily.CAYLEY, ts, coeff, min(t, t0), max(t, t0))
-    return cmath.exp(_log_integral_range(ExpFamily.CAYLEY, ts, coeff, t0, t, tol))
+    return _exp(_log_integral_range(ExpFamily.CAYLEY, ts, coeff, t0, t, tol))
 
 
 def exp_nabla_const(eps: float, alpha: complex, t: float) -> complex:
@@ -160,7 +190,7 @@ def exp_nabla_const(eps: float, alpha: complex, t: float) -> complex:
 
 def exp_exact(alpha: complex, t: float, t0: float) -> complex:
     """Restriction of the continuum exponential: exp(alpha * (t - t0))."""
-    return cmath.exp(complex(alpha) * (t - t0))
+    return _exp(complex(alpha) * (t - t0))
 
 
 # -- grid evaluation --------------------------------------------------------------
@@ -183,7 +213,7 @@ def exp_evaluate_grid(
     coeff = as_coefficient(alpha)
     if family is ExpFamily.EXACT:
         a = coeff.constant_value
-        values = tuple(cmath.exp(a * (p - t0)) for p in grid.points)
+        values = _exps([a * (p - t0) for p in grid.points])
         return ExpEvaluation(family, ts, coeff, t0, grid, values, tol)
     if family is ExpFamily.NABLA_CONST:
         values = _nabla_grid_values(ts, coeff, t0, grid)
@@ -191,8 +221,7 @@ def exp_evaluate_grid(
     lo = min(grid.points[0], t0)
     hi = max(grid.points[-1], t0)
     _validate_regressive(family, ts, coeff, lo, hi)
-    logs = _grid_log_integrals(family, ts, coeff, t0, grid, tol)
-    values = tuple(cmath.exp(L) for L in logs)
+    values = _exps(_grid_log_integrals(family, ts, coeff, t0, grid, tol))
     return ExpEvaluation(family, ts, coeff, t0, grid, values, tol)
 
 
@@ -273,7 +302,7 @@ def _hilger_product_point(
     for s, mu in ts.scattered_points(lo, hi):
         prod *= 1.0 + mu * coeff(s)
     for c, d in ts.dense_segments(lo, hi):
-        prod *= cmath.exp(ts.delta_integral(coeff.dense, c, d, tol))
+        prod *= _exp(ts.step_integral(coeff.dense, c, d, (c, d), tol))
     if backward:
         if prod == 0:
             raise SingularError(
@@ -295,8 +324,7 @@ def _hilger_grid_lenient(
             min(grid.points[0], t0),
             max(grid.points[-1], t0),
         )
-        logs = _grid_log_integrals(ExpFamily.HILGER_DELTA, ts, coeff, t0, grid, tol)
-        return tuple(cmath.exp(L) for L in logs)
+        return _exps(_grid_log_integrals(ExpFamily.HILGER_DELTA, ts, coeff, t0, grid, tol))
     except RegressivityError:
         return tuple(
             _hilger_product_point(ts, coeff, p, t0, tol) for p in grid.points
@@ -329,10 +357,9 @@ def check_semigroup(
 ) -> float:
     """Residual |E(t,t0) E(t0,t1) - E(t,t1)| of the two-point composition law."""
     coeff = as_coefficient(alpha)
-    a = _exp_point(family, ts, coeff, t, t0, tol)
-    b = _exp_point(family, ts, coeff, t0, t1, tol)
-    c = _exp_point(family, ts, coeff, t, t1, tol)
-    return abs(a * b - c)
+    return _semigroup_residual(
+        family, ts, coeff, t, t0, _exp_from(family, ts, coeff, t1, tol), tol
+    )
 
 
 def check_sigma_shift(
@@ -344,9 +371,36 @@ def check_sigma_shift(
     for the Cayley family, 1 + mu*alpha for the forward-step family. At a
     right-dense point the residual is identically zero.
     """
+    coeff = as_coefficient(alpha)
+    return _sigma_shift_residual(family, ts, coeff, t, _exp_from(family, ts, coeff, t0, tol))
+
+
+def _exp_from(family: ExpFamily, ts: TimeScale, coeff, anchor, tol):
+    """x -> E(x, anchor), each value computed once per returned function.
+
+    Only values computed without error are kept, so a run of evaluations
+    raises the same first error as it would recomputing every value.
+    """
+    memo = {}
+
+    def value(x):
+        if x not in memo:
+            memo[x] = _exp_point(family, ts, coeff, x, anchor, tol)
+        return memo[x]
+
+    return value
+
+
+def _semigroup_residual(family, ts, coeff, t, t0, from_t1, tol) -> float:
+    """check_semigroup with E(., t1) given as from_t1."""
+    a = _exp_point(family, ts, coeff, t, t0, tol)
+    return abs(a * from_t1(t0) - from_t1(t))
+
+
+def _sigma_shift_residual(family, ts, coeff, t, from_t0) -> float:
+    """check_sigma_shift with E(., t0) given as from_t0."""
     if family not in (ExpFamily.CAYLEY, ExpFamily.HILGER_DELTA):
         raise ValueError("shift law check supports the Cayley and forward-step families")
-    coeff = as_coefficient(alpha)
     _, tt = ts._locate(t)
     mu = ts.mu(tt)
     a = coeff(tt)
@@ -354,6 +408,6 @@ def check_sigma_shift(
         factor = cayley(a, 0.5 * mu)
     else:
         factor = 1.0 + mu * a
-    et = _exp_point(family, ts, coeff, tt, t0, tol)
-    es = _exp_point(family, ts, coeff, ts.sigma(tt), t0, tol)
+    et = from_t0(tt)
+    es = from_t0(ts.sigma(tt))
     return abs(es - factor * et)

@@ -14,8 +14,11 @@ bisection over the component left endpoints picks the few neighbouring
 components whose membership tests decide. Walking a grid of N points
 with TimeScale.walk costs O(N log C) locating plus the quadrature of its
 dense steps, so grid evaluations and solvers built on it are linear in
-N. A pointwise value re-integrated from its anchor t0 (delta_integral,
-scattered_points, dense_segments) still scans the components, O(C).
+N. A query over a range [t0, t1] (scattered_points, dense_segments,
+delta_integral, make_grid) locates both ends and scans only the K
+components from the one holding the lower end to the one after the upper
+end, O(log C + K); so does a pointwise exponential re-integrated from its
+anchor, plus the quadrature of its dense pieces.
 """
 
 from __future__ import annotations
@@ -266,14 +269,25 @@ class TimeScale:
                 return None
         return eps
 
+    def _scan(self, i: int, j: int) -> range:
+        """Indices of the components that a scan from a to b meets, for
+        a <= b located in components i and j.
+
+        Every component before i ends below a, and component j + 1 starts
+        at or above b, so a scan over these indices that stops at the first
+        component starting above b finds what a scan from component 0 finds.
+        """
+        return range(i, min(j + 2, len(self.components)))
+
     def scattered_points(self, t0: float, t1: float) -> tuple[tuple[float, float], ...]:
         """Right-scattered members s in [t0, t1) with their graininess, ascending."""
-        _, a = self._locate(t0)
-        _, b = self._locate(t1)
+        i, a = self._locate(t0)
+        j, b = self._locate(t1)
         if b < a:
-            a, b = b, a
+            i, a, j, b = j, b, i, a
         out = []
-        for i, comp in enumerate(self.components):
+        for i in self._scan(i, j):
+            comp = self.components[i]
             if comp.left > b:
                 break
             end = comp.right
@@ -284,12 +298,13 @@ class TimeScale:
 
     def dense_segments(self, t0: float, t1: float) -> tuple[tuple[float, float], ...]:
         """Nondegenerate interval pieces of the scale clipped to [t0, t1]."""
-        _, a = self._locate(t0)
-        _, b = self._locate(t1)
+        i, a = self._locate(t0)
+        j, b = self._locate(t1)
         if b < a:
-            a, b = b, a
+            i, a, j, b = j, b, i, a
         out = []
-        for comp in self.components:
+        for i in self._scan(i, j):
+            comp = self.components[i]
             if comp.left > b:
                 break
             if isinstance(comp, ClosedInterval):
@@ -321,15 +336,16 @@ class TimeScale:
         from the pointwise graininess) belong in the coefficient
         machinery, which integrates their zero-graininess view instead.
         """
-        _, a = self._locate(t0)
-        _, b = self._locate(t1)
+        i, a = self._locate(t0)
+        j, b = self._locate(t1)
         if a == b:
             return 0j
         if b < a:
             return -self.delta_integral(f, t1, t0, tol)
         jumps = 0j
         riemann = 0j
-        for i, comp in enumerate(self.components):
+        for i in self._scan(i, j):
+            comp = self.components[i]
             if comp.left > b:
                 break
             if isinstance(comp, ClosedInterval):
@@ -401,12 +417,13 @@ class TimeScale:
         """
         if dense_step <= 0:
             raise ValueError("dense_step must be positive")
-        _, a = self._locate(t0)
-        _, b = self._locate(t1)
+        i, a = self._locate(t0)
+        j, b = self._locate(t1)
         if b < a:
             raise DomainError(f"range reversed: {t0!r} > {t1!r}")
         pts: list[float] = []
-        for comp in self.components:
+        for i in self._scan(i, j):
+            comp = self.components[i]
             if comp.left > b:
                 break
             if comp.right < a:
@@ -555,7 +572,10 @@ def _adaptive_simpson(
     m = 0.5 * (a + b)
     fa, fm, fb = complex(f(a)), complex(f(m)), complex(f(b))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, _MAX_SIMPSON_DEPTH)
+    try:
+        return _simpson_step(f, a, b, fa, fm, fb, whole, tol, _MAX_SIMPSON_DEPTH)
+    except OverflowError:
+        raise ToleranceError(f"quadrature overflows on [{a}, {b}]") from None
 
 
 def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth) -> complex:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -170,6 +171,8 @@ class Coefficient:
     @classmethod
     def constant(cls, value: complex) -> "Coefficient":
         v = complex(value)
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ValueError(f"coefficient value {v!r} is not finite")
         return cls("constant", lambda t: v, v)
 
     @classmethod
@@ -183,10 +186,9 @@ class Coefficient:
             raise ValueError("breakpoints must be strictly increasing")
 
         def ev(t, _bps=bps, _vals=vals):
-            i = 0
-            while i < len(_bps) and t >= _bps[i]:
-                i += 1
-            return _vals[i]
+            # NaN compares false with every breakpoint, so it takes the
+            # first value, where bisect_right would give the last
+            return _vals[0 if math.isnan(t) else bisect_right(_bps, t)]
 
         return cls("piecewise", ev, (bps, vals), rd_continuous)
 

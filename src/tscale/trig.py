@@ -21,6 +21,8 @@ from .timescale import DEFAULT_TOL, Grid, TimeScale, delta_derivative_numeric
 from .transforms import Coefficient, as_coefficient, graininess_coefficient
 from .exponential import (
     ExpFamily,
+    _exp,
+    _exps,
     _grid_log_integrals,
     _hilger_grid_lenient,
     _hilger_product_point,
@@ -61,11 +63,6 @@ class TrigPair:
 # -- pointwise pairs ---------------------------------------------------------------
 
 
-def _log_integral(family: ExpFamily, ts, coeff, t, t0, tol) -> complex:
-    _validate_regressive(family, ts, coeff, min(t, t0), max(t, t0))
-    return _log_integral_range(family, ts, coeff, t0, t, tol)
-
-
 def hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol: float = DEFAULT_TOL):
     """Hyperbolic pair (cosh-like, sinh-like) of the given family at t.
 
@@ -82,13 +79,13 @@ def hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol: float = DEFAULT_TO
         w = coeff.constant_value * (t - t0)
         return cmath.cosh(w), cmath.sinh(w)
     if family is TrigFamily.CAYLEY:
-        L = _log_integral(ExpFamily.CAYLEY, ts, coeff, t, t0, tol)
-        e, einv = cmath.exp(L), cmath.exp(-L)
+        L = _log_integral_range(ExpFamily.CAYLEY, ts, coeff, t0, t, tol)
+        e, einv = _exp(L), _exp(-L)
         return 0.5 * (e + einv), 0.5 * (e - einv)
     if family is TrigFamily.HILGER:
         # the reciprocal is exactly the exponential of the inverted coefficient
-        L = _log_integral(ExpFamily.HILGER_DELTA, ts, coeff, t, t0, tol)
-        e, einv = cmath.exp(L), cmath.exp(-L)
+        L = _log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol)
+        e, einv = _exp(L), _exp(-L)
         return 0.5 * (e + einv), 0.5 * (e - einv)
     if family is TrigFamily.BOHNER_PETERSON:
         e_plus = _bp_exp_point(ts, coeff, t, t0, tol)
@@ -99,8 +96,8 @@ def hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol: float = DEFAULT_TO
 
 def _bp_exp_point(ts, coeff, t, t0, tol) -> complex:
     try:
-        L = _log_integral(ExpFamily.HILGER_DELTA, ts, coeff, t, t0, tol)
-        return cmath.exp(L)
+        L = _log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol)
+        return _exp(L)
     except RegressivityError:
         return _hilger_product_point(ts, coeff, t, t0, tol)
 
@@ -118,8 +115,10 @@ def trig(family: TrigFamily, ts: TimeScale, omega: float, t, t0, tol: float = DE
         w = omega * (t - t0)
         return math.cos(w), math.sin(w)
     if family is TrigFamily.CAYLEY:
-        L = _log_integral(ExpFamily.CAYLEY, ts, Coefficient.constant(1j * omega), t, t0, tol)
-        e, einv = cmath.exp(L), cmath.exp(-L)
+        L = _log_integral_range(
+            ExpFamily.CAYLEY, ts, Coefficient.constant(1j * omega), t0, t, tol
+        )
+        e, einv = _exp(L), _exp(-L)
         c = 0.5 * (e + einv)
         s = (e - einv) / 2j
         return _require_real(c, t), _require_real(s, t)
@@ -160,8 +159,9 @@ def hyp_grid(
             exp_family, ts, coeff, min(grid.points[0], t0), max(grid.points[-1], t0)
         )
         logs = _grid_log_integrals(exp_family, ts, coeff, t0, grid, tol)
-        cs = tuple(0.5 * (cmath.exp(L) + cmath.exp(-L)) for L in logs)
-        ss = tuple(0.5 * (cmath.exp(L) - cmath.exp(-L)) for L in logs)
+        es, einvs = _exps(logs), _exps([-L for L in logs])
+        cs = tuple(0.5 * (e + einv) for e, einv in zip(es, einvs))
+        ss = tuple(0.5 * (e - einv) for e, einv in zip(es, einvs))
         return TrigPair(family, TrigKind.HYPERBOLIC, param, grid, cs, ss)
     if family is TrigFamily.BOHNER_PETERSON:
         plus = _hilger_grid_lenient(ts, coeff, t0, grid, tol)
@@ -190,9 +190,9 @@ def trig_grid(
             ExpFamily.CAYLEY, ts, coeff, min(grid.points[0], t0), max(grid.points[-1], t0)
         )
         logs = _grid_log_integrals(ExpFamily.CAYLEY, ts, coeff, t0, grid, tol)
+        es, einvs = _exps(logs), _exps([-L for L in logs])
         cs, ss = [], []
-        for L, p in zip(logs, grid.points):
-            e, einv = cmath.exp(L), cmath.exp(-L)
+        for e, einv, p in zip(es, einvs, grid.points):
             cs.append(_require_real(0.5 * (e + einv), p))
             ss.append(_require_real((e - einv) / 2j, p))
         return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, tuple(cs), tuple(ss))

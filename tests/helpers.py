@@ -1,11 +1,25 @@
 """Shared scale generators and slow reference paths for randomized tests."""
 
+import cmath
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from tscale import DomainError, IsolatedPoint, TimeScale, interval, isolated, union
-from tscale.timescale import MEMBERSHIP_TOL
+from tscale import (
+    ClosedInterval,
+    DomainError,
+    ExpFamily,
+    Grid,
+    IsolatedPoint,
+    SingularError,
+    TimeScale,
+    interval,
+    isolated,
+    union,
+)
+from tscale.exponential import _check_step, _step_log
+from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson
 
 
 def random_discrete(rng: np.random.Generator, n_min=3, n_max=10) -> TimeScale:
@@ -60,3 +74,215 @@ def linear_locate(ts: TimeScale, t: float) -> tuple[int, float]:
                     return i, comp.hi
                 return i, t
     raise DomainError(f"t={t!r} is not a member of the time scale")
+
+
+# -- linear component scans, as before the index ----------------------------------
+#
+# Each scans from component 0 and stops at the first component starting
+# above the upper end, exactly as the library did before its scans started
+# at the located components.
+
+
+def _linear_ends(ts, t0, t1):
+    _, a = linear_locate(ts, t0)
+    _, b = linear_locate(ts, t1)
+    return (b, a) if b < a else (a, b)
+
+
+def linear_scattered_points(ts: TimeScale, t0: float, t1: float):
+    a, b = _linear_ends(ts, t0, t1)
+    out = []
+    for i, comp in enumerate(ts.components):
+        if comp.left > b:
+            break
+        end = comp.right
+        if a <= end < b:
+            out.append((end, ts.components[i + 1].left - end))
+    return tuple(out)
+
+
+def linear_dense_segments(ts: TimeScale, t0: float, t1: float):
+    a, b = _linear_ends(ts, t0, t1)
+    out = []
+    for comp in ts.components:
+        if comp.left > b:
+            break
+        if isinstance(comp, ClosedInterval):
+            c, d = max(comp.lo, a), min(comp.hi, b)
+            if d > c:
+                out.append((c, d))
+    return tuple(out)
+
+
+def linear_delta_integral(ts: TimeScale, f, t0: float, t1: float, tol: float = 1e-12):
+    _, a = linear_locate(ts, t0)
+    _, b = linear_locate(ts, t1)
+    if a == b:
+        return 0j
+    if b < a:
+        return -linear_delta_integral(ts, f, t1, t0, tol)
+    jumps = 0j
+    riemann = 0j
+    for i, comp in enumerate(ts.components):
+        if comp.left > b:
+            break
+        if isinstance(comp, ClosedInterval):
+            c, d = max(comp.lo, a), min(comp.hi, b)
+            if d > c:
+                riemann += _adaptive_simpson(f, c, d, tol)
+        end = comp.right
+        if a <= end < b:
+            jumps += (ts.components[i + 1].left - end) * f(end)
+    return riemann + jumps
+
+
+def linear_make_grid(ts: TimeScale, t0: float, t1: float, dense_step: float) -> Grid:
+    _, a = linear_locate(ts, t0)
+    _, b = linear_locate(ts, t1)
+    if b < a:
+        raise DomainError(f"range reversed: {t0!r} > {t1!r}")
+    pts = []
+    for comp in ts.components:
+        if comp.left > b:
+            break
+        if comp.right < a:
+            continue
+        if isinstance(comp, IsolatedPoint):
+            pts.append(comp.t)
+            continue
+        c, d = max(comp.lo, a), min(comp.hi, b)
+        if d <= c:
+            pts.append(c)
+            continue
+        n = max(1, math.ceil((d - c) / dense_step))
+        pts.append(c)
+        pts.extend(c + k * (d - c) / n for k in range(1, n))
+        pts.append(d)
+    return Grid(tuple(pts), dense_step)
+
+
+def reference_exp(family: ExpFamily, ts: TimeScale, coeff, t: float, t0: float, tol=1e-12):
+    """exp_cayley / exp_hilger as a validation pass over the scattered steps
+    followed by a separate accumulation pass, on the linear scans, with each
+    dense piece integrated by the delta integral."""
+    for s, mu in linear_scattered_points(ts, min(t, t0), max(t, t0)):
+        _check_step(family, s, mu * coeff(s))
+    _, a = linear_locate(ts, t0)
+    _, b = linear_locate(ts, t)
+    if a == b:
+        return cmath.exp(0j)
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
+    total = 0j
+    for s, mu in linear_scattered_points(ts, a, b):
+        total += _step_log(family, mu, coeff(s))
+    for c, d in linear_dense_segments(ts, a, b):
+        total += linear_delta_integral(ts, coeff.dense, c, d, tol)
+    return cmath.exp(sign * total)
+
+
+def reference_product(ts: TimeScale, coeff, t: float, t0: float, tol=1e-12):
+    """The degenerate-tolerant forward-step product on the linear scans."""
+    _, a = linear_locate(ts, t0)
+    _, b = linear_locate(ts, t)
+    backward = b < a
+    lo, hi = (b, a) if backward else (a, b)
+    prod = 1 + 0j
+    for s, mu in linear_scattered_points(ts, lo, hi):
+        prod *= 1.0 + mu * coeff(s)
+    for c, d in linear_dense_segments(ts, lo, hi):
+        prod *= cmath.exp(linear_delta_integral(ts, coeff.dense, c, d, tol))
+    if backward:
+        if prod == 0:
+            raise SingularError(
+                "cannot evaluate backward through a degenerate (zero) step factor"
+            )
+        return 1.0 / prod
+    return prod
+
+
+def outcome(fn, *args):
+    """A call's value (complex parts, tuples or a grid, as hex where float)
+    or its exception (type, message and, for regressivity, the point)."""
+    try:
+        v = fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc), getattr(exc, "t", None)
+    return _hexed(v)
+
+
+def _hexed(v):
+    if isinstance(v, complex):
+        return v.real.hex(), v.imag.hex()
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, Grid):
+        return _hexed(v.points), v.dense_step.hex()
+    if isinstance(v, tuple):
+        return tuple(_hexed(x) for x in v)
+    return v
+
+
+# -- Hypothesis strategies for scales and probe points ------------------------------
+
+
+@st.composite
+def tight_scales(draw):
+    """Scales whose gaps and interval lengths sit just above the membership
+    tolerance, at magnitudes where it is below, near or above one ulp."""
+    x = draw(
+        st.sampled_from([0.0, -3.0, 1.0, 4095.9, 8191.7, 1e4, -1e4])
+        | st.floats(min_value=-1e4, max_value=1e4)
+    )
+    comps = []
+    for _ in range(draw(st.integers(1, 8))):
+        if comps:
+            gap = draw(
+                st.floats(min_value=1e-12, max_value=2e-12, exclude_min=True)
+                | st.sampled_from([0.25, 1.0])
+            )
+            lo = x + gap
+            while not lo - x > MEMBERSHIP_TOL:
+                lo = math.nextafter(lo, math.inf)
+            x = lo
+        if draw(st.booleans()):
+            hi = x + draw(st.sampled_from([1.5e-12, 3e-12, 1e-6, 0.5]))
+            while not hi - x > MEMBERSHIP_TOL:
+                hi = math.nextafter(hi, math.inf)
+            comps.append(ClosedInterval(x, hi))
+            x = hi
+        else:
+            comps.append(IsolatedPoint(x))
+    return TimeScale(tuple(comps))
+
+
+def any_scale():
+    """Tight scales and the numpy-drawn random scales."""
+    return st.one_of(
+        tight_scales(),
+        st.integers(0, 2**32 - 1).map(lambda s: random_scale(np.random.default_rng(s))),
+    )
+
+
+@st.composite
+def probe_points(draw, ts):
+    """Endpoints nudged by up to 1e-12 or a few ulps, gap midpoints (not
+    members), arbitrary values around the scale, and non-finite values."""
+    ends = [e for c in ts.components for e in (c.left, c.right)]
+    e = draw(st.sampled_from(ends))
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return e + draw(st.floats(min_value=-1e-12, max_value=1e-12))
+    if kind == 1:
+        for _ in range(draw(st.integers(1, 3))):
+            e = math.nextafter(e, draw(st.sampled_from([math.inf, -math.inf])))
+        return e
+    if kind == 2:
+        gaps = [
+            0.5 * (a.right + b.left) for a, b in zip(ts.components, ts.components[1:])
+        ]
+        return draw(st.sampled_from(gaps or [ts.sup + 1.0]))
+    if kind == 3:
+        return draw(st.floats(min_value=ts.inf - 1.0, max_value=ts.sup + 1.0))
+    return draw(st.sampled_from([math.inf, -math.inf, math.nan]))

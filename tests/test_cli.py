@@ -1,13 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import tscale
+from tscale import cli
 
 from tscale import (
     ClosedInterval,
     IsolatedPoint,
     OverlapError,
     ParseError,
+    check_semigroup,
+    check_sigma_shift,
     interval,
     isolated,
     parse_scale,
@@ -20,10 +28,14 @@ from tscale.cli import (
     EXIT_IDENTITY_FAIL,
     EXIT_OK,
     EXIT_REGRESSIVITY,
+    EXIT_TOLERANCE,
     convergence_study,
     fit_loglog_slope,
     main,
 )
+from tscale.report import ResidualReport
+
+from helpers import outcome
 
 
 # -- scale-spec parsing --------------------------------------------------------
@@ -383,3 +395,120 @@ def test_convergence_study_nabla_first_order():
 
 def test_fit_loglog_slope_handles_zero_errors():
     assert fit_loglog_slope([0.5, 0.25], [0.0, 0.0]) == 0.0
+
+
+# -- pointwise identity reports against per-pair checks --------------------------------
+
+
+def _report_or_error(report_fn, config, ts, grid):
+    def fields():
+        report = report_fn(config, ts, grid)
+        return report.points, report.residuals, report.skipped
+
+    return outcome(fields)
+
+
+def _pairwise_semigroup(config, ts, grid):
+    """The semigroup report as one check_semigroup call per pair."""
+    family = cli._EXP_FAMILIES[config.family]
+    residuals = []
+    for i, t in enumerate(grid.points):
+        worst = 0.0
+        for j in range(i + 1):
+            r = check_semigroup(
+                family, ts, config.alpha, t, grid.points[j], grid.points[0], config.tol
+            )
+            worst = max(worst, r)
+        residuals.append(worst)
+    return ResidualReport("semigroup", grid.points, tuple(residuals), config.tol)
+
+
+def _pointwise_sigma_shift(config, ts, grid):
+    """The sigma-shift report as one check_sigma_shift call per point."""
+    family = cli._EXP_FAMILIES[config.family]
+    pts, residuals, skipped = [], [], []
+    for t in grid.points:
+        if not ts.in_kappa(t):
+            skipped.append(t)
+            continue
+        pts.append(t)
+        residuals.append(
+            check_sigma_shift(family, ts, config.alpha, t, grid.points[0], config.tol)
+        )
+    return ResidualReport(
+        "sigma-shift", tuple(pts), tuple(residuals), config.tol, skipped=tuple(skipped)
+    )
+
+
+REPORT_SCALES = [
+    ("uniform(0,0.05,14)", 0.1),
+    ("interval(0,0.3) + points(0.4,0.55,0.7) + interval(0.8,1)", 0.05),
+    ("points(1,2)", 0.1),
+]
+
+
+@pytest.mark.parametrize("scale, step", REPORT_SCALES)
+@pytest.mark.parametrize("family", ["cayley", "hilger", "nabla", "exact"])
+@pytest.mark.parametrize(
+    # the last two are not regressive on the 0.05 and 0.1 steps
+    "alpha", [complex(-0.4, 0.3), complex(1.5, -2.0), -20.0, 40.0, -10.0],
+)
+def test_memoized_reports_equal_per_pair_checks(scale, step, family, alpha):
+    config = cli.RunConfig("identity", scale=scale, family=family, alpha=alpha, dense_step=step)
+    ts, grid = cli._scale_and_grid(config)
+    for report, reference in (
+        (cli._semigroup_report, _pairwise_semigroup),
+        (cli._sigma_shift_report, _pointwise_sigma_shift),
+    ):
+        got = _report_or_error(report, config, ts, grid)
+        assert got == _report_or_error(reference, config, ts, grid)
+
+
+# -- overflow and non-finite parameters ------------------------------------------------
+
+
+# what the installed tscale script runs
+_SCRIPT = "import sys; from tscale.cli import main; sys.exit(main())"
+
+
+def _run_script(*argv):
+    """Run the CLI in a fresh interpreter, as the installed script does."""
+    src = os.path.dirname(os.path.dirname(tscale.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", _SCRIPT, *argv], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--family", "hilger"],
+        ["identity", "--identity", "sigma-shift", "--family", "hilger"],
+    ],
+)
+def test_overflow_exits_4_without_traceback(argv):
+    proc = _run_script(*argv, "--scale", "uniform(0,0.5,10)", "--alpha", "1e308")
+    assert proc.returncode == EXIT_TOLERANCE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("tscale: exponential overflows")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--alpha", "nan"],
+        ["eval", "--family", "hilger", "--alpha", "1,nan"],
+        ["solve", "--alpha", "inf"],
+        ["identity", "--identity", "unit-circle", "--omega", "inf"],
+        ["identity", "--identity", "delbis", "--omega", "nan"],
+        ["identity", "--identity", "product-law", "--beta", "nan"],
+        ["converge", "--family", "nabla", "--alpha", "nan"],
+    ],
+)
+def test_non_finite_parameters_are_config_errors(capsys, argv):
+    scale = [] if argv[0] == "converge" else ["--scale", "uniform(0,0.5,10)"]
+    assert main([*argv, *scale]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("tscale: ") and "must be finite" in err and err.count("\n") == 1

@@ -12,6 +12,7 @@ from tscale import (
     ExpFamily,
     RegressivityError,
     SingularError,
+    ToleranceError,
     beta_of_alpha,
     check_semigroup,
     check_sigma_shift,
@@ -28,7 +29,17 @@ from tscale import (
     union,
 )
 
-from helpers import max_graininess, random_scale
+from tscale.exponential import _hilger_product_point
+
+from helpers import (
+    any_scale,
+    max_graininess,
+    outcome,
+    probe_points,
+    random_scale,
+    reference_exp,
+    reference_product,
+)
 
 MIXED = union(interval(0.0, 1.0), isolated(2.0))
 Z4 = uniform(0, 1, 4)
@@ -270,3 +281,117 @@ def test_convergence_orders_quick():
     assert 0.9 < slope_h < 1.1
     rows_e = convergence_study("exact", 1.0, 1.0, eps)
     assert all(err <= 1e-13 for _, err in rows_e)
+
+
+# -- one validate-and-accumulate pass against the two-pass reference ------------------
+
+POINTWISE = {ExpFamily.CAYLEY: exp_cayley, ExpFamily.HILGER_DELTA: exp_hilger}
+
+# 1 + mu*alpha or mu*alpha = ±2 vanish on the 0.25 and 1.0 gaps of tight scales
+PROPERTY_COEFFS = [
+    Coefficient.constant(0.7 - 0.4j),
+    Coefficient.constant(-1.0),
+    Coefficient.constant(-4.0),
+    Coefficient.constant(2.0),
+    Coefficient.constant(-8.0),
+    Coefficient.from_function(
+        lambda t: 0.6 - 0.4j + 0.3 * math.sin(3.0 * t),
+        dense_fn=lambda t: 0.6 - 0.4j + 0.3 * math.sin(3.0 * t),
+    ),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_scale(), st.data())
+def test_pointwise_exponentials_match_two_pass_reference(ts, data):
+    """exp_cayley, exp_hilger and the forward-step product equal, bit for
+    bit, the validate-then-accumulate computation on linear scans, errors
+    included, with t on either side of t0."""
+    t, t0 = data.draw(st.lists(probe_points(ts), min_size=2, max_size=2))
+    coeff = data.draw(st.sampled_from(PROPERTY_COEFFS))
+    for a, b in ((t, t0), (t0, t)):
+        for family, fn in POINTWISE.items():
+            assert outcome(fn, ts, coeff, a, b) == outcome(
+                reference_exp, family, ts, coeff, a, b
+            )
+        assert outcome(_hilger_product_point, ts, coeff, a, b, 1e-12) == outcome(
+            reference_product, ts, coeff, a, b
+        )
+
+
+class _Counting:
+    """A coefficient whose scattered and dense evaluations are counted."""
+
+    def __init__(self, fn):
+        self.scattered = self.dense = 0
+
+        def at_scattered(t):
+            self.scattered += 1
+            return fn(t)
+
+        def at_dense(t):
+            self.dense += 1
+            return fn(t)
+
+        self.coeff = Coefficient.from_function(at_scattered, dense_fn=at_dense)
+
+
+@pytest.mark.parametrize("family", list(POINTWISE))
+def test_pointwise_exponential_calls_coefficient_once_per_step(family):
+    ts = union(interval(0.0, 1.0), uniform(1.5, 0.25, 8), interval(4.0, 5.0))
+    counting = _Counting(lambda t: 0.3 - 0.2j * t)
+    for t, t0 in ((4.5, 0.5), (0.5, 4.5), (2.25, 1.5)):
+        counting.scattered = 0
+        POINTWISE[family](ts, counting.coeff, t, t0)
+        assert counting.scattered == len(ts.scattered_points(t0, t))
+
+
+@pytest.mark.parametrize(
+    "family, alpha", [(ExpFamily.HILGER_DELTA, -4.0), (ExpFamily.CAYLEY, 8.0)]
+)
+def test_first_regressivity_error_is_the_validation_pass_error(family, alpha):
+    # the coefficient degenerates at 2.25 and again at 2.75; the first in
+    # ascending order is reported whichever end t0 is
+    ts = uniform(1.5, 0.25, 8)
+    bad = {2.25, 2.75}
+    coeff = Coefficient.from_function(lambda t: alpha if t in bad else 0.1)
+    for t, t0 in ((3.25, 1.5), (1.5, 3.25)):
+        got = outcome(POINTWISE[family], ts, coeff, t, t0)
+        assert got == outcome(reference_exp, family, ts, coeff, t, t0)
+        assert got[0] == "RegressivityError" and got[2] == 2.25
+
+
+# -- non-finite coefficients and overflow ---------------------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_constant_coefficient_is_rejected(value):
+    ts = uniform(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="not finite"):
+        Coefficient.constant(value)
+    with pytest.raises(ValueError, match="not finite"):
+        exp_hilger(ts, value, 2.0, 0.0)
+    with pytest.raises(ValueError, match="not finite"):
+        exp_cayley(ts, value, 2.0, 0.0)
+    with pytest.raises(ValueError, match="not finite"):
+        exp_evaluate_grid(ExpFamily.HILGER_DELTA, ts, value, 0.0, ts.make_grid(0, 3, 1))
+
+
+def test_overflow_is_a_tolerance_error_on_both_paths():
+    ts = uniform(0.0, 0.5, 10)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    with pytest.raises(ToleranceError, match="overflows"):
+        exp_evaluate_grid(ExpFamily.HILGER_DELTA, ts, 1e308, 0.0, grid)
+    with pytest.raises(ToleranceError, match="overflows"):
+        exp_evaluate_grid(ExpFamily.EXACT, ts, 1e308, 0.0, grid)
+    with pytest.raises(ToleranceError, match="overflows"):
+        exp_hilger(ts, 1e308, 4.5, 0.0)
+    with pytest.raises(ToleranceError, match="overflows"):
+        check_sigma_shift(ExpFamily.HILGER_DELTA, ts, 1e308, 1.0, 0.0)
+    dense = interval(0.0, 1.0)
+    with pytest.raises(ToleranceError, match="exponential overflows"):
+        _hilger_product_point(dense, Coefficient.constant(1e3), 1.0, 0.0, 1e-12)
+    with pytest.raises(ToleranceError, match="quadrature overflows"):
+        _hilger_product_point(dense, Coefficient.constant(1e308), 1.0, 0.0, 1e-12)
+    with pytest.raises(ToleranceError, match="quadrature overflows"):
+        exp_cayley(dense, 1e308, 1.0, 0.0)

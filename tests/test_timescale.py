@@ -19,9 +19,17 @@ from tscale import (
     union,
 )
 
-from tscale.timescale import MEMBERSHIP_TOL
-
-from helpers import linear_locate, random_discrete, random_scale
+from helpers import (
+    any_scale,
+    linear_delta_integral,
+    linear_dense_segments,
+    linear_locate,
+    linear_make_grid,
+    linear_scattered_points,
+    outcome,
+    probe_points,
+    random_discrete,
+)
 
 MIXED = union(interval(0.0, 1.0), isolated(2.0))
 
@@ -282,79 +290,34 @@ def test_membership_and_jumps_consistency(t):
 # -- locating against the linear scan ---------------------------------------------
 
 
-@st.composite
-def tight_scales(draw):
-    """Scales whose gaps and interval lengths sit just above the membership
-    tolerance, at magnitudes where it is below, near or above one ulp."""
-    x = draw(
-        st.sampled_from([0.0, -3.0, 1.0, 4095.9, 8191.7, 1e4, -1e4])
-        | st.floats(min_value=-1e4, max_value=1e4)
-    )
-    comps = []
-    for _ in range(draw(st.integers(1, 8))):
-        if comps:
-            gap = draw(
-                st.floats(min_value=1e-12, max_value=2e-12, exclude_min=True)
-                | st.sampled_from([0.25, 1.0])
-            )
-            lo = x + gap
-            while not lo - x > MEMBERSHIP_TOL:
-                lo = math.nextafter(lo, math.inf)
-            x = lo
-        if draw(st.booleans()):
-            hi = x + draw(st.sampled_from([1.5e-12, 3e-12, 1e-6, 0.5]))
-            while not hi - x > MEMBERSHIP_TOL:
-                hi = math.nextafter(hi, math.inf)
-            comps.append(ClosedInterval(x, hi))
-            x = hi
-        else:
-            comps.append(IsolatedPoint(x))
-    return TimeScale(tuple(comps))
-
-
-@st.composite
-def probe_points(draw, ts):
-    """Endpoints nudged by up to 1e-12 or a few ulps, gap midpoints (not
-    members), arbitrary values around the scale, and non-finite values."""
-    ends = [e for c in ts.components for e in (c.left, c.right)]
-    e = draw(st.sampled_from(ends))
-    kind = draw(st.integers(0, 4))
-    if kind == 0:
-        return e + draw(st.floats(min_value=-1e-12, max_value=1e-12))
-    if kind == 1:
-        for _ in range(draw(st.integers(1, 3))):
-            e = math.nextafter(e, draw(st.sampled_from([math.inf, -math.inf])))
-        return e
-    if kind == 2:
-        gaps = [
-            0.5 * (a.right + b.left) for a, b in zip(ts.components, ts.components[1:])
-        ]
-        return draw(st.sampled_from(gaps or [ts.sup + 1.0]))
-    if kind == 3:
-        return draw(st.floats(min_value=ts.inf - 1.0, max_value=ts.sup + 1.0))
-    return draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-
-
-def _locate_outcome(locate, t):
-    try:
-        i, snapped = locate(t)
-    except DomainError:
-        return "DomainError"
-    return i, snapped.hex()
-
-
 @settings(max_examples=400, deadline=None)
-@given(
-    st.one_of(
-        tight_scales(),
-        st.integers(0, 2**32 - 1).map(lambda s: random_scale(np.random.default_rng(s))),
-    ),
-    st.data(),
-)
+@given(any_scale(), st.data())
 def test_locate_matches_linear_scan(ts, data):
     for t in data.draw(st.lists(probe_points(ts), min_size=1, max_size=8)):
-        assert _locate_outcome(ts._locate, t) == _locate_outcome(
-            lambda u: linear_locate(ts, u), t
+        assert outcome(ts._locate, t) == outcome(linear_locate, ts, t)
+
+
+def _smooth(s):
+    return complex(math.cos(s), 0.5 * s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_scale(), st.data())
+def test_range_scans_match_linear_scans(ts, data):
+    """The scans from the located components find, bit for bit, what scans
+    from component 0 find, with either end above the other."""
+    ends = data.draw(st.lists(probe_points(ts), min_size=2, max_size=2))
+    for t0, t1 in (ends, ends[::-1]):
+        for indexed, linear in (
+            (ts.scattered_points, linear_scattered_points),
+            (ts.dense_segments, linear_dense_segments),
+        ):
+            assert outcome(indexed, t0, t1) == outcome(linear, ts, t0, t1)
+        assert outcome(ts.delta_integral, _smooth, t0, t1) == outcome(
+            linear_delta_integral, ts, _smooth, t0, t1
+        )
+        assert outcome(ts.make_grid, t0, t1, 0.3) == outcome(
+            linear_make_grid, ts, t0, t1, 0.3
         )
 
 

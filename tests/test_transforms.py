@@ -296,3 +296,23 @@ def test_coefficient_scaled_piecewise_and_tabulated():
     assert p(-1.0) == 2 and p(0.5) == 4
     t = (-Coefficient.tabulated([1.0], [3]))(1.0)
     assert t == -3
+
+
+def _scan_piecewise(bps, vals, t):
+    """The linear breakpoint scan that the bisection replaced."""
+    i = 0
+    while i < len(bps) and t >= bps[i]:
+        i += 1
+    return vals[i]
+
+
+@pytest.mark.parametrize("bps", [(), (0.5,), (-1.0, 0.0, 2.5, 7.0)])
+def test_piecewise_lookup_matches_linear_scan(bps):
+    vals = tuple(complex(k, -k) for k in range(len(bps) + 1))
+    coeff = Coefficient.piecewise(bps, vals)
+    probes = [-math.inf, -1e9, math.inf, 1e9, math.nan, -0.0]
+    for b in bps:
+        probes += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+    for t in probes:
+        assert coeff(t) == _scan_piecewise(bps, vals, t), t
+    assert coeff(math.nan) == vals[0]
