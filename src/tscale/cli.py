@@ -7,8 +7,9 @@ identical configurations produce byte-identical CSV or JSON, with a dot
 decimal separator, 17 significant digits and LF line endings.
 
 Exit codes: 0 success or identity pass, 1 identity fail, 2 regressivity
-failure, 3 parse or configuration error (non-finite alpha, beta or omega
-included), 4 internal tolerance failure or float overflow.
+failure, 3 parse or configuration error (non-finite alpha, beta or omega,
+and a non-finite or non-positive tol or dense-step, included), 4 internal
+tolerance failure or float overflow.
 """
 
 from __future__ import annotations
@@ -238,10 +239,11 @@ class RunConfig:
     )
 
     def validate(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.dense_step <= 0:
-            raise ValueError("dense-step must be positive")
+        for name, value in (("tol", self.tol), ("dense-step", self.dense_step)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         for name in ("alpha", "beta", "omega"):
@@ -291,6 +293,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _rows_text(config: RunConfig, header: dict, points, values) -> str:
+    """The (t, value) rows of eval and solve: CSV, or JSON with header."""
+    if config.fmt == "json":
+        rows = [{"t": t, "re": v.real, "im": v.imag} for t, v in zip(points, values)]
+        return _json_text({"schema": SCHEMA, **header, "rows": rows})
+    lines = ["t,re,im"]
+    lines += [f"{t:.17g},{v.real:.17g},{v.imag:.17g}" for t, v in zip(points, values)]
+    return _csv(lines)
+
+
 def fit_loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x), ignoring zero errors."""
     pts = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > 0]
@@ -312,20 +324,8 @@ def cmd_eval(config: RunConfig) -> tuple[int, str]:
     ts, grid = _scale_and_grid(config)
     family = _EXP_FAMILIES[config.family]
     ev = exp_evaluate_grid(family, ts, config.alpha, config.t0, grid, config.tol)
-    if config.fmt == "json":
-        rows = [
-            {"t": t, "re": v.real, "im": v.imag}
-            for t, v in zip(grid.points, ev.values)
-        ]
-        return EXIT_OK, _json_text(
-            {"schema": SCHEMA, "command": "eval", "family": config.family, "rows": rows}
-        )
-    lines = ["t,re,im"]
-    lines += [
-        f"{_fmt17(t)},{_fmt17(v.real)},{_fmt17(v.imag)}"
-        for t, v in zip(grid.points, ev.values)
-    ]
-    return EXIT_OK, _csv(lines)
+    header = {"command": "eval", "family": config.family}
+    return EXIT_OK, _rows_text(config, header, grid.points, ev.values)
 
 
 def cmd_solve(config: RunConfig) -> tuple[int, str]:
@@ -334,20 +334,8 @@ def cmd_solve(config: RunConfig) -> tuple[int, str]:
     scheme = _SCHEMES[config.scheme]
     t0 = config.t0 if grid.index_of(config.t0) is not None else grid.points[0]
     x = solve_first_order(scheme, ts, config.alpha, config.x0, t0, grid, config.tol)
-    if config.fmt == "json":
-        rows = [
-            {"t": t, "re": v.real, "im": v.imag}
-            for t, v in zip(grid.points, x.values)
-        ]
-        return EXIT_OK, _json_text(
-            {"schema": SCHEMA, "command": "solve", "scheme": config.scheme, "rows": rows}
-        )
-    lines = ["t,re,im"]
-    lines += [
-        f"{_fmt17(t)},{_fmt17(v.real)},{_fmt17(v.imag)}"
-        for t, v in zip(grid.points, x.values)
-    ]
-    return EXIT_OK, _csv(lines)
+    header = {"command": "solve", "scheme": config.scheme}
+    return EXIT_OK, _rows_text(config, header, grid.points, x.values)
 
 
 def cmd_identity(config: RunConfig) -> tuple[int, str]:

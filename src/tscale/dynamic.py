@@ -21,7 +21,9 @@ from .errors import (
     GridError,
     RegressivityError,
     SingularError,
+    ToleranceError,
 )
+from .exponential import _exp
 from .timescale import DEFAULT_TOL, Grid, TimeScale
 from .transforms import REGRESSIVITY_MARGIN, as_coefficient, cayley
 from .report import ResidualReport
@@ -98,12 +100,15 @@ def solve_first_order(
     """March the scheme along the grid from the anchor value x(t0) = x0.
 
     Grid points before t0 are filled by inverting the step factors, which
-    the regressivity validation guarantees to be possible.
+    the regressivity validation guarantees to be possible. The grid is
+    walked once: validation keeps the walk records, and the step factors
+    are taken from them. A marched value or step factor that overflows
+    raises ToleranceError.
     """
     coeff = as_coefficient(alpha)
     if scheme is Scheme.EXACT_DISC and not coeff.is_constant:
         raise ValueError("the exact scheme requires a constant coefficient")
-    _validate_scheme(scheme, ts, coeff, grid)
+    records = _validate_scheme(scheme, ts, coeff, grid)
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)
     if anchor is None:
@@ -111,18 +116,31 @@ def solve_first_order(
     pts = grid.points
     values: list[complex] = [0j] * len(pts)
     values[anchor] = complex(x0)
-    for k, f in enumerate(_step_factors(scheme, ts, coeff, pts[anchor:], tol), anchor):
+    forward = records[anchor:-1]
+    for k, f in enumerate(_step_factors(scheme, ts, coeff, forward, tol), anchor):
         values[k + 1] = values[k] * f
-    back = list(_step_factors(scheme, ts, coeff, pts[: anchor + 1], tol))
+    back = list(_step_factors(scheme, ts, coeff, records[:anchor], tol))
     for k in range(anchor - 1, -1, -1):
         if back[k] == 0:
             raise RegressivityError("zero step factor cannot be inverted")
+        if not cmath.isfinite(back[k]):
+            raise ToleranceError(f"step factor {back[k]!r} at t={pts[k]!r} is not finite")
         values[k] = values[k + 1] / back[k]
+    # a non-finite x0 is the caller's, and SampledFunction reports it
+    if cmath.isfinite(values[anchor]) and not all(map(cmath.isfinite, values)):
+        bad = [k for k, v in enumerate(values) if not cmath.isfinite(v)]
+        k = next((k for k in bad if k > anchor), bad[-1])  # first in marching order
+        raise ToleranceError(f"solution overflows at t={pts[k]!r}")
     return SampledFunction(grid, tuple(values))
 
 
-def _validate_scheme(scheme, ts, coeff, grid) -> None:
-    for p, _, _, mu, _ in ts.walk(grid.points):
+def _validate_scheme(scheme, ts, coeff, grid) -> list[tuple]:
+    """Check each step factor's regressivity along one walk of the grid;
+    return the walk's records."""
+    records = []
+    for record in ts.walk(grid.points):
+        records.append(record)
+        p, _, _, mu, _ = record
         if mu is None:
             continue
         m = mu * coeff(p)
@@ -136,13 +154,12 @@ def _validate_scheme(scheme, ts, coeff, grid) -> None:
                 raise RegressivityError(
                     f"mu*alpha = {m!r} at t={p!r} is within margin of ±2", t=p
                 )
+    return records
 
 
-def _step_factors(scheme, ts, coeff, points, tol):
-    """Step factor over each consecutive pair of points."""
-    for p, q, s, _, span in ts.walk(points):
-        if q is None:
-            return
+def _step_factors(scheme, ts, coeff, records, tol):
+    """Step factor over the step of each walk record."""
+    for p, q, s, _, span in records:
         if s > p:
             if abs(s - q) > 1e-12:
                 raise GridError(f"grid skips the forward jump of {p!r}")
@@ -153,11 +170,11 @@ def _step_factors(scheme, ts, coeff, points, tol):
             elif scheme is Scheme.TRAPEZOIDAL_CAYLEY:
                 yield cayley(a, 0.5 * mu)
             else:
-                yield cmath.exp(a * mu)
+                yield _exp(a * mu)
         elif scheme is Scheme.EXACT_DISC:
-            yield cmath.exp(coeff.constant_value * (q - p))
+            yield _exp(coeff.constant_value * (q - p))
         else:
-            yield cmath.exp(ts.step_integral(coeff.dense, p, q, span, tol))
+            yield _exp(coeff.dense_integral(ts, p, q, span, tol))
 
 
 # -- correction factors --------------------------------------------------------------

@@ -105,7 +105,7 @@ def _log_integral_range(
         total += _step_log(family, mu, alpha)
     for c, d in ts.dense_segments(a, b):
         # each piece lies in one interval: one Simpson quadrature over it
-        total += ts.step_integral(coeff.dense, c, d, (c, d), tol)
+        total += coeff.dense_integral(ts, c, d, (c, d), tol)
     return sign * total
 
 
@@ -279,7 +279,7 @@ def _step_logs(family, ts, coeff, points, tol):
                 )
             yield _step_log(family, s - p, coeff(p))
         else:
-            yield ts.step_integral(coeff.dense, p, q, span, tol)
+            yield coeff.dense_integral(ts, p, q, span, tol)
 
 
 # -- degenerate-tolerant forward-step evaluation -----------------------------------
@@ -302,7 +302,7 @@ def _hilger_product_point(
     for s, mu in ts.scattered_points(lo, hi):
         prod *= 1.0 + mu * coeff(s)
     for c, d in ts.dense_segments(lo, hi):
-        prod *= _exp(ts.step_integral(coeff.dense, c, d, (c, d), tol))
+        prod *= _exp(coeff.dense_integral(ts, c, d, (c, d), tol))
     if backward:
         if prod == 0:
             raise SingularError(

@@ -11,14 +11,20 @@ tolerance, which keeps the jump operators and the integral exact.
 Cost model, for a scale of C components: locating a point (and so each
 jump operator, graininess or membership query) costs O(log C), since a
 bisection over the component left endpoints picks the few neighbouring
-components whose membership tests decide. Walking a grid of N points
-with TimeScale.walk costs O(N log C) locating plus the quadrature of its
-dense steps, so grid evaluations and solvers built on it are linear in
-N. A query over a range [t0, t1] (scattered_points, dense_segments,
-delta_integral, make_grid) locates both ends and scans only the K
-components from the one holding the lower end to the one after the upper
-end, O(log C + K); so does a pointwise exponential re-integrated from its
-anchor, plus the quadrature of its dense pieces.
+components whose membership tests decide. TimeScale.walk over a grid of
+N points locates a point only when the point before it is isolated or
+the step leaves that point's interval: a step inside one closed interval
+takes a few float comparisons and no lookup. A walk therefore costs O(N)
+plus O(log C) per component it enters, plus the quadrature of its dense
+steps, and grid evaluations and solvers built on it are linear in N. A
+constant coefficient's dense step calls no integrand: it is Simpson's
+first step done on the one value (Coefficient.dense_integral), with full
+adaptive Simpson only when that step would refine. A query over a range
+[t0, t1] (scattered_points, dense_segments, delta_integral, make_grid)
+locates both ends and scans only the K components from the one holding
+the lower end to the one after the upper end, O(log C + K); so does a
+pointwise exponential re-integrated from its anchor, plus the quadrature
+of its dense pieces.
 """
 
 from __future__ import annotations
@@ -192,13 +198,8 @@ class TimeScale:
             if isinstance(comp, IsolatedPoint):
                 if abs(t - comp.t) <= MEMBERSHIP_TOL:
                     return i, comp.t
-            else:
-                if t <= comp.hi + MEMBERSHIP_TOL:
-                    if abs(t - comp.lo) <= MEMBERSHIP_TOL:
-                        return i, comp.lo
-                    if abs(t - comp.hi) <= MEMBERSHIP_TOL:
-                        return i, comp.hi
-                    return i, t
+            elif t <= comp.hi + MEMBERSHIP_TOL:
+                return i, _snap(comp, t)
         raise DomainError(f"t={t!r} is not a member of the time scale")
 
     # -- jump operators ----------------------------------------------------
@@ -389,22 +390,32 @@ class TimeScale:
         (p, q) when p < q both lie in the closed interval holding p, which
         makes p right-dense; it is None otherwise. step_integral integrates
         over the step with it.
+
+        A q above a point p of a closed interval and within the interval's
+        upper tolerance is located in that interval without a lookup, as
+        _locate would locate it: every component below the interval
+        rejected p, so it rejects q > p, and the interval is the first of
+        the others to be tested.
         """
-        last = len(self.components) - 1
+        comps = self.components
+        last = len(comps) - 1
         located = self._locate(points[0])
         for k, p in enumerate(points):
             i, tt = located
-            comp = self.components[i]
+            comp = comps[i]
+            in_interval = isinstance(comp, ClosedInterval)
             s = self._sigma_at(i, tt)
-            left_scattered_max = i == last > 0 and isinstance(comp, IsolatedPoint)
+            left_scattered_max = i == last > 0 and not in_interval
             mu = None if left_scattered_max else s - tt
             q = span = None
             if k + 1 < len(points):
                 q = points[k + 1]
-                located = self._locate(q)
+                if in_interval and p < q <= comp.hi + MEMBERSHIP_TOL:
+                    located = i, _snap(comp, q)
+                else:
+                    located = self._locate(q)
                 j, uu = located
-                same_interval = j == i and isinstance(comp, ClosedInterval)
-                if same_interval and comp.lo <= tt < uu <= comp.hi:
+                if j == i and in_interval and comp.lo <= tt < uu <= comp.hi:
                     span = (tt, uu)
             yield p, q, s, mu, span
 
@@ -440,6 +451,16 @@ class TimeScale:
             pts.extend(c + k * (d - c) / n for k in range(1, n))
             pts.append(d)
         return Grid(tuple(pts), dense_step)
+
+
+def _snap(comp: ClosedInterval, t: float) -> float:
+    """Canonical value of a t that comp accepts: an endpoint within the
+    membership tolerance of t, or t itself."""
+    if abs(t - comp.lo) <= MEMBERSHIP_TOL:
+        return comp.lo
+    if abs(t - comp.hi) <= MEMBERSHIP_TOL:
+        return comp.hi
+    return t
 
 
 # -- constructors -------------------------------------------------------------
@@ -565,7 +586,7 @@ def _richardson(quotient, h0: float, factor: float, levels: int = 8) -> complex:
 def _adaptive_simpson(
     f: Callable[[float], complex], a: float, b: float, tol: float
 ) -> complex:
-    if tol <= 0:
+    if not tol > 0:  # NaN too: no piece meets it, so every piece refines
         raise ValueError("tol must be positive")
     if a == b:
         return 0j
@@ -576,6 +597,32 @@ def _adaptive_simpson(
         return _simpson_step(f, a, b, fa, fm, fb, whole, tol, _MAX_SIMPSON_DEPTH)
     except OverflowError:
         raise ToleranceError(f"quadrature overflows on [{a}, {b}]") from None
+
+
+def _constant_simpson(v: complex, a: float, b: float, tol: float) -> complex | None:
+    """_adaptive_simpson(lambda t: v, a, b, tol), bit for bit, when its first
+    step is accepted; None when that step would refine or tol is invalid.
+
+    The float operations are those of that first step, in the same order,
+    on the one value v.
+    """
+    if not tol > 0:
+        return None
+    if a == b:
+        return 0j
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    try:
+        w = v + 4.0 * v + v
+        whole = (b - a) / 6.0 * w
+        left = (m - a) / 6.0 * w
+        right = (b - m) / 6.0 * w
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol or lm <= a or rm >= b:
+            return left + right + delta / 15.0
+    except OverflowError:
+        raise ToleranceError(f"quadrature overflows on [{a}, {b}]") from None
+    return None
 
 
 def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth) -> complex:

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import SingularError
-from .timescale import Grid, TimeScale
+from .timescale import Grid, TimeScale, _constant_simpson
 
 # Margin below which regressivity predicates report failure instead of
 # letting downstream exponentials lose all precision.
@@ -226,6 +226,18 @@ class Coefficient:
     def dense(self) -> Callable[[float], complex]:
         """Evaluator for points of continuous pieces (zero-graininess limit)."""
         return self._dense
+
+    def dense_integral(
+        self, ts: TimeScale, p: float, q: float, span: tuple[float, float] | None, tol: float
+    ) -> complex:
+        """ts.step_integral(self.dense, p, q, span, tol), bit for bit, over
+        one step of ts.walk. A constant coefficient's step over a span
+        takes Simpson's first step on its value and calls no integrand."""
+        if span is not None and self.is_constant:
+            w = _constant_simpson(self.payload, span[0], span[1], tol)
+            if w is not None:
+                return w + 0j  # as step_integral returns it
+        return ts.step_integral(self.dense, p, q, span, tol)
 
     @property
     def is_constant(self) -> bool:

@@ -76,6 +76,43 @@ def linear_locate(ts: TimeScale, t: float) -> tuple[int, float]:
     raise DomainError(f"t={t!r} is not a member of the time scale")
 
 
+def reference_walk(ts: TimeScale, points):
+    """Slow reference for TimeScale.walk: locate every point with _locate."""
+    last = len(ts.components) - 1
+    located = ts._locate(points[0])
+    for k, p in enumerate(points):
+        i, tt = located
+        comp = ts.components[i]
+        s = ts._sigma_at(i, tt)
+        left_scattered_max = i == last > 0 and isinstance(comp, IsolatedPoint)
+        mu = None if left_scattered_max else s - tt
+        q = span = None
+        if k + 1 < len(points):
+            q = points[k + 1]
+            located = ts._locate(q)
+            j, uu = located
+            same_interval = j == i and isinstance(comp, ClosedInterval)
+            if same_interval and comp.lo <= tt < uu <= comp.hi:
+                span = (tt, uu)
+        yield p, q, s, mu, span
+
+
+def walk_outcome(walk, *args):
+    """The records a walk yields, as hex, and the exception that ends it,
+    if any (see outcome)."""
+    records = []
+    try:
+        for record in walk(*args):
+            records.append(_hexed(record))
+    except Exception as exc:  # compared, not swallowed
+        return records, outcome(_raise, exc)
+    return records, None
+
+
+def _raise(exc):
+    raise exc
+
+
 # -- linear component scans, as before the index ----------------------------------
 #
 # Each scans from component 0 and stops at the first component starting
@@ -224,13 +261,33 @@ def _hexed(v):
     return v
 
 
+class Refines(Exception):
+    """Adaptive Simpson asked for a sixth integrand value."""
+
+
+def constant_simpson_reference(v: complex, a: float, b: float, tol: float):
+    """outcome of _adaptive_simpson(lambda t: v, a, b, tol) up to the end of
+    its first step, which takes five integrand values; a Refines outcome
+    when the quadrature goes on to refine."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if len(calls) > 5:
+            raise Refines
+        return v
+
+    return outcome(_adaptive_simpson, f, a, b, tol)
+
+
 # -- Hypothesis strategies for scales and probe points ------------------------------
 
 
 @st.composite
-def tight_scales(draw):
+def tight_scales(draw, intervals_only=False):
     """Scales whose gaps and interval lengths sit just above the membership
-    tolerance, at magnitudes where it is below, near or above one ulp."""
+    tolerance, at magnitudes where it is below, near or above one ulp; with
+    intervals_only, scales of closed intervals alone."""
     x = draw(
         st.sampled_from([0.0, -3.0, 1.0, 4095.9, 8191.7, 1e4, -1e4])
         | st.floats(min_value=-1e4, max_value=1e4)
@@ -246,7 +303,7 @@ def tight_scales(draw):
             while not lo - x > MEMBERSHIP_TOL:
                 lo = math.nextafter(lo, math.inf)
             x = lo
-        if draw(st.booleans()):
+        if intervals_only or draw(st.booleans()):
             hi = x + draw(st.sampled_from([1.5e-12, 3e-12, 1e-6, 0.5]))
             while not hi - x > MEMBERSHIP_TOL:
                 hi = math.nextafter(hi, math.inf)

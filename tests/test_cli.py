@@ -512,3 +512,56 @@ def test_non_finite_parameters_are_config_errors(capsys, argv):
     assert main([*argv, *scale]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("tscale: ") and "must be finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--scheme", "explicit"], "tscale: solution overflows at t=1.0\n"),
+        (["solve", "--scheme", "exact"],
+         "tscale: exponential overflows at exponent (5e+299+0j)\n"),
+    ],
+)
+def test_solver_overflow_exits_4_without_traceback(argv, message):
+    proc = _run_script(*argv, "--scale", "uniform(0,0.5,2000)", "--alpha", "1e300")
+    assert proc.returncode == EXIT_TOLERANCE
+    assert proc.stdout == ""
+    assert proc.stderr == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a dense scale used to run Simpson to depth 40 and exit 4
+        (["eval", "--scale", "interval(0,1)", "--tol", "nan"], "tol must be finite, got nan"),
+        # a discrete scale used to ignore the NaN and exit 0
+        (["eval", "--scale", "uniform(0,0.5,10)", "--tol", "nan"], "tol must be finite, got nan"),
+        # inf used to turn the quadrature check off
+        (["solve", "--scale", "interval(0,1)", "--tol", "inf"], "tol must be finite, got inf"),
+        (["converge", "--tol", "nan"], "tol must be finite, got nan"),
+        (["eval", "--scale", "interval(0,1)", "--dense-step", "nan"],
+         "dense-step must be finite, got nan"),
+        (["identity", "--scale", "interval(0,1)", "--identity", "unit-circle",
+          "--dense-step", "inf"], "dense-step must be finite, got inf"),
+        (["eval", "--scale", "interval(0,1)", "--tol=-inf"], "tol must be positive"),
+    ],
+)
+def test_non_finite_tol_and_dense_step_are_config_errors(capsys, argv, message):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"tscale: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["tol", "dense_step"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_run_config_rejects_non_finite_tol_and_dense_step(name, value):
+    config = cli.RunConfig(command="eval", scale="interval(0,1)")
+    setattr(config, name, value)
+    with pytest.raises(ValueError, match="must be finite"):
+        config.validate()
+
+
+def test_installed_script_rejects_nan_tol_without_traceback():
+    proc = _run_script("eval", "--scale", "interval(0,1)", "--tol", "nan")
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == "" and proc.stderr == "tscale: tol must be finite, got nan\n"

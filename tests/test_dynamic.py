@@ -12,6 +12,7 @@ from tscale import (
     SampledFunction,
     Scheme,
     SingularError,
+    ToleranceError,
     TrigFamily,
     TrigKind,
     average,
@@ -170,6 +171,40 @@ def test_solver_requires_anchor_on_grid():
     g = Z12.make_grid(0, 5, 1.0)
     with pytest.raises(GridError):
         solve_first_order(Scheme.EXPLICIT_DELTA, Z12, 1.0, 1, 7.0, g)
+
+
+HALVES = uniform(0.0, 0.5, 2000)
+
+
+@pytest.mark.parametrize(
+    "scheme, ts, alpha, t0, message",
+    [
+        # forward: the step factors stay finite, the product does not
+        (Scheme.EXPLICIT_DELTA, HALVES, 1e300, 0.0, "solution overflows at t=1.0"),
+        # backward: dividing by step factors near zero
+        (Scheme.EXPLICIT_DELTA, HALVES, -1.999999, 999.5, "solution overflows at t=975.0"),
+        (Scheme.EXACT_DISC, HALVES, 1e300, 0.0,
+         "exponential overflows at exponent (5e+299+0j)"),
+        (Scheme.EXACT_DISC, interval(0.0, 10.0), 1e300, 0.0,
+         "exponential overflows at exponent (1e+300+0j)"),
+        # 1 + mu*alpha is inf: forward it makes the solution inf, backward
+        # it would make it zero
+        (Scheme.EXPLICIT_DELTA, uniform(0.0, 4.0, 3), 1e308, 0.0,
+         "solution overflows at t=4.0"),
+        (Scheme.EXPLICIT_DELTA, uniform(0.0, 4.0, 3), 1e308, 8.0,
+         "step factor (inf+0j) at t=4.0 is not finite"),
+    ],
+)
+def test_solver_overflow_is_a_tolerance_error(scheme, ts, alpha, t0, message):
+    grid = ts.make_grid(ts.inf, ts.sup, 1.0)
+    with pytest.raises(ToleranceError) as err:
+        solve_first_order(scheme, ts, alpha, 1.0, t0, grid)
+    assert str(err.value) == message
+
+
+def test_solver_non_finite_x0_is_a_value_error():
+    with pytest.raises(ValueError, match="samples must be finite"):
+        solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, Z12, 1.0, complex("inf"), 0.0, G12)
 
 
 # -- correction factors -------------------------------------------------------------

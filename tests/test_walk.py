@@ -5,13 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tscale import (
+    ClosedInterval,
     Coefficient,
+    DomainError,
     ExpFamily,
     Grid,
     GridError,
+    RegressivityError,
     Scheme,
+    TimeScale,
     exp_cayley,
     exp_evaluate_grid,
     exp_hilger,
@@ -21,10 +27,21 @@ from tscale import (
     uniform,
     union,
 )
+from tscale import timescale
 from tscale.exponential import _hilger_product_point
+from tscale.timescale import _adaptive_simpson, _constant_simpson
 from tscale.transforms import xi, zeta
 
-from helpers import random_mixed
+from helpers import (
+    any_scale,
+    constant_simpson_reference,
+    outcome,
+    probe_points,
+    random_mixed,
+    reference_walk,
+    tight_scales,
+    walk_outcome,
+)
 
 W = union(interval(0.0, 1.0), isolated(1.5, 2.25), interval(3.0, 4.0))
 TOL = 1e-12
@@ -160,3 +177,212 @@ def test_walk_records():
     ]
     # a right-dense step that leaves its interval has no span
     assert list(ts.walk((0.5, 2.0)))[0] == (0.5, 2.0, 0.5, 0.0, None)
+
+
+# -- the walker against a walk that locates every point ------------------------------
+
+
+@st.composite
+def walk_points(draw, ts):
+    """Probe points, points of the intervals and points within 3e-12 of an
+    interval's ends, ascending, as drawn or descending, with a point
+    sometimes repeated."""
+    intervals = [c for c in ts.components if isinstance(c, ClosedInterval)]
+
+    def point():
+        kind = draw(st.sampled_from(["probe", "inside", "near an end"]))
+        if not intervals or kind == "probe":
+            return draw(probe_points(ts))
+        c = draw(st.sampled_from(intervals))
+        if kind == "inside":
+            return draw(st.floats(min_value=c.lo, max_value=c.hi))
+        return draw(st.sampled_from([c.lo, c.hi])) + draw(st.floats(-3e-12, 3e-12))
+
+    points = [point() for _ in range(draw(st.integers(1, 12)))]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(points) - 1))
+        points.insert(k, points[k])
+    order = draw(st.sampled_from(["ascending", "as drawn", "descending"]))
+    if order != "as drawn":
+        points.sort(reverse=order == "descending")
+    return points
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(tight_scales(), tight_scales(intervals_only=True), any_scale()), st.data()
+)
+def test_walk_matches_locating_every_point(ts, data):
+    """Records and the exception that ends the walk are those of a walk
+    that locates every point, bit for bit."""
+    points = data.draw(walk_points(ts))
+    assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
+
+
+# offsets from the interval ends, exact in binary: 4.5e-13 and 1.8e-12
+_IN, _PAST = 2.0**-41, 2.0**-39
+_EDGE = union(interval(0.0, 1.0), isolated(1.0 + _PAST), interval(2.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "ts, points",
+    [
+        (_EDGE, (0.5, 1.0 + _PAST, 2.0)),  # the point just past the tolerance
+        (_EDGE, (0.5, 1.0 + _IN, 1.0 + _PAST)),  # within it: the end
+        (_EDGE, (2.5, 3.0 + _IN, 3.0 + _PAST)),  # past it: no member
+        (interval(-1.0, 0.0), (-0.5, 1.1e-12)),  # barely past it
+        (_EDGE, (0.25, 0.5, 0.5, 0.75)),  # a repeated point
+        (_EDGE, (0.75, 0.5, 0.25)),  # descending
+        (_EDGE, (2.5, 1.0 + _PAST, 0.5)),  # descending across components
+        (_EDGE, (0.5, math.nan)),
+        (interval(1e4, 10001.0), (1e4 + 0.5, math.nextafter(10001.0, math.inf))),
+    ],
+)
+def test_walk_matches_locating_every_point_at_tolerance_edges(ts, points):
+    assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
+
+
+def test_walk_locates_only_after_a_component_ends(monkeypatch):
+    ts = union(interval(0.0, 1.0), isolated(1.5), interval(2.0, 3.0))
+    points = ts.make_grid(0.0, 3.0, 0.01).points
+    located = []
+    locate = TimeScale._locate
+    monkeypatch.setattr(
+        TimeScale, "_locate", lambda self, t: located.append(t) or locate(self, t)
+    )
+    records = list(ts.walk(points))
+    assert located == [0.0, 1.5, 2.0]
+    monkeypatch.undo()
+    assert records == list(reference_walk(ts, points))
+
+
+# -- constant coefficients on dense steps ---------------------------------------------
+
+
+_VALUES = st.builds(
+    complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)
+) | st.sampled_from([0j, complex(-0.0, -0.0), 1e10 + 0j, complex(3e5, -7.25)])
+
+
+@st.composite
+def _spans(draw):
+    """Zero-length, sub-ulp, few-ulp and wider spans at several magnitudes."""
+    a = draw(st.sampled_from([0.0, -3.0, 1e4, -1e4]) | st.floats(-1e4, 1e4))
+    kind = draw(st.sampled_from(["zero", "ulp", "ulps", "width"]))
+    if kind == "zero":
+        return a, a
+    if kind in ("ulp", "ulps"):
+        b = a
+        for _ in range(1 if kind == "ulp" else draw(st.integers(2, 5))):
+            b = math.nextafter(b, math.inf)
+        return a, b
+    return a, a + draw(st.sampled_from([1e-12, 1e-4, 0.5, 100.0]))
+
+
+# rounding makes its first Simpson step over [1e4, 1e4 + 0.1] miss tol 1e-12
+_REFINING = complex(831988.9607137693, -813456.2712951798)
+
+_TOLS = st.sampled_from([1e-12, 1e-8, 1e-3, math.inf, math.nan, 0.0, -1.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES, _spans(), _TOLS)
+@example(_REFINING, (1e4, 1e4 + 0.1), 1e-12)  # the first step does not converge
+@example(1j, (0.0, 0.0), 1e-12)
+def test_constant_simpson_is_the_first_simpson_step(v, span, tol):
+    got = outcome(_constant_simpson, v, *span, tol)
+    want = constant_simpson_reference(v, *span, tol)
+    if got is None:  # the first step refines, or tol is rejected
+        assert want[0] in ("Refines", "ValueError")
+    else:
+        assert got == want
+
+
+def test_simpson_rejects_a_nan_tolerance():
+    # no piece meets it: near 1e4 every piece would refine toward sub-ulp width
+    with pytest.raises(ValueError, match="tol must be positive"):
+        _adaptive_simpson(lambda t: 1 + 0j, 1e4, 1e4 + 0.5, math.nan)
+    assert _constant_simpson(1 + 0j, 1e4, 1e4 + 0.5, math.nan) is None
+
+
+def test_constant_simpson_declines_a_refining_first_step():
+    assert _constant_simpson(_REFINING, 1e4, 1e4 + 0.1, 1e-12) is None
+    assert constant_simpson_reference(_REFINING, 1e4, 1e4 + 0.1, 1e-12)[0] == "Refines"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES, _spans(), _TOLS)
+@example(_REFINING, (1e4, 1e4 + 0.1), 1e-12)
+def test_constant_dense_integral_matches_step_integral(v, span, tol):
+    ts = interval(-2e4, 2e4)
+    coeff = Coefficient.constant(v)
+    a, b = span
+    for s in (span, None):
+        assert outcome(coeff.dense_integral, ts, a, b, s, tol) == outcome(
+            ts.step_integral, lambda t: v, a, b, s, tol
+        )
+
+
+def test_constant_simpson_overflow_is_a_tolerance_error(monkeypatch):
+    def overflowing_abs(x):
+        raise OverflowError("absolute value too large")
+
+    monkeypatch.setattr(timescale, "abs", overflowing_abs, raising=False)
+    want = outcome(_adaptive_simpson, lambda t: 1j, 0.0, 1.0, 1e-12)
+    assert want == ("ToleranceError", "quadrature overflows on [0.0, 1.0]", None)
+    assert outcome(_constant_simpson, 1j, 0.0, 1.0, 1e-12) == want
+    coeff = Coefficient.constant(1j)
+    assert outcome(coeff.dense_integral, W, 0.0, 1.0, (0.0, 1.0), 1e-12) == want
+
+
+@pytest.mark.parametrize("coeff_name", sorted(COEFFS))
+def test_constant_coefficient_dense_steps_call_no_quadrature(monkeypatch, coeff_name):
+    calls = []
+    simpson = timescale._adaptive_simpson
+    monkeypatch.setattr(
+        timescale, "_adaptive_simpson", lambda f, a, b, tol: calls.append(a) or simpson(f, a, b, tol)
+    )
+    grid = W.make_grid(0.0, 4.0, 0.05)
+    coeff = COEFFS[coeff_name]
+    exp_evaluate_grid(ExpFamily.CAYLEY, W, coeff, 0.0, grid, TOL)
+    solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, W, coeff, 1.0, 0.0, grid, TOL)
+    dense_steps = sum(1 for r in W.walk(grid.points) if r[4] is not None)
+    assert len(calls) == (0 if coeff.is_constant else 2 * dense_steps)
+
+
+# -- one walk per solve ---------------------------------------------------------------
+
+
+def test_solver_walks_the_grid_once(monkeypatch):
+    walks = []
+    walk = TimeScale.walk
+    monkeypatch.setattr(TimeScale, "walk", lambda self, pts: walks.append(pts) or walk(self, pts))
+    points, t0 = GRIDS["make-grid-mid-anchor"]
+    solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, W, COEFFS["varying"], 1.0, t0, Grid(points, 0.2))
+    assert walks == [points]
+
+
+@pytest.mark.parametrize(
+    "scheme, ts, alpha, points, t0, error",
+    [
+        # a non-member right after a non-regressive point: the walk locates
+        # the next point before the point's own check
+        (Scheme.EXPLICIT_DELTA, uniform(0.0, 0.5, 10), -2.0, (0.0, 0.25, 0.5), 0.0,
+         (DomainError, "t=0.25 is not a member of the time scale")),
+        (Scheme.EXPLICIT_DELTA, uniform(0.0, 0.5, 10), -2.0, (0.0, 0.5, 0.75), 0.0,
+         (RegressivityError, "1 + mu*beta = 0j at t=0.0")),
+        # validation ends before any step factor: a skipped jump before a
+        # non-regressive point is not reported
+        (Scheme.TRAPEZOIDAL_CAYLEY, uniform(0.0, 1.0, 5),
+         Coefficient.piecewise([2.5], [0.5, -2.0]), (0.0, 1.0, 3.0, 4.0), 4.0,
+         (RegressivityError, "mu*alpha = (-2+0j) at t=3.0 is within margin of ±2")),
+        (Scheme.TRAPEZOIDAL_CAYLEY, uniform(0.0, 1.0, 5), 0.5, (0.0, 1.0, 3.0, 4.0), 2.0,
+         (GridError, "t0=2.0 must be a grid point")),
+        (Scheme.TRAPEZOIDAL_CAYLEY, uniform(0.0, 1.0, 5), 0.5, (0.0, 1.0, 3.0, 4.0), 3.0,
+         (GridError, "grid skips the forward jump of 1.0")),
+    ],
+)
+def test_solver_first_error_with_one_walk(scheme, ts, alpha, points, t0, error):
+    with pytest.raises(error[0]) as err:
+        solve_first_order(scheme, ts, alpha, 1.0, t0, Grid(points, 1.0))
+    assert str(err.value) == error[1]
