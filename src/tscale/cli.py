@@ -7,9 +7,10 @@ identical configurations produce byte-identical CSV or JSON, with a dot
 decimal separator, 17 significant digits and LF line endings.
 
 Exit codes: 0 success or identity pass, 1 identity fail, 2 regressivity
-failure, 3 parse or configuration error (non-finite alpha, beta or omega,
-and a non-finite or non-positive tol or dense-step, included), 4 internal
-tolerance failure or float overflow.
+failure, 3 parse or configuration error (non-finite alpha, beta, omega or
+t0, a non-finite or non-positive tol or dense-step, and a family the
+identity does not accept, included), 4 internal tolerance failure or
+float overflow.
 """
 
 from __future__ import annotations
@@ -41,13 +42,16 @@ from .timescale import (
     TimeScale,
     normalize_components,
 )
-from .transforms import as_coefficient, graininess_coefficient, oplus_cayley, oplus_mu
+from .transforms import as_coefficient, graininess_coefficient, oplus_mu
 from .exponential import (
+    _STEP_RULES,
     ExpFamily,
     _exp_from,
+    _exp_point,
     _semigroup_residual,
     _sigma_shift_residual,
     exp_evaluate_grid,
+    exp_nabla_const,
 )
 from .trig import TrigFamily, TrigKind, pythagorean_residual, trig_grid
 from .dynamic import (
@@ -246,31 +250,26 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        for name in ("alpha", "beta", "omega"):
+        for name in ("alpha", "beta", "omega", "t0"):
             value = getattr(self, name)
             if value is not None and not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-_EXP_FAMILIES = {
-    "hilger": ExpFamily.HILGER_DELTA,
-    "nabla": ExpFamily.NABLA_CONST,
-    "cayley": ExpFamily.CAYLEY,
-    "exact": ExpFamily.EXACT,
-}
+# The command-line names are the enums' values.
+_EXP_FAMILIES = {family.value: family for family in ExpFamily}
+_TRIG_FAMILIES = {family.value: family for family in TrigFamily}
+_SCHEMES = {scheme.value: scheme for scheme in Scheme}
 
-_TRIG_FAMILIES = {
-    "hilger": TrigFamily.HILGER,
-    "bp": TrigFamily.BOHNER_PETERSON,
-    "cayley": TrigFamily.CAYLEY,
-    "exact": TrigFamily.EXACT,
-}
 
-_SCHEMES = {
-    "explicit": Scheme.EXPLICIT_DELTA,
-    "trapezoidal": Scheme.TRAPEZOIDAL_CAYLEY,
-    "exact": Scheme.EXACT_DISC,
-}
+def _identity_family(config: RunConfig, families: dict):
+    """The family named by --family, among those the identity accepts."""
+    if config.family not in families:
+        raise ValueError(
+            f"--family {config.family!r} is not accepted by identity {config.identity}; "
+            f"choose from {', '.join(sorted(families))}"
+        )
+    return families[config.family]
 
 
 def _scale_and_grid(config: RunConfig) -> tuple[TimeScale, Grid]:
@@ -346,7 +345,7 @@ def cmd_identity(config: RunConfig) -> tuple[int, str]:
     extra: dict = {}
     name = config.identity
     if name == "pythagorean":
-        family = _TRIG_FAMILIES[config.family]
+        family = _identity_family(config, _TRIG_FAMILIES)
         kind = TrigKind.HYPERBOLIC if config.kind == "hyp" else TrigKind.TRIGONOMETRIC
         param = config.alpha if kind is TrigKind.HYPERBOLIC else _omega(config)
         report = pythagorean_residual(family, kind, ts, param, grid, config.tol)
@@ -408,7 +407,7 @@ def _omega(config: RunConfig) -> float:
 def _semigroup_report(config, ts, grid) -> ResidualReport:
     """check_semigroup over every pair t_j <= t_i of grid points, t1 the
     first; each E(x, t1) is computed once per report."""
-    family = _EXP_FAMILIES[config.family]
+    family = _identity_family(config, _EXP_FAMILIES)
     coeff = as_coefficient(config.alpha)
     from_t1 = _exp_from(family, ts, coeff, grid.points[0], config.tol)
     pts, residuals = [], []
@@ -427,7 +426,7 @@ def _semigroup_report(config, ts, grid) -> ResidualReport:
 def _sigma_shift_report(config, ts, grid) -> ResidualReport:
     """check_sigma_shift at every grid point in the differentiation domain,
     t0 the first; each E(x, t0) is computed once per report."""
-    family = _EXP_FAMILIES[config.family]
+    family = _identity_family(config, _EXP_FAMILIES)
     coeff = as_coefficient(config.alpha)
     from_t0 = _exp_from(family, ts, coeff, grid.points[0], config.tol)
     pts, residuals, skipped = [], [], []
@@ -443,16 +442,17 @@ def _sigma_shift_report(config, ts, grid) -> ResidualReport:
 
 
 def _product_law_report(config, ts, grid) -> ResidualReport:
-    family = _EXP_FAMILIES[config.family]
+    family = _identity_family(config, _EXP_FAMILIES)
     a = config.alpha
     b = config.beta if config.beta is not None else 0.5 + 0j
     t0 = grid.points[0]
     ea = exp_evaluate_grid(family, ts, a, t0, grid, config.tol)
     eb = exp_evaluate_grid(family, ts, b, t0, grid, config.tol)
-    if family is ExpFamily.CAYLEY:
-        combo = graininess_coefficient(ts, lambda mu, s: oplus_cayley(mu, a, b))
-    else:
-        combo = graininess_coefficient(ts, lambda mu, s: oplus_mu(mu, a, b))
+    rule = _STEP_RULES.get(family)
+    # exact and nabla have no step rule; exp_evaluate_grid rejects their
+    # combination as not constant before calling it
+    oplus = rule.oplus if rule else oplus_mu
+    combo = graininess_coefficient(ts, lambda mu, s: oplus(mu, a, b))
     eab = exp_evaluate_grid(family, ts, combo, t0, grid, config.tol)
     residuals = tuple(
         abs(x * y - z) for x, y, z in zip(ea.values, eb.values, eab.values)
@@ -518,9 +518,11 @@ def convergence_study(family_name, alpha, target_t, eps_list, tol=1e-12):
     For each step eps a uniform discrete scale covering [0, target_t] is
     built; target_t must be an integer multiple of each eps.
     """
-    from .exponential import exp_cayley, exp_exact, exp_hilger, exp_nabla_const
     from .timescale import uniform as uniform_scale
 
+    if family_name not in _EXP_FAMILIES:
+        raise ValueError(f"unknown family {family_name!r}")
+    family = _EXP_FAMILIES[family_name]
     alpha = complex(alpha)
     exact_value = cmath.exp(alpha * target_t)
     rows = []
@@ -531,16 +533,11 @@ def convergence_study(family_name, alpha, target_t, eps_list, tol=1e-12):
                 f"target t={target_t!r} is not a positive integer multiple of eps={eps!r}"
             )
         ts = uniform_scale(0.0, eps, k + 1)
-        if family_name == "hilger":
-            val = exp_hilger(ts, alpha, target_t, 0.0, tol)
-        elif family_name == "cayley":
-            val = exp_cayley(ts, alpha, target_t, 0.0, tol)
-        elif family_name == "nabla":
+        if family is ExpFamily.NABLA_CONST:
+            # the step is eps: the scale's gaps carry the rounding of k*eps
             val = exp_nabla_const(eps, alpha, target_t)
-        elif family_name == "exact":
-            val = exp_exact(alpha, target_t, 0.0)
         else:
-            raise ValueError(f"unknown family {family_name!r}")
+            val = _exp_point(family, ts, alpha, target_t, 0.0, tol)
         rows.append((eps, abs(val - exact_value)))
     return rows
 
@@ -657,7 +654,7 @@ def main(argv=None) -> int:
         ns = build_parser().parse_args(argv)
         config = _config_from_args(ns)
         code, text = _COMMANDS[config.command](config)
-    except (ParseError, OverlapError, ValueError, DomainError, KeyError) as exc:
+    except (ParseError, OverlapError, ValueError, DomainError) as exc:
         print(f"tscale: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RegressivityError as exc:

@@ -4,8 +4,9 @@ second-order oscillator residuals.
 The three stepping schemes mirror the three exponential constructions:
 forward stepping multiplies by 1 + mu*beta, trapezoidal stepping by the
 Cayley factor (1 + mu*alpha/2)/(1 - mu*alpha/2), and exact stepping by
-exp(alpha*mu). Dense segments integrate the continuum equation; the exact
-scheme uses the closed-form flow there, never quadrature.
+exp(alpha*mu). The first two factors and their regressivity tests are the
+step-rule table's in transforms. Dense segments integrate the continuum
+equation; the exact scheme uses the closed-form flow there, never quadrature.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .exponential import _exp
 from .timescale import DEFAULT_TOL, Grid, TimeScale
-from .transforms import REGRESSIVITY_MARGIN, as_coefficient, cayley
+from .transforms import CAYLEY_RULE, FORWARD_RULE, REGRESSIVITY_MARGIN, as_coefficient
 from .report import ResidualReport
 from .trig import TrigKind
 
@@ -34,6 +35,16 @@ class Scheme(Enum):
     EXPLICIT_DELTA = "explicit"  # x' = beta * x
     TRAPEZOIDAL_CAYLEY = "trapezoidal"  # x' = alpha * avg(x)
     EXACT_DISC = "exact"  # x' = alpha * psi * avg(x), constant alpha
+
+
+# Each scheme's step rule, and the name its messages give the coefficient;
+# the exact scheme has none: it steps by the continuum flow, which never
+# degenerates.
+_SCHEME_RULES = {
+    Scheme.EXPLICIT_DELTA: (FORWARD_RULE, "beta"),
+    Scheme.TRAPEZOIDAL_CAYLEY: (CAYLEY_RULE, "alpha"),
+    Scheme.EXACT_DISC: (None, None),
+}
 
 
 @dataclass(frozen=True)
@@ -137,41 +148,26 @@ def solve_first_order(
 def _validate_scheme(scheme, ts, coeff, grid) -> list[tuple]:
     """Check each step factor's regressivity along one walk of the grid;
     return the walk's records."""
+    rule, name = _SCHEME_RULES[scheme]
     records = []
     for record in ts.walk(grid.points):
         records.append(record)
         p, _, _, mu, _ = record
-        if mu is None:
-            continue
-        m = mu * coeff(p)
-        if scheme is Scheme.EXPLICIT_DELTA:
-            if abs(1.0 + m) <= REGRESSIVITY_MARGIN:
-                raise RegressivityError(
-                    f"1 + mu*beta = {1.0 + m!r} at t={p!r}", t=p
-                )
-        elif scheme is Scheme.TRAPEZOIDAL_CAYLEY:
-            if abs(m - 2.0) <= REGRESSIVITY_MARGIN or abs(m + 2.0) <= REGRESSIVITY_MARGIN:
-                raise RegressivityError(
-                    f"mu*alpha = {m!r} at t={p!r} is within margin of ±2", t=p
-                )
+        if mu is not None and rule is not None:
+            rule.check(p, mu * coeff(p), name)
     return records
 
 
 def _step_factors(scheme, ts, coeff, records, tol):
     """Step factor over the step of each walk record."""
+    rule = _SCHEME_RULES[scheme][0]
     for p, q, s, _, span in records:
         if s > p:
             if abs(s - q) > 1e-12:
                 raise GridError(f"grid skips the forward jump of {p!r}")
-            mu = s - p
             a = coeff(p)
-            if scheme is Scheme.EXPLICIT_DELTA:
-                yield 1.0 + mu * a
-            elif scheme is Scheme.TRAPEZOIDAL_CAYLEY:
-                yield cayley(a, 0.5 * mu)
-            else:
-                yield _exp(a * mu)
-        elif scheme is Scheme.EXACT_DISC:
+            yield _exp(a * (s - p)) if rule is None else rule.factor(s - p, a)
+        elif rule is None:
             yield _exp(coeff.constant_value * (q - p))
         else:
             yield _exp(coeff.dense_integral(ts, p, q, span, tol))

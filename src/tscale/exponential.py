@@ -23,14 +23,7 @@ from .errors import (
     ToleranceError,
 )
 from .timescale import DEFAULT_TOL, Grid, TimeScale
-from .transforms import (
-    REGRESSIVITY_MARGIN,
-    Coefficient,
-    as_coefficient,
-    cayley,
-    xi,
-    zeta,
-)
+from .transforms import CAYLEY_RULE, FORWARD_RULE, Coefficient, as_coefficient
 
 
 class ExpFamily(Enum):
@@ -38,6 +31,10 @@ class ExpFamily(Enum):
     NABLA_CONST = "nabla"
     CAYLEY = "cayley"
     EXACT = "exact"
+
+
+# The families whose exponent is accumulated step by step, and their rules.
+_STEP_RULES = {ExpFamily.HILGER_DELTA: FORWARD_RULE, ExpFamily.CAYLEY: CAYLEY_RULE}
 
 
 @dataclass(frozen=True)
@@ -69,13 +66,6 @@ class ExpEvaluation:
 # -- exponent integral -----------------------------------------------------------
 
 
-def _step_log(family: ExpFamily, mu: float, a: complex) -> complex:
-    """Exponent contribution of one scattered step of graininess mu."""
-    if family is ExpFamily.HILGER_DELTA:
-        return mu * xi(mu, a)
-    return mu * zeta(mu, a)
-
-
 def _log_integral_range(
     family: ExpFamily, ts: TimeScale, coeff: Coefficient, t0: float, t1: float, tol: float
 ) -> complex:
@@ -98,37 +88,25 @@ def _log_integral_range(
     sign = 1.0
     if b < a:
         a, b, sign = b, a, -1.0
+    rule = _STEP_RULES[family]
     total = 0j
     for s, mu in ts.scattered_points(a, b):
         alpha = coeff(s)
-        _check_step(family, s, mu * alpha)
-        total += _step_log(family, mu, alpha)
+        rule.check(s, mu * alpha, "alpha")
+        total += rule.log(mu, alpha)
     for c, d in ts.dense_segments(a, b):
         # each piece lies in one interval: one Simpson quadrature over it
         total += coeff.dense_integral(ts, c, d, (c, d), tol)
     return sign * total
 
 
-def _check_step(family: ExpFamily, s: float, m: complex) -> None:
-    """Raise if the step factor at s, where mu*alpha = m, degenerates."""
-    if family is ExpFamily.HILGER_DELTA:
-        if abs(1.0 + m) <= REGRESSIVITY_MARGIN:
-            raise RegressivityError(
-                f"1 + mu*alpha vanishes at t={s!r} (mu*alpha={m!r})", t=s
-            )
-    elif family is ExpFamily.CAYLEY:
-        if abs(m - 2.0) <= REGRESSIVITY_MARGIN or abs(m + 2.0) <= REGRESSIVITY_MARGIN:
-            raise RegressivityError(
-                f"mu*alpha = {m!r} at t={s!r} is within margin of ±2", t=s
-            )
-
-
 def _validate_regressive(
     family: ExpFamily, ts: TimeScale, coeff: Coefficient, lo: float, hi: float
 ) -> None:
     """Fail fast with the first point where the step factor degenerates."""
+    check = _STEP_RULES[family].check
     for s, mu in ts.scattered_points(lo, hi):
-        _check_step(family, s, mu * coeff(s))
+        check(s, mu * coeff(s), "alpha")
 
 
 def _exp(w: complex) -> complex:
@@ -214,23 +192,26 @@ def exp_evaluate_grid(
     if family is ExpFamily.EXACT:
         a = coeff.constant_value
         values = _exps([a * (p - t0) for p in grid.points])
-        return ExpEvaluation(family, ts, coeff, t0, grid, values, tol)
-    if family is ExpFamily.NABLA_CONST:
+    elif family is ExpFamily.NABLA_CONST:
         values = _nabla_grid_values(ts, coeff, t0, grid)
-        return ExpEvaluation(family, ts, coeff, t0, grid, values, tol)
-    lo = min(grid.points[0], t0)
-    hi = max(grid.points[-1], t0)
-    _validate_regressive(family, ts, coeff, lo, hi)
-    values = _exps(_grid_log_integrals(family, ts, coeff, t0, grid, tol))
+    else:
+        values = _exps(_validated_logs(family, ts, coeff, t0, grid, tol))
     return ExpEvaluation(family, ts, coeff, t0, grid, values, tol)
 
 
-def _nabla_grid_values(ts, coeff, t0, grid) -> tuple[complex, ...]:
+def _nabla_step(ts: TimeScale) -> float:
+    """The step of a uniform discrete scale, the only kind the backward-step
+    family is defined on."""
     eps = ts.constant_graininess()
     if not ts.is_discrete() or eps is None or eps <= 0:
         raise ConstantGraininessError(
             "the backward-step family needs a uniform discrete scale"
         )
+    return eps
+
+
+def _nabla_grid_values(ts, coeff, t0, grid) -> tuple[complex, ...]:
+    eps = _nabla_step(ts)
     a = coeff.constant_value
     base = 1.0 - a * eps
     if base == 0:
@@ -242,6 +223,14 @@ def _nabla_grid_values(ts, coeff, t0, grid) -> tuple[complex, ...]:
             raise DomainError(f"t={p!r} is not t0 plus an integer multiple of eps")
         out.append(base ** (-k))
     return tuple(out)
+
+
+def _validated_logs(family, ts, coeff, t0, grid, tol) -> list[complex]:
+    """_grid_log_integrals, after validating every scattered step from the
+    lower of t0 and the grid to the upper."""
+    lo, hi = min(grid.points[0], t0), max(grid.points[-1], t0)
+    _validate_regressive(family, ts, coeff, lo, hi)
+    return _grid_log_integrals(family, ts, coeff, t0, grid, tol)
 
 
 def _grid_log_integrals(
@@ -269,6 +258,7 @@ def _grid_log_integrals(
 
 def _step_logs(family, ts, coeff, points, tol):
     """Exponent increment over each consecutive pair of points."""
+    log = _STEP_RULES[family].log
     for p, q, s, _, span in ts.walk(points):
         if q is None:
             return
@@ -277,7 +267,7 @@ def _step_logs(family, ts, coeff, points, tol):
                 raise GridError(
                     f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
                 )
-            yield _step_log(family, s - p, coeff(p))
+            yield log(s - p, coeff(p))
         else:
             yield coeff.dense_integral(ts, p, q, span, tol)
 
@@ -317,14 +307,7 @@ def _hilger_grid_lenient(
 ) -> tuple[complex, ...]:
     """Grid values of the forward-step exponential, degenerate factors allowed."""
     try:
-        _validate_regressive(
-            ExpFamily.HILGER_DELTA,
-            ts,
-            coeff,
-            min(grid.points[0], t0),
-            max(grid.points[-1], t0),
-        )
-        return _exps(_grid_log_integrals(ExpFamily.HILGER_DELTA, ts, coeff, t0, grid, tol))
+        return _exps(_validated_logs(ExpFamily.HILGER_DELTA, ts, coeff, t0, grid, tol))
     except RegressivityError:
         return tuple(
             _hilger_product_point(ts, coeff, p, t0, tol) for p in grid.points
@@ -343,12 +326,7 @@ def _exp_point(family: ExpFamily, ts: TimeScale, coeff, t, t0, tol) -> complex:
     if family is ExpFamily.EXACT:
         return exp_exact(coeff.constant_value, t, t0)
     if family is ExpFamily.NABLA_CONST:
-        eps = ts.constant_graininess()
-        if not ts.is_discrete() or eps is None:
-            raise ConstantGraininessError(
-                "the backward-step family needs a uniform discrete scale"
-            )
-        return exp_nabla_const(eps, coeff.constant_value, t - t0)
+        return exp_nabla_const(_nabla_step(ts), coeff.constant_value, t - t0)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -399,15 +377,11 @@ def _semigroup_residual(family, ts, coeff, t, t0, from_t1, tol) -> float:
 
 def _sigma_shift_residual(family, ts, coeff, t, from_t0) -> float:
     """check_sigma_shift with E(., t0) given as from_t0."""
-    if family not in (ExpFamily.CAYLEY, ExpFamily.HILGER_DELTA):
+    rule = _STEP_RULES.get(family)
+    if rule is None:
         raise ValueError("shift law check supports the Cayley and forward-step families")
     _, tt = ts._locate(t)
-    mu = ts.mu(tt)
-    a = coeff(tt)
-    if family is ExpFamily.CAYLEY:
-        factor = cayley(a, 0.5 * mu)
-    else:
-        factor = 1.0 + mu * a
+    factor = rule.factor(ts.mu(tt), coeff(tt))
     et = from_t0(tt)
     es = from_t0(ts.sigma(tt))
     return abs(es - factor * et)

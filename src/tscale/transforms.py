@@ -2,8 +2,8 @@
 
 Cylinder transforms, the Cayley transform, both circle-plus additions,
 the correspondence between trapezoidal and forward-step coefficients,
-and the regressivity predicates. Everything here is a pure function of
-its arguments.
+the regressivity predicates and the step-rule table that names them per
+family. Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import SingularError
+from .errors import RegressivityError, SingularError
 from .timescale import Grid, TimeScale, _constant_simpson
 
 # Margin below which regressivity predicates report failure instead of
@@ -306,13 +306,75 @@ def graininess_coefficient(ts: TimeScale, fn, rd_continuous=True) -> Coefficient
     )
 
 
-# -- regressivity ----------------------------------------------------------------
+# -- step rules and regressivity ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StepRule:
+    """One family's scattered step of graininess mu with coefficient a.
+
+    The solvers multiply factor(mu, a); the exponentials sum log(mu, a),
+    its exponent taken through the cylinder map, not from factor, so the
+    two stay independent. degenerate(m) tests m = mu*a, and message(t, m,
+    name) says why it failed.
+    """
+
+    factor: Callable[[float, complex], complex]
+    log: Callable[[float, complex], complex]
+    degenerate: Callable[[complex], bool]
+    message: Callable[[float, complex, str], str]
+    oplus: Callable[[float, complex, complex], complex]
+
+    def check(self, t: float, m: complex, name: str) -> None:
+        """Raise RegressivityError at t if m = mu*name degenerates."""
+        if self.degenerate(m):
+            raise RegressivityError(self.message(t, m, name), t=t)
+
+
+# The rows call xi, zeta and cayley through this module's globals, so a
+# wrapper installed on those names sees every step.
+FORWARD_RULE = StepRule(  # the forward-step (Hilger) exponential, explicit scheme
+    factor=lambda mu, a: 1.0 + mu * a,
+    log=lambda mu, a: mu * xi(mu, a),
+    degenerate=lambda m: abs(1.0 + m) <= REGRESSIVITY_MARGIN,
+    message=lambda t, m, name: f"1 + mu*{name} = {1.0 + m!r} at t={t!r}",
+    oplus=oplus_mu,
+)
+CAYLEY_RULE = StepRule(  # the Cayley exponential, trapezoidal scheme
+    factor=lambda mu, a: cayley(a, 0.5 * mu),
+    log=lambda mu, a: mu * zeta(mu, a),
+    degenerate=lambda m: min(abs(m - 2.0), abs(m + 2.0)) <= REGRESSIVITY_MARGIN,
+    message=lambda t, m, name: f"mu*{name} = {m!r} at t={t!r} is within margin of ±2",
+    oplus=oplus_cayley,
+)
 
 
 class RegressivityKind(Enum):
     MU_REGRESSIVE = "mu"  # 1 + mu*alpha != 0
     CAYLEY_REGRESSIVE = "cayley"  # mu*alpha != ±2
     POSITIVELY_REGRESSIVE = "positive"  # alpha real, |mu*alpha| < 2
+
+
+def _not_positive(m: complex) -> str | None:
+    if abs(m.imag) > 1e-13:
+        return f"mu*alpha = {m!r} is not real"
+    if abs(m.real) >= 2.0 - REGRESSIVITY_MARGIN:
+        return f"|mu*alpha| = {abs(m.real)!r} not below 2 with margin"
+    return None
+
+
+# Why m = mu*alpha fails each kind, or None; the first two take their test
+# from the step rules.
+_KIND_FAILURES = {
+    RegressivityKind.MU_REGRESSIVE: lambda m: (
+        f"1 + mu*alpha = {1.0 + m!r} within margin of zero"
+        if FORWARD_RULE.degenerate(m) else None
+    ),
+    RegressivityKind.CAYLEY_REGRESSIVE: lambda m: (
+        f"mu*alpha = {m!r} within margin of ±2" if CAYLEY_RULE.degenerate(m) else None
+    ),
+    RegressivityKind.POSITIVELY_REGRESSIVE: _not_positive,
+}
 
 
 @dataclass(frozen=True)
@@ -337,29 +399,13 @@ def check_regressivity(
     are skipped since graininess is undefined there.
     """
     coeff = as_coefficient(alpha)
+    failure = _KIND_FAILURES.get(kind)
+    if failure is None:
+        raise ValueError(f"unknown regressivity kind: {kind!r}")
     for t in grid.points:
         if not ts.in_kappa(t):
             continue
-        m = ts.mu(t) * coeff(t)
-        bad = _violation(kind, m)
+        bad = failure(ts.mu(t) * coeff(t))
         if bad is not None:
             return RegressivityCheck(False, kind, first_violation=t, message=bad)
     return RegressivityCheck(True, kind)
-
-
-def _violation(kind: RegressivityKind, m: complex) -> str | None:
-    if kind is RegressivityKind.MU_REGRESSIVE:
-        if abs(1.0 + m) <= REGRESSIVITY_MARGIN:
-            return f"1 + mu*alpha = {1.0 + m!r} within margin of zero"
-        return None
-    if kind is RegressivityKind.CAYLEY_REGRESSIVE:
-        if abs(m - 2.0) <= REGRESSIVITY_MARGIN or abs(m + 2.0) <= REGRESSIVITY_MARGIN:
-            return f"mu*alpha = {m!r} within margin of ±2"
-        return None
-    if kind is RegressivityKind.POSITIVELY_REGRESSIVE:
-        if abs(m.imag) > 1e-13:
-            return f"mu*alpha = {m!r} is not real"
-        if abs(m.real) >= 2.0 - REGRESSIVITY_MARGIN:
-            return f"|mu*alpha| = {abs(m.real)!r} not below 2 with margin"
-        return None
-    raise ValueError(f"unknown regressivity kind: {kind!r}")

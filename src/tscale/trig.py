@@ -48,6 +48,13 @@ class TrigKind(Enum):
     TRIGONOMETRIC = "trig"
 
 
+# The families whose pair is one exponential and its reciprocal.
+_EXP_FAMILY_OF = {
+    TrigFamily.HILGER: ExpFamily.HILGER_DELTA,
+    TrigFamily.CAYLEY: ExpFamily.CAYLEY,
+}
+
+
 @dataclass(frozen=True)
 class TrigPair:
     """Grid-aligned cosine-like and sine-like values of one family."""
@@ -78,20 +85,16 @@ def hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol: float = DEFAULT_TO
     if family is TrigFamily.EXACT:
         w = coeff.constant_value * (t - t0)
         return cmath.cosh(w), cmath.sinh(w)
-    if family is TrigFamily.CAYLEY:
-        L = _log_integral_range(ExpFamily.CAYLEY, ts, coeff, t0, t, tol)
-        e, einv = _exp(L), _exp(-L)
-        return 0.5 * (e + einv), 0.5 * (e - einv)
-    if family is TrigFamily.HILGER:
-        # the reciprocal is exactly the exponential of the inverted coefficient
-        L = _log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol)
-        e, einv = _exp(L), _exp(-L)
-        return 0.5 * (e + einv), 0.5 * (e - einv)
-    if family is TrigFamily.BOHNER_PETERSON:
+    if family in _EXP_FAMILY_OF:
+        # the reciprocal is exactly the exponential of the negated exponent
+        L = _log_integral_range(_EXP_FAMILY_OF[family], ts, coeff, t0, t, tol)
+        e_plus, e_minus = _exp(L), _exp(-L)
+    elif family is TrigFamily.BOHNER_PETERSON:
         e_plus = _bp_exp_point(ts, coeff, t, t0, tol)
         e_minus = _bp_exp_point(ts, -coeff, t, t0, tol)
-        return 0.5 * (e_plus + e_minus), 0.5 * (e_plus - e_minus)
-    raise ValueError(f"unknown family {family!r}")
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return 0.5 * (e_plus + e_minus), 0.5 * (e_plus - e_minus)
 
 
 def _bp_exp_point(ts, coeff, t, t0, tol) -> complex:
@@ -108,21 +111,14 @@ def trig(family: TrigFamily, ts: TimeScale, omega: float, t, t0, tol: float = DE
     Values are returned as floats after asserting the imaginary residue
     is below 1e-13. The Hilger trigonometric construction reduces to the
     restricted continuum functions for constant frequency, the only case
-    supported here, so it delegates to the exact family.
+    supported here, so it delegates to the exact family; the others take
+    (cosh, sinh/1j) of 1j*omega.
     """
     omega = float(omega)
     if family in (TrigFamily.EXACT, TrigFamily.HILGER):
         w = omega * (t - t0)
         return math.cos(w), math.sin(w)
-    if family is TrigFamily.CAYLEY:
-        L = _log_integral_range(
-            ExpFamily.CAYLEY, ts, Coefficient.constant(1j * omega), t0, t, tol
-        )
-        e, einv = _exp(L), _exp(-L)
-        c = 0.5 * (e + einv)
-        s = (e - einv) / 2j
-        return _require_real(c, t), _require_real(s, t)
-    if family is TrigFamily.BOHNER_PETERSON:
+    if family in (TrigFamily.CAYLEY, TrigFamily.BOHNER_PETERSON):
         ch, sh = hyp(family, ts, Coefficient.constant(1j * omega), t, t0, tol)
         return _require_real(ch, t), _require_real(sh / 1j, t)
     raise ValueError(f"unknown family {family!r}")
@@ -151,25 +147,21 @@ def hyp_grid(
         ss = tuple(cmath.sinh(a * (p - t0)) for p in grid.points)
         return TrigPair(family, TrigKind.HYPERBOLIC, a, grid, cs, ss)
     param = coeff.constant_value if coeff.is_constant else None
-    if family in (TrigFamily.CAYLEY, TrigFamily.HILGER):
-        exp_family = (
-            ExpFamily.CAYLEY if family is TrigFamily.CAYLEY else ExpFamily.HILGER_DELTA
-        )
+    if family in _EXP_FAMILY_OF:
+        exp_family = _EXP_FAMILY_OF[family]
         _validate_regressive(
             exp_family, ts, coeff, min(grid.points[0], t0), max(grid.points[-1], t0)
         )
         logs = _grid_log_integrals(exp_family, ts, coeff, t0, grid, tol)
-        es, einvs = _exps(logs), _exps([-L for L in logs])
-        cs = tuple(0.5 * (e + einv) for e, einv in zip(es, einvs))
-        ss = tuple(0.5 * (e - einv) for e, einv in zip(es, einvs))
-        return TrigPair(family, TrigKind.HYPERBOLIC, param, grid, cs, ss)
-    if family is TrigFamily.BOHNER_PETERSON:
+        plus, minus = _exps(logs), _exps([-L for L in logs])
+    elif family is TrigFamily.BOHNER_PETERSON:
         plus = _hilger_grid_lenient(ts, coeff, t0, grid, tol)
         minus = _hilger_grid_lenient(ts, -coeff, t0, grid, tol)
-        cs = tuple(0.5 * (a + b) for a, b in zip(plus, minus))
-        ss = tuple(0.5 * (a - b) for a, b in zip(plus, minus))
-        return TrigPair(family, TrigKind.HYPERBOLIC, param, grid, cs, ss)
-    raise ValueError(f"unknown family {family!r}")
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    cs = tuple(0.5 * (a + b) for a, b in zip(plus, minus))
+    ss = tuple(0.5 * (a - b) for a, b in zip(plus, minus))
+    return TrigPair(family, TrigKind.HYPERBOLIC, param, grid, cs, ss)
 
 
 def trig_grid(
@@ -177,30 +169,20 @@ def trig_grid(
 ) -> TrigPair:
     """Trigonometric pair sampled on a grid; values are real floats.
 
-    Linear in the grid size, like hyp_grid.
+    Linear in the grid size, like hyp_grid; built from it as in trig.
     """
     omega = float(omega)
     if family in (TrigFamily.EXACT, TrigFamily.HILGER):
         cs = tuple(math.cos(omega * (p - t0)) for p in grid.points)
         ss = tuple(math.sin(omega * (p - t0)) for p in grid.points)
         return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, cs, ss)
-    if family is TrigFamily.CAYLEY:
-        coeff = Coefficient.constant(1j * omega)
-        _validate_regressive(
-            ExpFamily.CAYLEY, ts, coeff, min(grid.points[0], t0), max(grid.points[-1], t0)
-        )
-        logs = _grid_log_integrals(ExpFamily.CAYLEY, ts, coeff, t0, grid, tol)
-        es, einvs = _exps(logs), _exps([-L for L in logs])
-        cs, ss = [], []
-        for e, einv, p in zip(es, einvs, grid.points):
-            cs.append(_require_real(0.5 * (e + einv), p))
-            ss.append(_require_real((e - einv) / 2j, p))
-        return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, tuple(cs), tuple(ss))
-    if family is TrigFamily.BOHNER_PETERSON:
+    if family in (TrigFamily.CAYLEY, TrigFamily.BOHNER_PETERSON):
         pair = hyp_grid(family, ts, Coefficient.constant(1j * omega), t0, grid, tol)
-        cs = tuple(_require_real(v, p) for v, p in zip(pair.c_values, grid.points))
-        ss = tuple(_require_real(v / 1j, p) for v, p in zip(pair.s_values, grid.points))
-        return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, cs, ss)
+        cs, ss = [], []
+        for c, s, p in zip(pair.c_values, pair.s_values, grid.points):
+            cs.append(_require_real(c, p))
+            ss.append(_require_real(s / 1j, p))
+        return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, tuple(cs), tuple(ss))
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -8,17 +8,29 @@ from hypothesis import strategies as st
 
 from tscale import (
     ClosedInterval,
+    Coefficient,
     DomainError,
     ExpFamily,
     Grid,
     IsolatedPoint,
     SingularError,
     TimeScale,
+    exp_cayley,
+    exp_exact,
+    exp_hilger,
+    exp_nabla_const,
     interval,
     isolated,
+    uniform,
     union,
 )
-from tscale.exponential import _check_step, _step_log
+from tscale.exponential import (
+    _STEP_RULES,
+    _grid_log_integrals,
+    _log_integral_range,
+    _validate_regressive,
+)
+from tscale.trig import _require_real
 from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson
 
 
@@ -202,8 +214,9 @@ def reference_exp(family: ExpFamily, ts: TimeScale, coeff, t: float, t0: float, 
     """exp_cayley / exp_hilger as a validation pass over the scattered steps
     followed by a separate accumulation pass, on the linear scans, with each
     dense piece integrated by the delta integral."""
+    rule = _STEP_RULES[family]
     for s, mu in linear_scattered_points(ts, min(t, t0), max(t, t0)):
-        _check_step(family, s, mu * coeff(s))
+        rule.check(s, mu * coeff(s), "alpha")
     _, a = linear_locate(ts, t0)
     _, b = linear_locate(ts, t)
     if a == b:
@@ -213,7 +226,7 @@ def reference_exp(family: ExpFamily, ts: TimeScale, coeff, t: float, t0: float, 
         a, b, sign = b, a, -1.0
     total = 0j
     for s, mu in linear_scattered_points(ts, a, b):
-        total += _step_log(family, mu, coeff(s))
+        total += rule.log(mu, coeff(s))
     for c, d in linear_dense_segments(ts, a, b):
         total += linear_delta_integral(ts, coeff.dense, c, d, tol)
     return cmath.exp(sign * total)
@@ -237,6 +250,61 @@ def reference_product(ts: TimeScale, coeff, t: float, t0: float, tol=1e-12):
             )
         return 1.0 / prod
     return prod
+
+
+# -- the Cayley trigonometric pair and the convergence study, as written before
+#    they were routed through hyp/hyp_grid and _exp_point
+
+
+def reference_cayley_trig(ts: TimeScale, omega: float, t, t0, tol=1e-12):
+    """trig(CAYLEY, ...) by the direct formula: with e the Cayley exponential
+    of 1j*omega and einv the exponential of its negated exponent, the pair
+    (e + einv)/2, (e - einv)/2j, each checked for an imaginary residue."""
+    coeff = Coefficient.constant(1j * float(omega))
+    L = _log_integral_range(ExpFamily.CAYLEY, ts, coeff, t0, t, tol)
+    e, einv = cmath.exp(L), cmath.exp(-L)
+    return _require_real(0.5 * (e + einv), t), _require_real((e - einv) / 2j, t)
+
+
+def reference_cayley_trig_grid(ts: TimeScale, omega: float, t0, grid: Grid, tol=1e-12):
+    """The (cos, sin) values of trig_grid(CAYLEY, ...) by the direct formula,
+    the residues checked point by point, cosine first."""
+    coeff = Coefficient.constant(1j * float(omega))
+    lo, hi = min(grid.points[0], t0), max(grid.points[-1], t0)
+    _validate_regressive(ExpFamily.CAYLEY, ts, coeff, lo, hi)
+    logs = _grid_log_integrals(ExpFamily.CAYLEY, ts, coeff, t0, grid, tol)
+    cs, ss = [], []
+    for L, p in zip(logs, grid.points):
+        e, einv = cmath.exp(L), cmath.exp(-L)
+        cs.append(_require_real(0.5 * (e + einv), p))
+        ss.append(_require_real((e - einv) / 2j, p))
+    return tuple(cs), tuple(ss)
+
+
+def reference_convergence_study(family_name, alpha, target_t, eps_list, tol=1e-12):
+    """cli.convergence_study with its four-way ladder over the family name."""
+    alpha = complex(alpha)
+    exact_value = cmath.exp(alpha * target_t)
+    rows = []
+    for eps in eps_list:
+        k = round(target_t / eps)
+        if abs(target_t - k * eps) > 1e-9 or k < 1:
+            raise ValueError(
+                f"target t={target_t!r} is not a positive integer multiple of eps={eps!r}"
+            )
+        ts = uniform(0.0, eps, k + 1)
+        if family_name == "hilger":
+            val = exp_hilger(ts, alpha, target_t, 0.0, tol)
+        elif family_name == "cayley":
+            val = exp_cayley(ts, alpha, target_t, 0.0, tol)
+        elif family_name == "nabla":
+            val = exp_nabla_const(eps, alpha, target_t)
+        elif family_name == "exact":
+            val = exp_exact(alpha, target_t, 0.0)
+        else:
+            raise ValueError(f"unknown family {family_name!r}")
+        rows.append((eps, abs(val - exact_value)))
+    return rows
 
 
 def outcome(fn, *args):

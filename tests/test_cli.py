@@ -35,7 +35,7 @@ from tscale.cli import (
 )
 from tscale.report import ResidualReport
 
-from helpers import outcome
+from helpers import outcome, reference_convergence_study
 
 
 # -- scale-spec parsing --------------------------------------------------------
@@ -387,6 +387,34 @@ def test_cmd_converge_bad_eps(capsys):
     )
 
 
+@pytest.mark.parametrize("family", ["hilger", "cayley", "nabla", "exact"])
+@pytest.mark.parametrize(
+    "alpha, target_t, eps_list",
+    [
+        (1.0, 1.0, [2.0 ** -k for k in range(1, 11)]),
+        (complex(-0.5, 0.25), 2.0, [0.5, 0.25, 0.125, 0.0625]),
+        (2.5j, 1.0, [0.1, 0.05, 0.02]),
+        (-3.0, 1.5, [0.5, 0.3]),
+        # k*eps rounds past the scale's 1e-12 uniformity tolerance
+        (0.001, 20000.0, [0.1]),
+    ],
+)
+def test_convergence_study_equals_the_family_ladder(family, alpha, target_t, eps_list):
+    def hexed(rows):
+        return [(e.hex(), err.hex()) for e, err in rows]
+
+    got = outcome(lambda: hexed(convergence_study(family, alpha, target_t, eps_list)))
+    want = outcome(
+        lambda: hexed(reference_convergence_study(family, alpha, target_t, eps_list))
+    )
+    assert got == want
+
+
+def test_convergence_study_unknown_family():
+    with pytest.raises(ValueError, match="^unknown family 'foo'$"):
+        convergence_study("foo", 1.0, 1.0, [0.5])
+
+
 def test_convergence_study_nabla_first_order():
     rows = convergence_study("nabla", 1.0, 1.0, [2.0 ** -k for k in range(4, 9)])
     slope = fit_loglog_slope([e for e, _ in rows], [r for _, r in rows])
@@ -565,3 +593,75 @@ def test_installed_script_rejects_nan_tol_without_traceback():
     proc = _run_script("eval", "--scale", "interval(0,1)", "--tol", "nan")
     assert proc.returncode == EXIT_CONFIG
     assert proc.stdout == "" and proc.stderr == "tscale: tol must be finite, got nan\n"
+
+
+# -- non-finite t0 and identity families ------------------------------------------------
+
+
+def _config_error(capsys, argv) -> str:
+    """main(argv) exits 3 with nothing on stdout and one stderr line; that line."""
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "solve", "identity"])
+@pytest.mark.parametrize("t0", ["nan", "inf", "-inf"])
+def test_non_finite_t0_is_a_config_error(capsys, command, t0):
+    # solve used to anchor a NaN t0 at the first grid point and exit 0
+    argv = [command, "--scale", "uniform(0,0.1,3)", f"--t0={t0}"]
+    if command == "identity":
+        argv += ["--identity", "unit-circle"]
+    assert _config_error(capsys, argv) == f"tscale: t0 must be finite, got {float(t0)!r}\n"
+
+
+def test_solve_off_grid_finite_t0_still_anchors_at_the_first_point(capsys):
+    outs = []
+    for t0 in ("0", "0.05"):
+        assert main(["solve", "--scale", "uniform(0,0.1,3)", "--t0", t0]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "identity, family, accepted",
+    [
+        ("pythagorean", "nabla", "bp, cayley, exact, hilger"),
+        ("pythagorean", "foo", "bp, cayley, exact, hilger"),
+        ("semigroup", "bp", "cayley, exact, hilger, nabla"),
+        ("sigma-shift", "foo", "cayley, exact, hilger, nabla"),
+        ("product-law", "bp", "cayley, exact, hilger, nabla"),
+    ],
+)
+def test_unknown_identity_family_is_named(capsys, identity, family, accepted):
+    argv = ["identity", "--scale", "uniform(0,0.1,3)", "--identity", identity,
+            "--family", family]
+    assert _config_error(capsys, argv) == (
+        f"tscale: --family {family!r} is not accepted by identity {identity}; "
+        f"choose from {accepted}\n"
+    )
+
+
+def test_identities_that_read_no_family_ignore_it(capsys):
+    argv = ["identity", "--scale", "uniform(0,0.1,3)", "--identity", "unit-circle"]
+    assert main([*argv, "--family", "foo"]) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == out[1]
+
+
+def test_key_error_is_not_a_config_error(monkeypatch):
+    def broken(config):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", broken)
+    with pytest.raises(KeyError):
+        main(["eval", "--scale", "uniform(0,0.1,3)"])
+
+
+def test_installed_script_rejects_nan_t0_without_traceback():
+    proc = _run_script("solve", "--scale", "uniform(0,0.1,3)", "--t0", "nan")
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == "" and proc.stderr == "tscale: t0 must be finite, got nan\n"

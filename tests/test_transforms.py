@@ -7,22 +7,30 @@ from hypothesis import strategies as st
 
 from tscale import (
     Coefficient,
+    ExpFamily,
+    RegressivityError,
     RegressivityKind,
+    Scheme,
     SingularError,
     alpha_of_beta,
     as_coefficient,
     beta_of_alpha,
     cayley,
     check_regressivity,
+    exp_cayley,
+    exp_evaluate_grid,
+    exp_hilger,
     isolated,
     ominus_mu,
     oplus_cayley,
     oplus_mu,
+    solve_first_order,
     uniform,
     xi,
     zeta,
     zeta_inv,
 )
+from tscale.transforms import REGRESSIVITY_MARGIN
 
 finite_complex = st.builds(
     complex,
@@ -242,10 +250,72 @@ def test_check_regressivity_examples():
     assert not res and res.first_violation == 0.0
 
 
+def test_check_regressivity_messages():
+    zs = uniform(0, 1, 3)
+    grid = zs.make_grid(0, 2, 1.0)
+    cases = [
+        (RegressivityKind.MU_REGRESSIVE, -1.0, "1 + mu*alpha = 0j within margin of zero"),
+        (RegressivityKind.CAYLEY_REGRESSIVE, -2.0, "mu*alpha = (-2+0j) within margin of ±2"),
+        (RegressivityKind.POSITIVELY_REGRESSIVE, 0.5j, "mu*alpha = 0.5j is not real"),
+        (RegressivityKind.POSITIVELY_REGRESSIVE, 2.0,
+         "|mu*alpha| = 2.0 not below 2 with margin"),
+    ]
+    for kind, alpha, message in cases:
+        assert check_regressivity(kind, zs, alpha, grid).message == message
+
+
 def test_check_regressivity_skips_left_scattered_maximum():
     ts = isolated(0.0, 1.0)
     grid = ts.make_grid(0, 1, 1.0)
     assert check_regressivity(RegressivityKind.MU_REGRESSIVE, ts, 0.5, grid)
+
+
+# The forward test is |1 + m| <= margin, the Cayley test |m -+ 2| <= margin:
+# each m below sits exactly at a margin (an imaginary offset of the margin
+# itself), one ulp inside it, or one ulp outside it.
+_AT = REGRESSIVITY_MARGIN
+_INSIDE = math.nextafter(_AT, 0.0)
+_OUTSIDE = math.nextafter(_AT, 1.0)
+_MARGIN_CASES = [
+    (family, complex(centre, offset), offset != _OUTSIDE)
+    for family, centres in (("forward", (-1.0,)), ("cayley", (2.0, -2.0)))
+    for centre in centres
+    for offset in (_AT, _INSIDE, _OUTSIDE)
+]
+_MARGIN_PATHS = {
+    "forward": (RegressivityKind.MU_REGRESSIVE, exp_hilger, ExpFamily.HILGER_DELTA,
+                Scheme.EXPLICIT_DELTA),
+    "cayley": (RegressivityKind.CAYLEY_REGRESSIVE, exp_cayley, ExpFamily.CAYLEY,
+               Scheme.TRAPEZOIDAL_CAYLEY),
+}
+
+
+def _failure(fn, *args):
+    """(True, t) if fn raises RegressivityError at t, else (False, None)."""
+    try:
+        fn(*args)
+    except RegressivityError as exc:
+        return True, exc.t
+    return False, None
+
+
+@pytest.mark.parametrize("family, m, fails", _MARGIN_CASES)
+def test_every_path_agrees_at_the_regressivity_margins(family, m, fails):
+    # one step of graininess 0.5 at t=3.0, so alpha = 2m exactly and mu*alpha = m
+    ts = isolated(3.0, 3.5)
+    grid = ts.make_grid(3.0, 3.5, 1.0)
+    alpha = 2.0 * m
+    assert 0.5 * alpha == m
+    kind, pointwise, exp_family, scheme = _MARGIN_PATHS[family]
+    check = check_regressivity(kind, ts, alpha, grid)
+    outcomes = {
+        "check_regressivity": (not check, check.first_violation),
+        "pointwise": _failure(pointwise, ts, alpha, 3.5, 3.0),
+        "grid": _failure(exp_evaluate_grid, exp_family, ts, alpha, 3.0, grid),
+        "solve": _failure(solve_first_order, scheme, ts, alpha, 1.0, 3.0, grid),
+    }
+    want = (True, 3.0) if fails else (False, None)
+    assert outcomes == dict.fromkeys(outcomes, want)
 
 
 def test_positively_regressive_rejects_complex():

@@ -19,6 +19,8 @@ from tscale import (
     union,
 )
 
+from helpers import outcome, reference_cayley_trig, reference_cayley_trig_grid
+
 Z = uniform(0, 1, 6)
 MIXED = union(interval(0.0, 1.0), isolated(1.7, 2.3), interval(3.0, 3.8))
 
@@ -283,3 +285,50 @@ def test_deformed_identity_reference_via_exp_hilger_oracle():
     )
     direct = exp_hilger(Z, 0.8 * 0.8, 3.0, 0.0)
     assert abs(rep.reference[3] - direct.real) < 1e-12 * abs(direct)
+
+
+# -- the Cayley pair through hyp, against the direct formula ----------------------------
+
+# (scale, grid step, omega, t0). The next to last is the oscillator-cayley
+# identity on uniform(0,1e-3,1000): its first imaginary residue above 1e-13 is
+# the cosine's at t=0.684. In the last the sine's comes first, at t=1.535,
+# before the cosine's at t=1.669.
+CAYLEY_TRIG_CASES = [
+    (Z, 1.0, 0.7, 0.0),
+    (Z, 1.0, -2.5, 3.0),
+    (MIXED, 0.3, 1.3, 0.0),
+    (MIXED, 0.1, 5.0, 1.7),
+    (MIXED, 0.25, 0.0, 0.5),
+    (uniform(0, 1e-3, 1000), 0.1, 2.5, 0.0),
+    (uniform(0, 1e-3, 2000), 0.1, 10.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("ts, step, omega, t0", CAYLEY_TRIG_CASES)
+def test_cayley_trig_grid_equals_direct_formula(ts, step, omega, t0):
+    grid = ts.make_grid(ts.inf, ts.sup, step)
+
+    def pair():
+        p = trig_grid(TrigFamily.CAYLEY, ts, omega, t0, grid)
+        return p.c_values, p.s_values
+
+    assert outcome(pair) == outcome(reference_cayley_trig_grid, ts, omega, t0, grid)
+
+
+@pytest.mark.parametrize("n, omega, t", [(1000, 2.5, "0.684"), (2000, 10.0, "1.535")])
+def test_cayley_trig_grid_first_residue_error(n, omega, t):
+    ts = uniform(0, 1e-3, n)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    got = outcome(trig_grid, TrigFamily.CAYLEY, ts, omega, 0.0, grid)
+    assert got[0] == "ToleranceError" and f"at t={t}" in got[1]
+
+
+@pytest.mark.parametrize("ts, step, omega, t0", CAYLEY_TRIG_CASES)
+def test_cayley_trig_equals_direct_formula(ts, step, omega, t0):
+    points = ts.make_grid(ts.inf, ts.sup, step).points
+    # every point of the small grids, 41 of the 1000-point one, and the probe's t
+    for t in points[:: 1 + len(points) // 40] + (0.684,):
+        if t in ts:
+            assert outcome(trig, TrigFamily.CAYLEY, ts, omega, t, t0) == outcome(
+                reference_cayley_trig, ts, omega, t, t0
+            )
