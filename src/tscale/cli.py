@@ -23,17 +23,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .errors import (
-    ConstantGraininessError,
-    DomainError,
-    GridError,
-    OverlapError,
-    ParseError,
-    RegressivityError,
-    SingularError,
-    ToleranceError,
-    TscaleError,
-)
+from .errors import DomainError, OverlapError, ParseError, RegressivityError, TscaleError
 from .timescale import (
     ClosedInterval,
     Component,
@@ -42,7 +32,7 @@ from .timescale import (
     TimeScale,
     normalize_components,
 )
-from .transforms import as_coefficient, graininess_coefficient, oplus_mu
+from .transforms import as_coefficient, graininess_coefficient
 from .exponential import (
     _STEP_RULES,
     ExpFamily,
@@ -71,18 +61,6 @@ EXIT_IDENTITY_FAIL = 1
 EXIT_REGRESSIVITY = 2
 EXIT_CONFIG = 3
 EXIT_TOLERANCE = 4
-
-IDENTITIES = (
-    "pythagorean",
-    "semigroup",
-    "sigma-shift",
-    "product-law",
-    "unit-circle",
-    "oscillator-cayley",
-    "oscillator-exact",
-    "delbis",
-)
-
 
 # -- scale-spec mini language -------------------------------------------------------
 
@@ -228,8 +206,8 @@ class RunConfig:
     identity: str = "pythagorean"
     kind: str = "trig"
     alpha: complex = 1.0 + 0j
-    beta: complex | None = None
-    omega: float | None = None
+    beta: complex = 0.5 + 0j
+    omega: float = 1.0
     x0: complex = 1.0 + 0j
     t0: float = 0.0
     range_: tuple[float, float] | None = None
@@ -252,7 +230,7 @@ class RunConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         for name in ("alpha", "beta", "omega", "t0"):
             value = getattr(self, name)
-            if value is not None and not cmath.isfinite(value):
+            if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -262,8 +240,11 @@ _TRIG_FAMILIES = {family.value: family for family in TrigFamily}
 _SCHEMES = {scheme.value: scheme for scheme in Scheme}
 
 
-def _identity_family(config: RunConfig, families: dict):
-    """The family named by --family, among those the identity accepts."""
+def _identity_family(config: RunConfig, families: dict | None):
+    """The family named by --family, among those the identity accepts; None
+    for an identity that reads no family."""
+    if families is None:
+        return None
     if config.family not in families:
         raise ValueError(
             f"--family {config.family!r} is not accepted by identity {config.identity}; "
@@ -338,76 +319,45 @@ def cmd_solve(config: RunConfig) -> tuple[int, str]:
 
 
 def cmd_identity(config: RunConfig) -> tuple[int, str]:
+    """Run one identity through its row of _IDENTITIES, the single list of
+    identities and of the families each accepts."""
     config.validate()
-    if config.identity not in IDENTITIES:
+    if config.identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {config.identity!r}")
+    build, families = _IDENTITIES[config.identity]
     ts, grid = _scale_and_grid(config)
-    extra: dict = {}
-    name = config.identity
-    if name == "pythagorean":
-        family = _identity_family(config, _TRIG_FAMILIES)
-        kind = TrigKind.HYPERBOLIC if config.kind == "hyp" else TrigKind.TRIGONOMETRIC
-        param = config.alpha if kind is TrigKind.HYPERBOLIC else _omega(config)
-        report = pythagorean_residual(family, kind, ts, param, grid, config.tol)
-        if report.reference is not None:
-            extra["reference"] = list(report.reference)
-    elif name == "semigroup":
-        report = _semigroup_report(config, ts, grid)
-    elif name == "sigma-shift":
-        report = _sigma_shift_report(config, ts, grid)
-    elif name == "product-law":
-        report = _product_law_report(config, ts, grid)
-    elif name == "unit-circle":
-        report = _unit_circle_report(config, ts, grid)
-    elif name == "oscillator-cayley":
-        report = _oscillator_cayley_report(config, ts, grid)
-    elif name == "oscillator-exact":
-        result = oscillator_residual_exact(
-            ts, _omega(config), _exact_sin_samples(config, ts, grid), grid, config.tol
-        )
-        extra = {
-            "phi_form_max": result.phi_form.max_residual,
-            "sinc_form_max": result.sinc_form.max_residual,
-            "form_agreement": result.form_agreement,
-        }
-        # pass requires both forms and their mutual agreement below tol
-        report = ResidualReport(
-            "oscillator-exact",
-            result.phi_form.points,
-            tuple(
-                max(a, b, result.form_agreement)
-                for a, b in zip(result.phi_form.residuals, result.sinc_form.residuals)
-            ),
-            config.tol,
-            skipped=result.phi_form.skipped,
-        )
-    else:  # delbis
-        x = SampledFunction.sample(
-            lambda t: math.sin(t) + 0.5 * math.cos(2.0 * t) + 0.25 * t, grid
-        )
-        report = delbis_relation_residual(ts, _omega(config), x, grid, config.tol)
+    family = _identity_family(config, families)
+    report, extra = build(config, ts, grid, family)
     payload = {
         "schema": SCHEMA,
-        "identity": name,
+        "identity": config.identity,
         "max_residual": report.max_residual,
         "argmax_t": report.argmax_t,
         "pass": report.passed,
         "n_points": len(report.points),
         "n_skipped": len(report.skipped),
+        **extra,
     }
-    payload.update(extra)
     code = EXIT_OK if report.passed else EXIT_IDENTITY_FAIL
     return code, _json_text(payload)
 
 
-def _omega(config: RunConfig) -> float:
-    return config.omega if config.omega is not None else 1.0
+# Identity report builders: (config, ts, grid, family) -> (ResidualReport,
+# extra JSON fields), family being None for an identity that reads none.
 
 
-def _semigroup_report(config, ts, grid) -> ResidualReport:
+def _pythagorean_report(config, ts, grid, family):
+    hyperbolic = config.kind == "hyp"
+    kind = TrigKind.HYPERBOLIC if hyperbolic else TrigKind.TRIGONOMETRIC
+    param = config.alpha if hyperbolic else config.omega
+    report = pythagorean_residual(family, kind, ts, param, grid, config.tol)
+    extra = {} if report.reference is None else {"reference": list(report.reference)}
+    return report, extra
+
+
+def _semigroup_report(config, ts, grid, family):
     """check_semigroup over every pair t_j <= t_i of grid points, t1 the
     first; each E(x, t1) is computed once per report."""
-    family = _identity_family(config, _EXP_FAMILIES)
     coeff = as_coefficient(config.alpha)
     from_t1 = _exp_from(family, ts, coeff, grid.points[0], config.tol)
     pts, residuals = [], []
@@ -420,13 +370,12 @@ def _semigroup_report(config, ts, grid) -> ResidualReport:
             worst = max(worst, r)
         pts.append(t)
         residuals.append(worst)
-    return ResidualReport("semigroup", tuple(pts), tuple(residuals), config.tol)
+    return ResidualReport("semigroup", tuple(pts), tuple(residuals), config.tol), {}
 
 
-def _sigma_shift_report(config, ts, grid) -> ResidualReport:
+def _sigma_shift_report(config, ts, grid, family):
     """check_sigma_shift at every grid point in the differentiation domain,
     t0 the first; each E(x, t0) is computed once per report."""
-    family = _identity_family(config, _EXP_FAMILIES)
     coeff = as_coefficient(config.alpha)
     from_t0 = _exp_from(family, ts, coeff, grid.points[0], config.tol)
     pts, residuals, skipped = [], [], []
@@ -436,41 +385,36 @@ def _sigma_shift_report(config, ts, grid) -> ResidualReport:
             continue
         pts.append(t)
         residuals.append(_sigma_shift_residual(family, ts, coeff, t, from_t0))
-    return ResidualReport(
+    report = ResidualReport(
         "sigma-shift", tuple(pts), tuple(residuals), config.tol, skipped=tuple(skipped)
     )
+    return report, {}
 
 
-def _product_law_report(config, ts, grid) -> ResidualReport:
-    family = _identity_family(config, _EXP_FAMILIES)
-    a = config.alpha
-    b = config.beta if config.beta is not None else 0.5 + 0j
+def _product_law_report(config, ts, grid, family):
+    a, b = config.alpha, config.beta
     t0 = grid.points[0]
     ea = exp_evaluate_grid(family, ts, a, t0, grid, config.tol)
     eb = exp_evaluate_grid(family, ts, b, t0, grid, config.tol)
-    rule = _STEP_RULES.get(family)
-    # exact and nabla have no step rule; exp_evaluate_grid rejects their
-    # combination as not constant before calling it
-    oplus = rule.oplus if rule else oplus_mu
+    oplus = _STEP_RULES[family].oplus
     combo = graininess_coefficient(ts, lambda mu, s: oplus(mu, a, b))
     eab = exp_evaluate_grid(family, ts, combo, t0, grid, config.tol)
     residuals = tuple(
         abs(x * y - z) for x, y, z in zip(ea.values, eb.values, eab.values)
     )
-    return ResidualReport("product-law", grid.points, residuals, config.tol)
+    return ResidualReport("product-law", grid.points, residuals, config.tol), {}
 
 
-def _unit_circle_report(config, ts, grid) -> ResidualReport:
-    omega = _omega(config)
+def _unit_circle_report(config, ts, grid, family):
     ev = exp_evaluate_grid(
-        ExpFamily.CAYLEY, ts, 1j * omega, grid.points[0], grid, config.tol
+        ExpFamily.CAYLEY, ts, 1j * config.omega, grid.points[0], grid, config.tol
     )
     residuals = tuple(abs(abs(v) - 1.0) for v in ev.values)
-    return ResidualReport("unit-circle", grid.points, residuals, config.tol)
+    return ResidualReport("unit-circle", grid.points, residuals, config.tol), {}
 
 
-def _oscillator_cayley_report(config, ts, grid) -> ResidualReport:
-    omega = _omega(config)
+def _oscillator_cayley_report(config, ts, grid, family):
+    omega = config.omega
     pair = trig_grid(TrigFamily.CAYLEY, ts, omega, grid.points[0], grid, config.tol)
     rep_c = oscillator_residual_cayley(
         ts, omega, SampledFunction(grid, pair.c_values), grid, config.tol
@@ -479,14 +423,56 @@ def _oscillator_cayley_report(config, ts, grid) -> ResidualReport:
         ts, omega, SampledFunction(grid, pair.s_values), grid, config.tol
     )
     residuals = tuple(max(a, b) for a, b in zip(rep_c.residuals, rep_s.residuals))
-    return ResidualReport(
+    report = ResidualReport(
         "oscillator-cayley", rep_c.points, residuals, config.tol, skipped=rep_c.skipped
     )
+    return report, {}
 
 
-def _exact_sin_samples(config, ts, grid) -> SampledFunction:
-    omega = _omega(config)
-    return SampledFunction.sample(lambda t: math.sin(omega * t), grid)
+def _oscillator_exact_report(config, ts, grid, family):
+    omega = config.omega
+    x = SampledFunction.sample(lambda t: math.sin(omega * t), grid)
+    result = oscillator_residual_exact(ts, omega, x, grid, config.tol)
+    # pass requires both forms and their mutual agreement below tol
+    report = ResidualReport(
+        "oscillator-exact",
+        result.phi_form.points,
+        tuple(
+            max(a, b, result.form_agreement)
+            for a, b in zip(result.phi_form.residuals, result.sinc_form.residuals)
+        ),
+        config.tol,
+        skipped=result.phi_form.skipped,
+    )
+    extra = {
+        "phi_form_max": result.phi_form.max_residual,
+        "sinc_form_max": result.sinc_form.max_residual,
+        "form_agreement": result.form_agreement,
+    }
+    return report, extra
+
+
+def _delbis_report(config, ts, grid, family):
+    x = SampledFunction.sample(
+        lambda t: math.sin(t) + 0.5 * math.cos(2.0 * t) + 0.25 * t, grid
+    )
+    return delbis_relation_residual(ts, config.omega, x, grid, config.tol), {}
+
+
+# The single list of identities, in --help order: each name's report builder
+# and the --family names it accepts, or None when it reads no family. The
+# product law combines the two exponents with the family's circle-plus, so
+# it accepts the families that have a step rule.
+_IDENTITIES = {
+    "pythagorean": (_pythagorean_report, _TRIG_FAMILIES),
+    "semigroup": (_semigroup_report, _EXP_FAMILIES),
+    "sigma-shift": (_sigma_shift_report, _EXP_FAMILIES),
+    "product-law": (_product_law_report, {f.value: f for f in _STEP_RULES}),
+    "unit-circle": (_unit_circle_report, None),
+    "oscillator-cayley": (_oscillator_cayley_report, None),
+    "oscillator-exact": (_oscillator_exact_report, None),
+    "delbis": (_delbis_report, None),
+}
 
 
 def cmd_converge(config: RunConfig) -> tuple[int, str]:
@@ -610,12 +596,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("identity", help="run one identity check, emit a JSON report")
     _add_common(p)
-    p.add_argument("--identity", choices=IDENTITIES, required=True)
+    p.add_argument("--identity", choices=_IDENTITIES, required=True)
     p.add_argument("--family", default="cayley")
     p.add_argument("--kind", choices=("trig", "hyp"), default="trig")
     p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0j)
-    p.add_argument("--beta", type=_complex_arg, default=None)
-    p.add_argument("--omega", type=float, default=None)
+    p.add_argument("--beta", type=_complex_arg, default=0.5 + 0j)
+    p.add_argument("--omega", type=float, default=1.0)
 
     p = sub.add_parser("converge", help="error against the continuum exponential")
     p.add_argument("--family", choices=sorted(_EXP_FAMILIES), default="cayley")
@@ -660,9 +646,6 @@ def main(argv=None) -> int:
     except RegressivityError as exc:
         print(f"tscale: regressivity failure: {exc}", file=sys.stderr)
         return EXIT_REGRESSIVITY
-    except (ToleranceError, SingularError, GridError, ConstantGraininessError) as exc:
-        print(f"tscale: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
     except TscaleError as exc:
         print(f"tscale: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE

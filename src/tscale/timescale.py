@@ -255,7 +255,9 @@ class TimeScale:
 
         A single interval has graininess identically zero; a uniformly
         spaced set of isolated points has the spacing. Anything else mixes
-        zero and positive values.
+        zero and positive values. A gap may differ from the first by
+        MEMBERSHIP_TOL or four ulps of the largest |t|, whichever is more:
+        the points carry the rounding of their own magnitude.
         """
         if len(self.components) == 1 and isinstance(self.components[0], ClosedInterval):
             return 0.0
@@ -265,8 +267,9 @@ class TimeScale:
         if len(pts) < 2:
             return None
         eps = pts[1] - pts[0]
+        tol = max(MEMBERSHIP_TOL, 4 * math.ulp(max(abs(pts[0]), abs(pts[-1]))))
         for a, b in zip(pts, pts[1:]):
-            if abs((b - a) - eps) > MEMBERSHIP_TOL:
+            if abs((b - a) - eps) > tol:
                 return None
         return eps
 

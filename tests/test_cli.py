@@ -488,7 +488,9 @@ def test_memoized_reports_equal_per_pair_checks(scale, step, family, alpha):
         (cli._semigroup_report, _pairwise_semigroup),
         (cli._sigma_shift_report, _pointwise_sigma_shift),
     ):
-        got = _report_or_error(report, config, ts, grid)
+        got = _report_or_error(
+            lambda *args: report(*args, cli._EXP_FAMILIES[family])[0], config, ts, grid
+        )
         assert got == _report_or_error(reference, config, ts, grid)
 
 
@@ -632,7 +634,9 @@ def test_solve_off_grid_finite_t0_still_anchors_at_the_first_point(capsys):
         ("pythagorean", "foo", "bp, cayley, exact, hilger"),
         ("semigroup", "bp", "cayley, exact, hilger, nabla"),
         ("sigma-shift", "foo", "cayley, exact, hilger, nabla"),
-        ("product-law", "bp", "cayley, exact, hilger, nabla"),
+        ("product-law", "bp", "cayley, hilger"),
+        ("product-law", "exact", "cayley, hilger"),
+        ("product-law", "nabla", "cayley, hilger"),
     ],
 )
 def test_unknown_identity_family_is_named(capsys, identity, family, accepted):
@@ -644,12 +648,63 @@ def test_unknown_identity_family_is_named(capsys, identity, family, accepted):
     )
 
 
-def test_identities_that_read_no_family_ignore_it(capsys):
-    argv = ["identity", "--scale", "uniform(0,0.1,3)", "--identity", "unit-circle"]
+@pytest.mark.parametrize(
+    "identity", ["unit-circle", "oscillator-cayley", "oscillator-exact", "delbis"]
+)
+def test_identities_that_read_no_family_ignore_it(capsys, identity):
+    argv = ["identity", "--scale", "uniform(0,0.1,3)", "--identity", identity]
     assert main([*argv, "--family", "foo"]) == EXIT_OK
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out[0] == out[1]
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "identity, option, value",
+    [
+        ("unit-circle", "--omega", "1"),
+        ("pythagorean", "--omega", "1"),
+        ("oscillator-cayley", "--omega", "1"),
+        ("oscillator-exact", "--omega", "1"),
+        ("delbis", "--omega", "1"),
+        ("product-law", "--beta", "0.5"),
+    ],
+)
+def test_omitted_omega_and_beta_take_their_defaults(capsys, identity, option, value):
+    argv = ["identity", "--scale", "uniform(0,0.5,12)",
+            "--identity", identity, "--kind", "trig", "--tol", "1e-9"]
+    omitted = _run(capsys, argv)
+    assert omitted[0] in (EXIT_OK, EXIT_IDENTITY_FAIL) and omitted[1]
+    assert omitted == _run(capsys, [*argv, option, value])
+
+
+def test_cmd_identity_rejects_an_unknown_name():
+    config = cli.RunConfig("identity", scale="uniform(0,0.1,3)", identity="nope")
+    with pytest.raises(ValueError, match="unknown identity 'nope'"):
+        cli.cmd_identity(config)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scale", "uniform(0,0.1,200001)", "--alpha", "0.001", "--range", "0,0.3"],
+        ["--scale", "uniform(1e4,0.1,1000)", "--alpha", "0.001", "--t0", "1e4",
+         "--range", "1e4,10000.3"],
+    ],
+)
+def test_nabla_eval_on_long_and_far_uniform_scales(capsys, argv):
+    code, out, err = _run(capsys, ["eval", "--family", "nabla", *argv])
+    assert (code, err) == (EXIT_OK, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(re) for _, re, _ in rows] == pytest.approx(
+        [(1 - 0.001 * 0.1) ** -k for k in range(4)], rel=1e-12
+    )
 
 
 def test_key_error_is_not_a_config_error(monkeypatch):

@@ -274,6 +274,17 @@ def test_constant_graininess():
     assert interval(0, 2).constant_graininess() == 0.0
     assert MIXED.constant_graininess() is None
     assert isolated(0, 1, 2.5).constant_graininess() is None
+    # below |t| = 2048 a gap may differ from the first by 1e-12, no more
+    assert isolated(0, 0.1, 0.2 + 3e-12).constant_graininess() is None
+
+
+@pytest.mark.parametrize("start", [1e4, 1e8, 1e12])
+def test_constant_graininess_allows_the_rounding_of_large_t(start):
+    # the points start + k*0.1 round to multiples of ulp(start), which passes
+    # 1e-12 from 1e4 on; a gap off by a tenth of the step is still caught
+    eps = uniform(start, 0.1, 1000).constant_graininess()
+    assert eps == pytest.approx(0.1, abs=4 * math.ulp(start))
+    assert isolated(start, start + 0.1, start + 0.21).constant_graininess() is None
 
 
 @settings(max_examples=60, deadline=None)
