@@ -571,60 +571,53 @@ def _eps_list_arg(text: str) -> tuple[float, ...]:
 
 def _add_common(p: _Parser):
     p.add_argument("--scale", help="scale spec, e.g. 'interval(0,1) + points(2)'")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--range", dest="range_", type=_range_arg, default=None)
-    p.add_argument("--dense-step", dest="dense_step", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
+    p.add_argument("--t0", type=float)
+    p.add_argument("--range", dest="range_", type=_range_arg)
+    p.add_argument("--dense-step", dest="dense_step", type=float)
+    _add_output(p)
+
+
+def _add_output(p: _Parser):
+    p.add_argument("--tol", type=float)
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    p.add_argument("--out")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tscale", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="sample an exponential family on a grid")
-    _add_common(p)
-    p.add_argument("--family", choices=sorted(_EXP_FAMILIES), default="cayley")
-    p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0j)
+    # every default lives in RunConfig: an omitted option sets no attribute
+    def add_command(name, summary):
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("solve", help="march a first-order scheme along the grid")
+    p = add_command("eval", "sample an exponential family on a grid")
     _add_common(p)
-    p.add_argument("--scheme", choices=sorted(_SCHEMES), default="trapezoidal")
-    p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0j)
-    p.add_argument("--x0", type=_complex_arg, default=1.0 + 0j)
+    p.add_argument("--family", choices=sorted(_EXP_FAMILIES))
+    p.add_argument("--alpha", type=_complex_arg)
 
-    p = sub.add_parser("identity", help="run one identity check, emit a JSON report")
+    p = add_command("solve", "march a first-order scheme along the grid")
+    _add_common(p)
+    p.add_argument("--scheme", choices=sorted(_SCHEMES))
+    p.add_argument("--alpha", type=_complex_arg)
+    p.add_argument("--x0", type=_complex_arg)
+
+    p = add_command("identity", "run one identity check, emit a JSON report")
     _add_common(p)
     p.add_argument("--identity", choices=_IDENTITIES, required=True)
-    p.add_argument("--family", default="cayley")
-    p.add_argument("--kind", choices=("trig", "hyp"), default="trig")
-    p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0j)
-    p.add_argument("--beta", type=_complex_arg, default=0.5 + 0j)
-    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--family")
+    p.add_argument("--kind", choices=("trig", "hyp"))
+    p.add_argument("--alpha", type=_complex_arg)
+    p.add_argument("--beta", type=_complex_arg)
+    p.add_argument("--omega", type=float)
 
-    p = sub.add_parser("converge", help="error against the continuum exponential")
-    p.add_argument("--family", choices=sorted(_EXP_FAMILIES), default="cayley")
-    p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0j)
-    p.add_argument("--target-t", dest="target_t", type=float, default=1.0)
-    p.add_argument(
-        "--eps-list",
-        dest="eps_list",
-        type=_eps_list_arg,
-        default=tuple(2.0 ** -k for k in range(1, 11)),
-    )
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
+    p = add_command("converge", "error against the continuum exponential")
+    p.add_argument("--family", choices=sorted(_EXP_FAMILIES))
+    p.add_argument("--alpha", type=_complex_arg)
+    p.add_argument("--target-t", dest="target_t", type=float)
+    p.add_argument("--eps-list", dest="eps_list", type=_eps_list_arg)
+    _add_output(p)
     return parser
-
-
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=ns.command)
-    for name in vars(ns):
-        if hasattr(config, name):
-            setattr(config, name, getattr(ns, name))
-    return config
 
 
 _COMMANDS = {
@@ -637,8 +630,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
-        config = _config_from_args(ns)
+        config = RunConfig(**vars(build_parser().parse_args(argv)))
         code, text = _COMMANDS[config.command](config)
     except (ParseError, OverlapError, ValueError, DomainError) as exc:
         print(f"tscale: {exc}", file=sys.stderr)

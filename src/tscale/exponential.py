@@ -213,16 +213,7 @@ def _nabla_step(ts: TimeScale) -> float:
 def _nabla_grid_values(ts, coeff, t0, grid) -> tuple[complex, ...]:
     eps = _nabla_step(ts)
     a = coeff.constant_value
-    base = 1.0 - a * eps
-    if base == 0:
-        raise SingularError(f"alpha*eps = 1 for alpha={a!r}, eps={eps!r}")
-    out = []
-    for p in grid.points:
-        k = round((p - t0) / eps)
-        if abs((p - t0) - k * eps) > 1e-9 * max(1.0, abs(p - t0)):
-            raise DomainError(f"t={p!r} is not t0 plus an integer multiple of eps")
-        out.append(base ** (-k))
-    return tuple(out)
+    return tuple(exp_nabla_const(eps, a, p - t0) for p in grid.points)
 
 
 def _validated_logs(family, ts, coeff, t0, grid, tol) -> list[complex]:

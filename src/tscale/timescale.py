@@ -8,23 +8,24 @@ Scales with accumulation points are not representable: construction
 requires a finite component list with gaps larger than the membership
 tolerance, which keeps the jump operators and the integral exact.
 
-Cost model, for a scale of C components: locating a point (and so each
-jump operator, graininess or membership query) costs O(log C), since a
-bisection over the component left endpoints picks the few neighbouring
-components whose membership tests decide. TimeScale.walk over a grid of
-N points locates a point only when the point before it is isolated or
-the step leaves that point's interval: a step inside one closed interval
-takes a few float comparisons and no lookup. A walk therefore costs O(N)
-plus O(log C) per component it enters, plus the quadrature of its dense
-steps, and grid evaluations and solvers built on it are linear in N. A
-constant coefficient's dense step calls no integrand: it is Simpson's
-first step done on the one value (Coefficient.dense_integral), with full
-adaptive Simpson only when that step would refine. A query over a range
-[t0, t1] (scattered_points, dense_segments, delta_integral, make_grid)
-locates both ends and scans only the K components from the one holding
-the lower end to the one after the upper end, O(log C + K); so does a
-pointwise exponential re-integrated from its anchor, plus the quadrature
-of its dense pieces.
+Cost model, for a scale of C components: locating a point costs
+O(log C), since a bisection over the component left endpoints picks the
+few neighbouring components whose membership tests decide. A jump
+operator, graininess, classification or membership query is one lookup.
+TimeScale.walk over a grid of N points locates a point only when the
+point before it is isolated or the step leaves that point's interval: a
+step inside one closed interval takes a few float comparisons and no
+lookup. A walk therefore costs O(N) plus O(log C) per component it
+enters, plus the quadrature of its dense steps, and grid evaluations and
+solvers built on it are linear in N. A constant coefficient's dense step
+calls no integrand: it is Simpson's first step done on the one value
+(Coefficient.dense_integral), with full adaptive Simpson only when that
+step would refine. A query over a range [t0, t1] (scattered_points,
+dense_segments, make_grid) locates both ends and scans only the K
+components from the one holding the lower end to the one after the upper
+end, O(log C + K); so does delta_integral, which runs the first two, and
+a pointwise exponential re-integrated from its anchor, plus the
+quadrature of their dense pieces.
 """
 
 from __future__ import annotations
@@ -162,6 +163,12 @@ class TimeScale:
         object.__setattr__(
             self, "_lower_bounds", tuple(c.left - MEMBERSHIP_TOL for c in comps)
         )
+        # Index of the left-scattered maximum, the one point outside the
+        # differentiation domain: an isolated last component with a member
+        # below it. -1 when the scale has none.
+        last = len(comps) - 1
+        lsm = last if last > 0 and isinstance(comps[-1], IsolatedPoint) else -1
+        object.__setattr__(self, "_left_scattered_max", lsm)
 
     # -- membership -------------------------------------------------------
 
@@ -219,7 +226,10 @@ class TimeScale:
 
     def rho(self, t: float) -> float:
         """Backward jump: greatest member below t, or t itself at the infimum."""
-        i, tt = self._locate(t)
+        return self._rho_at(*self._locate(t))
+
+    def _rho_at(self, i: int, tt: float) -> float:
+        """Backward jump of tt, located in component i."""
         comp = self.components[i]
         if isinstance(comp, ClosedInterval) and tt > comp.lo:
             return tt
@@ -229,20 +239,21 @@ class TimeScale:
 
     def in_kappa(self, t: float) -> bool:
         """True unless t is a left-scattered maximum of the scale."""
-        _, tt = self._locate(t)
-        return not (tt == self.sup and self.rho(tt) < tt)
+        i, _ = self._locate(t)
+        return i != self._left_scattered_max
 
     def mu(self, t: float) -> float:
         """Graininess sigma(t) - t; undefined at a left-scattered maximum."""
-        if not self.in_kappa(t):
+        i, tt = self._locate(t)
+        if i == self._left_scattered_max:
             raise KappaError(f"t={t!r} is the left-scattered maximum")
-        _, tt = self._locate(t)
-        return self.sigma(tt) - tt
+        return self._sigma_at(i, tt) - tt
 
     def classify(self, t: float) -> PointClass:
-        _, tt = self._locate(t)
+        i, tt = self._locate(t)
         return PointClass(
-            right_dense=self.sigma(tt) == tt, left_dense=self.rho(tt) == tt
+            right_dense=self._sigma_at(i, tt) == tt,
+            left_dense=self._rho_at(i, tt) == tt,
         )
 
     # -- structure queries --------------------------------------------------
@@ -328,9 +339,10 @@ class TimeScale:
     ) -> complex:
         """Delta integral of f from t0 to t1.
 
-        Sums mu(s)*f(s) over right-scattered s in [t0, t1) and applies
-        adaptive Simpson quadrature (absolute tolerance tol) on the
-        continuous pieces. Antisymmetric in (t0, t1). The scattered sum is
+        Applies adaptive Simpson quadrature (absolute tolerance tol) on the
+        continuous pieces (dense_segments) and sums mu(s)*f(s) over the
+        right-scattered s in [t0, t1) (scattered_points), each in its own
+        accumulator. Antisymmetric in (t0, t1). The scattered sum is
         accumulated in plain ascending order so that on purely discrete
         scales the result is bit-identical to the naive finite sum.
 
@@ -340,26 +352,18 @@ class TimeScale:
         from the pointwise graininess) belong in the coefficient
         machinery, which integrates their zero-graininess view instead.
         """
-        i, a = self._locate(t0)
-        j, b = self._locate(t1)
+        _, a = self._locate(t0)
+        _, b = self._locate(t1)
         if a == b:
             return 0j
         if b < a:
             return -self.delta_integral(f, t1, t0, tol)
-        jumps = 0j
         riemann = 0j
-        for i in self._scan(i, j):
-            comp = self.components[i]
-            if comp.left > b:
-                break
-            if isinstance(comp, ClosedInterval):
-                c, d = max(comp.lo, a), min(comp.hi, b)
-                if d > c:
-                    riemann += _adaptive_simpson(f, c, d, tol)
-            end = comp.right
-            if a <= end < b:
-                nxt = self.components[i + 1].left
-                jumps += (nxt - end) * f(end)
+        for c, d in self.dense_segments(a, b):
+            riemann += _adaptive_simpson(f, c, d, tol)
+        jumps = 0j
+        for s, mu in self.scattered_points(a, b):
+            jumps += mu * f(s)
         return riemann + jumps
 
     def step_integral(
@@ -401,15 +405,14 @@ class TimeScale:
         the others to be tested.
         """
         comps = self.components
-        last = len(comps) - 1
+        lsm = self._left_scattered_max
         located = self._locate(points[0])
         for k, p in enumerate(points):
             i, tt = located
             comp = comps[i]
             in_interval = isinstance(comp, ClosedInterval)
             s = self._sigma_at(i, tt)
-            left_scattered_max = i == last > 0 and not in_interval
-            mu = None if left_scattered_max else s - tt
+            mu = None if i == lsm else s - tt
             q = span = None
             if k + 1 < len(points):
                 q = points[k + 1]

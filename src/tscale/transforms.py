@@ -149,8 +149,7 @@ class Coefficient:
 
     Kinds: "constant", "piecewise" (right-continuous steps), "tabulated"
     (values pinned to known abscissae) and "function" (an in-memory
-    callable; not serializable). rd-continuity is a caller-asserted
-    contract recorded as a flag. Evaluation is pure and caches nothing.
+    callable; not serializable). Evaluation is pure and caches nothing.
 
     A coefficient that depends on the pointwise graininess takes a jump
     value at the scattered right endpoint of a continuous piece while its
@@ -159,14 +158,13 @@ class Coefficient:
     coefficients the two evaluators coincide.
     """
 
-    __slots__ = ("kind", "rd_continuous", "_eval", "_dense", "payload")
+    __slots__ = ("kind", "_eval", "_dense", "payload")
 
-    def __init__(self, kind, eval_fn, payload, rd_continuous=True, dense_fn=None):
+    def __init__(self, kind, eval_fn, payload, dense_fn=None):
         self.kind = kind
         self._eval = eval_fn
         self._dense = dense_fn if dense_fn is not None else eval_fn
         self.payload = payload
-        self.rd_continuous = bool(rd_continuous)
 
     @classmethod
     def constant(cls, value: complex) -> "Coefficient":
@@ -176,7 +174,7 @@ class Coefficient:
         return cls("constant", lambda t: v, v)
 
     @classmethod
-    def piecewise(cls, breakpoints, values, rd_continuous=True) -> "Coefficient":
+    def piecewise(cls, breakpoints, values) -> "Coefficient":
         """Step function: values[i] on [breakpoints[i-1], breakpoints[i])."""
         bps = tuple(float(b) for b in breakpoints)
         vals = tuple(complex(v) for v in values)
@@ -190,10 +188,10 @@ class Coefficient:
             # first value, where bisect_right would give the last
             return _vals[0 if math.isnan(t) else bisect_right(_bps, t)]
 
-        return cls("piecewise", ev, (bps, vals), rd_continuous)
+        return cls("piecewise", ev, (bps, vals))
 
     @classmethod
-    def tabulated(cls, points, values, rd_continuous=True) -> "Coefficient":
+    def tabulated(cls, points, values) -> "Coefficient":
         pts = tuple(float(p) for p in points)
         vals = tuple(complex(v) for v in values)
         if len(pts) != len(vals):
@@ -205,19 +203,16 @@ class Coefficient:
                     return v
             raise ValueError(f"t={t!r} is not a tabulated abscissa")
 
-        return cls("tabulated", ev, (pts, vals), rd_continuous)
+        return cls("tabulated", ev, (pts, vals))
 
     @classmethod
     def from_function(
         cls,
         fn: Callable[[float], complex],
-        rd_continuous=True,
         dense_fn: Callable[[float], complex] | None = None,
     ):
         wrapped_dense = None if dense_fn is None else (lambda t: complex(dense_fn(t)))
-        return cls(
-            "function", lambda t: complex(fn(t)), None, rd_continuous, wrapped_dense
-        )
+        return cls("function", lambda t: complex(fn(t)), None, wrapped_dense)
 
     def __call__(self, t: float) -> complex:
         return self._eval(t)
@@ -255,18 +250,13 @@ class Coefficient:
             return Coefficient.constant(factor * self.payload)
         if self.kind == "piecewise":
             bps, vals = self.payload
-            return Coefficient.piecewise(
-                bps, tuple(factor * v for v in vals), self.rd_continuous
-            )
+            return Coefficient.piecewise(bps, tuple(factor * v for v in vals))
         if self.kind == "tabulated":
             pts, vals = self.payload
-            return Coefficient.tabulated(
-                pts, tuple(factor * v for v in vals), self.rd_continuous
-            )
+            return Coefficient.tabulated(pts, tuple(factor * v for v in vals))
         inner, inner_dense = self._eval, self._dense
         return Coefficient.from_function(
             lambda t: factor * inner(t),
-            self.rd_continuous,
             dense_fn=(
                 None if inner_dense is inner else (lambda t: factor * inner_dense(t))
             ),
@@ -290,7 +280,7 @@ def as_coefficient(alpha) -> Coefficient:
     raise TypeError(f"cannot interpret {alpha!r} as a coefficient")
 
 
-def graininess_coefficient(ts: TimeScale, fn, rd_continuous=True) -> Coefficient:
+def graininess_coefficient(ts: TimeScale, fn) -> Coefficient:
     """Coefficient defined through the pointwise graininess: fn(mu, t).
 
     At scattered points the scale's graininess is used; the dense
@@ -301,7 +291,6 @@ def graininess_coefficient(ts: TimeScale, fn, rd_continuous=True) -> Coefficient
     """
     return Coefficient.from_function(
         lambda t: fn(ts.mu(t), t),
-        rd_continuous,
         dense_fn=lambda t: fn(0.0, t),
     )
 

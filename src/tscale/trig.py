@@ -16,17 +16,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import RegressivityError, ToleranceError
+from .errors import ToleranceError
 from .timescale import DEFAULT_TOL, Grid, TimeScale, delta_derivative_numeric
 from .transforms import Coefficient, as_coefficient, graininess_coefficient
 from .exponential import (
     ExpFamily,
-    _exp,
     _exps,
     _grid_log_integrals,
     _hilger_grid_lenient,
-    _hilger_product_point,
-    _log_integral_range,
     _validate_regressive,
 )
 from .report import ResidualReport
@@ -71,57 +68,19 @@ class TrigPair:
 
 
 def hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol: float = DEFAULT_TOL):
-    """Hyperbolic pair (cosh-like, sinh-like) of the given family at t.
-
-    The two exponentials combined are: the forward-step exponential and
-    its reciprocal (Hilger family), the forward-step exponentials of
-    alpha and -alpha (Bohner-Peterson), the Cayley exponentials of alpha
-    and -alpha, or the continuum pair exp(±alpha (t - t0)) (exact). The
-    Bohner-Peterson family is the one definition that stays on the
-    degenerate boundary where one exponential vanishes identically; it is
-    evaluated by a step-factor product there instead of being rejected.
-    """
-    coeff = as_coefficient(alpha)
-    if family is TrigFamily.EXACT:
-        w = coeff.constant_value * (t - t0)
-        return cmath.cosh(w), cmath.sinh(w)
-    if family in _EXP_FAMILY_OF:
-        # the reciprocal is exactly the exponential of the negated exponent
-        L = _log_integral_range(_EXP_FAMILY_OF[family], ts, coeff, t0, t, tol)
-        e_plus, e_minus = _exp(L), _exp(-L)
-    elif family is TrigFamily.BOHNER_PETERSON:
-        e_plus = _bp_exp_point(ts, coeff, t, t0, tol)
-        e_minus = _bp_exp_point(ts, -coeff, t, t0, tol)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return 0.5 * (e_plus + e_minus), 0.5 * (e_plus - e_minus)
-
-
-def _bp_exp_point(ts, coeff, t, t0, tol) -> complex:
-    try:
-        L = _log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol)
-        return _exp(L)
-    except RegressivityError:
-        return _hilger_product_point(ts, coeff, t, t0, tol)
+    """Hyperbolic pair (cosh-like, sinh-like) of the given family at t: the
+    one-point grid pair of hyp_grid. As at a grid point, a t within the
+    membership tolerance of the located t0 takes the value at t0 (the
+    exact family excepted)."""
+    pair = hyp_grid(family, ts, alpha, t0, Grid((t,), 1.0), tol)
+    return pair.c_values[0], pair.s_values[0]
 
 
 def trig(family: TrigFamily, ts: TimeScale, omega: float, t, t0, tol: float = DEFAULT_TOL):
-    """Trigonometric pair (cos-like, sin-like) of the given family at t.
-
-    Values are returned as floats after asserting the imaginary residue
-    is below 1e-13. The Hilger trigonometric construction reduces to the
-    restricted continuum functions for constant frequency, the only case
-    supported here, so it delegates to the exact family; the others take
-    (cosh, sinh/1j) of 1j*omega.
-    """
-    omega = float(omega)
-    if family in (TrigFamily.EXACT, TrigFamily.HILGER):
-        w = omega * (t - t0)
-        return math.cos(w), math.sin(w)
-    if family in (TrigFamily.CAYLEY, TrigFamily.BOHNER_PETERSON):
-        ch, sh = hyp(family, ts, Coefficient.constant(1j * omega), t, t0, tol)
-        return _require_real(ch, t), _require_real(sh / 1j, t)
-    raise ValueError(f"unknown family {family!r}")
+    """Trigonometric pair (cos-like, sin-like) of the given family at t: the
+    one-point grid pair of trig_grid."""
+    pair = trig_grid(family, ts, omega, t0, Grid((t,), 1.0), tol)
+    return pair.c_values[0], pair.s_values[0]
 
 
 def _require_real(v: complex, t) -> float:
@@ -138,8 +97,18 @@ def _require_real(v: complex, t) -> float:
 def hyp_grid(
     family: TrigFamily, ts: TimeScale, alpha, t0, grid: Grid, tol: float = DEFAULT_TOL
 ) -> TrigPair:
-    """Hyperbolic pair sampled on a grid, linear in the grid size: the
-    exponents come from one TimeScale.walk of the grid."""
+    """Hyperbolic pair sampled on a grid: half the sum and half the
+    difference of two exponentials, linear in the grid size, since the
+    exponents come from one TimeScale.walk of the grid.
+
+    The two exponentials combined are: the forward-step exponential and
+    its reciprocal (Hilger family), the forward-step exponentials of
+    alpha and -alpha (Bohner-Peterson), the Cayley exponentials of alpha
+    and -alpha, or the continuum pair exp(±alpha (t - t0)) (exact). The
+    Bohner-Peterson family is the one definition that stays on the
+    degenerate boundary where one exponential vanishes identically; it is
+    evaluated by a step-factor product there instead of being rejected.
+    """
     coeff = as_coefficient(alpha)
     if family is TrigFamily.EXACT:
         a = coeff.constant_value
@@ -152,6 +121,7 @@ def hyp_grid(
         _validate_regressive(
             exp_family, ts, coeff, min(grid.points[0], t0), max(grid.points[-1], t0)
         )
+        # the reciprocal is exactly the exponential of the negated exponent
         logs = _grid_log_integrals(exp_family, ts, coeff, t0, grid, tol)
         plus, minus = _exps(logs), _exps([-L for L in logs])
     elif family is TrigFamily.BOHNER_PETERSON:
@@ -167,9 +137,13 @@ def hyp_grid(
 def trig_grid(
     family: TrigFamily, ts: TimeScale, omega: float, t0, grid: Grid, tol: float = DEFAULT_TOL
 ) -> TrigPair:
-    """Trigonometric pair sampled on a grid; values are real floats.
+    """Trigonometric pair sampled on a grid; values are real floats, each
+    after asserting its imaginary residue is below 1e-13.
 
-    Linear in the grid size, like hyp_grid; built from it as in trig.
+    The Hilger trigonometric construction reduces to the restricted
+    continuum functions for constant frequency, the only case supported
+    here, so it samples the exact family; the others take (cosh, sinh/1j)
+    of hyp_grid at 1j*omega, linear in the grid size like it.
     """
     omega = float(omega)
     if family in (TrigFamily.EXACT, TrigFamily.HILGER):

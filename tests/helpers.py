@@ -13,8 +13,12 @@ from tscale import (
     ExpFamily,
     Grid,
     IsolatedPoint,
+    KappaError,
+    PointClass,
+    RegressivityError,
     SingularError,
     TimeScale,
+    TrigFamily,
     exp_cayley,
     exp_exact,
     exp_hilger,
@@ -26,12 +30,15 @@ from tscale import (
 )
 from tscale.exponential import (
     _STEP_RULES,
+    _exp,
     _grid_log_integrals,
+    _hilger_product_point,
     _log_integral_range,
     _validate_regressive,
 )
 from tscale.trig import _require_real
 from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson
+from tscale.transforms import as_coefficient
 
 
 def random_discrete(rng: np.random.Generator, n_min=3, n_max=10) -> TimeScale:
@@ -107,6 +114,50 @@ def reference_walk(ts: TimeScale, points):
             if same_interval and comp.lo <= tt < uu <= comp.hi:
                 span = (tt, uu)
         yield p, q, s, mu, span
+
+
+# -- jump queries as compositions of the public operators, each locating
+#    its point again
+
+
+def relocates(ts: TimeScale, t: float) -> bool:
+    """True when locating t's snapped value finds another component: a
+    point one tolerance-and-an-ulp above an interval is accepted by the
+    interval, though a t a little farther above it was not."""
+    try:
+        i, tt = ts._locate(t)
+    except DomainError:
+        return False
+    return ts._locate(tt) != (i, tt)
+
+
+def reference_rho(ts: TimeScale, t: float) -> float:
+    i, tt = ts._locate(t)
+    comp = ts.components[i]
+    if isinstance(comp, ClosedInterval) and tt > comp.lo:
+        return tt
+    if i > 0:
+        return ts.components[i - 1].right
+    return tt
+
+
+def reference_in_kappa(ts: TimeScale, t: float) -> bool:
+    _, tt = ts._locate(t)
+    return not (tt == ts.sup and reference_rho(ts, tt) < tt)
+
+
+def reference_mu(ts: TimeScale, t: float) -> float:
+    if not reference_in_kappa(ts, t):
+        raise KappaError(f"t={t!r} is the left-scattered maximum")
+    _, tt = ts._locate(t)
+    return ts.sigma(tt) - tt
+
+
+def reference_classify(ts: TimeScale, t: float) -> PointClass:
+    _, tt = ts._locate(t)
+    return PointClass(
+        right_dense=ts.sigma(tt) == tt, left_dense=reference_rho(ts, tt) == tt
+    )
 
 
 def walk_outcome(walk, *args):
@@ -279,6 +330,57 @@ def reference_cayley_trig_grid(ts: TimeScale, omega: float, t0, grid: Grid, tol=
         cs.append(_require_real(0.5 * (e + einv), p))
         ss.append(_require_real((e - einv) / 2j, p))
     return tuple(cs), tuple(ss)
+
+
+_PAIR_EXP_FAMILY = {
+    TrigFamily.HILGER: ExpFamily.HILGER_DELTA,
+    TrigFamily.CAYLEY: ExpFamily.CAYLEY,
+}
+
+
+def reference_hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol=1e-12):
+    """trig.hyp with its own family ladder: the exponentials of t from t0
+    through _log_integral_range, Bohner-Peterson falling back to the
+    step-factor product when a factor degenerates."""
+    coeff = as_coefficient(alpha)
+    if family is TrigFamily.EXACT:
+        w = coeff.constant_value * (t - t0)
+        return cmath.cosh(w), cmath.sinh(w)
+    if family is TrigFamily.BOHNER_PETERSON:
+        e_plus, e_minus = (_bp_exp(ts, c, t, t0, tol) for c in (coeff, -coeff))
+    else:
+        L = _log_integral_range(_PAIR_EXP_FAMILY[family], ts, coeff, t0, t, tol)
+        e_plus, e_minus = _exp(L), _exp(-L)
+    return 0.5 * (e_plus + e_minus), 0.5 * (e_plus - e_minus)
+
+
+def _bp_exp(ts, coeff, t, t0, tol):
+    try:
+        return _exp(_log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol))
+    except RegressivityError:
+        return _hilger_product_point(ts, coeff, t, t0, tol)
+
+
+def reference_trig(family: TrigFamily, ts: TimeScale, omega, t, t0, tol=1e-12):
+    """trig.trig with its own family ladder, on reference_hyp."""
+    omega = float(omega)
+    if family in (TrigFamily.EXACT, TrigFamily.HILGER):
+        w = omega * (t - t0)
+        return math.cos(w), math.sin(w)
+    ch, sh = reference_hyp(family, ts, Coefficient.constant(1j * omega), t, t0, tol)
+    return _require_real(ch, t), _require_real(sh / 1j, t)
+
+
+def near_anchor(ts: TimeScale, t, t0) -> bool:
+    """True when t and t0 are members located apart, yet t lies within the
+    membership tolerance of t0's located value, so that a grid holding t
+    is anchored at t."""
+    try:
+        _, a = ts._locate(t0)
+        _, b = ts._locate(t)
+    except DomainError:
+        return False
+    return b != a and Grid((t,), 1.0).index_of(a) is not None
 
 
 def reference_convergence_study(family_name, alpha, target_t, eps_list, tol=1e-12):

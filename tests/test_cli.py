@@ -720,3 +720,42 @@ def test_installed_script_rejects_nan_t0_without_traceback():
     proc = _run_script("solve", "--scale", "uniform(0,0.1,3)", "--t0", "nan")
     assert proc.returncode == EXIT_CONFIG
     assert proc.stdout == "" and proc.stderr == "tscale: t0 must be finite, got nan\n"
+
+
+# -- defaults: RunConfig holds every one -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval"], ["solve"], ["identity", "--identity", "delbis"], ["converge"]],
+)
+def test_omitted_options_take_runconfig_defaults(argv):
+    ns = cli.build_parser().parse_args(argv)
+    given = {"command": argv[0], **({"identity": "delbis"} if len(argv) > 1 else {})}
+    assert vars(ns) == given
+    assert cli.RunConfig(**vars(ns)) == cli.RunConfig(**given)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--scale", "interval(0,1)", "--t0", "0.5", "--range", "0,1",
+         "--dense-step", "0.2", "--tol", "1e-9", "--format", "json", "--out", "x",
+         "--family", "hilger", "--alpha", "2,1"],
+        ["solve", "--scale", "interval(0,1)", "--t0", "0.5", "--range", "0,1",
+         "--dense-step", "0.2", "--tol", "1e-9", "--format", "json", "--out", "x",
+         "--scheme", "exact", "--alpha", "2,1", "--x0", "3"],
+        ["identity", "--scale", "interval(0,1)", "--t0", "0.5", "--range", "0,1",
+         "--dense-step", "0.2", "--tol", "1e-9", "--format", "json", "--out", "x",
+         "--identity", "semigroup", "--family", "hilger", "--kind", "hyp",
+         "--alpha", "2,1", "--beta", "3", "--omega", "4"],
+        ["converge", "--family", "hilger", "--alpha", "2,1", "--target-t", "2",
+         "--eps-list", "0.5,0.25", "--tol", "1e-9", "--format", "json", "--out", "x"],
+    ],
+)
+def test_every_option_sets_a_runconfig_field(argv):
+    ns = cli.build_parser().parse_args(argv)
+    config = cli.RunConfig(**vars(ns))
+    defaults = cli.RunConfig(command=argv[0])
+    changed = {k for k in vars(ns) if getattr(config, k) != getattr(defaults, k)}
+    assert changed == set(vars(ns)) - {"command"}

@@ -155,6 +155,42 @@ def test_grid_nabla_family():
         exp_evaluate_grid(ExpFamily.NABLA_CONST, MIXED, 0.5, 0.0, MIXED.make_grid(0, 2, 0.5))
 
 
+@pytest.mark.parametrize(
+    "ts, alpha, t0",
+    [
+        (uniform(0, 0.5, 12), 0.5 - 0.25j, 0.0),
+        (uniform(0, 0.5, 12), -3.0, 2.5),
+        (uniform(0, 0.25, 9), 1.0, 1.0),
+        (uniform(1e4, 0.1, 100), 0.001, 1e4),
+        (uniform(0, 0.5, 12), 2.0, 0.5),  # alpha*eps = 1
+        (uniform(0, 0.5, 12), 0.5, 0.3),  # no point is t0 plus a multiple of eps
+        (uniform(0, 0.5, 12), 2.0, 0.3),  # both: the first point's check wins
+    ],
+)
+def test_grid_nabla_family_is_exp_nabla_const_per_point(ts, alpha, t0):
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    eps = ts.constant_graininess()
+
+    def per_point():
+        return tuple(exp_nabla_const(eps, alpha, p - t0) for p in grid.points)
+
+    def values():
+        return exp_evaluate_grid(ExpFamily.NABLA_CONST, ts, alpha, t0, grid).values
+
+    assert outcome(values) == outcome(per_point)
+
+
+def test_grid_nabla_messages():
+    ts = uniform(0, 0.5, 12)
+    grid = ts.make_grid(0, 5.5, 0.1)
+    with pytest.raises(DomainError) as exc:
+        exp_evaluate_grid(ExpFamily.NABLA_CONST, ts, 2.0, 0.3, grid)
+    assert str(exc.value) == "t=-0.3 is not an integer multiple of eps=0.5"
+    with pytest.raises(SingularError) as exc:
+        exp_evaluate_grid(ExpFamily.NABLA_CONST, ts, 2.0, 0.5, grid)
+    assert str(exc.value) == "alpha*eps = 1 for alpha=(2+0j), eps=0.5"
+
+
 def test_grid_exact_requires_constant():
     grid = Z4.make_grid(0, 3, 1.0)
     with pytest.raises(ValueError):

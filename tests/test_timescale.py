@@ -29,6 +29,11 @@ from helpers import (
     outcome,
     probe_points,
     random_discrete,
+    reference_classify,
+    reference_in_kappa,
+    reference_mu,
+    reference_rho,
+    relocates,
 )
 
 MIXED = union(interval(0.0, 1.0), isolated(2.0))
@@ -350,3 +355,86 @@ def test_locate_index_is_not_a_field():
     assert [f.name for f in dataclasses.fields(ts)] == ["components"]
     assert ts == same and hash(ts) == hash(same)
     assert repr(ts) == f"TimeScale(components={ts.components!r})"
+
+
+# -- one lookup per jump query ------------------------------------------------------
+
+JUMP_QUERIES = {
+    "mu": reference_mu,
+    "in_kappa": reference_in_kappa,
+    "rho": reference_rho,
+    "classify": reference_classify,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_scale(), st.data())
+def test_jump_queries_match_their_old_compositions(ts, data):
+    """mu, in_kappa, rho and classify equal, errors included, the
+    compositions of _locate, sigma and rho that located the point again,
+    unless that second lookup finds another component. Then they answer for
+    the component t was located in, as sigma and walk do."""
+    for t in data.draw(st.lists(probe_points(ts), min_size=1, max_size=8)):
+        if relocates(ts, t):
+            _, tt = ts._locate(t)
+            _, _, s, mu, _ = next(ts.walk([t]))
+            assert ts.sigma(t) == s
+            assert ts.in_kappa(t) == (mu is not None)
+            if mu is None:
+                assert outcome(ts.mu, t)[0] == "KappaError"
+            else:
+                assert ts.mu(t) == mu
+            assert ts.classify(t).right_dense == (s == tt)
+            assert ts.rho(t) == reference_rho(ts, t)
+            continue
+        for name, reference in JUMP_QUERIES.items():
+            assert outcome(getattr(ts, name), t) == outcome(reference, ts, t), name
+
+
+def test_jump_queries_answer_for_the_located_component():
+    # 2.5e-12 + 4e-14 is 1.04e-12 above the interval, which rejects it, and
+    # is located at the point 2.5000000000000003e-12; the interval accepts
+    # that snapped value (1.5e-12 + 1e-12 rounds up to it), so the old
+    # composition mu = sigma(tt) - tt read the interval's jump and gave 0
+    point = 2.5000000000000003e-12
+    ts = TimeScale((ClosedInterval(0.0, 1.5e-12), IsolatedPoint(point), IsolatedPoint(4e-12)))
+    t = point + 4e-14
+    assert ts._locate(t) == (1, point) and ts._locate(point) == (0, point)
+    assert reference_mu(ts, t) == 0.0
+    assert ts.mu(t) == ts.sigma(t) - point == 4e-12 - point
+    assert ts.mu(t) == next(ts.walk([t]))[3]
+    assert ts.classify(t).right_dense is False
+
+
+@pytest.mark.parametrize("name", list(JUMP_QUERIES))
+def test_jump_query_locates_once(name, monkeypatch):
+    calls = []
+    locate = TimeScale._locate
+
+    def counting(self, t):
+        calls.append(t)
+        return locate(self, t)
+
+    monkeypatch.setattr(TimeScale, "_locate", counting)
+    ts = union(interval(0.0, 1.0), isolated(1.5, 2.0), interval(3.0, 4.0), isolated(5.0))
+    for t in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 2.5, math.nan):
+        calls.clear()
+        outcome(getattr(ts, name), t)
+        assert calls == [t]
+
+
+@pytest.mark.parametrize(
+    "ts, expected",
+    [
+        (isolated(1.0), -1),
+        (interval(0.0, 1.0), -1),
+        (union(isolated(0.5), interval(1.0, 2.0)), -1),
+        (union(interval(0.0, 1.0), isolated(2.0)), 1),
+        (uniform(0.0, 0.5, 4), 3),
+    ],
+)
+def test_left_scattered_maximum_index(ts, expected):
+    assert ts._left_scattered_max == expected
+    assert [ts.in_kappa(c.right) for c in ts.components] == [
+        i != expected for i in range(len(ts.components))
+    ]

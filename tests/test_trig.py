@@ -1,8 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tscale import (
+    Coefficient,
+    Grid,
     TrigFamily,
     TrigKind,
     exact_trig_delta,
@@ -19,7 +23,16 @@ from tscale import (
     union,
 )
 
-from helpers import outcome, reference_cayley_trig, reference_cayley_trig_grid
+from helpers import (
+    any_scale,
+    near_anchor,
+    outcome,
+    probe_points,
+    reference_cayley_trig,
+    reference_cayley_trig_grid,
+    reference_hyp,
+    reference_trig,
+)
 
 Z = uniform(0, 1, 6)
 MIXED = union(interval(0.0, 1.0), isolated(1.7, 2.3), interval(3.0, 3.8))
@@ -332,3 +345,72 @@ def test_cayley_trig_equals_direct_formula(ts, step, omega, t0):
             assert outcome(trig, TrigFamily.CAYLEY, ts, omega, t, t0) == outcome(
                 reference_cayley_trig, ts, omega, t, t0
             )
+
+
+# -- pointwise pairs as one-point grid pairs, against their own family ladder ----------
+
+# 1 + mu*alpha vanishes on the 1.0 gaps of tight scales for alpha = -1 (the
+# Bohner-Peterson degenerate factor) and mu*alpha = 2 on them for alpha = 2
+# (Cayley); omega = 40 gives imaginary residues on dense scales; 1e300
+# overflows the exponential after a few scattered steps. (At 1e308 the
+# Simpson values on a dense piece are infinite and the quadrature refines
+# without bound near |t| = 1e4, on the old ladder as on the grid.)
+PAIR_PARAMETERS = [0.7 - 0.4j, -1.0, 2.0, -4.0, 1j, 1e300, math.nan]
+TRIG_PARAMETERS = [0.0, 1.3, -2.5, 40.0, 1e300, math.nan, math.inf]
+VARYING = Coefficient.from_function(lambda t: 0.5 + 0.2 * math.sin(t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_scale(), st.data())
+def test_pointwise_pairs_match_their_own_ladder(ts, data):
+    """hyp and trig equal, bit for bit and in their errors, the family
+    ladder they replaced, for every family, with t on either side of t0.
+    The one exception: a t located apart from t0 but within the membership
+    tolerance of it takes the anchor's value, as a grid point does."""
+    t, t0 = data.draw(st.lists(probe_points(ts), min_size=2, max_size=2))
+    alpha = data.draw(st.sampled_from(PAIR_PARAMETERS + [VARYING]))
+    omega = data.draw(st.sampled_from(TRIG_PARAMETERS))
+    for a, b in ((t, t0), (t0, t)):
+        for family in TrigFamily:
+            for fn, ref, param in ((hyp, reference_hyp, alpha), (trig, reference_trig, omega)):
+                got = outcome(fn, family, ts, param, a, b)
+                want = outcome(ref, family, ts, param, a, b)
+                if got != want and near_anchor(ts, a, b):
+                    want = outcome(ref, family, ts, param, ts._locate(b)[1], b)
+                assert got == want, (fn.__name__, family)
+
+
+@pytest.mark.parametrize("family", [f for f in TrigFamily if f is not TrigFamily.EXACT])
+def test_pointwise_pair_within_tolerance_of_the_anchor_takes_its_value(family):
+    ts = interval(0.0, 1.0)
+    t = 0.5 + 5e-13
+    assert reference_hyp(family, ts, 1.0, t, 0.5)[1] != 0
+    assert hyp(family, ts, 1.0, t, 0.5) == hyp(family, ts, 1.0, 0.5, 0.5) == (1, 0)
+    pair = hyp_grid(family, ts, 1.0, 0.5, Grid((0.0, t, 1.0), 0.5))
+    assert hyp(family, ts, 1.0, t, 0.5) == (pair.c_values[1], pair.s_values[1])
+
+
+@pytest.mark.parametrize("family", list(TrigFamily))
+def test_pointwise_pairs_match_their_own_ladder_on_fixed_cases(family):
+    # the BP degenerate factor (1 + 1*(-1) = 0 forward, backward through it),
+    # regressivity, overflow, NaN, non-members on either side
+    cases = [
+        (Z, -1.0, 3.0, 0.0),
+        (Z, -1.0, 0.0, 3.0),
+        (Z, 2.0, 4.0, 1.0),
+        (Z, 1e308, 2.0, 0.0),
+        (MIXED, 0.7 - 0.4j, 3.5, 0.25),
+        (MIXED, 0.7 - 0.4j, 0.25, 3.5),
+        (MIXED, 1.0, math.nan, 0.0),
+        (MIXED, 1.0, 0.0, math.nan),
+        (MIXED, 1.0, 1.2, 2.0),
+        (MIXED, 1.0, 2.0, 1.2),
+        (MIXED, 1.0, 1.2, 2.9),
+    ]
+    for ts, param, t, t0 in cases:
+        assert outcome(hyp, family, ts, param, t, t0) == outcome(
+            reference_hyp, family, ts, param, t, t0
+        )
+        assert outcome(trig, family, ts, param, t, t0) == outcome(
+            reference_trig, family, ts, param, t, t0
+        )
