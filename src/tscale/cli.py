@@ -36,8 +36,9 @@ from .transforms import as_coefficient, graininess_coefficient
 from .exponential import (
     _STEP_RULES,
     ExpFamily,
-    _exp_from,
     _exp_point,
+    _exp_runs,
+    _memoized,
     _semigroup_residual,
     _sigma_shift_residual,
     exp_evaluate_grid,
@@ -357,27 +358,26 @@ def _pythagorean_report(config, ts, grid, family):
 
 def _semigroup_report(config, ts, grid, family):
     """check_semigroup over every pair t_j <= t_i of grid points, t1 the
-    first; each E(x, t1) is computed once per report."""
-    coeff = as_coefficient(config.alpha)
-    from_t1 = _exp_from(family, ts, coeff, grid.points[0], config.tol)
-    pts, residuals = [], []
-    for i, t in enumerate(grid.points):
+    first, in the order of a loop of per-pair checks. E(., t_j) runs from
+    each t_j along the rows (_exp_runs), and each E(x, t1) is computed
+    once per report."""
+    exp_from = _exp_runs(family, ts, as_coefficient(config.alpha), config.tol)
+    from_t1 = _memoized(exp_from(grid.points[0]))
+    from_anchors, residuals = [], []
+    for t in grid.points:
+        from_anchors.append(exp_from(t))
         worst = 0.0
-        for j in range(i + 1):
-            r = _semigroup_residual(
-                family, ts, coeff, t, grid.points[j], from_t1, config.tol
-            )
-            worst = max(worst, r)
-        pts.append(t)
+        for from_tj, tj in zip(from_anchors, grid.points):
+            worst = max(worst, _semigroup_residual(from_tj, from_t1, t, tj))
         residuals.append(worst)
-    return ResidualReport("semigroup", tuple(pts), tuple(residuals), config.tol), {}
+    return ResidualReport("semigroup", grid.points, tuple(residuals), config.tol), {}
 
 
 def _sigma_shift_report(config, ts, grid, family):
     """check_sigma_shift at every grid point in the differentiation domain,
-    t0 the first; each E(x, t0) is computed once per report."""
+    t0 the first; each E(x, t0) is computed once, along one run from t0."""
     coeff = as_coefficient(config.alpha)
-    from_t0 = _exp_from(family, ts, coeff, grid.points[0], config.tol)
+    from_t0 = _memoized(_exp_runs(family, ts, coeff, config.tol)(grid.points[0]))
     pts, residuals, skipped = [], [], []
     for t in grid.points:
         if not ts.in_kappa(t):
@@ -397,7 +397,8 @@ def _product_law_report(config, ts, grid, family):
     ea = exp_evaluate_grid(family, ts, a, t0, grid, config.tol)
     eb = exp_evaluate_grid(family, ts, b, t0, grid, config.tol)
     oplus = _STEP_RULES[family].oplus
-    combo = graininess_coefficient(ts, lambda mu, s: oplus(mu, a, b))
+    # the dense view is constant: its quadrature calls no integrand
+    combo = graininess_coefficient(ts, lambda mu, s: oplus(mu, a, b), oplus(0.0, a, b))
     eab = exp_evaluate_grid(family, ts, combo, t0, grid, config.tol)
     residuals = tuple(
         abs(x * y - z) for x, y, z in zip(ea.values, eb.values, eab.values)

@@ -22,7 +22,7 @@ from .errors import (
     SingularError,
     ToleranceError,
 )
-from .timescale import DEFAULT_TOL, Grid, TimeScale
+from .timescale import DEFAULT_TOL, ClosedInterval, Grid, TimeScale
 from .transforms import CAYLEY_RULE, FORWARD_RULE, Coefficient, as_coefficient
 
 
@@ -69,16 +69,13 @@ class ExpEvaluation:
 def _log_integral_range(
     family: ExpFamily, ts: TimeScale, coeff: Coefficient, t0: float, t1: float, tol: float
 ) -> complex:
-    """Exponent integral from t0 to t1: step logs at scattered points plus
-    quadrature of the coefficient's dense view on continuous pieces (the
-    cylinder maps reduce to the identity at zero graininess there).
-
-    Each scattered step is checked for regressivity just before its log is
-    taken, in ascending order, so the first RegressivityError is the one a
-    separate validation pass over [t0, t1] would raise.
+    """Exponent integral from t0 to t1: one target of an _Exponent run from
+    the lower end (step logs at scattered points plus quadrature of the
+    coefficient's dense view on continuous pieces; the cylinder maps reduce
+    to the identity at zero graininess there).
     """
-    # the lower end is located first, as that pass did: of two non-members
-    # the same one is reported
+    # the lower end is located first, as a separate validation pass over
+    # [t0, t1] did: of two non-members the same one is reported
     if t0 < t1:
         (_, a), (_, b) = ts._locate(t0), ts._locate(t1)
     else:
@@ -88,16 +85,95 @@ def _log_integral_range(
     sign = 1.0
     if b < a:
         a, b, sign = b, a, -1.0
-    rule = _STEP_RULES[family]
-    total = 0j
-    for s, mu in ts.scattered_points(a, b):
-        alpha = coeff(s)
-        rule.check(s, mu * alpha, "alpha")
-        total += rule.log(mu, alpha)
-    for c, d in ts.dense_segments(a, b):
-        # each piece lies in one interval: one Simpson quadrature over it
-        total += coeff.dense_integral(ts, c, d, (c, d), tol)
-    return sign * total
+    return sign * _Exponent(_Terms(family, ts, coeff, tol), a).to(b)
+
+
+class _Terms:
+    """The terms of one family's exponent of one coefficient on one scale,
+    each computed once: the step log at the scattered right end of a
+    component, and the integral of the dense view over a finished piece of
+    an interval. Every _Exponent run over the same terms shares them."""
+
+    def __init__(self, family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol: float):
+        self.ts, self.coeff, self.tol = ts, coeff, tol
+        self._rule = _STEP_RULES[family]
+        self._logs: dict[int, complex] = {}
+        self._pieces: dict[tuple[float, float], complex] = {}
+
+    def log(self, k: int) -> complex:
+        """Step log at the right end of component k, checked for
+        regressivity just before it is taken."""
+        w = self._logs.get(k)
+        if w is None:
+            comps = self.ts.components
+            s = comps[k].right
+            mu = comps[k + 1].left - s
+            alpha = self.coeff(s)
+            self._rule.check(s, mu * alpha, "alpha")
+            w = self._logs[k] = self._rule.log(mu, alpha)
+        return w
+
+    def piece(self, c: float, d: float) -> complex:
+        """integral(c, d) of a finished piece, kept for every run."""
+        if (c, d) not in self._pieces:
+            self._pieces[c, d] = self.integral(c, d)
+        return self._pieces[c, d]
+
+    def integral(self, c: float, d: float) -> complex:
+        """Integral of the dense view over [c, d], inside one interval."""
+        return self.coeff.dense_integral(self.ts, c, d, (c, d), self.tol)
+
+
+class _Exponent:
+    """Exponent integral from one anchor to targets taken in ascending order.
+
+    Each target gets the fold of a separate pass over [anchor, target],
+    bit for bit: the step logs summed from 0j in ascending order, each
+    checked for regressivity just before its log is taken (so the first
+    RegressivityError is the one that pass raises), then the dense pieces
+    added one by one. The step-log sum and the finished pieces carry over
+    from the last target, so a target adds its new step logs and finished
+    pieces and integrates only its own partial piece: a run over n
+    targets on a discrete scale costs O(n) in all.
+    """
+
+    def __init__(self, terms: _Terms, anchor: float):
+        self._terms = terms
+        self._k, self._a = terms.ts._locate(anchor)
+        self._b = self._a  # the last target
+        self._sum = 0j  # the step logs in [anchor, last target)
+        self._pieces: list[complex] = []  # the finished pieces' integrals
+
+    def to(self, x: float) -> complex:
+        terms, a = self._terms, self._a
+        comps = terms.ts.components
+        _, b = terms.ts._locate(x)
+        if b == a:
+            return 0j
+        if b < self._b:
+            raise ValueError(f"target {x!r} is below the last target {self._b!r}")
+        total, k = self._sum, self._k
+        while (end := comps[k].right) < b:  # the scattered right ends in [a, b)
+            # a can lie an ulp past the end of the interval it is located in
+            if end >= a:
+                total += terms.log(k)
+            k += 1
+        passed = comps[self._k : k]
+        finished = (self._piece(c, b) for c in passed if isinstance(c, ClosedInterval))
+        pieces = self._pieces + [terms.piece(*p) for p in finished if p]
+        self._b, self._k, self._sum, self._pieces = b, k, total, pieces
+        for w in pieces:
+            total += w
+        if isinstance(comps[k], ClosedInterval):
+            partial = self._piece(comps[k], b)
+            if partial:
+                total += terms.integral(*partial)
+        return total
+
+    def _piece(self, comp: ClosedInterval, b: float) -> tuple[float, float] | None:
+        """The dense piece of interval comp in [anchor, b], if any."""
+        c, d = max(comp.lo, self._a), min(comp.hi, b)
+        return (c, d) if d > c else None
 
 
 def _validate_regressive(
@@ -325,10 +401,8 @@ def check_semigroup(
     family: ExpFamily, ts: TimeScale, alpha, t, t0, t1, tol: float = DEFAULT_TOL
 ) -> float:
     """Residual |E(t,t0) E(t0,t1) - E(t,t1)| of the two-point composition law."""
-    coeff = as_coefficient(alpha)
-    return _semigroup_residual(
-        family, ts, coeff, t, t0, _exp_from(family, ts, coeff, t1, tol), tol
-    )
+    exp_from = _pointwise_runs(family, ts, as_coefficient(alpha), tol)
+    return _semigroup_residual(exp_from(t0), exp_from(t1), t, t0)
 
 
 def check_sigma_shift(
@@ -341,11 +415,36 @@ def check_sigma_shift(
     right-dense point the residual is identically zero.
     """
     coeff = as_coefficient(alpha)
-    return _sigma_shift_residual(family, ts, coeff, t, _exp_from(family, ts, coeff, t0, tol))
+    exp_from = _pointwise_runs(family, ts, coeff, tol)
+    return _sigma_shift_residual(family, ts, coeff, t, exp_from(t0))
 
 
-def _exp_from(family: ExpFamily, ts: TimeScale, coeff, anchor, tol):
-    """x -> E(x, anchor), each value computed once per returned function.
+def _pointwise_runs(family: ExpFamily, ts: TimeScale, coeff, tol):
+    """anchor -> (x -> E(x, anchor)), each value evaluated on its own."""
+    return lambda anchor: lambda x: _exp_point(family, ts, coeff, x, anchor, tol)
+
+
+def _exp_runs(family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol):
+    """anchor -> (x -> E(x, anchor)) for x ascending from the anchor.
+
+    The values are those of _pointwise_runs, errors included. The step
+    families run one _Exponent per anchor, and all the anchors of one
+    returned function share the step logs and dense pieces they have in
+    common; the others evaluate their closed forms.
+    """
+    if family not in _STEP_RULES:
+        return _pointwise_runs(family, ts, coeff, tol)
+    terms = _Terms(family, ts, coeff, tol)
+
+    def exp_from(anchor):
+        to = _Exponent(terms, anchor).to
+        return lambda x: _exp(to(x))
+
+    return exp_from
+
+
+def _memoized(fn):
+    """fn, each value computed once.
 
     Only values computed without error are kept, so a run of evaluations
     raises the same first error as it would recomputing every value.
@@ -354,16 +453,16 @@ def _exp_from(family: ExpFamily, ts: TimeScale, coeff, anchor, tol):
 
     def value(x):
         if x not in memo:
-            memo[x] = _exp_point(family, ts, coeff, x, anchor, tol)
+            memo[x] = fn(x)
         return memo[x]
 
     return value
 
 
-def _semigroup_residual(family, ts, coeff, t, t0, from_t1, tol) -> float:
-    """check_semigroup with E(., t1) given as from_t1."""
-    a = _exp_point(family, ts, coeff, t, t0, tol)
-    return abs(a * from_t1(t0) - from_t1(t))
+def _semigroup_residual(from_t0, from_t1, t, t0) -> float:
+    """|E(t,t0) E(t0,t1) - E(t,t1)|, with E(., t0) and E(., t1) given as
+    from_t0 and from_t1 and evaluated in that order."""
+    return abs(from_t0(t) * from_t1(t0) - from_t1(t))
 
 
 def _sigma_shift_residual(family, ts, coeff, t, from_t0) -> float:

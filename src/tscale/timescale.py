@@ -23,13 +23,17 @@ calls no integrand: it is Simpson's first step done on the one value
 step would refine. A query over a range [t0, t1] (scattered_points,
 dense_segments, make_grid) locates both ends and scans only the K
 components from the one holding the lower end to the one after the upper
-end, O(log C + K); so does delta_integral, which runs the first two, and
-a pointwise exponential re-integrated from its anchor, plus the
-quadrature of their dense pieces.
+end, O(log C + K); so does delta_integral, which runs the first two, plus
+the quadrature of its dense pieces. A running exponent from one anchor
+(exponential._Exponent) locates each target once and takes each
+component's step log and dense piece once over all its targets; a
+target then adds the finished pieces' integrals, one per interval it
+has passed.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -600,9 +604,13 @@ def _adaptive_simpson(
     fa, fm, fb = complex(f(a)), complex(f(m)), complex(f(b))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     try:
-        return _simpson_step(f, a, b, fa, fm, fb, whole, tol, _MAX_SIMPSON_DEPTH)
+        # complex arithmetic overflows to inf or nan without raising, and
+        # every piece of a non-finite estimate would refine
+        if cmath.isfinite(whole):
+            return _simpson_step(f, a, b, fa, fm, fb, whole, tol, _MAX_SIMPSON_DEPTH)
     except OverflowError:
-        raise ToleranceError(f"quadrature overflows on [{a}, {b}]") from None
+        pass
+    raise ToleranceError(f"quadrature overflows on [{a}, {b}]")
 
 
 def _constant_simpson(v: complex, a: float, b: float, tol: float) -> complex | None:

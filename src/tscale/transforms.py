@@ -155,23 +155,25 @@ class Coefficient:
     value at the scattered right endpoint of a continuous piece while its
     limit along the piece uses zero graininess; `dense` exposes that limit
     evaluator so quadrature sees a continuous integrand. For plain
-    coefficients the two evaluators coincide.
+    coefficients the two evaluators coincide. dense_value, when not None,
+    is the dense evaluator's value at every t.
     """
 
-    __slots__ = ("kind", "_eval", "_dense", "payload")
+    __slots__ = ("kind", "_eval", "_dense", "payload", "dense_value")
 
-    def __init__(self, kind, eval_fn, payload, dense_fn=None):
+    def __init__(self, kind, eval_fn, payload, dense_fn=None, dense_value=None):
         self.kind = kind
         self._eval = eval_fn
         self._dense = dense_fn if dense_fn is not None else eval_fn
         self.payload = payload
+        self.dense_value = dense_value
 
     @classmethod
     def constant(cls, value: complex) -> "Coefficient":
         v = complex(value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"coefficient value {v!r} is not finite")
-        return cls("constant", lambda t: v, v)
+        return cls("constant", lambda t: v, v, dense_value=v)
 
     @classmethod
     def piecewise(cls, breakpoints, values) -> "Coefficient":
@@ -226,10 +228,10 @@ class Coefficient:
         self, ts: TimeScale, p: float, q: float, span: tuple[float, float] | None, tol: float
     ) -> complex:
         """ts.step_integral(self.dense, p, q, span, tol), bit for bit, over
-        one step of ts.walk. A constant coefficient's step over a span
+        one step of ts.walk. A step over a span of a constant dense view
         takes Simpson's first step on its value and calls no integrand."""
-        if span is not None and self.is_constant:
-            w = _constant_simpson(self.payload, span[0], span[1], tol)
+        if span is not None and self.dense_value is not None:
+            w = _constant_simpson(self.dense_value, span[0], span[1], tol)
             if w is not None:
                 return w + 0j  # as step_integral returns it
         return ts.step_integral(self.dense, p, q, span, tol)
@@ -280,18 +282,25 @@ def as_coefficient(alpha) -> Coefficient:
     raise TypeError(f"cannot interpret {alpha!r} as a coefficient")
 
 
-def graininess_coefficient(ts: TimeScale, fn) -> Coefficient:
+def graininess_coefficient(ts: TimeScale, fn, dense_value=None) -> Coefficient:
     """Coefficient defined through the pointwise graininess: fn(mu, t).
 
     At scattered points the scale's graininess is used; the dense
     evaluator fixes mu = 0 since the graininess vanishes identically
     along continuous pieces. This keeps quadrature integrands continuous
     on closed segments even though the jump value at a segment's
-    scattered right endpoint differs.
+    scattered right endpoint differs. A dense_value, the value of
+    fn(0.0, t) when it does not depend on t, stands in for the dense
+    evaluator, and quadrature on continuous pieces then integrates the
+    constant without calling an integrand.
     """
-    return Coefficient.from_function(
-        lambda t: fn(ts.mu(t), t),
-        dense_fn=lambda t: fn(0.0, t),
+    v = None if dense_value is None else complex(dense_value)
+    return Coefficient(
+        "function",
+        lambda t: complex(fn(ts.mu(t), t)),
+        None,
+        (lambda t: complex(fn(0.0, t))) if v is None else (lambda t: v),
+        v,
     )
 
 

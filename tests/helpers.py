@@ -33,7 +33,6 @@ from tscale.exponential import (
     _exp,
     _grid_log_integrals,
     _hilger_product_point,
-    _log_integral_range,
     _validate_regressive,
 )
 from tscale.trig import _require_real
@@ -283,6 +282,31 @@ def reference_exp(family: ExpFamily, ts: TimeScale, coeff, t: float, t0: float, 
     return cmath.exp(sign * total)
 
 
+def reference_log_integral_range(family: ExpFamily, ts: TimeScale, coeff, t0, t1, tol):
+    """exponential._log_integral_range as one pass over [t0, t1], before it
+    became one target of a running exponent: the step logs summed from 0j
+    in ascending order, each checked just before its log is taken, then the
+    dense pieces added one by one."""
+    if t0 < t1:
+        (_, a), (_, b) = ts._locate(t0), ts._locate(t1)
+    else:
+        (_, b), (_, a) = ts._locate(t1), ts._locate(t0)
+    if a == b:
+        return 0j
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
+    rule = _STEP_RULES[family]
+    total = 0j
+    for s, mu in ts.scattered_points(a, b):
+        alpha = coeff(s)
+        rule.check(s, mu * alpha, "alpha")
+        total += rule.log(mu, alpha)
+    for c, d in ts.dense_segments(a, b):
+        total += coeff.dense_integral(ts, c, d, (c, d), tol)
+    return sign * total
+
+
 def reference_product(ts: TimeScale, coeff, t: float, t0: float, tol=1e-12):
     """The degenerate-tolerant forward-step product on the linear scans."""
     _, a = linear_locate(ts, t0)
@@ -312,7 +336,7 @@ def reference_cayley_trig(ts: TimeScale, omega: float, t, t0, tol=1e-12):
     of 1j*omega and einv the exponential of its negated exponent, the pair
     (e + einv)/2, (e - einv)/2j, each checked for an imaginary residue."""
     coeff = Coefficient.constant(1j * float(omega))
-    L = _log_integral_range(ExpFamily.CAYLEY, ts, coeff, t0, t, tol)
+    L = reference_log_integral_range(ExpFamily.CAYLEY, ts, coeff, t0, t, tol)
     e, einv = cmath.exp(L), cmath.exp(-L)
     return _require_real(0.5 * (e + einv), t), _require_real((e - einv) / 2j, t)
 
@@ -340,7 +364,7 @@ _PAIR_EXP_FAMILY = {
 
 def reference_hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol=1e-12):
     """trig.hyp with its own family ladder: the exponentials of t from t0
-    through _log_integral_range, Bohner-Peterson falling back to the
+    through reference_log_integral_range, Bohner-Peterson falling back to the
     step-factor product when a factor degenerates."""
     coeff = as_coefficient(alpha)
     if family is TrigFamily.EXACT:
@@ -349,14 +373,15 @@ def reference_hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol=1e-12):
     if family is TrigFamily.BOHNER_PETERSON:
         e_plus, e_minus = (_bp_exp(ts, c, t, t0, tol) for c in (coeff, -coeff))
     else:
-        L = _log_integral_range(_PAIR_EXP_FAMILY[family], ts, coeff, t0, t, tol)
+        L = reference_log_integral_range(_PAIR_EXP_FAMILY[family], ts, coeff, t0, t, tol)
         e_plus, e_minus = _exp(L), _exp(-L)
     return 0.5 * (e_plus + e_minus), 0.5 * (e_plus - e_minus)
 
 
 def _bp_exp(ts, coeff, t, t0, tol):
     try:
-        return _exp(_log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol))
+        L = reference_log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol)
+        return _exp(L)
     except RegressivityError:
         return _hilger_product_point(ts, coeff, t, t0, tol)
 

@@ -5,15 +5,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tscale
-from tscale import cli
+from tscale import cli, transforms
 
 from tscale import (
     ClosedInterval,
     IsolatedPoint,
     OverlapError,
     ParseError,
+    TimeScale,
     check_semigroup,
     check_sigma_shift,
     interval,
@@ -483,15 +486,80 @@ REPORT_SCALES = [
 )
 def test_memoized_reports_equal_per_pair_checks(scale, step, family, alpha):
     config = cli.RunConfig("identity", scale=scale, family=family, alpha=alpha, dense_step=step)
-    ts, grid = cli._scale_and_grid(config)
+    _assert_reports_equal_per_pair_checks(config, *cli._scale_and_grid(config))
+
+
+def _assert_reports_equal_per_pair_checks(config, ts, grid):
+    """The semigroup and sigma-shift reports equal their per-pair and
+    per-point check references, errors included."""
+    family = cli._EXP_FAMILIES[config.family]
     for report, reference in (
         (cli._semigroup_report, _pairwise_semigroup),
         (cli._sigma_shift_report, _pointwise_sigma_shift),
     ):
-        got = _report_or_error(
-            lambda *args: report(*args, cli._EXP_FAMILIES[family])[0], config, ts, grid
-        )
+        got = _report_or_error(lambda *args: report(*args, family)[0], config, ts, grid)
         assert got == _report_or_error(reference, config, ts, grid)
+
+
+@st.composite
+def _report_cases(draw):
+    """A mixed scale of intervals and points, a grid whose first point (the
+    anchor t1 or t0) may lie inside an interval and whose points include
+    interval ends, a family, and an alpha that is ordinary, regressive at
+    one of the scale's jumps for the forward-step or Cayley step rule, or
+    large enough to overflow."""
+    comps, x = [], 0.0
+    for _ in range(draw(st.integers(3, 7))):
+        x += draw(st.sampled_from([0.05, 0.1, 0.25]))
+        if draw(st.booleans()):
+            hi = x + draw(st.sampled_from([0.1, 0.2, 0.3]))
+            comps.append(ClosedInterval(x, hi))
+            x = hi
+        else:
+            comps.append(IsolatedPoint(x))
+    ts = TimeScale(tuple(comps))
+    step = draw(st.sampled_from([0.1, 0.15]))
+    full = ts.make_grid(ts.inf, ts.sup, step).points
+    start = draw(st.sampled_from(full[: len(full) // 2 + 1]))
+    if draw(st.booleans()):  # an anchor at the middle of an interval
+        inner = [0.5 * (c.lo + c.hi) for c in comps if isinstance(c, ClosedInterval)]
+        start = draw(st.sampled_from(inner or [start]))
+    end = ts.sup if draw(st.booleans()) else draw(st.sampled_from(full[len(full) // 2 :]))
+    end = max(start, end)
+    grid = ts.make_grid(start, end, step)
+    mus = [mu for _, mu in ts.scattered_points(ts.inf, ts.sup)] or [1.0]
+    alpha = draw(
+        st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
+        | st.sampled_from(mus).flatmap(lambda mu: st.sampled_from([-1 / mu, 2 / mu, -2 / mu]))
+        | st.sampled_from([1e308, 1e308j, 3000.0, -3000.0, 800.0])
+    )
+    family = draw(st.sampled_from(sorted(cli._EXP_FAMILIES)))
+    return ts, grid, family, complex(alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_report_cases())
+def test_running_reports_equal_per_pair_checks_on_mixed_scales(case):
+    ts, grid, family, alpha = case
+    config = cli.RunConfig("identity", family=family, alpha=alpha)
+    _assert_reports_equal_per_pair_checks(config, ts, grid)
+
+
+@pytest.mark.parametrize("identity", ["semigroup", "sigma-shift"])
+@pytest.mark.parametrize("family, step_log", [("cayley", "zeta"), ("hilger", "xi")])
+def test_reports_take_each_step_log_once(monkeypatch, identity, family, step_log):
+    """On uniform(0,1e-3,n) the n-1 jumps each get one step log, however
+    many pairs or shifts read it."""
+    n = 60
+    calls = []
+    log = getattr(transforms, step_log)
+    monkeypatch.setattr(transforms, step_log, lambda mu, a: calls.append(mu) or log(mu, a))
+    config = cli.RunConfig(
+        "identity", scale=f"uniform(0,1e-3,{n})", identity=identity, family=family
+    )
+    code, _ = cli.cmd_identity(config)
+    assert code == EXIT_OK
+    assert len(calls) == n - 1
 
 
 # -- overflow and non-finite parameters ------------------------------------------------
@@ -501,12 +569,13 @@ def test_memoized_reports_equal_per_pair_checks(scale, step, family, alpha):
 _SCRIPT = "import sys; from tscale.cli import main; sys.exit(main())"
 
 
-def _run_script(*argv):
-    """Run the CLI in a fresh interpreter, as the installed script does."""
+def _run_script(*argv, runner=("-c", _SCRIPT)):
+    """Run the CLI in a fresh interpreter, as the installed script does, or
+    as python -m with runner ("-m", "tscale"); a run that hangs fails."""
     src = os.path.dirname(os.path.dirname(tscale.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-c", _SCRIPT, *argv], env=env, capture_output=True, text=True
+        [sys.executable, *runner, *argv], env=env, capture_output=True, text=True, timeout=60
     )
 
 
@@ -523,6 +592,23 @@ def test_overflow_exits_4_without_traceback(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("tscale: exponential overflows")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_infinite_integrand_exits_4_without_hanging():
+    # refining the quadrature of an infinite coefficient near 1e4 never ended
+    proc = _run_script(
+        "eval", "--scale", "interval(1e4,10000.5)", "--t0", "1e4", "--alpha", "1e308"
+    )
+    assert proc.returncode == EXIT_TOLERANCE
+    assert proc.stdout == ""
+    assert proc.stderr == "tscale: quadrature overflows on [10000.0, 10000.1]\n"
+
+
+def test_python_m_tscale_runs_the_cli_without_warnings(capsys):
+    argv = ["eval", "--scale", "uniform(0,0.5,4)", "--family", "hilger"]
+    proc = _run_script(*argv, runner=("-m", "tscale"))
+    assert main(argv) == EXIT_OK
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, capsys.readouterr().out, "")
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from tscale import (
     union,
 )
 
-from tscale.exponential import _hilger_product_point
+from tscale.exponential import _Exponent, _Terms, _hilger_product_point, _log_integral_range
 
 from helpers import (
     any_scale,
@@ -38,6 +38,7 @@ from helpers import (
     probe_points,
     random_scale,
     reference_exp,
+    reference_log_integral_range,
     reference_product,
 )
 
@@ -397,6 +398,62 @@ def test_first_regressivity_error_is_the_validation_pass_error(family, alpha):
         assert got[0] == "RegressivityError" and got[2] == 2.25
 
 
+# -- running exponents against the one-pass reference ---------------------------------
+
+# the coefficients of the pairs property plus overflowing ones, whose dense
+# pieces have an infinite quadrature estimate
+RUNNING_COEFFS = PROPERTY_COEFFS + [Coefficient.constant(1e308), Coefficient.constant(1e308j)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_scale(), st.data())
+def test_log_integral_range_is_the_one_pass_fold(ts, data):
+    """_log_integral_range, one target of a running exponent, equals the
+    one-pass fold bit for bit, errors included, with t on either side of t0."""
+    t, t0 = data.draw(st.lists(probe_points(ts), min_size=2, max_size=2))
+    coeff = data.draw(st.sampled_from(RUNNING_COEFFS))
+    for a, b in ((t, t0), (t0, t)):
+        for family in POINTWISE:
+            assert outcome(_log_integral_range, family, ts, coeff, a, b, 1e-12) == outcome(
+                reference_log_integral_range, family, ts, coeff, a, b, 1e-12
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_scale(), st.data())
+def test_running_exponents_equal_one_pass_per_target(ts, data):
+    """Runs from several anchors over shared terms, their targets taken row
+    by row as the semigroup report takes them: every value equals the
+    one-pass fold from its anchor, errors included, and a run goes on past
+    an error. Anchors and targets are grid points, interior points of
+    intervals and interval ends nudged within the membership tolerance."""
+    step = data.draw(st.sampled_from([0.1, 0.3, 1.0]))
+    members = set(ts.make_grid(ts.inf, ts.sup, step).points)
+    for p in data.draw(st.lists(probe_points(ts), max_size=6)):
+        if p in ts:
+            members.add(p)
+    targets = sorted(members)[:40]
+    family = data.draw(st.sampled_from(list(POINTWISE)))
+    coeff = data.draw(st.sampled_from(RUNNING_COEFFS))
+    terms = _Terms(family, ts, coeff, 1e-12)
+    runs = []
+    for x in targets:
+        runs.append((x, _Exponent(terms, x)))
+        for anchor, run in runs:
+            assert outcome(run.to, x) == outcome(
+                reference_log_integral_range, family, ts, coeff, anchor, x, 1e-12
+            )
+
+
+def test_running_exponent_rejects_a_descending_target():
+    run = _Exponent(_Terms(ExpFamily.CAYLEY, Z4, Coefficient.constant(0.5), 1e-12), 1.0)
+    assert run.to(3.0) == reference_log_integral_range(
+        ExpFamily.CAYLEY, Z4, Coefficient.constant(0.5), 1.0, 3.0, 1e-12
+    )
+    with pytest.raises(ValueError, match="below the last target"):
+        run.to(2.0)
+
+
 # -- non-finite coefficients and overflow ---------------------------------------------
 
 
@@ -431,3 +488,13 @@ def test_overflow_is_a_tolerance_error_on_both_paths():
         _hilger_product_point(dense, Coefficient.constant(1e308), 1.0, 0.0, 1e-12)
     with pytest.raises(ToleranceError, match="quadrature overflows"):
         exp_cayley(dense, 1e308, 1.0, 0.0)
+
+
+def test_infinite_quadrature_estimate_is_a_tolerance_error():
+    # near |t| = 1e4 the pieces reach float resolution before Simpson's depth
+    # limit, so refining a non-finite estimate walked the whole tree to a NaN
+    ts = interval(1e4, 1e4 + 1e-7)
+    with pytest.raises(ToleranceError, match=r"quadrature overflows on \[10000.0, "):
+        exp_cayley(ts, 1e308j, 1e4 + 1e-7, 1e4)
+    with pytest.raises(ToleranceError, match="quadrature overflows"):
+        ts.delta_integral(lambda t: complex(math.inf, 0.0), 1e4, 1e4 + 1e-7)

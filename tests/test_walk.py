@@ -21,6 +21,7 @@ from tscale import (
     exp_cayley,
     exp_evaluate_grid,
     exp_hilger,
+    graininess_coefficient,
     interval,
     isolated,
     solve_first_order,
@@ -28,7 +29,7 @@ from tscale import (
     union,
 )
 from tscale import timescale
-from tscale.exponential import _hilger_product_point
+from tscale.exponential import _STEP_RULES, _hilger_product_point
 from tscale.timescale import _adaptive_simpson, _constant_simpson
 from tscale.transforms import xi, zeta
 
@@ -348,6 +349,28 @@ def test_constant_coefficient_dense_steps_call_no_quadrature(monkeypatch, coeff_
     solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, W, coeff, 1.0, 0.0, grid, TOL)
     dense_steps = sum(1 for r in W.walk(grid.points) if r[4] is not None)
     assert len(calls) == (0 if coeff.is_constant else 2 * dense_steps)
+
+
+@pytest.mark.parametrize("family", [ExpFamily.CAYLEY, ExpFamily.HILGER_DELTA])
+def test_graininess_coefficient_with_a_dense_value_calls_no_quadrature(monkeypatch, family):
+    """The product law's combined coefficient: given its constant dense
+    value, its grid exponential calls no quadrature and is bit for bit the
+    one whose dense view evaluates fn(0.0, t) under full Simpson."""
+    a, b = 0.6 - 0.4j, -0.3 + 0.2j
+    oplus = _STEP_RULES[family].oplus
+    grid = W.make_grid(0.0, 4.0, 0.05)
+    values = lambda coeff: exp_evaluate_grid(family, W, coeff, 0.0, grid, TOL).values
+    plain = graininess_coefficient(W, lambda mu, s: oplus(mu, a, b))
+    want = outcome(values, plain)
+    calls = []
+    simpson = timescale._adaptive_simpson
+    monkeypatch.setattr(
+        timescale, "_adaptive_simpson", lambda f, a, b, tol: calls.append(a) or simpson(f, a, b, tol)
+    )
+    fast = graininess_coefficient(W, lambda mu, s: oplus(mu, a, b), oplus(0.0, a, b))
+    assert outcome(values, fast) == want
+    assert calls == []
+    assert fast.dense(0.5) == plain.dense(0.5) and fast(1.5) == plain(1.5)
 
 
 # -- one walk per solve ---------------------------------------------------------------
