@@ -146,14 +146,14 @@ def solve_first_order(
 
 
 def _validate_scheme(scheme, ts, coeff, grid) -> list[tuple]:
-    """Check each step factor's regressivity along one walk of the grid;
-    return the walk's records."""
+    """Check each step factor's regressivity along one walk of the grid, the
+    last point's jump (no step of the solve) excepted; return the records."""
     rule, name = _SCHEME_RULES[scheme]
     records = []
     for record in ts.walk(grid.points):
         records.append(record)
-        p, _, _, mu, _ = record
-        if mu is not None and rule is not None:
+        p, q, _, mu, _ = record
+        if q is not None and rule is not None:
             rule.check(p, mu * coeff(p), name)
     return records
 

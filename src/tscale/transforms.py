@@ -58,6 +58,8 @@ def zeta(h: float, z: complex) -> complex:
     zeta(0, z) = z; otherwise log((1 + z*h/2) / (1 - z*h/2)) / h on the
     principal branch. Even in h. For small |h*z| the series
     z + h^2 z^3 / 12 + h^4 z^5 / 80 is used to avoid cancellation.
+    For purely imaginary z the step factor is unimodular and the value
+    purely imaginary: the log's real part, rounding only, is dropped.
     """
     h = abs(h)
     z = complex(z)
@@ -70,7 +72,8 @@ def zeta(h: float, z: complex) -> complex:
     den = 1.0 - 0.5 * h * z
     if num == 0 or den == 0:
         raise SingularError(f"z*h/2 = ±1 for z={z!r}, h={h!r}")
-    return _principal_log(num / den) / h
+    w = _principal_log(num / den) / h
+    return complex(0.0, w.imag) if z.real == 0 else w
 
 
 def zeta_inv(h: float, w: complex) -> complex:

@@ -1,12 +1,14 @@
 """Hyperbolic and trigonometric function families and their identity residuals.
 
-Each family builds its pair from two exponentials: half-sum and
-half-difference. The Cayley family inherits an exactly unimodular
-exponential on the imaginary axis, so its trigonometric pair is real and
-satisfies the circular identity on any supported scale; the
-forward-step-based family satisfies a deformed identity instead, with the
-deformation itself an exponential that this module evaluates for
-comparison.
+Each hyperbolic pair is the half-sum and half-difference of two
+exponentials. Each trigonometric pair is the real and imaginary part of
+one exponential of 1j*omega: for real omega the exponential of -1j*omega
+is its conjugate, so these are the half-sum and half-difference over 1j
+of the two, real by construction. The Cayley exponential maps the
+imaginary axis into the unit circle, so its pair satisfies the circular
+identity on any supported scale; the forward-step-based family satisfies
+a deformed identity instead, with the deformation itself an exponential
+that this module evaluates for comparison.
 """
 
 from __future__ import annotations
@@ -16,21 +18,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ToleranceError
 from .timescale import DEFAULT_TOL, Grid, TimeScale, delta_derivative_numeric
-from .transforms import Coefficient, as_coefficient, graininess_coefficient
+from .transforms import as_coefficient, graininess_coefficient
 from .exponential import (
     ExpFamily,
     _exps,
     _grid_log_integrals,
     _hilger_grid_lenient,
+    _memoized,
     _validate_regressive,
+    exp_evaluate_grid,
 )
 from .report import ResidualReport
-
-# Trigonometric values are returned as reals; any larger imaginary residue
-# indicates a broken conjugation symmetry and is raised, not discarded.
-_IMAG_RESIDUE_TOL = 1e-13
 
 
 class TrigFamily(Enum):
@@ -45,7 +44,7 @@ class TrigKind(Enum):
     TRIGONOMETRIC = "trig"
 
 
-# The families whose pair is one exponential and its reciprocal.
+# The families whose hyperbolic pair is one exponential and its reciprocal.
 _EXP_FAMILY_OF = {
     TrigFamily.HILGER: ExpFamily.HILGER_DELTA,
     TrigFamily.CAYLEY: ExpFamily.CAYLEY,
@@ -81,14 +80,6 @@ def trig(family: TrigFamily, ts: TimeScale, omega: float, t, t0, tol: float = DE
     one-point grid pair of trig_grid."""
     pair = trig_grid(family, ts, omega, t0, Grid((t,), 1.0), tol)
     return pair.c_values[0], pair.s_values[0]
-
-
-def _require_real(v: complex, t) -> float:
-    if abs(v.imag) >= _IMAG_RESIDUE_TOL:
-        raise ToleranceError(
-            f"imaginary residue {v.imag!r} at t={t!r} exceeds {_IMAG_RESIDUE_TOL}"
-        )
-    return v.real
 
 
 # -- grid pairs ----------------------------------------------------------------------
@@ -137,27 +128,27 @@ def hyp_grid(
 def trig_grid(
     family: TrigFamily, ts: TimeScale, omega: float, t0, grid: Grid, tol: float = DEFAULT_TOL
 ) -> TrigPair:
-    """Trigonometric pair sampled on a grid; values are real floats, each
-    after asserting its imaginary residue is below 1e-13.
+    """Trigonometric pair sampled on a grid, as real floats.
 
     The Hilger trigonometric construction reduces to the restricted
     continuum functions for constant frequency, the only case supported
-    here, so it samples the exact family; the others take (cosh, sinh/1j)
-    of hyp_grid at 1j*omega, linear in the grid size like it.
+    here, so it samples the exact family. The Cayley and Bohner-Peterson
+    pairs are the real and imaginary parts of one exp_evaluate_grid of
+    1j*omega (Cayley, forward-step), real by construction and linear in
+    the grid size; the Cayley pair lies on the unit circle at any step
+    count, since its step logs are purely imaginary (transforms.zeta).
     """
     omega = float(omega)
     if family in (TrigFamily.EXACT, TrigFamily.HILGER):
         cs = tuple(math.cos(omega * (p - t0)) for p in grid.points)
         ss = tuple(math.sin(omega * (p - t0)) for p in grid.points)
         return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, cs, ss)
-    if family in (TrigFamily.CAYLEY, TrigFamily.BOHNER_PETERSON):
-        pair = hyp_grid(family, ts, Coefficient.constant(1j * omega), t0, grid, tol)
-        cs, ss = [], []
-        for c, s, p in zip(pair.c_values, pair.s_values, grid.points):
-            cs.append(_require_real(c, p))
-            ss.append(_require_real(s / 1j, p))
-        return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, tuple(cs), tuple(ss))
-    raise ValueError(f"unknown family {family!r}")
+    if family not in (TrigFamily.CAYLEY, TrigFamily.BOHNER_PETERSON):
+        raise ValueError(f"unknown family {family!r}")
+    exp_family = ExpFamily.CAYLEY if family is TrigFamily.CAYLEY else ExpFamily.HILGER_DELTA
+    values = exp_evaluate_grid(exp_family, ts, 1j * omega, t0, grid, tol).values
+    cs, ss = tuple(v.real for v in values), tuple(v.imag for v in values)
+    return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, cs, ss)
 
 
 # -- identity residuals -----------------------------------------------------------------
@@ -231,15 +222,13 @@ def derivative_residual(
         a = coeff.constant_value
         c_rhs = lambda avg_c, avg_s: a * avg_s
         s_rhs = lambda avg_c, avg_s: a * avg_c
-        c_fn = lambda u: hyp(family, ts, coeff, u, t0, tol)[0]
-        s_fn = lambda u: hyp(family, ts, coeff, u, t0, tol)[1]
+        pair_at = _memoized(lambda u: hyp(family, ts, coeff, u, t0, tol))
     else:
         w = float(param)
         pair = trig_grid(family, ts, w, t0, grid, tol)
         c_rhs = lambda avg_c, avg_s: -w * avg_s
         s_rhs = lambda avg_c, avg_s: w * avg_c
-        c_fn = lambda u: trig(family, ts, w, u, t0, tol)[0]
-        s_fn = lambda u: trig(family, ts, w, u, t0, tol)[1]
+        pair_at = _memoized(lambda u: trig(family, ts, w, u, t0, tol))
     pts, residuals, skipped = [], [], []
     for i, p in enumerate(grid.points):
         if not ts.in_kappa(p):
@@ -257,8 +246,8 @@ def derivative_residual(
             avg_c = 0.5 * (pair.c_values[i] + pair.c_values[j])
             avg_s = 0.5 * (pair.s_values[i] + pair.s_values[j])
         else:
-            dc = delta_derivative_numeric(ts, c_fn, p)
-            ds = delta_derivative_numeric(ts, s_fn, p)
+            dc = delta_derivative_numeric(ts, lambda u: pair_at(u)[0], p)
+            ds = delta_derivative_numeric(ts, lambda u: pair_at(u)[1], p)
             avg_c, avg_s = pair.c_values[i], pair.s_values[i]
         r = max(abs(dc - c_rhs(avg_c, avg_s)), abs(ds - s_rhs(avg_c, avg_s)))
         pts.append(p)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from tscale import (
     RegressivityError,
     SingularError,
     TimeScale,
+    ToleranceError,
     TrigFamily,
     exp_cayley,
     exp_exact,
@@ -35,9 +37,8 @@ from tscale.exponential import (
     _hilger_product_point,
     _validate_regressive,
 )
-from tscale.trig import _require_real
 from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson
-from tscale.transforms import as_coefficient
+from tscale.transforms import _SERIES_CUTOFF, _principal_log, as_coefficient
 
 
 def random_discrete(rng: np.random.Generator, n_min=3, n_max=10) -> TimeScale:
@@ -329,6 +330,45 @@ def reference_product(ts: TimeScale, coeff, t: float, t0: float, tol=1e-12):
 
 # -- the Cayley trigonometric pair and the convergence study, as written before
 #    they were routed through hyp/hyp_grid and _exp_point
+
+# The references' values are real floats; a larger imaginary residue is
+# raised, as trig_grid raised it while it combined two exponentials.
+_IMAG_RESIDUE_TOL = 1e-13
+
+
+def _require_real(v: complex, t) -> float:
+    if abs(v.imag) >= _IMAG_RESIDUE_TOL:
+        raise ToleranceError(
+            f"imaginary residue {v.imag!r} at t={t!r} exceeds {_IMAG_RESIDUE_TOL}"
+        )
+    return v.real
+
+
+def _log_ratio_zeta(h: float, z: complex) -> complex:
+    """transforms.zeta as it was before it dropped the real part of the log
+    of a unimodular step factor: that real part is rounding only."""
+    h = abs(h)
+    z = complex(z)
+    if h == 0:
+        return z
+    if abs(h * z) < _SERIES_CUTOFF:
+        z2 = z * z
+        return z + (h * h) * (z2 * z) / 12.0 + (h ** 4) * (z2 * z2 * z) / 80.0
+    num = 1.0 + 0.5 * h * z
+    den = 1.0 - 0.5 * h * z
+    if num == 0 or den == 0:
+        raise SingularError(f"z*h/2 = ±1 for z={z!r}, h={h!r}")
+    return _principal_log(num / den) / h
+
+
+def reference_cayley_phase(ts: TimeScale, omega: float, t0, grid: Grid, tol=1e-12):
+    """The phase of the Cayley exponential of 1j*omega at each grid point:
+    the imaginary part of the grid fold of the step logs taken with the
+    log-ratio zeta, which keeps their rounding in the real part."""
+    coeff = Coefficient.constant(1j * float(omega))
+    with mock.patch("tscale.transforms.zeta", _log_ratio_zeta):
+        logs = _grid_log_integrals(ExpFamily.CAYLEY, ts, coeff, t0, grid, tol)
+    return [L.imag for L in logs]
 
 
 def reference_cayley_trig(ts: TimeScale, omega: float, t, t0, tol=1e-12):

@@ -211,6 +211,30 @@ def test_cmd_solve(capsys):
     assert out.splitlines()[3] == "2,9,0"
 
 
+def _csv_rows(out):
+    return [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize(
+    "scheme, family, alpha", [("explicit", "hilger", "-2"), ("trapezoidal", "cayley", "4")]
+)
+def test_solve_checks_only_the_steps_it_takes(capsys, scheme, family, alpha):
+    """The last grid point's jump is no step of a solve: a step factor that
+    degenerates there is not checked, and the solve equals the exponential.
+    The same step inside the grid is taken, and rejected."""
+    args = ["--scale", "points(0,0.1,0.2,0.7)", f"--alpha={alpha}"]
+    code, out, err = _run(capsys, ["solve", "--scheme", scheme, *args, "--range", "0,0.2"])
+    assert (code, err) == (EXIT_OK, "")
+    code, ref, _ = _run(capsys, ["eval", "--family", family, *args, "--range", "0,0.2"])
+    assert code == EXIT_OK
+    rows, ref_rows = _csv_rows(out), _csv_rows(ref)
+    assert [r[0] for r in rows] == [r[0] for r in ref_rows] == [0.0, 0.1, 0.2]
+    for (_, re, im), (_, ref_re, ref_im) in zip(rows, ref_rows):
+        assert re == pytest.approx(ref_re, rel=1e-10) and im == ref_im == 0.0
+    code, _, err = _run(capsys, ["solve", "--scheme", scheme, *args, "--range", "0,0.7"])
+    assert code == EXIT_REGRESSIVITY and "at t=0.2" in err
+
+
 def test_csv_uses_17_significant_digits(capsys):
     main(["eval", "--scale", "uniform(0,1,2)", "--family", "exact", "--alpha", "1"])
     out = capsys.readouterr().out
@@ -242,6 +266,22 @@ def test_identity_pythagorean_cayley(capsys):
     assert payload["pass"] is True
     assert payload["max_residual"] < 1e-12
     assert payload["identity"] == "pythagorean"
+
+
+def test_identity_pythagorean_cayley_holds_over_many_steps(capsys):
+    # the Cayley pair stays on the unit circle to rounding at any step count
+    code, payload = run_identity(
+        capsys,
+        "--scale",
+        "uniform(0,1e-3,20000)",
+        "--identity",
+        "pythagorean",
+        "--family",
+        "cayley",
+    )
+    assert code == EXIT_OK
+    assert payload["pass"] is True
+    assert payload["max_residual"] <= 2.3e-16
 
 
 def test_identity_unit_circle_zero_frequency(capsys):

@@ -356,6 +356,38 @@ def test_pointwise_exponentials_match_two_pass_reference(ts, data):
         )
 
 
+@settings(max_examples=300, deadline=None)
+@given(any_scale(), st.data(), st.floats(allow_nan=False, allow_infinity=False))
+def test_cayley_exponential_of_an_imaginary_coefficient_is_unimodular(ts, data, omega):
+    """The Cayley exponential of 1j*omega lies on the unit circle to one ulp
+    at any finite omega and any step count, with t on either side of t0:
+    its step logs are purely imaginary. A non-member t or t0 is a
+    DomainError, and a phase that overflows on a dense piece a
+    ToleranceError."""
+    t, t0 = data.draw(st.lists(probe_points(ts), min_size=2, max_size=2))
+    for a, b in ((t, t0), (t0, t)):
+        try:
+            e = exp_cayley(ts, 1j * omega, a, b)
+        except (DomainError, ToleranceError):
+            continue
+        assert abs(abs(e) - 1.0) <= 2**-52
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 2000),
+    st.floats(min_value=1e-4, max_value=1.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_cayley_grid_exponential_of_an_imaginary_coefficient_is_unimodular(n, h, omega):
+    """The same on the grid of a long uniform scale, where a real part of
+    the step logs, were it kept, would add up over the steps."""
+    ts = uniform(0.0, h, n)
+    grid = ts.make_grid(0.0, ts.sup, 1.0)
+    ev = exp_evaluate_grid(ExpFamily.CAYLEY, ts, 1j * omega, 0.0, grid)
+    assert max(abs(abs(e) - 1.0) for e in ev.values) <= 2**-52
+
+
 class _Counting:
     """A coefficient whose scattered and dense evaluations are counted."""
 
