@@ -152,8 +152,10 @@ class _Exponent:
             return 0j
         if b < self._b:
             raise ValueError(f"target {x!r} is below the last target {self._b!r}")
-        total, k = self._sum, self._k
-        while (end := comps[k].right) < b:  # the scattered right ends in [a, b)
+        total, k, last = self._sum, self._k, len(comps) - 1
+        # the scattered right ends in [a, b); b can lie an ulp past the
+        # supremum, which is not right-scattered
+        while (end := comps[k].right) < b and k < last:
             # a can lie an ulp past the end of the interval it is located in
             if end >= a:
                 total += terms.log(k)

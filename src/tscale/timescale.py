@@ -305,12 +305,14 @@ class TimeScale:
         if b < a:
             i, a, j, b = j, b, i, a
         out = []
+        last = len(self.components) - 1
         for i in self._scan(i, j):
             comp = self.components[i]
             if comp.left > b:
                 break
             end = comp.right
-            if a <= end < b:
+            # b can lie an ulp past the supremum, which is not right-scattered
+            if a <= end < b and i < last:
                 nxt = self.components[i + 1].left
                 out.append((end, nxt - end))
         return tuple(out)

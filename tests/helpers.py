@@ -196,7 +196,7 @@ def linear_scattered_points(ts: TimeScale, t0: float, t1: float):
         if comp.left > b:
             break
         end = comp.right
-        if a <= end < b:
+        if a <= end < b and i + 1 < len(ts.components):
             out.append((end, ts.components[i + 1].left - end))
     return tuple(out)
 
