@@ -547,20 +547,28 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _floats(text: str, count: int, syntax: str) -> list[float]:
+    """The count comma-separated numbers of text. argparse prints the
+    message of an ArgumentTypeError, and only the type's name for any
+    other error, so a malformed value names the syntax."""
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise argparse.ArgumentTypeError(f"expected {syntax}, got {text!r}")
+    return values
+
+
 def _complex_arg(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected re or re,im, got {text!r}")
+    if "," not in text:
+        return complex(*_floats(text, 1, "re or re,im"), 0.0)
+    return complex(*_floats(text, 2, "re or re,im"))
 
 
 def _range_arg(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected a,b, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    a, b = _floats(text, 2, "a,b")
+    return a, b
 
 
 def _eps_list_arg(text: str) -> tuple[float, ...]:

@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import mul
 from typing import Callable
 
 from .errors import (
@@ -25,7 +27,7 @@ from .errors import (
     ToleranceError,
 )
 from .exponential import _exp
-from .timescale import DEFAULT_TOL, Grid, TimeScale
+from .timescale import DEFAULT_TOL, Grid, Run, TimeScale
 from .transforms import CAYLEY_RULE, FORWARD_RULE, REGRESSIVITY_MARGIN, as_coefficient
 from .report import ResidualReport
 from .trig import TrigKind
@@ -119,7 +121,7 @@ def solve_first_order(
     coeff = as_coefficient(alpha)
     if scheme is Scheme.EXACT_DISC and not coeff.is_constant:
         raise ValueError("the exact scheme requires a constant coefficient")
-    records = _validate_scheme(scheme, ts, coeff, grid)
+    items = _validate_scheme(scheme, ts, coeff, grid)
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)
     if anchor is None:
@@ -127,10 +129,10 @@ def solve_first_order(
     pts = grid.points
     values: list[complex] = [0j] * len(pts)
     values[anchor] = complex(x0)
-    forward = records[anchor:-1]
-    for k, f in enumerate(_step_factors(scheme, ts, coeff, forward, tol), anchor):
-        values[k + 1] = values[k] * f
-    back = list(_step_factors(scheme, ts, coeff, records[:anchor], tol))
+    before, after = _split_steps(items, anchor)
+    steps = _step_factors(scheme, ts, coeff, pts, after, tol)
+    values[anchor:] = accumulate(steps, mul, initial=values[anchor])  # values[k] * factor
+    back = list(_step_factors(scheme, ts, coeff, pts, before, tol))
     for k in range(anchor - 1, -1, -1):
         if back[k] == 0:
             raise RegressivityError("zero step factor cannot be inverted")
@@ -147,21 +149,64 @@ def solve_first_order(
 
 def _validate_scheme(scheme, ts, coeff, grid) -> list[tuple]:
     """Check each step factor's regressivity along one walk of the grid, the
-    last point's jump (no step of the solve) excepted; return the records."""
+    last point's jump (no step of the solve) excepted; return the walk's
+    items (TimeScale.walk_runs).
+
+    A step of a run has mu = 0, where a constant coefficient's factor
+    cannot degenerate, so only the other kinds are evaluated there; their
+    evaluation can raise.
+    """
     rule, name = _SCHEME_RULES[scheme]
-    records = []
-    for record in ts.walk(grid.points):
-        records.append(record)
-        p, q, _, mu, _ = record
-        if q is not None and rule is not None:
+    pts = grid.points
+    items = []
+    for item in ts.walk_runs(pts):
+        items.append(item)
+        if rule is None:
+            continue
+        if isinstance(item, Run):
+            if not coeff.is_constant:
+                k, xs = item
+                for p in pts[k : k + len(xs) - 1]:
+                    rule.check(p, 0.0 * coeff(p), name)
+            continue
+        p, q, _, mu, _ = item
+        if q is not None:
             rule.check(p, mu * coeff(p), name)
-    return records
+    return items
 
 
-def _step_factors(scheme, ts, coeff, records, tol):
-    """Step factor over the step of each walk record."""
+def _split_steps(items, anchor):
+    """The walk items of the steps before point anchor and of the steps
+    from it on, a run across the anchor cut there; the last point's
+    record, which has no step, is dropped."""
+    k = 0  # the index of the item's first point
+    for n, item in enumerate(items):
+        end = k + len(item.points) - 1 if isinstance(item, Run) else k + 1
+        if end > anchor:
+            break
+        k = end
+    before, after = items[:n], items[n:-1]
+    if k < anchor:
+        xs = items[n].points
+        before.append(Run(k, xs[: anchor - k + 1]))
+        after[0] = Run(anchor, xs[anchor - k :])
+    return before, after
+
+
+def _step_factors(scheme, ts, coeff, pts, items, tol):
+    """Step factor over each step of the walk items of the grid points pts."""
     rule = _SCHEME_RULES[scheme][0]
-    for p, q, s, _, span in records:
+    for item in items:
+        if isinstance(item, Run):
+            k, xs = item
+            if rule is None:
+                a = coeff.constant_value
+                steps = zip(pts[k : k + len(xs) - 1], pts[k + 1 : k + len(xs)])
+                yield from (_exp(a * (q - p)) for p, q in steps)
+            else:
+                yield from map(_exp, coeff.dense_integrals(ts, xs, tol))
+            continue
+        p, q, s, _, span = item
         if s > p:
             if abs(s - q) > 1e-12:
                 raise GridError(f"grid skips the forward jump of {p!r}")

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .errors import (
     ConstantGraininessError,
@@ -22,7 +23,7 @@ from .errors import (
     SingularError,
     ToleranceError,
 )
-from .timescale import DEFAULT_TOL, ClosedInterval, Grid, TimeScale
+from .timescale import DEFAULT_TOL, ClosedInterval, Grid, Run, TimeScale
 from .transforms import CAYLEY_RULE, FORWARD_RULE, Coefficient, as_coefficient
 
 
@@ -263,8 +264,9 @@ def exp_evaluate_grid(
     """Evaluate one family at every grid point in linear total cost.
 
     The exponent integral is accumulated incrementally between
-    consecutive grid points along one TimeScale.walk of the grid, anchored
-    at t0 so the value there is exactly one when t0 lies on the grid.
+    consecutive grid points along one TimeScale.walk_runs of the grid,
+    anchored at t0 so the value there is exactly one when t0 lies on the
+    grid.
     """
     coeff = as_coefficient(alpha)
     if family is ExpFamily.EXACT:
@@ -307,8 +309,8 @@ def _grid_log_integrals(
 ) -> list[complex]:
     """Exponent integral from t0 to each grid point, reusing partial sums.
 
-    Walks the grid once on each side of the anchor (TimeScale.walk), so
-    the cost is linear in the grid size.
+    Walks the grid once on each side of the anchor (TimeScale.walk_runs),
+    so the cost is linear in the grid size.
     """
     pts = grid.points
     _, t0s = ts._locate(t0)
@@ -317,8 +319,8 @@ def _grid_log_integrals(
     if anchor is None:
         anchor = 0
         logs[0] = _log_integral_range(family, ts, coeff, t0s, pts[0], tol)
-    for k, inc in enumerate(_step_logs(family, ts, coeff, pts[anchor:], tol), anchor):
-        logs[k + 1] = logs[k] + inc
+    steps = _step_logs(family, ts, coeff, pts[anchor:], tol)
+    logs[anchor:] = accumulate(steps, initial=logs[anchor])  # logs[k] + the step's log
     back = list(_step_logs(family, ts, coeff, pts[: anchor + 1], tol))
     for k in range(anchor - 1, -1, -1):
         logs[k] = logs[k + 1] - back[k]
@@ -328,7 +330,11 @@ def _grid_log_integrals(
 def _step_logs(family, ts, coeff, points, tol):
     """Exponent increment over each consecutive pair of points."""
     log = _STEP_RULES[family].log
-    for p, q, s, _, span in ts.walk(points):
+    for item in ts.walk_runs(points):
+        if isinstance(item, Run):
+            yield from coeff.dense_integrals(ts, item.points, tol)
+            continue
+        p, q, s, _, span = item
         if q is None:
             return
         if s > p:

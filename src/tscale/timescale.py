@@ -12,15 +12,17 @@ Cost model, for a scale of C components: locating a point costs
 O(log C), since a bisection over the component left endpoints picks the
 few neighbouring components whose membership tests decide. A jump
 operator, graininess, classification or membership query is one lookup.
-TimeScale.walk over a grid of N points locates a point only when the
-point before it is isolated or the step leaves that point's interval: a
-step inside one closed interval takes a few float comparisons and no
-lookup. A walk therefore costs O(N) plus O(log C) per component it
-enters, plus the quadrature of its dense steps, and grid evaluations and
-solvers built on it are linear in N. A constant coefficient's dense step
-calls no integrand: it is Simpson's first step done on the one value
-(Coefficient.dense_integral), with full adaptive Simpson only when that
-step would refine. A query over a range [t0, t1] (scattered_points,
+TimeScale.walk_runs over a grid of N points locates a point only when
+the point before it is isolated or the step leaves that point's
+interval, and takes the steps inside one closed interval as one run: a
+step of a run is a few float comparisons, with no lookup, record or
+call. A walk therefore costs O(N) plus O(log C) per component it enters,
+plus the quadrature of its dense steps, and grid evaluations and solvers
+built on it are linear in N. A constant coefficient integrates a run in
+one loop (Coefficient.dense_integrals): each dense step is Simpson's
+first step done on the one value, a few float operations and no call,
+with full adaptive Simpson only where that step would refine. A query
+over a range [t0, t1] (scattered_points,
 dense_segments, make_grid) locates both ends and scans only the K
 components from the one holding the lower end to the one after the upper
 end, O(log C + K); so does delta_integral, which runs the first two, plus
@@ -37,7 +39,7 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, KappaError, OverlapError, ToleranceError
 
@@ -131,6 +133,14 @@ class Grid:
         return None
 
 
+class Run(NamedTuple):
+    """Consecutive grid points inside one closed interval, taken by
+    TimeScale.walk_runs: the index of the first, and the located points."""
+
+    start: int
+    points: list[float]
+
+
 @dataclass(frozen=True)
 class TimeScale:
     """Finite union of closed intervals and isolated points, strictly ordered."""
@@ -156,7 +166,14 @@ class TimeScale:
             else:
                 raise TypeError(f"not a component: {c!r}")
         for a, b in zip(comps, comps[1:]):
-            if not b.left - a.right > MEMBERSHIP_TOL:
+            # b must fail the test _locate accepts a member of a with, as
+            # _locate rounds it: past an interval end, b.left - hi > tol
+            # and b.left > hi + tol can disagree by an ulp
+            if isinstance(a, ClosedInterval):
+                apart = b.left > a.hi + MEMBERSHIP_TOL
+            else:
+                apart = b.left - a.t > MEMBERSHIP_TOL
+            if not apart:
                 raise ValueError(
                     f"components {a!r} and {b!r} overlap or are closer than "
                     f"{MEMBERSHIP_TOL}"
@@ -196,15 +213,14 @@ class TimeScale:
 
         The lowest-indexed component whose tolerance test accepts t wins,
         as in a scan in ascending order. Components whose lower bound lies
-        above t cannot accept it. Since gaps exceed the tolerance, of the
-        others at most the last two can in exact arithmetic, and the last
-        three once rounding of the tolerance tests counts (an ulp above
-        MEMBERSHIP_TOL at |t| near 1e4), so only those three are tested.
+        above t cannot accept it. Since each component starts past the
+        tolerance test of the one below, rounded as here, of the others at
+        most the last two can, so only those two are tested.
         """
         if not math.isfinite(t):
             raise DomainError(f"t={t!r} is not finite")
         stop = bisect_right(self._lower_bounds, t)
-        for i in range(max(0, stop - 3), stop):
+        for i in range(max(0, stop - 2), stop):
             comp = self.components[i]
             if isinstance(comp, IsolatedPoint):
                 if abs(t - comp.t) <= MEMBERSHIP_TOL:
@@ -394,7 +410,7 @@ class TimeScale:
     # -- grids ----------------------------------------------------------------
 
     def walk(self, points: Sequence[float]) -> Iterator[tuple]:
-        """One record per point of an ascending run of members, locating
+        """One record per point of an ascending sequence of members, locating
         each point once.
 
         Yields (p, q, sigma, mu, span): p as given, the next point q (None
@@ -404,6 +420,31 @@ class TimeScale:
         makes p right-dense; it is None otherwise. step_integral integrates
         over the step with it.
 
+        These are the records of walk_runs, each run expanded into the
+        records of its steps: (p, q, x, 0.0, (x, y)) for consecutive
+        located points x, y of the run.
+        """
+        for item in self.walk_runs(points):
+            if isinstance(item, Run):
+                k, xs = item
+                for j in range(len(xs) - 1):
+                    yield points[k + j], points[k + j + 1], xs[j], 0.0, (xs[j], xs[j + 1])
+            else:
+                yield item
+
+    def walk_runs(self, points: Sequence[float]) -> Iterator[tuple]:
+        """The records of walk, with the steps inside a closed interval
+        taken a run at a time.
+
+        A run is a maximal stretch of consecutive points whose steps each
+        have a span, starting at a point that is not below its located
+        value (so its forward jump is not above it). It is reported as one
+        Run(start, points): the index of its first point and the located
+        points, one more than its steps, in one closed interval, each above
+        the one before. The record of the run's last point follows it. Every
+        other point's record is reported as walk reports it. A step of a run
+        costs a few float comparisons, no lookup and no record.
+
         A q above a point p of a closed interval and within the interval's
         upper tolerance is located in that interval without a lookup, as
         _locate would locate it: every component below the interval
@@ -412,24 +453,36 @@ class TimeScale:
         """
         comps = self.components
         lsm = self._left_scattered_max
+        n = len(points)
         located = self._locate(points[0])
-        for k, p in enumerate(points):
+        k = 0
+        while True:
             i, tt = located
+            p = points[k]
             comp = comps[i]
-            in_interval = isinstance(comp, ClosedInterval)
             s = self._sigma_at(i, tt)
             mu = None if i == lsm else s - tt
-            q = span = None
-            if k + 1 < len(points):
-                q = points[k + 1]
-                if in_interval and p < q <= comp.hi + MEMBERSHIP_TOL:
-                    located = i, _snap(comp, q)
-                else:
-                    located = self._locate(q)
-                j, uu = located
-                if j == i and in_interval and comp.lo <= tt < uu <= comp.hi:
-                    span = (tt, uu)
+            if k + 1 == n:
+                yield p, None, s, mu, None
+                return
+            q = points[k + 1]
+            in_interval = isinstance(comp, ClosedInterval)
+            if in_interval and p < q <= comp.hi + MEMBERSHIP_TOL:
+                located = i, _snap(comp, q)
+            else:
+                located = self._locate(q)
+            j, uu = located
+            span = None
+            if j == i and in_interval and comp.lo <= tt < uu <= comp.hi:
+                if not tt > p:
+                    start, xs = k, [tt, uu]
+                    k = _extend_run(points, k + 1, comp, xs)
+                    yield Run(start, xs)
+                    located = i, xs[-1]
+                    continue
+                span = (tt, uu)
             yield p, q, s, mu, span
+            k += 1
 
     def make_grid(self, t0: float, t1: float, dense_step: float) -> Grid:
         """Deterministic grid on [t0, t1] covering all endpoints in range.
@@ -463,6 +516,28 @@ class TimeScale:
             pts.extend(c + k * (d - c) / n for k in range(1, n))
             pts.append(d)
         return Grid(tuple(pts), dense_step)
+
+
+def _extend_run(points: Sequence[float], k: int, comp: ClosedInterval, xs: list[float]) -> int:
+    """Append to the located points xs of a run, which end at point k, the
+    points after it while each step has a span; the index of the last.
+
+    A point of a run past its first is its own located value: _snap gives
+    lo, hi or the point itself, the point lies above lo, and no step from
+    hi has a span. So the step from it has a span when the next point is
+    above it and, once snapped, no higher than hi.
+    """
+    hi = comp.hi
+    top = hi + MEMBERSHIP_TOL
+    for k in range(k, len(points) - 1):
+        q = points[k + 1]
+        if not points[k] < q <= top:
+            return k
+        u = _snap(comp, q)
+        if not xs[-1] < u <= hi:
+            return k
+        xs.append(u)
+    return len(points) - 1
 
 
 def _snap(comp: ClosedInterval, t: float) -> float:
@@ -615,30 +690,37 @@ def _adaptive_simpson(
     raise ToleranceError(f"quadrature overflows on [{a}, {b}]")
 
 
-def _constant_simpson(v: complex, a: float, b: float, tol: float) -> complex | None:
-    """_adaptive_simpson(lambda t: v, a, b, tol), bit for bit, when its first
-    step is accepted; None when that step would refine or tol is invalid.
+def _constant_simpson(v: complex, xs: Sequence[float], tol: float) -> list[complex | None]:
+    """Integral of the constant v over each step between consecutive xs:
+    _adaptive_simpson(lambda t: v, a, b, tol) + 0j, bit for bit, where the
+    first Simpson step of [a, b] is accepted, and None where it would
+    refine or overflow, or tol is not positive.
 
     The float operations are those of that first step, in the same order,
-    on the one value v.
+    on the one value v, and no integrand is called.
     """
     if not tol > 0:
-        return None
-    if a == b:
-        return 0j
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    try:
-        w = v + 4.0 * v + v
+        return [None] * (len(xs) - 1)
+    w = v + 4.0 * v + v
+    bound = 15.0 * tol
+    out: list[complex | None] = []
+    a = xs[0]
+    for b in xs[1:]:
+        if a == b:
+            out.append(0j)
+            continue
+        m = 0.5 * (a + b)
         whole = (b - a) / 6.0 * w
         left = (m - a) / 6.0 * w
         right = (b - m) / 6.0 * w
         delta = left + right - whole
-        if abs(delta) <= 15.0 * tol or lm <= a or rm >= b:
-            return left + right + delta / 15.0
-    except OverflowError:
-        raise ToleranceError(f"quadrature overflows on [{a}, {b}]") from None
-    return None
+        try:
+            accepted = abs(delta) <= bound or 0.5 * (a + m) <= a or 0.5 * (m + b) >= b
+        except OverflowError:
+            accepted = False
+        out.append(left + right + delta / 15.0 + 0j if accepted else None)
+        a = b
+    return out
 
 
 def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth) -> complex:

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .errors import RegressivityError, SingularError
 from .timescale import Grid, TimeScale, _constant_simpson
@@ -231,13 +231,32 @@ class Coefficient:
         self, ts: TimeScale, p: float, q: float, span: tuple[float, float] | None, tol: float
     ) -> complex:
         """ts.step_integral(self.dense, p, q, span, tol), bit for bit, over
-        one step of ts.walk. A step over a span of a constant dense view
-        takes Simpson's first step on its value and calls no integrand."""
-        if span is not None and self.dense_value is not None:
-            w = _constant_simpson(self.dense_value, span[0], span[1], tol)
+        one step of ts.walk: the two-point case of dense_integrals."""
+        v = self.dense_value
+        if span is not None and v is not None:
+            [w] = _constant_simpson(v, span, tol)
             if w is not None:
-                return w + 0j  # as step_integral returns it
+                return w
         return ts.step_integral(self.dense, p, q, span, tol)
+
+    def dense_integrals(
+        self, ts: TimeScale, xs: Sequence[float], tol: float
+    ) -> Iterator[complex]:
+        """dense_integral over each step between consecutive located points
+        xs of one closed interval, each step its own span, in order.
+
+        A constant dense view takes Simpson's first step on its value over
+        every step at once and calls no integrand; a step whose first step
+        would refine, and every step of any other dense view, goes through
+        ts.step_integral when its turn comes.
+        """
+        v = self.dense_value
+        ws = [None] * (len(xs) - 1) if v is None else _constant_simpson(v, xs, tol)
+        for j, w in enumerate(ws):
+            if w is None:
+                a, b = xs[j], xs[j + 1]
+                w = ts.step_integral(self.dense, a, b, (a, b), tol)
+            yield w
 
     @property
     def is_constant(self) -> bool:

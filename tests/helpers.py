@@ -13,10 +13,13 @@ from tscale import (
     DomainError,
     ExpFamily,
     Grid,
+    GridError,
     IsolatedPoint,
     KappaError,
     PointClass,
     RegressivityError,
+    SampledFunction,
+    Scheme,
     SingularError,
     TimeScale,
     ToleranceError,
@@ -35,8 +38,10 @@ from tscale.exponential import (
     _exp,
     _grid_log_integrals,
     _hilger_product_point,
+    _log_integral_range,
     _validate_regressive,
 )
+from tscale.dynamic import _SCHEME_RULES
 from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson
 from tscale.transforms import _SERIES_CUTOFF, _principal_log, as_coefficient
 
@@ -121,9 +126,9 @@ def reference_walk(ts: TimeScale, points):
 
 
 def relocates(ts: TimeScale, t: float) -> bool:
-    """True when locating t's snapped value finds another component: a
-    point one tolerance-and-an-ulp above an interval is accepted by the
-    interval, though a t a little farther above it was not."""
+    """True when locating t's snapped value finds another component.
+    Construction rules it out: it tests each gap as _locate tests
+    membership, so no component starts inside the one below it."""
     try:
         i, tt = ts._locate(t)
     except DomainError:
@@ -231,7 +236,8 @@ def linear_delta_integral(ts: TimeScale, f, t0: float, t1: float, tol: float = 1
             if d > c:
                 riemann += _adaptive_simpson(f, c, d, tol)
         end = comp.right
-        if a <= end < b:
+        # b can lie an ulp past the supremum, which is not right-scattered
+        if a <= end < b and i + 1 < len(ts.components):
             jumps += (ts.components[i + 1].left - end) * f(end)
     return riemann + jumps
 
@@ -306,6 +312,94 @@ def reference_log_integral_range(family: ExpFamily, ts: TimeScale, coeff, t0, t1
     for c, d in ts.dense_segments(a, b):
         total += coeff.dense_integral(ts, c, d, (c, d), tol)
     return sign * total
+
+
+# -- slow references for the grid exponent and the solver: one walk record
+#    and one step_integral per step, each point located on its own
+
+
+def reference_step_logs(family: ExpFamily, ts: TimeScale, coeff, points, tol):
+    """Exponent increment over each step of reference_walk: a step log at a
+    scattered point, the dense view's step_integral over any other step."""
+    log = _STEP_RULES[family].log
+    for p, q, s, _, span in reference_walk(ts, points):
+        if q is None:
+            return
+        if s > p:
+            if abs(s - q) > 1e-12:
+                raise GridError(
+                    f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
+                )
+            yield log(s - p, coeff(p))
+        else:
+            yield ts.step_integral(coeff.dense, p, q, span, tol)
+
+
+def reference_grid_log_integrals(family: ExpFamily, ts: TimeScale, coeff, t0, grid: Grid, tol):
+    """exponential._grid_log_integrals on reference_step_logs."""
+    pts = grid.points
+    _, t0s = ts._locate(t0)
+    anchor = grid.index_of(t0s)
+    logs = [0j] * len(pts)
+    if anchor is None:
+        anchor = 0
+        logs[0] = _log_integral_range(family, ts, coeff, t0s, pts[0], tol)
+    for k, inc in enumerate(reference_step_logs(family, ts, coeff, pts[anchor:], tol), anchor):
+        logs[k + 1] = logs[k] + inc
+    back = list(reference_step_logs(family, ts, coeff, pts[: anchor + 1], tol))
+    for k in range(anchor - 1, -1, -1):
+        logs[k] = logs[k + 1] - back[k]
+    return logs
+
+
+def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, tol=1e-12):
+    """dynamic.solve_first_order on reference_walk's records: each step's
+    regressivity checked, then each step's factor taken, a record at a
+    time."""
+    coeff = as_coefficient(alpha)
+    if scheme is Scheme.EXACT_DISC and not coeff.is_constant:
+        raise ValueError("the exact scheme requires a constant coefficient")
+    rule, name = _SCHEME_RULES[scheme]
+    records = []
+    for record in reference_walk(ts, grid.points):
+        records.append(record)
+        p, q, _, mu, _ = record
+        if q is not None and rule is not None:
+            rule.check(p, mu * coeff(p), name)
+    _, t0s = ts._locate(t0)
+    anchor = grid.index_of(t0s)
+    if anchor is None:
+        raise GridError(f"t0={t0!r} must be a grid point")
+    pts = grid.points
+    values = [0j] * len(pts)
+    values[anchor] = complex(x0)
+
+    def factors(records):
+        for p, q, s, _, span in records:
+            if s > p:
+                if abs(s - q) > 1e-12:
+                    raise GridError(f"grid skips the forward jump of {p!r}")
+                a = coeff(p)
+                yield _exp(a * (s - p)) if rule is None else rule.factor(s - p, a)
+            elif rule is None:
+                yield _exp(coeff.constant_value * (q - p))
+            else:
+                yield _exp(ts.step_integral(coeff.dense, p, q, span, tol))
+
+    for k, f in enumerate(factors(records[anchor:-1]), anchor):
+        values[k + 1] = values[k] * f
+    back = list(factors(records[:anchor]))
+    for k in range(anchor - 1, -1, -1):
+        if back[k] == 0:
+            raise RegressivityError("zero step factor cannot be inverted")
+        if not cmath.isfinite(back[k]):
+            raise ToleranceError(f"step factor {back[k]!r} at t={pts[k]!r} is not finite")
+        values[k] = values[k + 1] / back[k]
+    if cmath.isfinite(values[anchor]) and not all(map(cmath.isfinite, values)):
+        bad = [k for k, v in enumerate(values) if not cmath.isfinite(v)]
+        k = next((k for k in bad if k > anchor), bad[-1])
+        raise ToleranceError(f"solution overflows at t={pts[k]!r}")
+    return SampledFunction(grid, tuple(values))
 
 
 def reference_product(ts: TimeScale, coeff, t: float, t0: float, tol=1e-12):
@@ -501,9 +595,10 @@ class Refines(Exception):
 
 
 def constant_simpson_reference(v: complex, a: float, b: float, tol: float):
-    """outcome of _adaptive_simpson(lambda t: v, a, b, tol) up to the end of
-    its first step, which takes five integrand values; a Refines outcome
-    when the quadrature goes on to refine."""
+    """outcome of _adaptive_simpson(lambda t: v, a, b, tol) + 0j, as
+    step_integral returns it, up to the end of the first Simpson step,
+    which takes five integrand values; a Refines outcome when the
+    quadrature goes on to refine."""
     calls = []
 
     def f(t):
@@ -512,7 +607,7 @@ def constant_simpson_reference(v: complex, a: float, b: float, tol: float):
             raise Refines
         return v
 
-    return outcome(_adaptive_simpson, f, a, b, tol)
+    return outcome(lambda: _adaptive_simpson(f, a, b, tol) + 0j)
 
 
 # -- Hypothesis strategies for scales and probe points ------------------------------
@@ -535,7 +630,10 @@ def tight_scales(draw, intervals_only=False):
                 | st.sampled_from([0.25, 1.0])
             )
             lo = x + gap
-            while not lo - x > MEMBERSHIP_TOL:
+            # as close as TimeScale accepts: past the tolerance test that
+            # _locate accepts a member of the component below with
+            after_interval = isinstance(comps[-1], ClosedInterval)
+            while not (lo > x + MEMBERSHIP_TOL if after_interval else lo - x > MEMBERSHIP_TOL):
                 lo = math.nextafter(lo, math.inf)
             x = lo
         if intervals_only or draw(st.booleans()):

@@ -147,6 +147,22 @@ def test_cmd_eval_parse_failure_exit(capsys):
 
 
 @pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--alpha=2.5j", "", "argument --alpha: expected re or re,im, got '2.5j'"),
+        ("--alpha", "1,2,3", "argument --alpha: expected re or re,im, got '1,2,3'"),
+        ("--x0", "1,x", "argument --x0: expected re or re,im, got '1,x'"),
+        ("--range", "0.5", "argument --range: expected a,b, got '0.5'"),
+    ],
+)
+def test_malformed_values_name_their_syntax(capsys, option, value, message):
+    argv = ["solve", "--scale", "uniform(0,0.5,12)", option] + ([value] if value else [])
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"tscale: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, option, value",
     [
         (["eval", "--scale", "interval(-1,1)", "--dense-step", "0.5"], "--alpha", "-0.5,0.25"),

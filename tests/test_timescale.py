@@ -337,16 +337,32 @@ def test_range_scans_match_linear_scans(ts, data):
         )
 
 
-def test_locate_reaches_back_three_components():
-    # one ulp (1.8e-12) above 1e4 exceeds the tolerance, yet the interval
-    # below accepts the point one ulp above its end, while the tolerance
-    # bound of the component after the point is already at or below it
-    point = math.nextafter(1e4, math.inf)
-    lo = math.nextafter(point, math.inf)
-    ts = TimeScale(
-        (ClosedInterval(9999.0, 1e4), IsolatedPoint(point), ClosedInterval(lo, 10001.0))
-    )
-    assert ts._locate(point) == linear_locate(ts, point) == (0, point)
+def test_scale_rejects_a_component_the_one_below_accepts():
+    """Construction tests a gap as _locate does, so no component starts
+    where the one below it would locate it: each snapped value is located
+    where it was snapped."""
+    cases = [
+        # one ulp (1.8e-12) above 1e4 exceeds the tolerance, yet the
+        # interval below accepts the point, since 1e4 + 1e-12 rounds up
+        (ClosedInterval(9999.0, 1e4), IsolatedPoint(math.nextafter(1e4, math.inf))),
+        # 1.0000000000000003e-12 past the interval, which accepts it too
+        # (1.5e-12 + 1e-12 rounds up to it): the point's mu would be 0.0
+        (
+            ClosedInterval(0.0, 1.5e-12),
+            IsolatedPoint(2.5000000000000003e-12),
+            IsolatedPoint(4e-12),
+        ),
+    ]
+    for comps in cases:
+        a, b = comps[0], comps[1]
+        assert linear_locate(TimeScale((a,)), b.left) == (0, b.left)
+        with pytest.raises(ValueError, match="overlap or are closer than 1e-12"):
+            TimeScale(comps)
+        # a point one ulp farther is a component of its own
+        farther = IsolatedPoint(math.nextafter(b.left, math.inf))
+        ts = TimeScale((a, farther))
+        assert ts._locate(farther.t) == (1, farther.t)
+        assert ts.mu(a.right) == farther.t - a.right
 
 
 def test_locate_index_is_not_a_field():
@@ -371,39 +387,12 @@ JUMP_QUERIES = {
 @given(any_scale(), st.data())
 def test_jump_queries_match_their_old_compositions(ts, data):
     """mu, in_kappa, rho and classify equal, errors included, the
-    compositions of _locate, sigma and rho that located the point again,
-    unless that second lookup finds another component. Then they answer for
-    the component t was located in, as sigma and walk do."""
+    compositions of _locate, sigma and rho that located the point again:
+    that second lookup finds the component t was located in."""
     for t in data.draw(st.lists(probe_points(ts), min_size=1, max_size=8)):
-        if relocates(ts, t):
-            _, tt = ts._locate(t)
-            _, _, s, mu, _ = next(ts.walk([t]))
-            assert ts.sigma(t) == s
-            assert ts.in_kappa(t) == (mu is not None)
-            if mu is None:
-                assert outcome(ts.mu, t)[0] == "KappaError"
-            else:
-                assert ts.mu(t) == mu
-            assert ts.classify(t).right_dense == (s == tt)
-            assert ts.rho(t) == reference_rho(ts, t)
-            continue
+        assert not relocates(ts, t)
         for name, reference in JUMP_QUERIES.items():
             assert outcome(getattr(ts, name), t) == outcome(reference, ts, t), name
-
-
-def test_jump_queries_answer_for_the_located_component():
-    # 2.5e-12 + 4e-14 is 1.04e-12 above the interval, which rejects it, and
-    # is located at the point 2.5000000000000003e-12; the interval accepts
-    # that snapped value (1.5e-12 + 1e-12 rounds up to it), so the old
-    # composition mu = sigma(tt) - tt read the interval's jump and gave 0
-    point = 2.5000000000000003e-12
-    ts = TimeScale((ClosedInterval(0.0, 1.5e-12), IsolatedPoint(point), IsolatedPoint(4e-12)))
-    t = point + 4e-14
-    assert ts._locate(t) == (1, point) and ts._locate(point) == (0, point)
-    assert reference_mu(ts, t) == 0.0
-    assert ts.mu(t) == ts.sigma(t) - point == 4e-12 - point
-    assert ts.mu(t) == next(ts.walk([t]))[3]
-    assert ts.classify(t).right_dense is False
 
 
 @pytest.mark.parametrize("name", list(JUMP_QUERIES))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tscale import (
     RegressivityError,
     Scheme,
     TimeScale,
+    as_coefficient,
     exp_cayley,
     exp_evaluate_grid,
     exp_hilger,
@@ -28,8 +30,8 @@ from tscale import (
     uniform,
     union,
 )
-from tscale import timescale
-from tscale.exponential import _STEP_RULES, _hilger_product_point
+from tscale import exponential, timescale
+from tscale.exponential import _STEP_RULES, _grid_log_integrals, _hilger_product_point
 from tscale.timescale import _adaptive_simpson, _constant_simpson
 from tscale.transforms import xi, zeta
 
@@ -39,6 +41,8 @@ from helpers import (
     outcome,
     probe_points,
     random_mixed,
+    reference_grid_log_integrals,
+    reference_solve,
     reference_walk,
     tight_scales,
     walk_outcome,
@@ -291,23 +295,41 @@ _TOLS = st.sampled_from([1e-12, 1e-8, 1e-3, math.inf, math.nan, 0.0, -1.0])
 @example(_REFINING, (1e4, 1e4 + 0.1), 1e-12)  # the first step does not converge
 @example(1j, (0.0, 0.0), 1e-12)
 def test_constant_simpson_is_the_first_simpson_step(v, span, tol):
-    got = outcome(_constant_simpson, v, *span, tol)
+    [got] = _constant_simpson(v, span, tol)
     want = constant_simpson_reference(v, *span, tol)
-    if got is None:  # the first step refines, or tol is rejected
-        assert want[0] in ("Refines", "ValueError")
+    if got is None:  # the first step refines or overflows, or tol is rejected
+        assert want[0] in ("Refines", "ToleranceError", "ValueError")
     else:
-        assert got == want
+        assert outcome(lambda: got) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _VALUES,
+    st.sampled_from([0.0, -3.0, 1e4, -1e4]) | st.floats(-1e4, 1e4),
+    st.lists(st.sampled_from([0.0, 2.0**-40, 1e-12, 1e-4, 0.5]), min_size=1, max_size=12),
+    _TOLS,
+)
+@example(_REFINING, 1e4, [0.1, 1e-4, 0.1], 1e-12)  # refines between accepted steps
+def test_constant_simpson_of_a_run_is_each_step_alone(v, start, widths, tol):
+    xs = [start]
+    for w in widths:
+        xs.append(xs[-1] + w)
+    steps = [_constant_simpson(v, (a, b), tol)[0] for a, b in zip(xs, xs[1:])]
+    assert outcome(lambda: tuple(_constant_simpson(v, xs, tol))) == outcome(
+        lambda: tuple(steps)
+    )
 
 
 def test_simpson_rejects_a_nan_tolerance():
     # no piece meets it: near 1e4 every piece would refine toward sub-ulp width
     with pytest.raises(ValueError, match="tol must be positive"):
         _adaptive_simpson(lambda t: 1 + 0j, 1e4, 1e4 + 0.5, math.nan)
-    assert _constant_simpson(1 + 0j, 1e4, 1e4 + 0.5, math.nan) is None
+    assert _constant_simpson(1 + 0j, (1e4, 1e4 + 0.5), math.nan) == [None]
 
 
 def test_constant_simpson_declines_a_refining_first_step():
-    assert _constant_simpson(_REFINING, 1e4, 1e4 + 0.1, 1e-12) is None
+    assert _constant_simpson(_REFINING, (1e4, 1e4 + 0.1), 1e-12) == [None]
     assert constant_simpson_reference(_REFINING, 1e4, 1e4 + 0.1, 1e-12)[0] == "Refines"
 
 
@@ -331,7 +353,8 @@ def test_constant_simpson_overflow_is_a_tolerance_error(monkeypatch):
     monkeypatch.setattr(timescale, "abs", overflowing_abs, raising=False)
     want = outcome(_adaptive_simpson, lambda t: 1j, 0.0, 1.0, 1e-12)
     assert want == ("ToleranceError", "quadrature overflows on [0.0, 1.0]", None)
-    assert outcome(_constant_simpson, 1j, 0.0, 1.0, 1e-12) == want
+    # the batched first step declines, and full Simpson raises in its turn
+    assert _constant_simpson(1j, (0.0, 1.0), 1e-12) == [None]
     coeff = Coefficient.constant(1j)
     assert outcome(coeff.dense_integral, W, 0.0, 1.0, (0.0, 1.0), 1e-12) == want
 
@@ -373,13 +396,126 @@ def test_graininess_coefficient_with_a_dense_value_calls_no_quadrature(monkeypat
     assert fast.dense(0.5) == plain.dense(0.5) and fast(1.5) == plain(1.5)
 
 
+# -- the run walk against one record per step --------------------------------------
+
+
+_FAR = union(interval(1e4, 10000.5), isolated(10001.0), interval(10001.5, 10002.5))
+_RUN_SCALES = st.sampled_from(
+    [W, union(interval(0.0, 2.0), isolated(2.3, 2.6), interval(3.0, 5.0)), _FAR]
+) | st.integers(0, 2**32 - 1).map(lambda s: random_mixed(np.random.default_rng(s)))
+
+
+def _raises_inside(t):
+    if 0.3 < t % 1.0 < 0.35:
+        raise ValueError(f"no coefficient at t={t!r}")
+    return 0.4 - 0.2j
+
+
+def _overflowing_then_raising(ts):
+    # a dense step factor overflows before a later step's coefficient raises
+    return Coefficient.from_function(lambda t: 1e5 * _raises_inside(t))
+
+
+# coefficient builders, given the scale
+_RUN_COEFFS = st.sampled_from(
+    [
+        lambda ts: 0.6 - 0.4j,
+        lambda ts: -2.0,  # 1 + mu*alpha = 0 at a gap of 0.5
+        lambda ts: 4.0,  # mu*alpha = 2 there
+        lambda ts: 1e308,
+        lambda ts: 1e308j,
+        lambda ts: math.nan,
+        lambda ts: _REFINING,  # first Simpson steps refine near 1e4
+        lambda ts: COEFFS["varying"],
+        lambda ts: Coefficient.from_function(_raises_inside),
+        _overflowing_then_raising,
+        lambda ts: Coefficient.piecewise([0.7, 3.5], [0.5, -1.0 + 0.5j, 0.25]),
+        lambda ts: Coefficient.tabulated(
+            [e for c in ts.components for e in (c.left, c.right)], [0.5] * 2 * len(ts.components)
+        ),
+        # a constant dense view on a function coefficient, finite or not
+        lambda ts: graininess_coefficient(ts, lambda mu, s: 0.3 + mu, 0.3),
+        lambda ts: graininess_coefficient(ts, lambda mu, s: 0.3 + mu, math.nan),
+        lambda ts: graininess_coefficient(ts, lambda mu, s: 0.3 + mu, 1e308),
+    ]
+)
+
+
+@st.composite
+def _run_grids(draw):
+    """A scale and a grid of it: a slice of its make_grid grid, whole or
+    starting and ending anywhere, with points nudged within 1e-12 of
+    interval ends, points dropped (a step then crosses a gap or a
+    component, or skips a jump), and an anchor on the grid, often inside a
+    run, or off it."""
+    ts = draw(_RUN_SCALES)
+    pts = ts.make_grid(ts.inf, ts.sup, draw(st.sampled_from([0.05, 0.125, 0.3]))).points
+    whole = st.just([0, len(pts) - 1])
+    i, j = sorted(draw(whole | st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2)))
+    pts = list(pts[i : j + 1])
+    ends = {e for c in ts.components if isinstance(c, ClosedInterval) for e in (c.lo, c.hi)}
+    for k in draw(st.lists(st.integers(0, len(pts) - 1), max_size=4)):
+        if pts[k] in ends:
+            pts[k] += draw(st.sampled_from([-1e-12, -4e-13, 4e-13, 1e-12]))
+    for k in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3)):
+        if len(pts) > 1 and k < len(pts):
+            del pts[k]
+    pts = sorted(set(pts))
+    t0 = draw(st.sampled_from(pts) | probe_points(ts))
+    return ts, Grid(tuple(pts), 0.1), t0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_grids(), _RUN_COEFFS, st.sampled_from([1e-12, 1e-8, math.nan]))
+@example((W, W.make_grid(0.0, 4.0, 0.125), 0.0), _overflowing_then_raising, 1e-12)
+def test_run_walk_matches_one_record_per_step(scale_grid, make_coeff, tol):
+    """The grid exponent, the grid exponential and the three solvers equal,
+    bit for bit and errors included, the code that took one walk record
+    (reference_walk) and one step_integral per step."""
+    ts, grid, t0 = scale_grid
+    alpha = make_coeff(ts)
+    if not (isinstance(alpha, complex | float) and cmath.isnan(alpha)):
+        coeff = as_coefficient(alpha)
+        for family in GRID_FAMILIES.values():
+            args = (family, ts, coeff, t0, grid, tol)
+            want = outcome(lambda: tuple(reference_grid_log_integrals(*args)))
+            assert outcome(lambda: tuple(_grid_log_integrals(*args))) == want
+            want = outcome(lambda: _reference_grid_values(*args))
+            assert outcome(lambda: exp_evaluate_grid(*args).values) == want
+    for scheme, _ in SOLVER_PAIRS.values():
+        args = (scheme, ts, alpha, 1.0 - 0.5j, t0, grid, tol)
+        want = outcome(lambda: reference_solve(*args).values)
+        assert outcome(lambda: solve_first_order(*args).values) == want
+
+
+def _reference_grid_values(family, ts, coeff, t0, grid, tol):
+    with mock.patch.object(exponential, "_grid_log_integrals", reference_grid_log_integrals):
+        return exp_evaluate_grid(family, ts, coeff, t0, grid, tol).values
+
+
+def test_constant_solve_evaluates_the_coefficient_per_scattered_step(monkeypatch):
+    """A constant coefficient is evaluated for the check and the factor of
+    each scattered step, and at no dense point."""
+    ts = union(interval(0.0, 2.0), isolated(2.3, 2.6), interval(3.0, 5.0))
+    grid = ts.make_grid(0.0, 5.0, 1e-3)
+    scattered = [r[0] for r in ts.walk(grid.points) if r[1] is not None and r[4] is None]
+    assert scattered == [2.0, 2.3, 2.6] and len(grid) == 4004
+    calls = []
+    call = Coefficient.__call__
+    monkeypatch.setattr(Coefficient, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, ts, 0.6 - 0.4j, 1.0, 1.0, grid, TOL)
+    assert calls == scattered + scattered
+
+
 # -- one walk per solve ---------------------------------------------------------------
 
 
 def test_solver_walks_the_grid_once(monkeypatch):
     walks = []
-    walk = TimeScale.walk
-    monkeypatch.setattr(TimeScale, "walk", lambda self, pts: walks.append(pts) or walk(self, pts))
+    walk = TimeScale.walk_runs
+    monkeypatch.setattr(
+        TimeScale, "walk_runs", lambda self, pts: walks.append(pts) or walk(self, pts)
+    )
     points, t0 = GRIDS["make-grid-mid-anchor"]
     solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, W, COEFFS["varying"], 1.0, t0, Grid(points, 0.2))
     assert walks == [points]
