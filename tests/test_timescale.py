@@ -337,32 +337,49 @@ def test_range_scans_match_linear_scans(ts, data):
         )
 
 
-def test_scale_rejects_a_component_the_one_below_accepts():
+def _rejected_with_a_valid_neighbour(comps):
     """Construction tests a gap as _locate does, so no component starts
-    where the one below it would locate it: each snapped value is located
-    where it was snapped."""
-    cases = [
-        # one ulp (1.8e-12) above 1e4 exceeds the tolerance, yet the
-        # interval below accepts the point, since 1e4 + 1e-12 rounds up
-        (ClosedInterval(9999.0, 1e4), IsolatedPoint(math.nextafter(1e4, math.inf))),
-        # 1.0000000000000003e-12 past the interval, which accepts it too
-        # (1.5e-12 + 1e-12 rounds up to it): the point's mu would be 0.0
-        (
-            ClosedInterval(0.0, 1.5e-12),
-            IsolatedPoint(2.5000000000000003e-12),
-            IsolatedPoint(4e-12),
-        ),
-    ]
-    for comps in cases:
-        a, b = comps[0], comps[1]
-        assert linear_locate(TimeScale((a,)), b.left) == (0, b.left)
-        with pytest.raises(ValueError, match="overlap or are closer than 1e-12"):
-            TimeScale(comps)
-        # a point one ulp farther is a component of its own
-        farther = IsolatedPoint(math.nextafter(b.left, math.inf))
-        ts = TimeScale((a, farther))
-        assert ts._locate(farther.t) == (1, farther.t)
-        assert ts.mu(a.right) == farther.t - a.right
+    where the one below it would locate it. Checks that comps is rejected
+    although the interval alone accepts the second component's value, and
+    returns the scale with that component one ulp farther, which is valid."""
+    a, b = comps[0], comps[1]
+    assert linear_locate(TimeScale((a,)), b.left) == (0, b.left)
+    with pytest.raises(ValueError, match="overlap or are closer than 1e-12"):
+        TimeScale(comps)
+    farther = IsolatedPoint(math.nextafter(b.left, math.inf))
+    ts = TimeScale((a, farther, *comps[2:]))
+    assert ts._locate(farther.t) == linear_locate(ts, farther.t) == (1, farther.t)
+    assert ts.mu(a.right) == farther.t - a.right
+    return ts
+
+
+def test_locate_reaches_back_three_components():
+    # one ulp (1.8e-12) above 1e4 exceeds the tolerance, yet the interval
+    # below accepts the point, since 1e4 + 1e-12 rounds up: the scale is
+    # rejected, so _locate never has to reach back past a third component
+    point = math.nextafter(1e4, math.inf)
+    lo = math.nextafter(math.nextafter(point, math.inf), math.inf)
+    ts = _rejected_with_a_valid_neighbour(
+        (ClosedInterval(9999.0, 1e4), IsolatedPoint(point), ClosedInterval(lo, 10001.0))
+    )
+    assert ts._locate(point) == linear_locate(ts, point) == (0, point)
+    for t in (1e4, ts.components[1].t, lo, 10001.0):
+        assert ts._locate(t) == linear_locate(ts, t)
+
+
+def test_jump_queries_answer_for_the_located_component():
+    # 2.5000000000000003e-12 is 1.0000000000000003e-12 past the interval,
+    # which accepts it too (1.5e-12 + 1e-12 rounds up to it): as a point
+    # its mu would be 0.0, so the scale is rejected
+    ts = _rejected_with_a_valid_neighbour(
+        (ClosedInterval(0.0, 1.5e-12), IsolatedPoint(2.5000000000000003e-12), IsolatedPoint(4e-12))
+    )
+    point = ts.components[1].t
+    t = point + 4e-14
+    assert ts._locate(t) == (1, point) and not relocates(ts, t)
+    assert ts.mu(t) == reference_mu(ts, t) == ts.sigma(t) - point == 4e-12 - point
+    assert ts.mu(t) == next(ts.walk([t]))[3]
+    assert ts.classify(t).right_dense is False
 
 
 def test_locate_index_is_not_a_field():
