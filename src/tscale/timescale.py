@@ -437,13 +437,15 @@ class TimeScale:
         taken a run at a time.
 
         A run is a maximal stretch of consecutive points whose steps each
-        have a span, starting at a point that is not below its located
-        value (so its forward jump is not above it). It is reported as one
-        Run(start, points): the index of its first point and the located
-        points, one more than its steps, in one closed interval, each above
-        the one before. The record of the run's last point follows it. Every
-        other point's record is reported as walk reports it. A step of a run
-        costs a few float comparisons, no lookup and no record.
+        have a span (_extend_run decides each step), starting at a point
+        that is not below its located value, so its forward jump is not
+        above it, nor its located value below the interval. It is reported
+        as one Run(start, points): the index of its first point and the
+        located points, one more than its steps, in one closed interval,
+        each above the one before. The record of the run's last point
+        follows it. Every other point's record is reported as walk reports
+        it. A step of a run costs a few float comparisons, no lookup and no
+        record.
 
         A q above a point p of a closed interval and within the interval's
         upper tolerance is located in that interval without a lookup, as
@@ -465,8 +467,15 @@ class TimeScale:
             if k + 1 == n:
                 yield p, None, s, mu, None
                 return
-            q = points[k + 1]
             in_interval = isinstance(comp, ClosedInterval)
+            if in_interval and comp.lo <= tt <= p:
+                xs = [tt]
+                end = _extend_run(points, k, comp, xs)
+                if end > k:
+                    yield Run(k, xs)
+                    k, located = end, (i, xs[-1])
+                    continue
+            q = points[k + 1]
             if in_interval and p < q <= comp.hi + MEMBERSHIP_TOL:
                 located = i, _snap(comp, q)
             else:
@@ -474,12 +483,6 @@ class TimeScale:
             j, uu = located
             span = None
             if j == i and in_interval and comp.lo <= tt < uu <= comp.hi:
-                if not tt > p:
-                    start, xs = k, [tt, uu]
-                    k = _extend_run(points, k + 1, comp, xs)
-                    yield Run(start, xs)
-                    located = i, xs[-1]
-                    continue
                 span = (tt, uu)
             yield p, q, s, mu, span
             k += 1
@@ -522,10 +525,12 @@ def _extend_run(points: Sequence[float], k: int, comp: ClosedInterval, xs: list[
     """Append to the located points xs of a run, which end at point k, the
     points after it while each step has a span; the index of the last.
 
-    A point of a run past its first is its own located value: _snap gives
-    lo, hi or the point itself, the point lies above lo, and no step from
-    hi has a span. So the step from it has a span when the next point is
-    above it and, once snapped, no higher than hi.
+    The step from point k, located at xs[-1] in comp, has a span when the
+    next point is above it and within comp's upper tolerance (so comp
+    accepts it, as _locate would find), and once snapped lies above xs[-1]
+    and no higher than hi. A point of a run past its first is its own
+    located value: _snap gives lo, hi or the point itself, the point lies
+    above lo, and no step from hi has a span.
     """
     hi = comp.hi
     top = hi + MEMBERSHIP_TOL

@@ -241,6 +241,8 @@ _EDGE = union(interval(0.0, 1.0), isolated(1.0 + _PAST), interval(2.0, 3.0))
         (_EDGE, (2.5, 1.0 + _PAST, 0.5)),  # descending across components
         (_EDGE, (0.5, math.nan)),
         (interval(1e4, 10001.0), (1e4 + 0.5, math.nextafter(10001.0, math.inf))),
+        # accepted below lo but not snapped: its located value is outside
+        (interval(-1.8151915633927285, -1.0), (-1.8151915633937286, -1.7, -1.5)),
     ],
 )
 def test_walk_matches_locating_every_point_at_tolerance_edges(ts, points):
