@@ -21,7 +21,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, OverlapError, ParseError, RegressivityError, TscaleError
 from .timescale import (
@@ -30,6 +30,7 @@ from .timescale import (
     Grid,
     IsolatedPoint,
     TimeScale,
+    _Jumps,
     normalize_components,
 )
 from .transforms import as_coefficient, graininess_coefficient
@@ -378,17 +379,15 @@ def _sigma_shift_report(config, ts, grid, family):
     t0 the first; each E(x, t0) is computed once, along one run from t0."""
     coeff = as_coefficient(config.alpha)
     from_t0 = _memoized(_exp_runs(family, ts, coeff, config.tol)(grid.points[0]))
-    pts, residuals, skipped = [], [], []
-    for t in grid.points:
-        if not ts.in_kappa(t):
-            skipped.append(t)
-            continue
-        pts.append(t)
-        residuals.append(_sigma_shift_residual(family, ts, coeff, t, from_t0))
-    report = ResidualReport(
-        "sigma-shift", tuple(pts), tuple(residuals), config.tol, skipped=tuple(skipped)
-    )
-    return report, {}
+    jumps = _Jumps.of(ts, grid)
+
+    def residual(k):
+        jumps.check(k)
+        if jumps.mu[k] is None:
+            return None
+        return _sigma_shift_residual(family, coeff, jumps, k, from_t0)
+
+    return jumps.report("sigma-shift", residual, config.tol), {}
 
 
 def _product_law_report(config, ts, grid, family):
@@ -423,11 +422,8 @@ def _oscillator_cayley_report(config, ts, grid, family):
     rep_s = oscillator_residual_cayley(
         ts, omega, SampledFunction(grid, pair.s_values), grid, config.tol
     )
-    residuals = tuple(max(a, b) for a, b in zip(rep_c.residuals, rep_s.residuals))
-    report = ResidualReport(
-        "oscillator-cayley", rep_c.points, residuals, config.tol, skipped=rep_c.skipped
-    )
-    return report, {}
+    residuals = tuple(map(max, rep_c.residuals, rep_s.residuals))
+    return replace(rep_c, identity="oscillator-cayley", residuals=residuals), {}
 
 
 def _oscillator_exact_report(config, ts, grid, family):
@@ -435,16 +431,9 @@ def _oscillator_exact_report(config, ts, grid, family):
     x = SampledFunction.sample(lambda t: math.sin(omega * t), grid)
     result = oscillator_residual_exact(ts, omega, x, grid, config.tol)
     # pass requires both forms and their mutual agreement below tol
-    report = ResidualReport(
-        "oscillator-exact",
-        result.phi_form.points,
-        tuple(
-            max(a, b, result.form_agreement)
-            for a, b in zip(result.phi_form.residuals, result.sinc_form.residuals)
-        ),
-        config.tol,
-        skipped=result.phi_form.skipped,
-    )
+    pairs = zip(result.phi_form.residuals, result.sinc_form.residuals)
+    residuals = tuple(max(a, b, result.form_agreement) for a, b in pairs)
+    report = replace(result.phi_form, identity="oscillator-exact", residuals=residuals)
     extra = {
         "phi_form_max": result.phi_form.max_residual,
         "sinc_form_max": result.sinc_form.max_residual,

@@ -7,13 +7,18 @@ Cayley factor (1 + mu*alpha/2)/(1 - mu*alpha/2), and exact stepping by
 exp(alpha*mu). The first two factors and their regressivity tests are the
 step-rule table's in transforms. Dense segments integrate the continuum
 equation; the exact scheme uses the closed-form flow there, never quadrature.
+
+Cost: a residual report walks its grid once (timescale._Jumps, kept on the
+grid for every report on it) and reads each point's sigma, mu and the grid
+index of its jump by index; the pointwise average, double_average,
+delta_prime and delta_doubleprime are the one-point case of that code.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
 from operator import mul
@@ -27,7 +32,7 @@ from .errors import (
     ToleranceError,
 )
 from .exponential import _exp
-from .timescale import DEFAULT_TOL, Grid, Run, TimeScale
+from .timescale import DEFAULT_TOL, Grid, Run, TimeScale, _Jumps
 from .transforms import CAYLEY_RULE, FORWARD_RULE, REGRESSIVITY_MARGIN, as_coefficient
 from .report import ResidualReport
 from .trig import TrigKind
@@ -80,22 +85,30 @@ class SampledFunction:
 
 def average(x: SampledFunction, ts: TimeScale, t: float) -> complex:
     """Forward average (x(t) + x(sigma(t))) / 2; plain x(t) at right-dense t."""
-    _, tt = ts._locate(t)
-    v = x.value_at(tt)
-    s = ts.sigma(tt)
-    if s == tt:
-        return v
-    return 0.5 * (v + x.value_at(s))
+    return _average(_Jumps(ts, (t,), x.grid), 0, x)
 
 
 def double_average(x: SampledFunction, ts: TimeScale, t: float) -> complex:
     """Iterated forward average; equals (x + 2 x^sigma + x^sigma^sigma)/4
     when both forward jumps scatter, and x(t) at right-dense points."""
-    _, tt = ts._locate(t)
-    s = ts.sigma(tt)
-    if s == tt:
-        return x.value_at(tt)
-    return 0.5 * (average(x, ts, tt) + average(x, ts, s))
+    return _double_average(_Jumps(ts, (t,), x.grid), 0, x)
+
+
+def _average(jumps, k: int, x: SampledFunction) -> complex:
+    """average at point k of jumps, whose grid is x's."""
+    jumps.check(k)
+    v = x.values[jumps.located_index(k)]
+    if not jumps.mu[k]:
+        return v
+    return 0.5 * (v + x.values[jumps.jump_index(k)])
+
+
+def _double_average(jumps, k: int, x: SampledFunction) -> complex:
+    """double_average at point k of jumps, whose grid is x's."""
+    jumps.check(k)
+    if not jumps.mu[k]:
+        return x.values[jumps.located_index(k)]
+    return 0.5 * (_average(jumps, k, x) + _average(*jumps.jump(k), x))
 
 
 # -- first-order solver ------------------------------------------------------------
@@ -169,7 +182,7 @@ def _validate_scheme(scheme, ts, coeff, grid) -> list[tuple]:
                 for p in pts[k : k + len(xs) - 1]:
                     rule.check(p, 0.0 * coeff(p), name)
             continue
-        p, q, _, mu, _ = item
+        p, q, _, mu, _, _ = item
         if q is not None:
             rule.check(p, mu * coeff(p), name)
     return items
@@ -206,7 +219,7 @@ def _step_factors(scheme, ts, coeff, pts, items, tol):
             else:
                 yield from map(_exp, coeff.dense_integrals(ts, xs, tol))
             continue
-        p, q, s, _, span = item
+        p, q, s, _, span, _ = item
         if s > p:
             if abs(s - q) > 1e-12:
                 raise GridError(f"grid skips the forward jump of {p!r}")
@@ -272,15 +285,15 @@ def delta_prime(alpha: complex, ts: TimeScale, x: SampledFunction, t: float) -> 
     the plain trapezoidal law under it. At right-dense points falls back
     to an ordinary derivative estimate from neighboring samples.
     """
-    _, tt = ts._locate(t)
-    s = ts.sigma(tt)
-    if s == tt:
-        return _sample_derivative(x, tt)
-    mu = s - tt
+    jumps = _Jumps(ts, (t,), x.grid)
+    jumps.check(0)
+    mu = jumps.mu[0]
+    if not mu:
+        return _sample_derivative(jumps, 0, x)
     d = mu * psi(alpha, mu)
     if d == 0:
         raise SingularError(f"degenerate quotient denominator at t={t!r}")
-    return (x.value_at(s) - x.value_at(tt)) / d
+    return (x.values[jumps.jump_index(0)] - x.values[jumps.located_index(0)]) / d
 
 
 def delta_doubleprime(omega: float, ts: TimeScale, x: SampledFunction, t: float) -> complex:
@@ -291,21 +304,24 @@ def delta_doubleprime(omega: float, ts: TimeScale, x: SampledFunction, t: float)
     an ordinary derivative estimate from neighboring samples.
     """
     omega = float(omega)
-    _, tt = ts._locate(t)
-    s = ts.sigma(tt)
-    if s == tt:
-        return _sample_derivative(x, tt)
-    mu = s - tt
+    return _delta_doubleprime(omega, _Jumps(ts, (t,), x.grid), 0, x)
+
+
+def _delta_doubleprime(omega: float, jumps, k: int, x: SampledFunction) -> complex:
+    """delta_doubleprime at point k of jumps, whose grid is x's."""
+    jumps.check(k)
+    mu = jumps.mu[k]
+    if not mu:
+        return _sample_derivative(jumps, k, x)
     if abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
         raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
     den = mu * sinc(omega * mu)
-    return (x.value_at(s) - x.value_at(tt) * math.cos(omega * mu)) / den
+    v = x.values[jumps.jump_index(k)]
+    return (v - x.values[jumps.located_index(k)] * math.cos(omega * mu)) / den
 
 
-def _sample_derivative(x: SampledFunction, t: float) -> complex:
-    i = x.grid.index_of(t)
-    if i is None:
-        raise GridError(f"t={t!r} is not sampled")
+def _sample_derivative(jumps, k: int, x: SampledFunction) -> complex:
+    i = jumps.located_index(k)
     pts, vals = x.grid.points, x.values
     if 0 < i < len(pts) - 1:
         return (vals[i + 1] - vals[i - 1]) / (pts[i + 1] - pts[i - 1])
@@ -319,39 +335,44 @@ def _sample_derivative(x: SampledFunction, t: float) -> complex:
 # -- second-order residuals ---------------------------------------------------------------
 
 
-def _second_delta(ts: TimeScale, x: SampledFunction, t: float) -> complex | None:
-    """x'' at t, or None when the stencil is unavailable.
+def _check_aligned(x: SampledFunction, grid: Grid) -> None:
+    if grid.points != x.grid.points:
+        raise GridError("samples and grid do not align")
+
+
+def _second_delta(jumps, k: int, x: SampledFunction) -> complex | None:
+    """x'' at point k of jumps, whose grid is x's, or None when the
+    stencil is unavailable.
 
     Defined at points with two scattered forward jumps, and at interior
     right-and-left-dense points with a symmetric sampled stencil.
     """
-    pts = x.grid.points
-    i = x.grid.index_of(t)
+    pts, vals, t = x.grid.points, x.values, jumps.points[k]
+    i = jumps.index(k, t)
     if i is None:
         return None
-    s = ts.sigma(t)
+    jumps.check(k)
+    s = jumps.sigma[k]
     if s > t:
-        j = x.grid.index_of(s)
+        j = jumps.next[k]
         if j is None:
             return None
-        s2 = ts.sigma(s)
-        if s2 == s:
+        after, m = jumps.jump(k)
+        s2, j2 = after.sigma[m], after.next[m]
+        if s2 == s or j2 is None:
             return None
-        k = x.grid.index_of(s2)
-        if k is None:
-            return None
-        d1 = (x.values[j] - x.values[i]) / (s - t)
-        d2 = (x.values[k] - x.values[j]) / (s2 - s)
+        d1 = (vals[j] - vals[i]) / (s - t)
+        d2 = (vals[j2] - vals[j]) / (s2 - s)
         return (d2 - d1) / (s - t)
     if i == 0 or i == len(pts) - 1:
         return None
-    if ts.rho(t) < t:
+    if jumps.rho(k) < t:
         return None
     hl = pts[i] - pts[i - 1]
     hr = pts[i + 1] - pts[i]
     if abs(hl - hr) > 1e-9 * max(hl, hr):
         return None
-    return (x.values[i + 1] - 2.0 * x.values[i] + x.values[i - 1]) / (hl * hr)
+    return (vals[i + 1] - 2.0 * vals[i] + vals[i - 1]) / (hl * hr)
 
 
 def oscillator_residual_cayley(
@@ -368,23 +389,19 @@ def oscillator_residual_cayley(
     Points without a usable second-derivative stencil are skipped and
     reported.
     """
-    if grid.points != x.grid.points:
-        raise GridError("samples and grid do not align")
-    pts, residuals, skipped = [], [], []
-    for p in grid.points:
-        dd = _second_delta(ts, x, p)
+    _check_aligned(x, grid)
+    jumps = _Jumps.of(ts, grid)
+
+    def residual(k):
+        dd = _second_delta(jumps, k, x)
         if dd is None:
-            skipped.append(p)
-            continue
-        da = double_average(x, ts, p)
+            return None
+        da = _double_average(jumps, k, x)
         if kind is TrigKind.TRIGONOMETRIC:
-            r = abs(dd + complex(param) ** 2 * da)
-        else:
-            r = abs(dd - complex(param) ** 2 * da)
-        pts.append(p)
-        residuals.append(r)
-    name = f"oscillator-cayley-{kind.value}"
-    return ResidualReport(name, tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
+            return abs(dd + complex(param) ** 2 * da)
+        return abs(dd - complex(param) ** 2 * da)
+
+    return jumps.report(f"oscillator-cayley-{kind.value}", residual, tol)
 
 
 @dataclass(frozen=True)
@@ -412,8 +429,7 @@ def oscillator_residual_exact(
     Requires a constant-graininess scale and |omega*mu| < pi. For samples
     of the restricted sin/cos both forms vanish and agree pointwise.
     """
-    if grid.points != x.grid.points:
-        raise GridError("samples and grid do not align")
+    _check_aligned(x, grid)
     mu = ts.constant_graininess()
     if mu is None:
         raise ConstantGraininessError("scale does not have constant graininess")
@@ -422,24 +438,22 @@ def oscillator_residual_exact(
         raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
     w2phi2 = omega * omega * phi(omega * mu) ** 2
     w2sinc2 = omega * omega * sinc(0.5 * omega * mu) ** 2
-    pts, r_phi, r_sinc, skipped = [], [], [], []
-    agreement = 0.0
-    for p in grid.points:
-        dd = _second_delta(ts, x, p)
+    jumps = _Jumps.of(ts, grid)
+
+    def forms(k):
+        dd = _second_delta(jumps, k, x)
         if dd is None:
-            skipped.append(p)
-            continue
-        a_form = dd + w2phi2 * double_average(x, ts, p)
-        b_form = dd + w2sinc2 * x.value_at(ts.sigma(p))
-        pts.append(p)
-        r_phi.append(abs(a_form))
-        r_sinc.append(abs(b_form))
-        agreement = max(agreement, abs(a_form - b_form))
-    pts_t, skipped_t = tuple(pts), tuple(skipped)
+            return None
+        a_form = dd + w2phi2 * _double_average(jumps, k, x)
+        return a_form, dd + w2sinc2 * x.values[jumps.jump_index(k)]
+
+    both = jumps.report("oscillator-exact", forms, tol)  # residuals: the form pairs
+    phi_r = tuple(abs(a) for a, _ in both.residuals)
+    sinc_r = tuple(abs(b) for _, b in both.residuals)
     return ExactOscillatorResult(
-        ResidualReport("oscillator-exact-phi", pts_t, tuple(r_phi), tol, skipped=skipped_t),
-        ResidualReport("oscillator-exact-sinc", pts_t, tuple(r_sinc), tol, skipped=skipped_t),
-        agreement,
+        replace(both, identity="oscillator-exact-phi", residuals=phi_r),
+        replace(both, identity="oscillator-exact-sinc", residuals=sinc_r),
+        max([0.0, *(abs(a - b) for a, b in both.residuals)]),
     )
 
 
@@ -459,28 +473,29 @@ def delbis_relation_residual(
     samples. Requires constant graininess; right-dense points are skipped
     (both quotients collapse to the same ordinary derivative there).
     """
-    if grid.points != x.grid.points:
-        raise GridError("samples and grid do not align")
+    _check_aligned(x, grid)
     mu = ts.constant_graininess()
     if mu is None:
         raise ConstantGraininessError("scale does not have constant graininess")
     omega = float(omega)
     if mu > 0 and abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
         raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
-    pts, residuals, skipped = [], [], []
     corr = 0.5 * mu * omega * omega * sinc(0.5 * omega * mu) ** 2
-    for p in grid.points:
-        if not ts.in_kappa(p):
-            skipped.append(p)
-            continue
-        s = ts.sigma(p)
-        if s == p or x.grid.index_of(s) is None:
-            skipped.append(p)
-            continue
-        lhs = (x.value_at(s) - x.value_at(p)) / (s - p)
-        rhs = sinc(omega * mu) * delta_doubleprime(omega, ts, x, p) - corr * x.value_at(p)
-        pts.append(p)
-        residuals.append(abs(lhs - rhs))
-    return ResidualReport(
-        "delbis", tuple(pts), tuple(residuals), tol, skipped=tuple(skipped)
-    )
+    jumps = _Jumps.of(ts, grid)
+
+    def residual(k):
+        jumps.check(k)
+        p, s, j = jumps.points[k], jumps.sigma[k], None
+        if jumps.mu[k] is not None and s != p:
+            j = jumps.next[k]
+        if j is None:
+            return None
+        i = jumps.index(k, p)
+        if i is None:
+            raise GridError(f"t={p!r} is not sampled")
+        v = x.values[i]
+        lhs = (x.values[j] - v) / (s - p)
+        rhs = sinc(omega * mu) * _delta_doubleprime(omega, jumps, k, x) - corr * v
+        return abs(lhs - rhs)
+
+    return jumps.report("delbis", residual, tol)

@@ -19,11 +19,12 @@ from .errors import (
     ConstantGraininessError,
     DomainError,
     GridError,
+    KappaError,
     RegressivityError,
     SingularError,
     ToleranceError,
 )
-from .timescale import DEFAULT_TOL, ClosedInterval, Grid, Run, TimeScale
+from .timescale import DEFAULT_TOL, ClosedInterval, Grid, Run, TimeScale, _Jumps
 from .transforms import CAYLEY_RULE, FORWARD_RULE, Coefficient, as_coefficient
 
 
@@ -334,7 +335,7 @@ def _step_logs(family, ts, coeff, points, tol):
         if isinstance(item, Run):
             yield from coeff.dense_integrals(ts, item.points, tol)
             continue
-        p, q, s, _, span = item
+        p, q, s, _, span, _ = item
         if q is None:
             return
         if s > p:
@@ -423,8 +424,9 @@ def check_sigma_shift(
     right-dense point the residual is identically zero.
     """
     coeff = as_coefficient(alpha)
-    exp_from = _pointwise_runs(family, ts, coeff, tol)
-    return _sigma_shift_residual(family, ts, coeff, t, exp_from(t0))
+    from_t0 = _pointwise_runs(family, ts, coeff, tol)(t0)
+    _shift_rule(family)  # before t is located
+    return _sigma_shift_residual(family, coeff, _Jumps(ts, (t,)), 0, from_t0)
 
 
 def _pointwise_runs(family: ExpFamily, ts: TimeScale, coeff, tol):
@@ -473,13 +475,21 @@ def _semigroup_residual(from_t0, from_t1, t, t0) -> float:
     return abs(from_t0(t) * from_t1(t0) - from_t1(t))
 
 
-def _sigma_shift_residual(family, ts, coeff, t, from_t0) -> float:
-    """check_sigma_shift with E(., t0) given as from_t0."""
+def _shift_rule(family):
     rule = _STEP_RULES.get(family)
     if rule is None:
         raise ValueError("shift law check supports the Cayley and forward-step families")
-    _, tt = ts._locate(t)
-    factor = rule.factor(ts.mu(tt), coeff(tt))
-    et = from_t0(tt)
-    es = from_t0(ts.sigma(tt))
+    return rule
+
+
+def _sigma_shift_residual(family, coeff, jumps, k, from_t0) -> float:
+    """check_sigma_shift at point k of jumps, with E(., t0) given as from_t0."""
+    rule = _shift_rule(family)
+    jumps.check(k)
+    t, mu = jumps.located[k], jumps.mu[k]
+    if mu is None:
+        raise KappaError(f"t={t!r} is the left-scattered maximum")
+    factor = rule.factor(mu, coeff(t))
+    et = from_t0(t)
+    es = from_t0(jumps.sigma[k])
     return abs(es - factor * et)

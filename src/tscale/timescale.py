@@ -37,11 +37,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import DomainError, KappaError, OverlapError, ToleranceError
+from .errors import DomainError, GridError, KappaError, OverlapError, ToleranceError
+from .report import ResidualReport
 
 # Absolute tolerance for locating a time value inside a component.
 MEMBERSHIP_TOL = 1e-12
@@ -413,22 +416,23 @@ class TimeScale:
         """One record per point of an ascending sequence of members, locating
         each point once.
 
-        Yields (p, q, sigma, mu, span): p as given, the next point q (None
-        at the last), the forward jump sigma(p), the graininess mu(p) (None
-        at a left-scattered maximum), and span. span is the located pair
-        (p, q) when p < q both lie in the closed interval holding p, which
-        makes p right-dense; it is None otherwise. step_integral integrates
-        over the step with it.
+        Yields (p, q, sigma, mu, span, tt): p as given, the next point q
+        (None at the last), the forward jump sigma(p), the graininess mu(p)
+        (None at a left-scattered maximum), span, and the value tt that p
+        is located at. span is the located pair (p, q) when p < q both lie
+        in the closed interval holding p, which makes p right-dense; it is
+        None otherwise. step_integral integrates over the step with it.
 
         These are the records of walk_runs, each run expanded into the
-        records of its steps: (p, q, x, 0.0, (x, y)) for consecutive
+        records of its steps: (p, q, x, 0.0, (x, y), x) for consecutive
         located points x, y of the run.
         """
         for item in self.walk_runs(points):
             if isinstance(item, Run):
                 k, xs = item
                 for j in range(len(xs) - 1):
-                    yield points[k + j], points[k + j + 1], xs[j], 0.0, (xs[j], xs[j + 1])
+                    x = xs[j]
+                    yield points[k + j], points[k + j + 1], x, 0.0, (x, xs[j + 1]), x
             else:
                 yield item
 
@@ -465,7 +469,7 @@ class TimeScale:
             s = self._sigma_at(i, tt)
             mu = None if i == lsm else s - tt
             if k + 1 == n:
-                yield p, None, s, mu, None
+                yield p, None, s, mu, None, tt
                 return
             in_interval = isinstance(comp, ClosedInterval)
             if in_interval and comp.lo <= tt <= p:
@@ -484,7 +488,7 @@ class TimeScale:
             span = None
             if j == i and in_interval and comp.lo <= tt < uu <= comp.hi:
                 span = (tt, uu)
-            yield p, q, s, mu, span
+            yield p, q, s, mu, span, tt
             k += 1
 
     def make_grid(self, t0: float, t1: float, dense_step: float) -> Grid:
@@ -519,6 +523,109 @@ class TimeScale:
             pts.extend(c + k * (d - c) / n for k in range(1, n))
             pts.append(d)
         return Grid(tuple(pts), dense_step)
+
+
+class _Jumps:
+    """The forward jump of each of ascending points, read by index from one
+    TimeScale.walk: sigma, mu (None at the left-scattered maximum), the
+    located value and, against a sample grid, next, the grid index of
+    sigma. A value the walk does not give is looked up: a grid index where
+    a point is not its own grid point, the backward jump of a point no span
+    reaches, the jump of a jump that is no point. Past a non-member the
+    points are walked one at a time; check(k) raises the error of locating
+    point k, where a loop locating each point would meet it.
+    """
+
+    def __init__(self, ts: TimeScale, points: Sequence[float], grid: Grid | None = None):
+        self.ts, self.points, self.grid = ts, points, grid
+        self._aligned = grid is not None and points is grid.points
+        self.sigma, self.mu, self.located = [], [], []
+        self._spanned = [False]  # whether the step to each point has a span
+        self._errors: dict[int, DomainError] = {}
+        try:
+            self._add(ts.walk(points))
+        except DomainError:  # locating a point loses the record before it
+            for p in points[len(self.sigma) :]:
+                try:
+                    self._add(ts.walk((p,)))
+                except DomainError as exc:
+                    self._errors[len(self.sigma)] = exc
+                    self._add([(p,) + (None,) * 5])
+
+    def _add(self, records) -> None:
+        for _, _, s, mu, span, tt in records:
+            self.sigma.append(s)
+            self.mu.append(mu)
+            self.located.append(tt)
+            self._spanned.append(span is not None)
+
+    def check(self, k: int) -> None:
+        if k in self._errors:
+            raise self._errors[k]
+
+    @classmethod
+    def of(cls, ts: TimeScale, grid: Grid) -> "_Jumps":
+        """The jumps of the grid's points, kept on the grid (equality,
+        hashing and repr ignore them): one walk for every report on it."""
+        jumps = grid.__dict__.get("_jumps")
+        if jumps is None or jumps.ts is not ts:
+            # the jumps hold the grid weakly, so the two make no cycle
+            jumps = cls(ts, grid.points, weakref.proxy(grid))
+            object.__setattr__(grid, "_jumps", jumps)
+        return jumps
+
+    def index(self, k: int, t: float) -> int | None:
+        """Grid.index_of(t), for t point k or near it; no search where t is
+        point k, grid point k, with no grid point within the membership
+        tolerance below it."""
+        pts = self.points
+        if t == pts[k] and self._aligned and (k == 0 or pts[k - 1] < t - MEMBERSHIP_TOL):
+            return k
+        return self.grid.index_of(t)
+
+    @cached_property
+    def next(self) -> list[int | None]:
+        return [None if s is None else self.index(k, s) for k, s in enumerate(self.sigma)]
+
+    def located_index(self, k: int) -> int:
+        """The grid index of the located value; GridError, as a sample
+        lookup raises it, where there is none."""
+        i = self.index(k, self.located[k])
+        if i is None:
+            raise GridError(f"t={self.located[k]!r} is not sampled")
+        return i
+
+    def jump_index(self, k: int) -> int:
+        """next[k]; GridError, as a sample lookup raises it, where None."""
+        if self.next[k] is None:
+            raise GridError(f"t={self.sigma[k]!r} is not sampled")
+        return self.next[k]
+
+    def rho(self, k: int) -> float:
+        """The backward jump of point k: its located value where the step
+        to it has a span."""
+        return self.located[k] if self._spanned[k] else self.ts.rho(self.points[k])
+
+    def jump(self, k: int) -> tuple["_Jumps", int]:
+        """The jumps of point k's forward jump and its index there: these
+        where the jump is a point, else the jump's own."""
+        j, s = self.next[k], self.sigma[k]
+        if self._aligned and j is not None and self.points[j] == s:
+            return self, j
+        return _Jumps(self.ts, (s,), self.grid), 0
+
+    def report(self, identity: str, residual, tol: float) -> ResidualReport:
+        """The report of residual(k) over the points, skipping a point where
+        it is None."""
+        pts, residuals, skipped = [], [], []
+        for k, p in enumerate(self.points):
+            r = residual(k)
+            if r is None:
+                skipped.append(p)
+            else:
+                pts.append(p)
+                residuals.append(r)
+        return ResidualReport(identity, tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
 
 
 def _extend_run(points: Sequence[float], k: int, comp: ClosedInterval, xs: list[float]) -> int:
@@ -719,8 +826,12 @@ def _constant_simpson(v: complex, xs: Sequence[float], tol: float) -> list[compl
         left = (m - a) / 6.0 * w
         right = (b - m) / 6.0 * w
         delta = left + right - whole
-        try:
-            accepted = abs(delta) <= bound or 0.5 * (a + m) <= a or 0.5 * (m + b) >= b
+        try:  # a finite delta within bound has a finite estimate; on a span
+            # below float resolution a non-finite one is _adaptive_simpson's
+            # ToleranceError
+            accepted = abs(delta) <= bound or (
+                (0.5 * (a + m) <= a or 0.5 * (m + b) >= b) and cmath.isfinite(whole)
+            )
         except OverflowError:
             accepted = False
         out.append(left + right + delta / 15.0 + 0j if accepted else None)

@@ -18,15 +18,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .timescale import DEFAULT_TOL, Grid, TimeScale, delta_derivative_numeric
+from .timescale import DEFAULT_TOL, Grid, TimeScale, _Jumps, delta_derivative_numeric
 from .transforms import as_coefficient, graininess_coefficient
 from .exponential import (
     ExpFamily,
     _exps,
-    _grid_log_integrals,
     _hilger_grid_lenient,
     _memoized,
-    _validate_regressive,
+    _validated_logs,
     exp_evaluate_grid,
 )
 from .report import ResidualReport
@@ -90,7 +89,7 @@ def hyp_grid(
 ) -> TrigPair:
     """Hyperbolic pair sampled on a grid: half the sum and half the
     difference of two exponentials, linear in the grid size, since the
-    exponents come from one TimeScale.walk of the grid.
+    exponents come from one walk of the grid (TimeScale.walk_runs).
 
     The two exponentials combined are: the forward-step exponential and
     its reciprocal (Hilger family), the forward-step exponentials of
@@ -108,12 +107,8 @@ def hyp_grid(
         return TrigPair(family, TrigKind.HYPERBOLIC, a, grid, cs, ss)
     param = coeff.constant_value if coeff.is_constant else None
     if family in _EXP_FAMILY_OF:
-        exp_family = _EXP_FAMILY_OF[family]
-        _validate_regressive(
-            exp_family, ts, coeff, min(grid.points[0], t0), max(grid.points[-1], t0)
-        )
         # the reciprocal is exactly the exponential of the negated exponent
-        logs = _grid_log_integrals(exp_family, ts, coeff, t0, grid, tol)
+        logs = _validated_logs(_EXP_FAMILY_OF[family], ts, coeff, t0, grid, tol)
         plus, minus = _exps(logs), _exps([-L for L in logs])
     elif family is TrigFamily.BOHNER_PETERSON:
         plus = _hilger_grid_lenient(ts, coeff, t0, grid, tol)
@@ -219,41 +214,34 @@ def derivative_residual(
     if kind is TrigKind.HYPERBOLIC:
         coeff = as_coefficient(param)
         pair = hyp_grid(family, ts, coeff, t0, grid, tol)
-        a = coeff.constant_value
-        c_rhs = lambda avg_c, avg_s: a * avg_s
-        s_rhs = lambda avg_c, avg_s: a * avg_c
+        c_rate = s_rate = coeff.constant_value
         pair_at = _memoized(lambda u: hyp(family, ts, coeff, u, t0, tol))
     else:
         w = float(param)
         pair = trig_grid(family, ts, w, t0, grid, tol)
-        c_rhs = lambda avg_c, avg_s: -w * avg_s
-        s_rhs = lambda avg_c, avg_s: w * avg_c
+        c_rate, s_rate = -w, w
         pair_at = _memoized(lambda u: trig(family, ts, w, u, t0, tol))
-    pts, residuals, skipped = [], [], []
-    for i, p in enumerate(grid.points):
-        if not ts.in_kappa(p):
-            skipped.append(p)
-            continue
-        s = ts.sigma(p)
+    cs, ss = pair.c_values, pair.s_values
+    jumps = _Jumps.of(ts, grid)
+
+    def residual(k):
+        p, s = jumps.points[k], jumps.sigma[k]
+        if jumps.mu[k] is None:
+            return None
         if s > p:
-            j = grid.index_of(s)
+            j = jumps.next[k]
             if j is None:
-                skipped.append(p)
-                continue
+                return None
             mu = s - p
-            dc = (pair.c_values[j] - pair.c_values[i]) / mu
-            ds = (pair.s_values[j] - pair.s_values[i]) / mu
-            avg_c = 0.5 * (pair.c_values[i] + pair.c_values[j])
-            avg_s = 0.5 * (pair.s_values[i] + pair.s_values[j])
+            dc, ds = (cs[j] - cs[k]) / mu, (ss[j] - ss[k]) / mu
+            avg_c, avg_s = 0.5 * (cs[k] + cs[j]), 0.5 * (ss[k] + ss[j])
         else:
             dc = delta_derivative_numeric(ts, lambda u: pair_at(u)[0], p)
             ds = delta_derivative_numeric(ts, lambda u: pair_at(u)[1], p)
-            avg_c, avg_s = pair.c_values[i], pair.s_values[i]
-        r = max(abs(dc - c_rhs(avg_c, avg_s)), abs(ds - s_rhs(avg_c, avg_s)))
-        pts.append(p)
-        residuals.append(r)
-    name = f"derivative-{family.value}-{kind.value}"
-    return ResidualReport(name, tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
+            avg_c, avg_s = cs[k], ss[k]
+        return max(abs(dc - c_rate * avg_s), abs(ds - s_rate * avg_c))
+
+    return jumps.report(f"derivative-{family.value}-{kind.value}", residual, tol)
 
 
 def exact_trig_delta(omega: float, mu: float, t: float) -> tuple[float, float]:

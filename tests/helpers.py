@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from tscale import (
     ClosedInterval,
     Coefficient,
+    ConstantGraininessError,
     DomainError,
+    ExactOscillatorResult,
     ExpFamily,
     Grid,
     GridError,
@@ -18,32 +20,45 @@ from tscale import (
     KappaError,
     PointClass,
     RegressivityError,
+    ResidualReport,
     SampledFunction,
     Scheme,
     SingularError,
     TimeScale,
     ToleranceError,
     TrigFamily,
+    TrigKind,
+    delta_derivative_numeric,
     exp_cayley,
     exp_exact,
     exp_hilger,
     exp_nabla_const,
+    hyp,
+    hyp_grid,
     interval,
     isolated,
+    trig,
+    trig_grid,
     uniform,
     union,
 )
 from tscale.exponential import (
     _STEP_RULES,
     _exp,
+    _memoized,
     _grid_log_integrals,
     _hilger_product_point,
     _log_integral_range,
     _validate_regressive,
 )
-from tscale.dynamic import _SCHEME_RULES
+from tscale.dynamic import _SCHEME_RULES, phi, psi, sinc
 from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson
-from tscale.transforms import _SERIES_CUTOFF, _principal_log, as_coefficient
+from tscale.transforms import (
+    REGRESSIVITY_MARGIN,
+    _SERIES_CUTOFF,
+    _principal_log,
+    as_coefficient,
+)
 
 
 def random_discrete(rng: np.random.Generator, n_min=3, n_max=10) -> TimeScale:
@@ -118,7 +133,7 @@ def reference_walk(ts: TimeScale, points):
             same_interval = j == i and isinstance(comp, ClosedInterval)
             if same_interval and comp.lo <= tt < uu <= comp.hi:
                 span = (tt, uu)
-        yield p, q, s, mu, span
+        yield p, q, s, mu, span, tt
 
 
 # -- jump queries as compositions of the public operators, each locating
@@ -322,7 +337,7 @@ def reference_step_logs(family: ExpFamily, ts: TimeScale, coeff, points, tol):
     """Exponent increment over each step of reference_walk: a step log at a
     scattered point, the dense view's step_integral over any other step."""
     log = _STEP_RULES[family].log
-    for p, q, s, _, span in reference_walk(ts, points):
+    for p, q, s, _, span, _ in reference_walk(ts, points):
         if q is None:
             return
         if s > p:
@@ -363,7 +378,7 @@ def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, to
     records = []
     for record in reference_walk(ts, grid.points):
         records.append(record)
-        p, q, _, mu, _ = record
+        p, q, _, mu, _, _ = record
         if q is not None and rule is not None:
             rule.check(p, mu * coeff(p), name)
     _, t0s = ts._locate(t0)
@@ -375,7 +390,7 @@ def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, to
     values[anchor] = complex(x0)
 
     def factors(records):
-        for p, q, s, _, span in records:
+        for p, q, s, _, span, _ in records:
             if s > p:
                 if abs(s - q) > 1e-12:
                     raise GridError(f"grid skips the forward jump of {p!r}")
@@ -608,6 +623,232 @@ def constant_simpson_reference(v: complex, a: float, b: float, tol: float):
         return v
 
     return outcome(lambda: _adaptive_simpson(f, a, b, tol) + 0j)
+
+
+# -- the residual operators as they were before they read one walk's jumps:
+#    each finds a point's neighbours again through sigma, rho, in_kappa and
+#    Grid.index_of
+
+
+def reference_average(x: SampledFunction, ts: TimeScale, t: float) -> complex:
+    _, tt = ts._locate(t)
+    v = x.value_at(tt)
+    s = ts.sigma(tt)
+    if s == tt:
+        return v
+    return 0.5 * (v + x.value_at(s))
+
+
+def reference_double_average(x: SampledFunction, ts: TimeScale, t: float) -> complex:
+    _, tt = ts._locate(t)
+    s = ts.sigma(tt)
+    if s == tt:
+        return x.value_at(tt)
+    return 0.5 * (reference_average(x, ts, tt) + reference_average(x, ts, s))
+
+
+def reference_delta_prime(alpha, ts: TimeScale, x: SampledFunction, t: float) -> complex:
+    _, tt = ts._locate(t)
+    s = ts.sigma(tt)
+    if s == tt:
+        return _reference_sample_derivative(x, tt)
+    mu = s - tt
+    d = mu * psi(alpha, mu)
+    if d == 0:
+        raise SingularError(f"degenerate quotient denominator at t={t!r}")
+    return (x.value_at(s) - x.value_at(tt)) / d
+
+
+def reference_delta_doubleprime(omega, ts: TimeScale, x: SampledFunction, t: float) -> complex:
+    omega = float(omega)
+    _, tt = ts._locate(t)
+    s = ts.sigma(tt)
+    if s == tt:
+        return _reference_sample_derivative(x, tt)
+    mu = s - tt
+    if abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
+        raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
+    den = mu * sinc(omega * mu)
+    return (x.value_at(s) - x.value_at(tt) * math.cos(omega * mu)) / den
+
+
+def _reference_sample_derivative(x: SampledFunction, t: float) -> complex:
+    i = x.grid.index_of(t)
+    if i is None:
+        raise GridError(f"t={t!r} is not sampled")
+    pts, vals = x.grid.points, x.values
+    if 0 < i < len(pts) - 1:
+        return (vals[i + 1] - vals[i - 1]) / (pts[i + 1] - pts[i - 1])
+    if i == 0:
+        if len(pts) < 2:
+            raise GridError("need at least two samples for a derivative estimate")
+        return (vals[1] - vals[0]) / (pts[1] - pts[0])
+    return (vals[i] - vals[i - 1]) / (pts[i] - pts[i - 1])
+
+
+def reference_second_delta(ts: TimeScale, x: SampledFunction, t: float):
+    pts = x.grid.points
+    i = x.grid.index_of(t)
+    if i is None:
+        return None
+    s = ts.sigma(t)
+    if s > t:
+        j = x.grid.index_of(s)
+        if j is None:
+            return None
+        s2 = ts.sigma(s)
+        if s2 == s:
+            return None
+        k = x.grid.index_of(s2)
+        if k is None:
+            return None
+        d1 = (x.values[j] - x.values[i]) / (s - t)
+        d2 = (x.values[k] - x.values[j]) / (s2 - s)
+        return (d2 - d1) / (s - t)
+    if i == 0 or i == len(pts) - 1:
+        return None
+    if ts.rho(t) < t:
+        return None
+    hl = pts[i] - pts[i - 1]
+    hr = pts[i + 1] - pts[i]
+    if abs(hl - hr) > 1e-9 * max(hl, hr):
+        return None
+    return (x.values[i + 1] - 2.0 * x.values[i] + x.values[i - 1]) / (hl * hr)
+
+
+def reference_oscillator_cayley(ts, param, x, grid, tol=1e-12, kind=TrigKind.TRIGONOMETRIC):
+    if grid.points != x.grid.points:
+        raise GridError("samples and grid do not align")
+    pts, residuals, skipped = [], [], []
+    for p in grid.points:
+        dd = reference_second_delta(ts, x, p)
+        if dd is None:
+            skipped.append(p)
+            continue
+        da = reference_double_average(x, ts, p)
+        if kind is TrigKind.TRIGONOMETRIC:
+            r = abs(dd + complex(param) ** 2 * da)
+        else:
+            r = abs(dd - complex(param) ** 2 * da)
+        pts.append(p)
+        residuals.append(r)
+    name = f"oscillator-cayley-{kind.value}"
+    return ResidualReport(name, tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
+
+
+def reference_oscillator_exact(ts, omega, x, grid, tol=1e-12):
+    if grid.points != x.grid.points:
+        raise GridError("samples and grid do not align")
+    mu = ts.constant_graininess()
+    if mu is None:
+        raise ConstantGraininessError("scale does not have constant graininess")
+    omega = float(omega)
+    if abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
+        raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
+    w2phi2 = omega * omega * phi(omega * mu) ** 2
+    w2sinc2 = omega * omega * sinc(0.5 * omega * mu) ** 2
+    pts, r_phi, r_sinc, skipped = [], [], [], []
+    agreement = 0.0
+    for p in grid.points:
+        dd = reference_second_delta(ts, x, p)
+        if dd is None:
+            skipped.append(p)
+            continue
+        a_form = dd + w2phi2 * reference_double_average(x, ts, p)
+        b_form = dd + w2sinc2 * x.value_at(ts.sigma(p))
+        pts.append(p)
+        r_phi.append(abs(a_form))
+        r_sinc.append(abs(b_form))
+        agreement = max(agreement, abs(a_form - b_form))
+    pts_t, skipped_t = tuple(pts), tuple(skipped)
+    return ExactOscillatorResult(
+        ResidualReport("oscillator-exact-phi", pts_t, tuple(r_phi), tol, skipped=skipped_t),
+        ResidualReport("oscillator-exact-sinc", pts_t, tuple(r_sinc), tol, skipped=skipped_t),
+        agreement,
+    )
+
+
+def reference_delbis(ts, omega, x, grid, tol=1e-12):
+    if grid.points != x.grid.points:
+        raise GridError("samples and grid do not align")
+    mu = ts.constant_graininess()
+    if mu is None:
+        raise ConstantGraininessError("scale does not have constant graininess")
+    omega = float(omega)
+    if mu > 0 and abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
+        raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
+    pts, residuals, skipped = [], [], []
+    corr = 0.5 * mu * omega * omega * sinc(0.5 * omega * mu) ** 2
+    for p in grid.points:
+        if not ts.in_kappa(p):
+            skipped.append(p)
+            continue
+        s = ts.sigma(p)
+        if s == p or x.grid.index_of(s) is None:
+            skipped.append(p)
+            continue
+        lhs = (x.value_at(s) - x.value_at(p)) / (s - p)
+        rhs = sinc(omega * mu) * reference_delta_doubleprime(omega, ts, x, p) - corr * x.value_at(p)
+        pts.append(p)
+        residuals.append(abs(lhs - rhs))
+    return ResidualReport("delbis", tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
+
+
+def reference_derivative_residual(family, kind, ts, param, grid, tol=1e-12, t0=None):
+    if family is not TrigFamily.CAYLEY:
+        raise ValueError("derivative law residuals are defined for the Cayley family")
+    if t0 is None:
+        t0 = grid.points[0]
+    if kind is TrigKind.HYPERBOLIC:
+        coeff = as_coefficient(param)
+        pair = hyp_grid(family, ts, coeff, t0, grid, tol)
+        a = coeff.constant_value
+        c_rhs = lambda avg_c, avg_s: a * avg_s
+        s_rhs = lambda avg_c, avg_s: a * avg_c
+        pair_at = _memoized(lambda u: hyp(family, ts, coeff, u, t0, tol))
+    else:
+        w = float(param)
+        pair = trig_grid(family, ts, w, t0, grid, tol)
+        c_rhs = lambda avg_c, avg_s: -w * avg_s
+        s_rhs = lambda avg_c, avg_s: w * avg_c
+        pair_at = _memoized(lambda u: trig(family, ts, w, u, t0, tol))
+    pts, residuals, skipped = [], [], []
+    for i, p in enumerate(grid.points):
+        if not ts.in_kappa(p):
+            skipped.append(p)
+            continue
+        s = ts.sigma(p)
+        if s > p:
+            j = grid.index_of(s)
+            if j is None:
+                skipped.append(p)
+                continue
+            mu = s - p
+            dc = (pair.c_values[j] - pair.c_values[i]) / mu
+            ds = (pair.s_values[j] - pair.s_values[i]) / mu
+            avg_c = 0.5 * (pair.c_values[i] + pair.c_values[j])
+            avg_s = 0.5 * (pair.s_values[i] + pair.s_values[j])
+        else:
+            dc = delta_derivative_numeric(ts, lambda u: pair_at(u)[0], p)
+            ds = delta_derivative_numeric(ts, lambda u: pair_at(u)[1], p)
+            avg_c, avg_s = pair.c_values[i], pair.s_values[i]
+        r = max(abs(dc - c_rhs(avg_c, avg_s)), abs(ds - s_rhs(avg_c, avg_s)))
+        pts.append(p)
+        residuals.append(r)
+    name = f"derivative-{family.value}-{kind.value}"
+    return ResidualReport(name, tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
+
+
+def reference_sigma_shift_residual(family, ts, coeff, t, from_t0) -> float:
+    """check_sigma_shift with E(., t0) given as from_t0."""
+    rule = _STEP_RULES.get(family)
+    if rule is None:
+        raise ValueError("shift law check supports the Cayley and forward-step families")
+    _, tt = ts._locate(t)
+    factor = rule.factor(ts.mu(tt), coeff(tt))
+    et = from_t0(tt)
+    es = from_t0(ts.sigma(tt))
+    return abs(es - factor * et)
 
 
 # -- Hypothesis strategies for scales and probe points ------------------------------

@@ -3,7 +3,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tscale import (
@@ -428,17 +428,17 @@ def bp_half_sum_exception(fn, family, got, want) -> bool:
     """True where the Bohner-Peterson trig pair, (Re E, Im E) of the
     forward-step exponential E of 1j*omega, differs from the ladder's
     half-sum and half-difference of E and its conjugate in one of two named
-    ways: E underflows to zero and the sign of a zero differs; or the
-    half-sum (half-difference) overflows to inf (nan, through 0.5 times an
-    infinite complex) where Re E (Im E) is finite. Any other part must
-    match bit for bit."""
+    ways: Im E is -0.0 where the half-difference is +0.0 (the half-sum
+    equal); or the half-sum (half-difference) overflows to inf (nan,
+    through 0.5 times an infinite complex) where Re E (Im E) is finite. Any
+    other part must match bit for bit."""
     if fn is not trig or family is not TrigFamily.BOHNER_PETERSON:
         return False
     if len(got) != 2 or len(want) != 2:  # an error on either side
         return False
-    g, w = [float.fromhex(x) for x in got], [float.fromhex(x) for x in want]
-    if g == w == [0.0, 0.0]:
+    if got[0] == want[0] and (got[1], want[1]) == ((-0.0).hex(), (0.0).hex()):
         return True
+    g, w = [float.fromhex(x) for x in got], [float.fromhex(x) for x in want]
     return all(
         x == y
         or (math.isfinite(u) and abs(u) > sys.float_info.max / 2 and not math.isfinite(v))
@@ -446,17 +446,30 @@ def bp_half_sum_exception(fn, family, got, want) -> bool:
     )
 
 
+@st.composite
+def _pair_cases(draw):
+    """A scale, t and t0 (probe points), a hyperbolic and a trigonometric
+    parameter."""
+    ts = draw(any_scale())
+    t, t0 = draw(st.lists(probe_points(ts), min_size=2, max_size=2))
+    alpha = draw(st.sampled_from(PAIR_PARAMETERS + [VARYING]))
+    return ts, t, t0, alpha, draw(st.sampled_from(TRIG_PARAMETERS))
+
+
+# Re E subnormal and Im E -0.0, the ladder's half-difference +0.0
+_SIGNED_ZERO_DRAW = isolated(0.9577349002934001, 1.622915499852811, 2.4868565942609537)
+
+
 @settings(max_examples=300, deadline=None)
-@given(any_scale(), st.data())
-def test_pointwise_pairs_match_their_own_ladder(ts, data):
+@given(_pair_cases())
+@example((_SIGNED_ZERO_DRAW, 0.9577349002934001, 2.4868565942609537, 0.7 - 0.4j, 1e154))
+def test_pointwise_pairs_match_their_own_ladder(case):
     """hyp and trig equal, bit for bit and in their errors, the family
     ladder they replaced, for every family, with t on either side of t0.
     The exceptions: a t located apart from t0 but within the membership
     tolerance of it takes the anchor's value, as a grid point does; and the
     two Bohner-Peterson trig cases of bp_half_sum_exception."""
-    t, t0 = data.draw(st.lists(probe_points(ts), min_size=2, max_size=2))
-    alpha = data.draw(st.sampled_from(PAIR_PARAMETERS + [VARYING]))
-    omega = data.draw(st.sampled_from(TRIG_PARAMETERS))
+    ts, t, t0, alpha, omega = case
     for a, b in ((t, t0), (t0, t)):
         for family in TrigFamily:
             for fn, ref, param in ((hyp, reference_hyp, alpha), (trig, reference_trig, omega)):
@@ -478,6 +491,8 @@ def test_pointwise_pairs_match_their_own_ladder(ts, data):
         (isolated(0.0, 1.2, 2.4), 1e154, 2.4, 0.0),
         # Im E = -1.25e308: the half-difference is nan
         (isolated(0.0, 1.0, 2.0, 3.0), 5e102, 3.0, 0.0),
+        # Re E subnormal, Im E -0.0: the half-difference is +0.0
+        (_SIGNED_ZERO_DRAW, 1e154, 0.9577349002934001, 2.4868565942609537),
     ],
 )
 def test_bp_trig_half_sum_exceptions(ts, omega, t, t0):

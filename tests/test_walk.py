@@ -174,14 +174,16 @@ def test_grid_skipping_a_forward_jump_raises_grid_error():
 def test_walk_records():
     ts = union(interval(0.0, 1.0), isolated(1.5, 2.0))
     assert list(ts.walk((0.0, 0.5, 1.0, 1.5, 2.0))) == [
-        (0.0, 0.5, 0.0, 0.0, (0.0, 0.5)),
-        (0.5, 1.0, 0.5, 0.0, (0.5, 1.0)),
-        (1.0, 1.5, 1.5, 0.5, None),
-        (1.5, 2.0, 2.0, 0.5, None),
-        (2.0, None, 2.0, None, None),  # left-scattered maximum: no graininess
+        (0.0, 0.5, 0.0, 0.0, (0.0, 0.5), 0.0),
+        (0.5, 1.0, 0.5, 0.0, (0.5, 1.0), 0.5),
+        (1.0, 1.5, 1.5, 0.5, None, 1.0),
+        (1.5, 2.0, 2.0, 0.5, None, 1.5),
+        (2.0, None, 2.0, None, None, 2.0),  # left-scattered maximum: no graininess
     ]
     # a right-dense step that leaves its interval has no span
-    assert list(ts.walk((0.5, 2.0)))[0] == (0.5, 2.0, 0.5, 0.0, None)
+    assert list(ts.walk((0.5, 2.0)))[0] == (0.5, 2.0, 0.5, 0.0, None, 0.5)
+    # a point within the tolerance of an isolated point is located at it
+    assert list(ts.walk((1.5 - 4e-13,)))[0][1:] == (None, 2.0, 0.5, None, 1.5)
 
 
 # -- the walker against a walk that locates every point ------------------------------
@@ -296,6 +298,7 @@ _TOLS = st.sampled_from([1e-12, 1e-8, 1e-3, math.inf, math.nan, 0.0, -1.0])
 @given(_VALUES, _spans(), _TOLS)
 @example(_REFINING, (1e4, 1e4 + 0.1), 1e-12)  # the first step does not converge
 @example(1j, (0.0, 0.0), 1e-12)
+@example(3e307j, (1e4, math.nextafter(1e4, math.inf)), 1e-12)  # a non-finite first step
 def test_constant_simpson_is_the_first_simpson_step(v, span, tol):
     [got] = _constant_simpson(v, span, tol)
     want = constant_simpson_reference(v, *span, tol)
