@@ -49,12 +49,12 @@ from .trig import TrigFamily, TrigKind, pythagorean_residual, trig_grid
 from .dynamic import (
     SampledFunction,
     Scheme,
+    _oscillator_cayley,
     delbis_relation_residual,
-    oscillator_residual_cayley,
     oscillator_residual_exact,
     solve_first_order,
 )
-from .report import ResidualReport
+from .report import ResidualReport, collect
 
 SCHEMA = "tscale/1"
 
@@ -239,6 +239,7 @@ class RunConfig:
 # The command-line names are the enums' values.
 _EXP_FAMILIES = {family.value: family for family in ExpFamily}
 _TRIG_FAMILIES = {family.value: family for family in TrigFamily}
+_STEP_FAMILIES = {family.value: family for family in _STEP_RULES}
 _SCHEMES = {scheme.value: scheme for scheme in Scheme}
 
 
@@ -379,7 +380,7 @@ def _sigma_shift_report(config, ts, grid, family):
     t0 the first; each E(x, t0) is computed once, along one run from t0."""
     coeff = as_coefficient(config.alpha)
     from_t0 = _memoized(_exp_runs(family, ts, coeff, config.tol)(grid.points[0]))
-    jumps = _Jumps.of(ts, grid)
+    jumps = _Jumps(ts, grid.points, grid)
 
     def residual(k):
         jumps.check(k)
@@ -387,7 +388,7 @@ def _sigma_shift_report(config, ts, grid, family):
             return None
         return _sigma_shift_residual(family, coeff, jumps, k, from_t0)
 
-    return jumps.report("sigma-shift", residual, config.tol), {}
+    return collect("sigma-shift", grid.points, residual, config.tol), {}
 
 
 def _product_law_report(config, ts, grid, family):
@@ -416,11 +417,10 @@ def _unit_circle_report(config, ts, grid, family):
 def _oscillator_cayley_report(config, ts, grid, family):
     omega = config.omega
     pair = trig_grid(TrigFamily.CAYLEY, ts, omega, grid.points[0], grid, config.tol)
-    rep_c = oscillator_residual_cayley(
-        ts, omega, SampledFunction(grid, pair.c_values), grid, config.tol
-    )
-    rep_s = oscillator_residual_cayley(
-        ts, omega, SampledFunction(grid, pair.s_values), grid, config.tol
+    jumps = _Jumps(ts, grid.points, grid)  # one walk for both passes
+    rep_c, rep_s = (
+        _oscillator_cayley(jumps, omega, SampledFunction(grid, v), config.tol)
+        for v in (pair.c_values, pair.s_values)
     )
     residuals = tuple(map(max, rep_c.residuals, rep_s.residuals))
     return replace(rep_c, identity="oscillator-cayley", residuals=residuals), {}
@@ -451,13 +451,13 @@ def _delbis_report(config, ts, grid, family):
 
 # The single list of identities, in --help order: each name's report builder
 # and the --family names it accepts, or None when it reads no family. The
-# product law combines the two exponents with the family's circle-plus, so
-# it accepts the families that have a step rule.
+# shift law steps by the family's step factor and the product law combines
+# exponents with its circle-plus: both accept the families with a step rule.
 _IDENTITIES = {
     "pythagorean": (_pythagorean_report, _TRIG_FAMILIES),
     "semigroup": (_semigroup_report, _EXP_FAMILIES),
-    "sigma-shift": (_sigma_shift_report, _EXP_FAMILIES),
-    "product-law": (_product_law_report, {f.value: f for f in _STEP_RULES}),
+    "sigma-shift": (_sigma_shift_report, _STEP_FAMILIES),
+    "product-law": (_product_law_report, _STEP_FAMILIES),
     "unit-circle": (_unit_circle_report, None),
     "oscillator-cayley": (_oscillator_cayley_report, None),
     "oscillator-exact": (_oscillator_exact_report, None),

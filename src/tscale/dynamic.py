@@ -8,10 +8,11 @@ exp(alpha*mu). The first two factors and their regressivity tests are the
 step-rule table's in transforms. Dense segments integrate the continuum
 equation; the exact scheme uses the closed-form flow there, never quadrature.
 
-Cost: a residual report walks its grid once (timescale._Jumps, kept on the
-grid for every report on it) and reads each point's sigma, mu and the grid
-index of its jump by index; the pointwise average, double_average,
-delta_prime and delta_doubleprime are the one-point case of that code.
+Cost: a residual report walks its grid once (timescale._Jumps, one walk per
+report; the oscillator-cayley report shares one table between its two
+passes) and reads each point's sigma, mu and the grid index of its jump by
+index; the pointwise average, double_average, delta_prime and
+delta_doubleprime are the one-point case of that code.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
 from .exponential import _exp
 from .timescale import DEFAULT_TOL, Grid, Run, TimeScale, _Jumps
 from .transforms import CAYLEY_RULE, FORWARD_RULE, REGRESSIVITY_MARGIN, as_coefficient
-from .report import ResidualReport
+from .report import ResidualReport, collect
 from .trig import TrigKind
 
 
@@ -96,7 +97,6 @@ def double_average(x: SampledFunction, ts: TimeScale, t: float) -> complex:
 
 def _average(jumps, k: int, x: SampledFunction) -> complex:
     """average at point k of jumps, whose grid is x's."""
-    jumps.check(k)
     v = x.values[jumps.located_index(k)]
     if not jumps.mu[k]:
         return v
@@ -105,7 +105,6 @@ def _average(jumps, k: int, x: SampledFunction) -> complex:
 
 def _double_average(jumps, k: int, x: SampledFunction) -> complex:
     """double_average at point k of jumps, whose grid is x's."""
-    jumps.check(k)
     if not jumps.mu[k]:
         return x.values[jumps.located_index(k)]
     return 0.5 * (_average(jumps, k, x) + _average(*jumps.jump(k), x))
@@ -219,8 +218,8 @@ def _step_factors(scheme, ts, coeff, pts, items, tol):
             else:
                 yield from map(_exp, coeff.dense_integrals(ts, xs, tol))
             continue
-        p, q, s, _, span, _ = item
-        if s > p:
+        p, q, s, _, span, tt = item
+        if s > tt:
             if abs(s - q) > 1e-12:
                 raise GridError(f"grid skips the forward jump of {p!r}")
             a = coeff(p)
@@ -286,7 +285,6 @@ def delta_prime(alpha: complex, ts: TimeScale, x: SampledFunction, t: float) -> 
     to an ordinary derivative estimate from neighboring samples.
     """
     jumps = _Jumps(ts, (t,), x.grid)
-    jumps.check(0)
     mu = jumps.mu[0]
     if not mu:
         return _sample_derivative(jumps, 0, x)
@@ -309,7 +307,6 @@ def delta_doubleprime(omega: float, ts: TimeScale, x: SampledFunction, t: float)
 
 def _delta_doubleprime(omega: float, jumps, k: int, x: SampledFunction) -> complex:
     """delta_doubleprime at point k of jumps, whose grid is x's."""
-    jumps.check(k)
     mu = jumps.mu[k]
     if not mu:
         return _sample_derivative(jumps, k, x)
@@ -390,7 +387,11 @@ def oscillator_residual_cayley(
     reported.
     """
     _check_aligned(x, grid)
-    jumps = _Jumps.of(ts, grid)
+    return _oscillator_cayley(_Jumps(ts, grid.points, grid), param, x, tol, kind)
+
+
+def _oscillator_cayley(jumps, param, x, tol, kind=TrigKind.TRIGONOMETRIC) -> ResidualReport:
+    """oscillator_residual_cayley over the points of jumps, whose grid is x's."""
 
     def residual(k):
         dd = _second_delta(jumps, k, x)
@@ -401,7 +402,7 @@ def oscillator_residual_cayley(
             return abs(dd + complex(param) ** 2 * da)
         return abs(dd - complex(param) ** 2 * da)
 
-    return jumps.report(f"oscillator-cayley-{kind.value}", residual, tol)
+    return collect(f"oscillator-cayley-{kind.value}", jumps.points, residual, tol)
 
 
 @dataclass(frozen=True)
@@ -438,7 +439,7 @@ def oscillator_residual_exact(
         raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
     w2phi2 = omega * omega * phi(omega * mu) ** 2
     w2sinc2 = omega * omega * sinc(0.5 * omega * mu) ** 2
-    jumps = _Jumps.of(ts, grid)
+    jumps = _Jumps(ts, grid.points, grid)
 
     def forms(k):
         dd = _second_delta(jumps, k, x)
@@ -447,7 +448,7 @@ def oscillator_residual_exact(
         a_form = dd + w2phi2 * _double_average(jumps, k, x)
         return a_form, dd + w2sinc2 * x.values[jumps.jump_index(k)]
 
-    both = jumps.report("oscillator-exact", forms, tol)  # residuals: the form pairs
+    both = collect("oscillator-exact", grid.points, forms, tol)  # residuals: the form pairs
     phi_r = tuple(abs(a) for a, _ in both.residuals)
     sinc_r = tuple(abs(b) for _, b in both.residuals)
     return ExactOscillatorResult(
@@ -481,7 +482,7 @@ def delbis_relation_residual(
     if mu > 0 and abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
         raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
     corr = 0.5 * mu * omega * omega * sinc(0.5 * omega * mu) ** 2
-    jumps = _Jumps.of(ts, grid)
+    jumps = _Jumps(ts, grid.points, grid)
 
     def residual(k):
         jumps.check(k)
@@ -498,4 +499,4 @@ def delbis_relation_residual(
         rhs = sinc(omega * mu) * _delta_doubleprime(omega, jumps, k, x) - corr * v
         return abs(lhs - rhs)
 
-    return jumps.report("delbis", residual, tol)
+    return collect("delbis", grid.points, residual, tol)

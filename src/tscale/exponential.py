@@ -335,10 +335,10 @@ def _step_logs(family, ts, coeff, points, tol):
         if isinstance(item, Run):
             yield from coeff.dense_integrals(ts, item.points, tol)
             continue
-        p, q, s, _, span, _ = item
+        p, q, s, _, span, tt = item
         if q is None:
             return
-        if s > p:
+        if s > tt:
             if abs(s - q) > 1e-12:
                 raise GridError(
                     f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"

@@ -40,3 +40,17 @@ class ResidualReport:
     @property
     def passed(self) -> bool:
         return self.max_residual < self.tol
+
+
+def collect(identity: str, points, residual, tol: float) -> ResidualReport:
+    """The report of residual(k) over the points, skipping point k where
+    it is None."""
+    pts, residuals, skipped = [], [], []
+    for k, p in enumerate(points):
+        r = residual(k)
+        if r is None:
+            skipped.append(p)
+        else:
+            pts.append(p)
+            residuals.append(r)
+    return ResidualReport(identity, tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))

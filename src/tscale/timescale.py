@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, GridError, KappaError, OverlapError, ToleranceError
-from .report import ResidualReport
 
 # Absolute tolerance for locating a time value inside a component.
 MEMBERSHIP_TOL = 1e-12
@@ -131,8 +129,10 @@ class Grid:
     def index_of(self, t: float) -> int | None:
         """Index of the grid point equal to t within the membership tolerance."""
         i = bisect_left(self.points, t - MEMBERSHIP_TOL)
-        if i < len(self.points) and abs(self.points[i] - t) <= MEMBERSHIP_TOL:
-            return i
+        # t - MEMBERSHIP_TOL may round onto a point just out of tolerance
+        for j in (i, i + 1):
+            if j < len(self.points) and abs(self.points[j] - t) <= MEMBERSHIP_TOL:
+                return j
         return None
 
 
@@ -533,7 +533,10 @@ class _Jumps:
     a point is not its own grid point, the backward jump of a point no span
     reaches, the jump of a jump that is no point. Past a non-member the
     points are walked one at a time; check(k) raises the error of locating
-    point k, where a loop locating each point would meet it.
+    point k, where a loop locating each point would meet it, as do
+    located_index(k) and jump_index(k). One walk per report: a report builds
+    its table, and the oscillator-cayley report shares one between its two
+    passes.
     """
 
     def __init__(self, ts: TimeScale, points: Sequence[float], grid: Grid | None = None):
@@ -563,17 +566,6 @@ class _Jumps:
         if k in self._errors:
             raise self._errors[k]
 
-    @classmethod
-    def of(cls, ts: TimeScale, grid: Grid) -> "_Jumps":
-        """The jumps of the grid's points, kept on the grid (equality,
-        hashing and repr ignore them): one walk for every report on it."""
-        jumps = grid.__dict__.get("_jumps")
-        if jumps is None or jumps.ts is not ts:
-            # the jumps hold the grid weakly, so the two make no cycle
-            jumps = cls(ts, grid.points, weakref.proxy(grid))
-            object.__setattr__(grid, "_jumps", jumps)
-        return jumps
-
     def index(self, k: int, t: float) -> int | None:
         """Grid.index_of(t), for t point k or near it; no search where t is
         point k, grid point k, with no grid point within the membership
@@ -590,6 +582,7 @@ class _Jumps:
     def located_index(self, k: int) -> int:
         """The grid index of the located value; GridError, as a sample
         lookup raises it, where there is none."""
+        self.check(k)
         i = self.index(k, self.located[k])
         if i is None:
             raise GridError(f"t={self.located[k]!r} is not sampled")
@@ -597,6 +590,7 @@ class _Jumps:
 
     def jump_index(self, k: int) -> int:
         """next[k]; GridError, as a sample lookup raises it, where None."""
+        self.check(k)
         if self.next[k] is None:
             raise GridError(f"t={self.sigma[k]!r} is not sampled")
         return self.next[k]
@@ -613,19 +607,6 @@ class _Jumps:
         if self._aligned and j is not None and self.points[j] == s:
             return self, j
         return _Jumps(self.ts, (s,), self.grid), 0
-
-    def report(self, identity: str, residual, tol: float) -> ResidualReport:
-        """The report of residual(k) over the points, skipping a point where
-        it is None."""
-        pts, residuals, skipped = [], [], []
-        for k, p in enumerate(self.points):
-            r = residual(k)
-            if r is None:
-                skipped.append(p)
-            else:
-                pts.append(p)
-                residuals.append(r)
-        return ResidualReport(identity, tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
 
 
 def _extend_run(points: Sequence[float], k: int, comp: ClosedInterval, xs: list[float]) -> int:

@@ -28,7 +28,7 @@ from .exponential import (
     _validated_logs,
     exp_evaluate_grid,
 )
-from .report import ResidualReport
+from .report import ResidualReport, collect
 
 
 class TrigFamily(Enum):
@@ -222,7 +222,7 @@ def derivative_residual(
         c_rate, s_rate = -w, w
         pair_at = _memoized(lambda u: trig(family, ts, w, u, t0, tol))
     cs, ss = pair.c_values, pair.s_values
-    jumps = _Jumps.of(ts, grid)
+    jumps = _Jumps(ts, grid.points, grid)
 
     def residual(k):
         p, s = jumps.points[k], jumps.sigma[k]
@@ -241,7 +241,7 @@ def derivative_residual(
             avg_c, avg_s = cs[k], ss[k]
         return max(abs(dc - c_rate * avg_s), abs(ds - s_rate * avg_c))
 
-    return jumps.report(f"derivative-{family.value}-{kind.value}", residual, tol)
+    return collect(f"derivative-{family.value}-{kind.value}", grid.points, residual, tol)
 
 
 def exact_trig_delta(omega: float, mu: float, t: float) -> tuple[float, float]:

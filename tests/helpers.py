@@ -337,10 +337,10 @@ def reference_step_logs(family: ExpFamily, ts: TimeScale, coeff, points, tol):
     """Exponent increment over each step of reference_walk: a step log at a
     scattered point, the dense view's step_integral over any other step."""
     log = _STEP_RULES[family].log
-    for p, q, s, _, span, _ in reference_walk(ts, points):
+    for p, q, s, _, span, tt in reference_walk(ts, points):
         if q is None:
             return
-        if s > p:
+        if s > tt:
             if abs(s - q) > 1e-12:
                 raise GridError(
                     f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
@@ -390,8 +390,8 @@ def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, to
     values[anchor] = complex(x0)
 
     def factors(records):
-        for p, q, s, _, span, _ in records:
-            if s > p:
+        for p, q, s, _, span, tt in records:
+            if s > tt:
                 if abs(s - q) > 1e-12:
                     raise GridError(f"grid skips the forward jump of {p!r}")
                 a = coeff(p)

@@ -775,7 +775,7 @@ def test_solve_off_grid_finite_t0_still_anchors_at_the_first_point(capsys):
         ("pythagorean", "nabla", "bp, cayley, exact, hilger"),
         ("pythagorean", "foo", "bp, cayley, exact, hilger"),
         ("semigroup", "bp", "cayley, exact, hilger, nabla"),
-        ("sigma-shift", "foo", "cayley, exact, hilger, nabla"),
+        ("sigma-shift", "foo", "cayley, hilger"),
         ("product-law", "bp", "cayley, hilger"),
         ("product-law", "exact", "cayley, hilger"),
         ("product-law", "nabla", "cayley, hilger"),
@@ -787,6 +787,20 @@ def test_unknown_identity_family_is_named(capsys, identity, family, accepted):
     assert _config_error(capsys, argv) == (
         f"tscale: --family {family!r} is not accepted by identity {identity}; "
         f"choose from {accepted}\n"
+    )
+
+
+@pytest.mark.parametrize("family", ["exact", "nabla"])
+@pytest.mark.parametrize("range_", [None, "1,1"])
+def test_sigma_shift_rejects_a_family_without_a_step_factor(capsys, family, range_):
+    # a range of left-scattered maxima alone used to exit 0 with no points
+    argv = ["identity", "--scale", "points(0,1)", "--identity", "sigma-shift",
+            "--family", family]
+    if range_ is not None:
+        argv += ["--range", range_]
+    assert _config_error(capsys, argv) == (
+        f"tscale: --family {family!r} is not accepted by identity sigma-shift; "
+        "choose from cayley, hilger\n"
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from tscale import (
     ConstantGraininessError,
     ExpFamily,
+    Grid,
     GridError,
     RegressivityError,
     SampledFunction,
@@ -171,6 +172,15 @@ def test_solver_requires_anchor_on_grid():
     g = Z12.make_grid(0, 5, 1.0)
     with pytest.raises(GridError):
         solve_first_order(Scheme.EXPLICIT_DELTA, Z12, 1.0, 1, 7.0, g)
+
+
+def test_a_grid_point_just_out_of_tolerance_of_the_one_before_is_sampled():
+    # 1.000000000001 - 1e-12 rounds onto 1.0, which lies 1.0000000000000002e-12
+    # below the point: the bisection lands on 1.0, the point after it matches
+    grid = Grid((1.0, 1.000000000001, 2.0), 0.1)
+    assert [grid.index_of(p) for p in grid.points] == [0, 1, 2]
+    x = SampledFunction(grid, (1.0, 2.0, 3.0))
+    assert [x.value_at(p) for p in grid.points] == [1.0, 2.0, 3.0]
 
 
 HALVES = uniform(0.0, 0.5, 2000)

@@ -171,6 +171,20 @@ def test_grid_skipping_a_forward_jump_raises_grid_error():
         assert str(err.value) == "grid skips the forward jump of 1.0"
 
 
+def test_grid_point_just_below_an_interval_steps_into_it():
+    # -5e-13 is located at the interval's lower end 0.0, whose forward jump
+    # 0.0 lies above the raw point: the step is dense, not a skipped jump
+    ts = union(interval(0.0, 1.0), isolated(1.5))
+    grid = Grid((-5e-13, 0.5, 1.0, 1.5), 0.5)
+    expected = [exp_cayley(ts, 0.5, p, 0.5) for p in grid.points]
+    assert expected[0] == 0.7788007830714049
+    ev = exp_evaluate_grid(ExpFamily.CAYLEY, ts, 0.5, 0.5, grid)
+    x = solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, ts, 0.5, 1.0, 0.5, grid)
+    assert ev.values[0] == x.values[0] == expected[0]
+    for u, v, w in zip(ev.values, x.values, expected):
+        assert _close(u, w, 1e-15) and _close(v, w, 1e-15)
+
+
 def test_walk_records():
     ts = union(interval(0.0, 1.0), isolated(1.5, 2.0))
     assert list(ts.walk((0.0, 0.5, 1.0, 1.5, 2.0))) == [
