@@ -129,6 +129,11 @@ def solve_first_order(
     walked once: validation keeps the walk records, and the step factors
     are taken from them. A marched value or step factor that overflows
     raises ToleranceError.
+
+    The explicit and trapezoidal schemes step from a right-dense point
+    past its interval's unsampled upper end by the exponential of the dense
+    view's delta integral, exp(mu * alpha) across the jump, not by their
+    step factor.
     """
     coeff = as_coefficient(alpha)
     if scheme is Scheme.EXACT_DISC and not coeff.is_constant:
@@ -216,9 +221,9 @@ def _step_factors(scheme, ts, coeff, pts, items, tol):
                 steps = zip(pts[k : k + len(xs) - 1], pts[k + 1 : k + len(xs)])
                 yield from (_exp(a * (q - p)) for p, q in steps)
             else:
-                yield from map(_exp, coeff.dense_integrals(ts, xs, tol))
+                yield from map(_exp, coeff.dense_integrals(xs, tol))
             continue
-        p, q, s, _, span, tt = item
+        p, q, s, _, _, tt = item
         if s > tt:
             if abs(s - q) > 1e-12:
                 raise GridError(f"grid skips the forward jump of {p!r}")
@@ -227,7 +232,7 @@ def _step_factors(scheme, ts, coeff, pts, items, tol):
         elif rule is None:
             yield _exp(coeff.constant_value * (q - p))
         else:
-            yield _exp(coeff.dense_integral(ts, p, q, span, tol))
+            yield _exp(ts.delta_integral(coeff.dense, p, q, tol))
 
 
 # -- correction factors --------------------------------------------------------------

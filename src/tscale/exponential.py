@@ -123,7 +123,7 @@ class _Terms:
 
     def integral(self, c: float, d: float) -> complex:
         """Integral of the dense view over [c, d], inside one interval."""
-        return self.coeff.dense_integral(self.ts, c, d, (c, d), self.tol)
+        return self.coeff.dense_integral(c, d, self.tol)
 
 
 class _Exponent:
@@ -268,6 +268,10 @@ def exp_evaluate_grid(
     consecutive grid points along one TimeScale.walk_runs of the grid,
     anchored at t0 so the value there is exactly one when t0 lies on the
     grid.
+
+    A step from a right-dense point past its interval's unsampled upper
+    end integrates the dense view across the jump (mu * alpha), not the
+    family's step log, unlike exp_cayley and exp_hilger.
     """
     coeff = as_coefficient(alpha)
     if family is ExpFamily.EXACT:
@@ -333,9 +337,9 @@ def _step_logs(family, ts, coeff, points, tol):
     log = _STEP_RULES[family].log
     for item in ts.walk_runs(points):
         if isinstance(item, Run):
-            yield from coeff.dense_integrals(ts, item.points, tol)
+            yield from coeff.dense_integrals(item.points, tol)
             continue
-        p, q, s, _, span, tt = item
+        p, q, s, _, _, tt = item
         if q is None:
             return
         if s > tt:
@@ -345,7 +349,7 @@ def _step_logs(family, ts, coeff, points, tol):
                 )
             yield log(s - p, coeff(p))
         else:
-            yield coeff.dense_integral(ts, p, q, span, tol)
+            yield ts.delta_integral(coeff.dense, p, q, tol)
 
 
 # -- degenerate-tolerant forward-step evaluation -----------------------------------
@@ -368,7 +372,7 @@ def _hilger_product_point(
     for s, mu in ts.scattered_points(lo, hi):
         prod *= 1.0 + mu * coeff(s)
     for c, d in ts.dense_segments(lo, hi):
-        prod *= _exp(coeff.dense_integral(ts, c, d, (c, d), tol))
+        prod *= _exp(coeff.dense_integral(c, d, tol))
     if backward:
         if prod == 0:
             raise SingularError(

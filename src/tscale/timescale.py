@@ -12,11 +12,11 @@ Cost model, for a scale of C components: locating a point costs
 O(log C), since a bisection over the component left endpoints picks the
 few neighbouring components whose membership tests decide. A jump
 operator, graininess, classification or membership query is one lookup.
-TimeScale.walk_runs over a grid of N points locates a point only when
-the point before it is isolated or the step leaves that point's
-interval, and takes the steps inside one closed interval as one run: a
-step of a run is a few float comparisons, with no lookup, record or
-call. A walk therefore costs O(N) plus O(log C) per component it enters,
+TimeScale.walk_runs over a grid of N points takes the steps inside one
+closed interval as one run, a few float comparisons a step with no
+lookup, record or call, and locates every point that does not continue
+a run. On a grid such as make_grid gives, that is one lookup per
+component it enters, so a walk costs O(N) plus O(log C) per component,
 plus the quadrature of its dense steps, and grid evaluations and solvers
 built on it are linear in N. A constant coefficient integrates a run in
 one loop (Coefficient.dense_integrals): each dense step is Simpson's
@@ -391,25 +391,6 @@ class TimeScale:
             jumps += mu * f(s)
         return riemann + jumps
 
-    def step_integral(
-        self,
-        f: Callable[[float], complex],
-        p: float,
-        q: float,
-        span: tuple[float, float] | None,
-        tol: float = DEFAULT_TOL,
-    ) -> complex:
-        """delta_integral(f, p, q, tol) for one step of walk, bit for bit.
-
-        A step with a span lies inside one closed interval, where the delta
-        integral is a single Simpson quadrature over the span; any other
-        step goes through delta_integral.
-        """
-        if span is None:
-            return self.delta_integral(f, p, q, tol)
-        # delta_integral adds its zero jump sum, which turns -0.0 into 0.0
-        return _adaptive_simpson(f, span[0], span[1], tol) + 0j
-
     # -- grids ----------------------------------------------------------------
 
     def walk(self, points: Sequence[float]) -> Iterator[tuple]:
@@ -419,9 +400,11 @@ class TimeScale:
         Yields (p, q, sigma, mu, span, tt): p as given, the next point q
         (None at the last), the forward jump sigma(p), the graininess mu(p)
         (None at a left-scattered maximum), span, and the value tt that p
-        is located at. span is the located pair (p, q) when p < q both lie
-        in the closed interval holding p, which makes p right-dense; it is
-        None otherwise. step_integral integrates over the step with it.
+        is located at. span is the located pair (tt, uu) of p and q when
+        lo <= tt < uu <= hi in the closed interval [lo, hi] holding p,
+        which makes p right-dense; it is None otherwise. The delta integral
+        over a step with a span is one quadrature over the span
+        (Coefficient.dense_integral).
 
         These are the records of walk_runs, each run expanded into the
         records of its steps: (p, q, x, 0.0, (x, y), x) for consecutive
@@ -441,21 +424,15 @@ class TimeScale:
         taken a run at a time.
 
         A run is a maximal stretch of consecutive points whose steps each
-        have a span (_extend_run decides each step), starting at a point
-        that is not below its located value, so its forward jump is not
-        above it, nor its located value below the interval. It is reported
-        as one Run(start, points): the index of its first point and the
-        located points, one more than its steps, in one closed interval,
-        each above the one before. The record of the run's last point
-        follows it. Every other point's record is reported as walk reports
-        it. A step of a run costs a few float comparisons, no lookup and no
-        record.
-
-        A q above a point p of a closed interval and within the interval's
-        upper tolerance is located in that interval without a lookup, as
-        _locate would locate it: every component below the interval
-        rejected p, so it rejects q > p, and the interval is the first of
-        the others to be tested.
+        have a span (_extend_run decides each step), starting at any point
+        located in a closed interval at or above its lower end. It is
+        reported as one Run(start, points): the index of its first point
+        and the located points, one more than its steps, in one closed
+        interval, each above the one before. The record of the run's last
+        point follows it. Every other point's record is reported as walk
+        reports it, with span None, and the point after it is located with
+        _locate. A step of a run costs a few float comparisons, no lookup
+        and no record.
         """
         comps = self.components
         lsm = self._left_scattered_max
@@ -471,8 +448,7 @@ class TimeScale:
             if k + 1 == n:
                 yield p, None, s, mu, None, tt
                 return
-            in_interval = isinstance(comp, ClosedInterval)
-            if in_interval and comp.lo <= tt <= p:
+            if isinstance(comp, ClosedInterval) and comp.lo <= tt:
                 xs = [tt]
                 end = _extend_run(points, k, comp, xs)
                 if end > k:
@@ -480,15 +456,8 @@ class TimeScale:
                     k, located = end, (i, xs[-1])
                     continue
             q = points[k + 1]
-            if in_interval and p < q <= comp.hi + MEMBERSHIP_TOL:
-                located = i, _snap(comp, q)
-            else:
-                located = self._locate(q)
-            j, uu = located
-            span = None
-            if j == i and in_interval and comp.lo <= tt < uu <= comp.hi:
-                span = (tt, uu)
-            yield p, q, s, mu, span, tt
+            located = self._locate(q)
+            yield p, q, s, mu, None, tt
             k += 1
 
     def make_grid(self, t0: float, t1: float, dense_step: float) -> Grid:
@@ -612,11 +581,13 @@ class _Jumps:
 def _extend_run(points: Sequence[float], k: int, comp: ClosedInterval, xs: list[float]) -> int:
     """Append to the located points xs of a run, which end at point k, the
     points after it while each step has a span; the index of the last.
+    This is the one place a step is given a span.
 
     The step from point k, located at xs[-1] in comp, has a span when the
     next point is above it and within comp's upper tolerance (so comp
     accepts it, as _locate would find), and once snapped lies above xs[-1]
-    and no higher than hi. A point of a run past its first is its own
+    and no higher than hi. The first point can lie within the tolerance
+    below lo, located at lo. A point of a run past its first is its own
     located value: _snap gives lo, hi or the point itself, the point lies
     above lo, and no step from hi has a span.
     """

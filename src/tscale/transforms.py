@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 from .errors import RegressivityError, SingularError
-from .timescale import Grid, TimeScale, _constant_simpson
+from .timescale import Grid, TimeScale, _adaptive_simpson, _constant_simpson
 
 # Margin below which regressivity predicates report failure instead of
 # letting downstream exponentials lose all precision.
@@ -227,35 +227,31 @@ class Coefficient:
         """Evaluator for points of continuous pieces (zero-graininess limit)."""
         return self._dense
 
-    def dense_integral(
-        self, ts: TimeScale, p: float, q: float, span: tuple[float, float] | None, tol: float
-    ) -> complex:
-        """ts.step_integral(self.dense, p, q, span, tol), bit for bit, over
-        one step of ts.walk: the two-point case of dense_integrals."""
+    def dense_integral(self, a: float, b: float, tol: float) -> complex:
+        """Integral of the dense view over [a, b], inside one closed
+        interval: the two-point case of dense_integrals."""
         v = self.dense_value
-        if span is not None and v is not None:
-            [w] = _constant_simpson(v, span, tol)
+        if v is not None:
+            [w] = _constant_simpson(v, (a, b), tol)
             if w is not None:
                 return w
-        return ts.step_integral(self.dense, p, q, span, tol)
+        # as in delta_integral, whose zero jump sum turns -0.0 into 0.0
+        return _adaptive_simpson(self.dense, a, b, tol) + 0j
 
-    def dense_integrals(
-        self, ts: TimeScale, xs: Sequence[float], tol: float
-    ) -> Iterator[complex]:
+    def dense_integrals(self, xs: Sequence[float], tol: float) -> Iterator[complex]:
         """dense_integral over each step between consecutive located points
-        xs of one closed interval, each step its own span, in order.
+        xs of one closed interval, in order.
 
         A constant dense view takes Simpson's first step on its value over
         every step at once and calls no integrand; a step whose first step
         would refine, and every step of any other dense view, goes through
-        ts.step_integral when its turn comes.
+        _adaptive_simpson when its turn comes.
         """
         v = self.dense_value
         ws = [None] * (len(xs) - 1) if v is None else _constant_simpson(v, xs, tol)
         for j, w in enumerate(ws):
             if w is None:
-                a, b = xs[j], xs[j + 1]
-                w = ts.step_integral(self.dense, a, b, (a, b), tol)
+                w = _adaptive_simpson(self.dense, xs[j], xs[j + 1], tol) + 0j
             yield w
 
     @property

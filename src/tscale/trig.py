@@ -228,7 +228,7 @@ def derivative_residual(
         p, s = jumps.points[k], jumps.sigma[k]
         if jumps.mu[k] is None:
             return None
-        if s > p:
+        if s > jumps.located[k]:
             j = jumps.next[k]
             if j is None:
                 return None

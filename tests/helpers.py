@@ -325,12 +325,21 @@ def reference_log_integral_range(family: ExpFamily, ts: TimeScale, coeff, t0, t1
         rule.check(s, mu * alpha, "alpha")
         total += rule.log(mu, alpha)
     for c, d in ts.dense_segments(a, b):
-        total += coeff.dense_integral(ts, c, d, (c, d), tol)
+        total += coeff.dense_integral(c, d, tol)
     return sign * total
 
 
 # -- slow references for the grid exponent and the solver: one walk record
 #    and one step_integral per step, each point located on its own
+
+
+def step_integral(ts: TimeScale, f, p: float, q: float, span, tol: float) -> complex:
+    """delta_integral(f, p, q, tol) over one step of reference_walk: a
+    single Simpson quadrature over the step's span, if it has one."""
+    if span is None:
+        return ts.delta_integral(f, p, q, tol)
+    # delta_integral adds its zero jump sum, which turns -0.0 into 0.0
+    return _adaptive_simpson(f, span[0], span[1], tol) + 0j
 
 
 def reference_step_logs(family: ExpFamily, ts: TimeScale, coeff, points, tol):
@@ -347,7 +356,7 @@ def reference_step_logs(family: ExpFamily, ts: TimeScale, coeff, points, tol):
                 )
             yield log(s - p, coeff(p))
         else:
-            yield ts.step_integral(coeff.dense, p, q, span, tol)
+            yield step_integral(ts, coeff.dense, p, q, span, tol)
 
 
 def reference_grid_log_integrals(family: ExpFamily, ts: TimeScale, coeff, t0, grid: Grid, tol):
@@ -399,7 +408,7 @@ def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, to
             elif rule is None:
                 yield _exp(coeff.constant_value * (q - p))
             else:
-                yield _exp(ts.step_integral(coeff.dense, p, q, span, tol))
+                yield _exp(step_integral(ts, coeff.dense, p, q, span, tol))
 
     for k, f in enumerate(factors(records[anchor:-1]), anchor):
         values[k + 1] = values[k] * f
@@ -611,9 +620,9 @@ class Refines(Exception):
 
 def constant_simpson_reference(v: complex, a: float, b: float, tol: float):
     """outcome of _adaptive_simpson(lambda t: v, a, b, tol) + 0j, as
-    step_integral returns it, up to the end of the first Simpson step,
-    which takes five integrand values; a Refines outcome when the
-    quadrature goes on to refine."""
+    Coefficient.dense_integral returns it, up to the end of the first
+    Simpson step, which takes five integrand values; a Refines outcome
+    when the quadrature goes on to refine."""
     calls = []
 
     def f(t):
@@ -818,7 +827,7 @@ def reference_derivative_residual(family, kind, ts, param, grid, tol=1e-12, t0=N
             skipped.append(p)
             continue
         s = ts.sigma(p)
-        if s > p:
+        if s > ts._locate(p)[1]:
             j = grid.index_of(s)
             if j is None:
                 skipped.append(p)

@@ -204,6 +204,18 @@ def test_derivative_residual_requires_cayley():
         derivative_residual(TrigFamily.EXACT, TrigKind.TRIGONOMETRIC, Z, 1.0, grid)
 
 
+def test_derivative_residual_at_a_point_just_below_an_interval_is_dense():
+    # -5e-13 is located at 0.0, whose forward jump 0.0 lies above the raw
+    # point: the residual is the dense one of the grid starting at 0.0
+    ts = union(interval(0.0, 1.0), isolated(1.5))
+    for start in (-5e-13, 0.0):
+        grid = Grid((start, 0.5, 1.0, 1.5), 0.5)
+        rep = derivative_residual(
+            TrigFamily.CAYLEY, TrigKind.TRIGONOMETRIC, ts, 1.0, grid, t0=0.5
+        )
+        assert rep.residuals[0] == 2.657318809440312e-13
+
+
 HYBRID = union(interval(0.0, 1.0), isolated(1.5, 2.25))
 DERIVATIVE_CASES = [
     (Z, TrigKind.TRIGONOMETRIC, 1.0, 1.0),

@@ -30,9 +30,9 @@ from tscale import (
     uniform,
     union,
 )
-from tscale import exponential, timescale
+from tscale import exponential, timescale, transforms
 from tscale.exponential import _STEP_RULES, _grid_log_integrals, _hilger_product_point
-from tscale.timescale import _adaptive_simpson, _constant_simpson
+from tscale.timescale import Run, _adaptive_simpson, _constant_simpson
 from tscale.transforms import xi, zeta
 
 from helpers import (
@@ -355,14 +355,11 @@ def test_constant_simpson_declines_a_refining_first_step():
 @settings(max_examples=300, deadline=None)
 @given(_VALUES, _spans(), _TOLS)
 @example(_REFINING, (1e4, 1e4 + 0.1), 1e-12)
-def test_constant_dense_integral_matches_step_integral(v, span, tol):
-    ts = interval(-2e4, 2e4)
+def test_constant_dense_integral_is_adaptive_simpson(v, span, tol):
     coeff = Coefficient.constant(v)
-    a, b = span
-    for s in (span, None):
-        assert outcome(coeff.dense_integral, ts, a, b, s, tol) == outcome(
-            ts.step_integral, lambda t: v, a, b, s, tol
-        )
+    assert outcome(coeff.dense_integral, *span, tol) == outcome(
+        lambda: _adaptive_simpson(lambda t: v, *span, tol) + 0j
+    )
 
 
 def test_constant_simpson_overflow_is_a_tolerance_error(monkeypatch):
@@ -375,16 +372,23 @@ def test_constant_simpson_overflow_is_a_tolerance_error(monkeypatch):
     # the batched first step declines, and full Simpson raises in its turn
     assert _constant_simpson(1j, (0.0, 1.0), 1e-12) == [None]
     coeff = Coefficient.constant(1j)
-    assert outcome(coeff.dense_integral, W, 0.0, 1.0, (0.0, 1.0), 1e-12) == want
+    assert outcome(coeff.dense_integral, 0.0, 1.0, 1e-12) == want
+
+
+def _simpson_calls(monkeypatch):
+    """The lower end of each adaptive Simpson quadrature from here on, in
+    a delta integral or in a coefficient's dense integrals."""
+    calls = []
+    simpson = timescale._adaptive_simpson
+    counted = lambda f, a, b, tol: calls.append(a) or simpson(f, a, b, tol)
+    for module in (timescale, transforms):
+        monkeypatch.setattr(module, "_adaptive_simpson", counted)
+    return calls
 
 
 @pytest.mark.parametrize("coeff_name", sorted(COEFFS))
 def test_constant_coefficient_dense_steps_call_no_quadrature(monkeypatch, coeff_name):
-    calls = []
-    simpson = timescale._adaptive_simpson
-    monkeypatch.setattr(
-        timescale, "_adaptive_simpson", lambda f, a, b, tol: calls.append(a) or simpson(f, a, b, tol)
-    )
+    calls = _simpson_calls(monkeypatch)
     grid = W.make_grid(0.0, 4.0, 0.05)
     coeff = COEFFS[coeff_name]
     exp_evaluate_grid(ExpFamily.CAYLEY, W, coeff, 0.0, grid, TOL)
@@ -404,11 +408,7 @@ def test_graininess_coefficient_with_a_dense_value_calls_no_quadrature(monkeypat
     values = lambda coeff: exp_evaluate_grid(family, W, coeff, 0.0, grid, TOL).values
     plain = graininess_coefficient(W, lambda mu, s: oplus(mu, a, b))
     want = outcome(values, plain)
-    calls = []
-    simpson = timescale._adaptive_simpson
-    monkeypatch.setattr(
-        timescale, "_adaptive_simpson", lambda f, a, b, tol: calls.append(a) or simpson(f, a, b, tol)
-    )
+    calls = _simpson_calls(monkeypatch)
     fast = graininess_coefficient(W, lambda mu, s: oplus(mu, a, b), oplus(0.0, a, b))
     assert outcome(values, fast) == want
     assert calls == []
@@ -490,7 +490,7 @@ def _run_grids(draw):
 def test_run_walk_matches_one_record_per_step(scale_grid, make_coeff, tol):
     """The grid exponent, the grid exponential and the three solvers equal,
     bit for bit and errors included, the code that took one walk record
-    (reference_walk) and one step_integral per step."""
+    (reference_walk) and one helpers.step_integral per step."""
     ts, grid, t0 = scale_grid
     alpha = make_coeff(ts)
     if not (isinstance(alpha, complex | float) and cmath.isnan(alpha)):
@@ -505,6 +505,37 @@ def test_run_walk_matches_one_record_per_step(scale_grid, make_coeff, tol):
         args = (scheme, ts, alpha, 1.0 - 0.5j, t0, grid, tol)
         want = outcome(lambda: reference_solve(*args).values)
         assert outcome(lambda: solve_first_order(*args).values) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(tight_scales(), tight_scales(intervals_only=True), any_scale()).flatmap(
+        lambda ts: walk_points(ts).map(lambda points: (ts, points))
+    )
+    | _run_grids().map(lambda scale_grid: (scale_grid[0], scale_grid[1].points))
+)
+def test_only_a_run_has_spans(scale_points):
+    """Every item of walk_runs outside a run has no span, on probe, nudged,
+    crowded and dropped points, and walk is the walk that locates every
+    point."""
+    ts, points = scale_points
+    try:
+        for item in ts.walk_runs(points):
+            assert isinstance(item, Run) or item[4] is None
+    except DomainError:
+        pass
+    assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
+
+
+def test_a_point_just_below_an_interval_starts_its_run():
+    ts = union(interval(0.0, 1.0), isolated(1.5))
+    points = (-5e-13, 0.5, 1.0, 1.5)
+    assert list(ts.walk_runs(points)) == [
+        Run(0, [0.0, 0.5, 1.0]),
+        (1.0, 1.5, 1.5, 0.5, None, 1.0),
+        (1.5, None, 1.5, None, None, 1.5),
+    ]
+    assert list(ts.walk(points))[0] == (-5e-13, 0.5, 0.0, 0.0, (0.0, 0.5), 0.0)
 
 
 def _reference_grid_values(family, ts, coeff, t0, grid, tol):
