@@ -94,25 +94,40 @@ class _Terms:
     """The terms of one family's exponent of one coefficient on one scale,
     each computed once: the step log at the scattered right end of a
     component, and the integral of the dense view over a finished piece of
-    an interval. Every _Exponent run over the same terms shares them."""
+    an interval. Every _Exponent run over the same terms shares them.
+
+    The coefficient is evaluated once per component, and each distinct
+    value pair (mu, alpha) is checked and its step log taken once: scales
+    repeat their gaps, and a uniform one has a handful. This is bit for
+    bit, since the check and the log are pure functions of (mu, alpha).
+    Keys that compare equal differ at most in the sign of a zero: the abs
+    tests of the check cannot tell them apart, and their logs differ at
+    most in the sign of a zero, which the fold, started from 0j, erases.
+    A NaN alpha matches only the very object it is, whose log is the
+    same. A step that fails its check is never kept, so the first
+    RegressivityError is raised at the same t."""
 
     def __init__(self, family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol: float):
         self.ts, self.coeff, self.tol = ts, coeff, tol
         self._rule = _STEP_RULES[family]
         self._logs: dict[int, complex] = {}
+        self._steps: dict[tuple[float, complex], complex] = {}
         self._pieces: dict[tuple[float, float], complex] = {}
 
     def log(self, k: int) -> complex:
-        """Step log at the right end of component k, checked for
-        regressivity just before it is taken."""
+        """Step log at the right end of component k, its (mu, alpha)
+        checked for regressivity just before its log is first taken."""
         w = self._logs.get(k)
         if w is None:
             comps = self.ts.components
             s = comps[k].right
             mu = comps[k + 1].left - s
             alpha = self.coeff(s)
-            self._rule.check(s, mu * alpha, "alpha")
-            w = self._logs[k] = self._rule.log(mu, alpha)
+            w = self._steps.get((mu, alpha))
+            if w is None:
+                self._rule.check(s, mu * alpha, "alpha")
+                w = self._steps[mu, alpha] = self._rule.log(mu, alpha)
+            self._logs[k] = w
         return w
 
     def piece(self, c: float, d: float) -> complex:
@@ -136,7 +151,9 @@ class _Exponent:
     added one by one. The step-log sum and the finished pieces carry over
     from the last target, so a target adds its new step logs and finished
     pieces and integrates only its own partial piece: a run over n
-    targets on a discrete scale costs O(n) in all.
+    targets on a discrete scale costs O(n) in all, one coefficient call
+    per component, and one check and one log per distinct (mu, alpha)
+    step of the shared terms.
     """
 
     def __init__(self, terms: _Terms, anchor: float):

@@ -27,10 +27,11 @@ dense_segments, make_grid) locates both ends and scans only the K
 components from the one holding the lower end to the one after the upper
 end, O(log C + K); so does delta_integral, which runs the first two, plus
 the quadrature of its dense pieces. A running exponent from one anchor
-(exponential._Exponent) locates each target once and takes each
-component's step log and dense piece once over all its targets; a
-target then adds the finished pieces' integrals, one per interval it
-has passed.
+(exponential._Exponent) locates each target once, evaluates each
+component's coefficient and integrates each dense piece once over all
+its targets, and checks and takes each distinct (mu, alpha) step log
+once; a target then adds the finished pieces' integrals, one per
+interval it has passed.
 """
 
 from __future__ import annotations
@@ -761,12 +762,30 @@ def _constant_simpson(v: complex, xs: Sequence[float], tol: float) -> list[compl
     refine or overflow, or tol is not positive.
 
     The float operations are those of that first step, in the same order,
-    on the one value v, and no integrand is called.
+    on the one value v, and no integrand is called. Two points, the one
+    step of Coefficient.dense_integral, take the loop's body without the
+    loop.
     """
     if not tol > 0:
         return [None] * (len(xs) - 1)
     w = v + 4.0 * v + v
     bound = 15.0 * tol
+    if len(xs) == 2:
+        a, b = xs
+        if a == b:
+            return [0j]
+        m = 0.5 * (a + b)
+        whole = (b - a) / 6.0 * w
+        left = (m - a) / 6.0 * w
+        right = (b - m) / 6.0 * w
+        delta = left + right - whole
+        try:
+            accepted = abs(delta) <= bound or (
+                (0.5 * (a + m) <= a or 0.5 * (m + b) >= b) and cmath.isfinite(whole)
+            )
+        except OverflowError:
+            accepted = False
+        return [left + right + delta / 15.0 + 0j if accepted else None]
     out: list[complex | None] = []
     a = xs[0]
     for b in xs[1:]:

@@ -604,9 +604,11 @@ def test_running_reports_equal_per_pair_checks_on_mixed_scales(case):
 @pytest.mark.parametrize("identity", ["semigroup", "sigma-shift"])
 @pytest.mark.parametrize("family, step_log", [("cayley", "zeta"), ("hilger", "xi")])
 def test_reports_take_each_step_log_once(monkeypatch, identity, family, step_log):
-    """On uniform(0,1e-3,n) the n-1 jumps each get one step log, however
-    many pairs or shifts read it."""
+    """On uniform(0,1e-3,n) each distinct gap of the n-1 jumps gets one
+    step log, however many jumps, pairs or shifts read it."""
     n = 60
+    comps = uniform(0, 1e-3, n).components
+    gaps = {b.left - a.right for a, b in zip(comps, comps[1:])}
     calls = []
     log = getattr(transforms, step_log)
     monkeypatch.setattr(transforms, step_log, lambda mu, a: calls.append(mu) or log(mu, a))
@@ -615,7 +617,8 @@ def test_reports_take_each_step_log_once(monkeypatch, identity, family, step_log
     )
     code, _ = cli.cmd_identity(config)
     assert code == EXIT_OK
-    assert len(calls) == n - 1
+    assert len(calls) == len(set(calls))
+    assert set(calls) == gaps
 
 
 # -- overflow and non-finite parameters ------------------------------------------------

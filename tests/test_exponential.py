@@ -29,6 +29,7 @@ from tscale import (
     union,
 )
 
+from tscale import transforms
 from tscale.exponential import _Exponent, _Terms, _hilger_product_point, _log_integral_range
 
 from helpers import (
@@ -475,6 +476,107 @@ def test_running_exponents_equal_one_pass_per_target(ts, data):
             assert outcome(run.to, x) == outcome(
                 reference_log_integral_range, family, ts, coeff, anchor, x, 1e-12
             )
+
+
+def _periodic_union(pairs):
+    """The benchmark library job's scale: an interval of length 0.05, a
+    point 0.08 on, the next interval 0.03 on, pairs times."""
+    comps, x = [], 0.0
+    for _ in range(pairs):
+        comps.append(interval(x, x + 0.05))
+        x += 0.08
+        comps.append(isolated(x))
+        x += 0.03
+    return union(*comps)
+
+
+# scales that repeat their gaps: a few distinct ones near 0, more near 1e4,
+# where the gaps carry the rounding of the points
+REPEATED_GAP_SCALES = [
+    uniform(0.0, 1e-3, 60),
+    uniform(0.0, 0.25, 12),
+    uniform(1e4, 0.1, 40),
+    uniform(1e4, 1e-3, 40),
+    _periodic_union(12),
+]
+
+# a constant, a varying function and two whose values repeat up to the
+# sign of a zero
+MEMO_COEFFS = [
+    Coefficient.constant(-0.3 + 1.7j),
+    Coefficient.from_function(lambda t: 0.6 - 0.4j + 0.3 * math.sin(3.0 * t)),
+    Coefficient.from_function(
+        lambda t: complex(
+            math.copysign(0.0, math.sin(7.0 * t)), math.copysign(0.0, math.cos(5.0 * t))
+        )
+    ),
+    Coefficient.from_function(lambda t: complex(-0.4, math.copysign(0.0, math.sin(7.0 * t)))),
+]
+
+
+@st.composite
+def _degenerating_piecewise(draw, ts, family):
+    """A piecewise coefficient that degenerates at one scattered step only,
+    one whose gap an earlier step passed with."""
+    steps = ts.scattered_points(ts.inf, ts.sup)
+    seen, later = set(), []
+    for j, (s, mu) in enumerate(steps[:-1]):
+        if mu in seen:
+            later.append(j)
+        seen.add(mu)
+    j = draw(st.sampled_from(later))
+    (s, mu), (nxt, _) = steps[j], steps[j + 1]
+    bad = -1.0 / mu if family is ExpFamily.HILGER_DELTA else 2.0 / mu
+    return Coefficient.piecewise([s, nxt], [0.3 - 0.2j, bad, 0.3 - 0.2j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REPEATED_GAP_SCALES), st.data())
+def test_step_log_memo_is_the_one_pass_fold(ts, data):
+    """On scales that repeat their gaps, runs over shared terms equal the
+    one-pass fold bit for bit, errors included, so a memoized step log is
+    the log a pass takes, and a degenerate step is caught however many
+    steps of its gap passed before it."""
+    family = data.draw(st.sampled_from(list(POINTWISE)))
+    coeff = data.draw(
+        st.one_of(st.sampled_from(MEMO_COEFFS), _degenerating_piecewise(ts, family))
+    )
+    members = ts.make_grid(ts.inf, ts.sup, 0.01).points
+    anchors = sorted(data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3)))
+    targets = sorted(data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=8)))
+    terms = _Terms(family, ts, coeff, 1e-12)
+    for anchor in anchors:
+        run = _Exponent(terms, anchor)
+        for x in targets:
+            if x < anchor:
+                continue
+            assert outcome(run.to, x) == outcome(
+                reference_log_integral_range, family, ts, coeff, anchor, x, 1e-12
+            )
+        for a, b in ((anchor, ts.sup), (ts.sup, anchor)):
+            assert outcome(_log_integral_range, family, ts, coeff, a, b, 1e-12) == outcome(
+                reference_log_integral_range, family, ts, coeff, a, b, 1e-12
+            )
+
+
+def test_a_degenerate_step_after_passing_steps_of_its_gap_raises():
+    # mu = 0.5 throughout; (0.5, 0.5) passes twice before (0.5, -2) degenerates
+    coeff = Coefficient.piecewise([0.75], [0.5, -2])
+    with pytest.raises(RegressivityError) as err:
+        exp_hilger(uniform(0.0, 0.5, 4), coeff, 1.5, 0.0)
+    assert err.value.t == 1.0
+
+
+def test_a_uniform_scale_takes_its_one_step_log_once(monkeypatch):
+    xis, calls = [], []
+    xi, call = transforms.xi, Coefficient.__call__
+    monkeypatch.setattr(transforms, "xi", lambda h, z: xis.append(h) or xi(h, z))
+    monkeypatch.setattr(Coefficient, "__call__", lambda c, t: calls.append(t) or call(c, t))
+    ts = uniform(0.0, 2**-10, 1025)
+    got = exp_hilger(ts, 0.5, 1.0, 0.0)
+    assert xis == [2**-10]
+    assert len(calls) == 1024
+    assert got == reference_exp(ExpFamily.HILGER_DELTA, ts, Coefficient.constant(0.5), 1.0, 0.0)
 
 
 def test_running_exponent_rejects_a_descending_target():
