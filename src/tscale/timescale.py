@@ -762,30 +762,12 @@ def _constant_simpson(v: complex, xs: Sequence[float], tol: float) -> list[compl
     refine or overflow, or tol is not positive.
 
     The float operations are those of that first step, in the same order,
-    on the one value v, and no integrand is called. Two points, the one
-    step of Coefficient.dense_integral, take the loop's body without the
-    loop.
+    on the one value v, and no integrand is called.
     """
     if not tol > 0:
         return [None] * (len(xs) - 1)
     w = v + 4.0 * v + v
     bound = 15.0 * tol
-    if len(xs) == 2:
-        a, b = xs
-        if a == b:
-            return [0j]
-        m = 0.5 * (a + b)
-        whole = (b - a) / 6.0 * w
-        left = (m - a) / 6.0 * w
-        right = (b - m) / 6.0 * w
-        delta = left + right - whole
-        try:
-            accepted = abs(delta) <= bound or (
-                (0.5 * (a + m) <= a or 0.5 * (m + b) >= b) and cmath.isfinite(whole)
-            )
-        except OverflowError:
-            accepted = False
-        return [left + right + delta / 15.0 + 0j if accepted else None]
     out: list[complex | None] = []
     a = xs[0]
     for b in xs[1:]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -201,23 +201,12 @@ class Coefficient:
         vals = tuple(complex(v) for v in values)
         if len(pts) != len(vals):
             raise ValueError("points and values must have equal length")
-        # the abscissae ascending, each with its given index; a NaN one
-        # matches no t and is left out
-        order = sorted((p, i) for i, p in enumerate(pts) if p == p)
-        keys = [p for p, _ in order]
 
-        def ev(t):
-            # t - p rounds monotonically in p, so the abscissae within 1e-12
-            # of t sit next to t in ascending order; the first given of them
-            # wins, as in a scan of the given order
-            lo = hi = bisect_left(keys, t)
-            while lo > 0 and abs(t - keys[lo - 1]) <= 1e-12:
-                lo -= 1
-            while hi < len(keys) and abs(t - keys[hi]) <= 1e-12:
-                hi += 1
-            if lo == hi:
-                raise ValueError(f"t={t!r} is not a tabulated abscissa")
-            return vals[min(i for _, i in order[lo:hi])]
+        def ev(t, _pts=pts, _vals=vals):
+            for p, v in zip(_pts, _vals):
+                if abs(t - p) <= 1e-12:
+                    return v
+            raise ValueError(f"t={t!r} is not a tabulated abscissa")
 
         return cls("tabulated", ev, (pts, vals))
 

@@ -282,15 +282,6 @@ def linear_make_grid(ts: TimeScale, t0: float, t1: float, dense_step: float) -> 
     return Grid(tuple(pts), dense_step)
 
 
-def linear_tabulated(points, values, t: float) -> complex:
-    """Coefficient.tabulated(points, values) at t as a scan of the given
-    order, as before the bisection: the first abscissa within 1e-12 wins."""
-    for p, v in zip(points, values):
-        if abs(t - float(p)) <= 1e-12:
-            return complex(v)
-    raise ValueError(f"t={t!r} is not a tabulated abscissa")
-
-
 def reference_exp(family: ExpFamily, ts: TimeScale, coeff, t: float, t0: float, tol=1e-12):
     """exp_cayley / exp_hilger as a validation pass over the scattered steps
     followed by a separate accumulation pass, on the linear scans, with each

@@ -32,8 +32,6 @@ from tscale import (
 )
 from tscale.transforms import REGRESSIVITY_MARGIN
 
-from helpers import linear_tabulated, outcome
-
 finite_complex = st.builds(
     complex,
     st.floats(min_value=-5, max_value=5, allow_nan=False),
@@ -352,37 +350,6 @@ def test_coefficient_tabulated():
     assert c(1.0) == 6
     with pytest.raises(ValueError):
         c(0.5)
-
-
-# abscissae that are a few base points nudged by about the tolerance, so
-# several can match one t, given in any order with the odd non-finite one
-_NUDGES = [0.0, 5e-13, -5e-13, 1e-12, -1e-12, 1.5e-12, -2e-12, 3e-12]
-
-
-@st.composite
-def _tabulated_cases(draw):
-    base = st.sampled_from([0.0, -0.0, 1e-13, 0.5, -3.25, 8192.0, 1e4]) | st.floats(-1e4, 1e4)
-    nudge = st.sampled_from(_NUDGES)
-    points = [b + draw(nudge) for b in draw(st.lists(base, min_size=1, max_size=6))]
-    points += draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=1))
-    points = draw(st.permutations(points))
-    near = st.sampled_from(points).flatmap(
-        lambda p: st.sampled_from(
-            [p + d for d in _NUDGES] + [math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
-        )
-    )
-    probes = draw(st.lists(near | st.sampled_from([math.nan, math.inf, 0.25]), max_size=8))
-    return points, probes
-
-
-@settings(max_examples=300, deadline=None)
-@given(_tabulated_cases())
-def test_tabulated_is_the_scan_of_the_given_order(case):
-    points, probes = case
-    values = [complex(i, -i) for i in range(len(points))]
-    coeff = Coefficient.tabulated(points, values)
-    for t in probes:
-        assert outcome(coeff, t) == outcome(linear_tabulated, points, values, t)
 
 
 def test_coefficient_from_function_and_coercion():
