@@ -63,12 +63,11 @@ class SampledFunction:
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(complex, self.values)))
         if len(self.values) != len(self.grid.points):
             raise ValueError("values and grid must align")
-        for v in self.values:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError("samples must be finite")
+        if not all(map(cmath.isfinite, self.values)):
+            raise ValueError("samples must be finite")
 
     @classmethod
     def sample(cls, fn: Callable[[float], complex], grid: Grid) -> "SampledFunction":

@@ -10,7 +10,6 @@ keeps the complex phase unwrapped over long discrete products.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -54,9 +53,8 @@ class ExpEvaluation:
     def __post_init__(self):
         if len(self.values) != len(self.grid.points):
             raise ValueError("values and grid must align")
-        for v in self.values:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ToleranceError("non-finite exponential value on grid")
+        if not all(map(cmath.isfinite, self.values)):
+            raise ToleranceError("non-finite exponential value on grid")
 
     def value_at(self, t: float) -> complex:
         i = self.grid.index_of(t)

@@ -13,16 +13,19 @@ O(log C), since a bisection over the component left endpoints picks the
 few neighbouring components whose membership tests decide. A jump
 operator, graininess, classification or membership query is one lookup.
 TimeScale.walk_runs over a grid of N points takes the steps inside one
-closed interval as one run, a few float comparisons a step with no
-lookup, record or call, and locates every point that does not continue
-a run. On a grid such as make_grid gives, that is one lookup per
-component it enters, so a walk costs O(N) plus O(log C) per component,
-plus the quadrature of its dense steps, and grid evaluations and solvers
-built on it are linear in N. A constant coefficient integrates a run in
-one loop (Coefficient.dense_integrals): each dense step is Simpson's
-first step done on the one value, a few float operations and no call,
-with full adaptive Simpson only where that step would refine. A query
-over a range [t0, t1] (scattered_points,
+closed interval as one run, and locates every point that does not
+continue a run. On ascending points (checked once per walk) a run's
+interior is one slice found by bisection, C-level work a point; only
+the points within the membership tolerance of an interval end are
+compared and snapped one at a time, a few float comparisons each, with
+no lookup, record or call. On a grid such as make_grid gives, that is
+one lookup per component it enters, so a walk costs O(N) plus O(log C +
+log N) per component, plus the quadrature of its dense steps, and grid
+evaluations and solvers built on it are linear in N. A constant
+coefficient integrates a run in one loop (Coefficient.dense_integrals):
+each dense step is Simpson's first step done on the one value, a few
+float operations and no call, with full adaptive Simpson only where that
+step would refine. A query over a range [t0, t1] (scattered_points,
 dense_segments, make_grid) locates both ends and scans only the K
 components from the one holding the lower end to the one after the upper
 end, O(log C + K); so does delta_integral, which runs the first two, plus
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,14 +116,14 @@ class Grid:
     dense_step: float
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(float(p) for p in self.points))
-        if self.dense_step <= 0:
+        pts = tuple(map(float, self.points))
+        object.__setattr__(self, "points", pts)
+        if not self.dense_step > 0:  # NaN too
             raise ValueError("dense_step must be positive")
-        if not self.points:
+        if not pts:
             raise ValueError("grid must contain at least one point")
-        for a, b in zip(self.points, self.points[1:]):
-            if not b > a:
-                raise ValueError("grid points must be strictly increasing")
+        if not all(map(operator.gt, pts[1:], pts)):
+            raise ValueError("grid points must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -432,12 +436,18 @@ class TimeScale:
         interval, each above the one before. The record of the run's last
         point follows it. Every other point's record is reported as walk
         reports it, with span None, and the point after it is located with
-        _locate. A step of a run costs a few float comparisons, no lookup
-        and no record.
+        _locate. Whether the points ascend is checked once per walk; if
+        they do, a run's interior is taken as one slice, and only its
+        points within the membership tolerance of an interval end are
+        compared and snapped one at a time, a few float comparisons each,
+        with no lookup and no record.
         """
         comps = self.components
         lsm = self._left_scattered_max
         n = len(points)
+        # checked once per walk: a run's interior is sliced only from
+        # ascending points, so a run never needs its order checked again
+        ascending = all(map(operator.lt, points, points[1:]))
         located = self._locate(points[0])
         k = 0
         while True:
@@ -451,7 +461,7 @@ class TimeScale:
                 return
             if isinstance(comp, ClosedInterval) and comp.lo <= tt:
                 xs = [tt]
-                end = _extend_run(points, k, comp, xs)
+                end = _extend_run(points, k, comp, xs, ascending)
                 if end > k:
                     yield Run(k, xs)
                     k, located = end, (i, xs[-1])
@@ -468,7 +478,7 @@ class TimeScale:
         is included; interval interiors are sampled uniformly with spacing
         at most dense_step.
         """
-        if dense_step <= 0:
+        if not dense_step > 0:  # NaN too
             raise ValueError("dense_step must be positive")
         i, a = self._locate(t0)
         j, b = self._locate(t1)
@@ -488,9 +498,10 @@ class TimeScale:
             if d <= c:
                 pts.append(c)
                 continue
-            n = max(1, math.ceil((d - c) / dense_step))
+            span = d - c
+            n = max(1, math.ceil(span / dense_step))
             pts.append(c)
-            pts.extend(c + k * (d - c) / n for k in range(1, n))
+            pts.extend([c + k * span / n for k in range(1, n)])
             pts.append(d)
         return Grid(tuple(pts), dense_step)
 
@@ -579,7 +590,9 @@ class _Jumps:
         return _Jumps(self.ts, (s,), self.grid), 0
 
 
-def _extend_run(points: Sequence[float], k: int, comp: ClosedInterval, xs: list[float]) -> int:
+def _extend_run(
+    points: Sequence[float], k: int, comp: ClosedInterval, xs: list[float], ascending: bool
+) -> int:
     """Append to the located points xs of a run, which end at point k, the
     points after it while each step has a span; the index of the last.
     This is the one place a step is given a span.
@@ -591,8 +604,27 @@ def _extend_run(points: Sequence[float], k: int, comp: ClosedInterval, xs: list[
     below lo, located at lo. A point of a run past its first is its own
     located value: _snap gives lo, hi or the point itself, the point lies
     above lo, and no step from hi has a span.
+
+    When the walk's points are ascending, the run's interior is one slice:
+    the points after k below hi - MEMBERSHIP_TOL, found by bisection. If
+    the first lies above xs[-1] and more than the tolerance above lo, and
+    the last more than the tolerance below hi, then so does every point
+    between (fl(q - lo) and fl(hi - q) are monotone in q), so each step to
+    them has a span and _snap returns each unchanged. Only the points
+    within the tolerance of an end are compared and snapped one at a time,
+    or the whole run where a guard fails.
     """
-    hi = comp.hi
+    lo, hi = comp.lo, comp.hi
+    if ascending:
+        e = bisect_left(points, hi - MEMBERSHIP_TOL, k + 1)
+        if (
+            e > k + 1
+            and xs[-1] < points[k + 1]
+            and points[k + 1] - lo > MEMBERSHIP_TOL
+            and hi - points[e - 1] > MEMBERSHIP_TOL
+        ):
+            xs.extend(points[k + 1 : e])
+            k = e - 1
     top = hi + MEMBERSHIP_TOL
     for k in range(k, len(points) - 1):
         q = points[k + 1]

@@ -215,6 +215,9 @@ def test_solver_overflow_is_a_tolerance_error(scheme, ts, alpha, t0, message):
 def test_solver_non_finite_x0_is_a_value_error():
     with pytest.raises(ValueError, match="samples must be finite"):
         solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, Z12, 1.0, complex("inf"), 0.0, G12)
+    for value in (math.inf, complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            SampledFunction(G12, (1.0,) * 11 + (value,))
 
 
 # -- correction factors -------------------------------------------------------------

@@ -9,6 +9,7 @@ from tscale import (
     Coefficient,
     ConstantGraininessError,
     DomainError,
+    ExpEvaluation,
     ExpFamily,
     RegressivityError,
     SingularError,
@@ -602,6 +603,15 @@ def test_non_finite_constant_coefficient_is_rejected(value):
         exp_cayley(ts, value, 2.0, 0.0)
     with pytest.raises(ValueError, match="not finite"):
         exp_evaluate_grid(ExpFamily.HILGER_DELTA, ts, value, 0.0, ts.make_grid(0, 3, 1))
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(1.0, math.nan), math.inf])
+def test_a_non_finite_grid_value_is_a_tolerance_error(value):
+    ts = uniform(0.0, 1.0, 2)
+    grid = ts.make_grid(0, 1, 1)
+    alpha = Coefficient.constant(0.5)
+    with pytest.raises(ToleranceError, match="non-finite exponential value on grid"):
+        ExpEvaluation(ExpFamily.CAYLEY, ts, alpha, 0.0, grid, (1 + 0j, value), 1e-12)
 
 
 def test_overflow_is_a_tolerance_error_on_both_paths():

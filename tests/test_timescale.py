@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tscale import (
     ClosedInterval,
     DomainError,
+    Grid,
     IsolatedPoint,
     KappaError,
     TimeScale,
@@ -269,6 +270,22 @@ def test_make_grid_deterministic_and_bounded():
 def test_make_grid_rejects_reversed_range():
     with pytest.raises(DomainError):
         MIXED.make_grid(2, 0, 0.5)
+
+
+@pytest.mark.parametrize("step", [math.nan, 0.0, -1.0])
+def test_a_dense_step_that_is_not_positive_is_rejected(step):
+    with pytest.raises(ValueError, match="dense_step must be positive"):
+        interval(0, 1).make_grid(0, 1, step)
+    with pytest.raises(ValueError, match="dense_step must be positive"):
+        Grid((0.0, 1.0), step)
+
+
+@pytest.mark.parametrize(
+    "points", [(0.0, 0.5, 0.5, 1.0), (0.0, 1.0, 0.5), (0.0, math.nan, 1.0), (math.nan, 1.0)]
+)
+def test_grid_points_must_be_strictly_increasing(points):
+    with pytest.raises(ValueError, match="grid points must be strictly increasing"):
+        Grid(points, 0.5)
 
 
 # -- structure queries -----------------------------------------------------------

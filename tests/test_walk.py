@@ -259,10 +259,47 @@ _EDGE = union(interval(0.0, 1.0), isolated(1.0 + _PAST), interval(2.0, 3.0))
         (interval(1e4, 10001.0), (1e4 + 0.5, math.nextafter(10001.0, math.inf))),
         # accepted below lo but not snapped: its located value is outside
         (interval(-1.8151915633927285, -1.0), (-1.8151915633937286, -1.7, -1.5)),
+        # a run's second point within the tolerance above lo: no slice
+        (_EDGE, (0.0, _IN, 0.25, 0.5)),
+        (_EDGE, (0.0, _IN, 2 * _IN, 0.5, 0.75)),
+        # interior points within the tolerance below and above hi
+        (_EDGE, (0.25, 0.5, 1.0 - _IN, 1.0 + _PAST)),
+        (_EDGE, (0.25, 0.5, 0.75, 1.0 + _IN, 2.5)),
+        (_EDGE, (0.25, 0.5, 1.0 - _PAST, 1.0 - _IN, 1.0)),
+        (interval(0.0, 1.0), (0.5, 1.0 - 1e-12, math.nextafter(1.0 - 1e-12, 2.0))),
+        (interval(1e4, 10001.0), (1e4, 1e4 + 0.5, 10001.0 - 1e-12, 10001.0)),
+        # below hi - 1e-12 as rounded, but within the tolerance of hi near 0
+        (interval(-1.0, 6.400778580338808e-13), (-0.5, -0.25, -3.599221419661192e-13)),
+        # a run's first point just below lo, snapped to lo
+        (_EDGE, (2.0 - _IN, 2.25, 2.5, 2.75)),
+        (_EDGE, (-_IN, 0.25, 0.5, 1.0)),
+        # a long ascending stretch, then a descent inside one interval
+        (_EDGE, tuple(k / 64 for k in range(1, 60)) + (0.5, 0.75)),
+        # a repeated interior point
+        (_EDGE, (0.1, 0.2, 0.3, 0.3, 0.4, 0.5)),
+        # a NaN after an interior stretch
+        (_EDGE, (0.1, 0.2, 0.3, 0.4, math.nan, 0.5)),
     ],
 )
 def test_walk_matches_locating_every_point_at_tolerance_edges(ts, points):
     assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
+
+
+def test_a_walk_snaps_only_near_the_ends_of_a_run(monkeypatch):
+    """A run's interior is one slice: the _snap calls of a walk over a
+    make_grid grid of one interval do not grow with its size."""
+    ts = interval(0.0, 1.0)
+    counts = []
+    for step in (1e-3, 1e-4):
+        points = ts.make_grid(0.0, 1.0, step).points
+        snapped = []
+        snap = timescale._snap
+        monkeypatch.setattr(timescale, "_snap", lambda c, t: snapped.append(t) or snap(c, t))
+        records = list(ts.walk_runs(points))
+        monkeypatch.undo()
+        assert len(records) == 2 and records[0] == Run(0, list(points))
+        counts.append(len(snapped))
+    assert counts[0] == counts[1] <= 4
 
 
 def test_walk_locates_only_after_a_component_ends(monkeypatch):
