@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -491,8 +492,10 @@ def cmd_converge(config: RunConfig) -> tuple[int, str]:
 def convergence_study(family_name, alpha, target_t, eps_list, tol=1e-12):
     """Error of one family against the continuum exponential at target_t.
 
-    For each step eps a uniform discrete scale covering [0, target_t] is
-    built; target_t must be an integer multiple of each eps.
+    For each step eps, target_t must be an integer multiple of eps. The
+    families accumulated step by step are evaluated on the uniform discrete
+    scale covering [0, target_t]; the backward-step family takes eps itself
+    and the exact family no step, so neither builds a scale.
     """
     from .timescale import uniform as uniform_scale
 
@@ -508,11 +511,11 @@ def convergence_study(family_name, alpha, target_t, eps_list, tol=1e-12):
             raise ValueError(
                 f"target t={target_t!r} is not a positive integer multiple of eps={eps!r}"
             )
-        ts = uniform_scale(0.0, eps, k + 1)
         if family is ExpFamily.NABLA_CONST:
-            # the step is eps: the scale's gaps carry the rounding of k*eps
+            # the step is eps: a scale's gaps would carry the rounding of k*eps
             val = exp_nabla_const(eps, alpha, target_t)
         else:
+            ts = uniform_scale(0.0, eps, k + 1) if family in _STEP_RULES else None
             val = _exp_point(family, ts, alpha, target_t, 0.0, tol)
         rows.append((eps, abs(val - exact_value)))
     return rows
@@ -581,7 +584,10 @@ def _add_output(p: _Parser):
     p.add_argument("--out")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parse_args reads it
+    and changes none of its state, so every call can share it."""
     parser = _Parser(prog="tscale", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 from typing import Callable
 
@@ -34,7 +34,13 @@ from .errors import (
 )
 from .exponential import _exp
 from .timescale import DEFAULT_TOL, Grid, Run, TimeScale, _Jumps
-from .transforms import CAYLEY_RULE, FORWARD_RULE, REGRESSIVITY_MARGIN, as_coefficient
+from .transforms import (
+    CAYLEY_RULE,
+    FORWARD_RULE,
+    REGRESSIVITY_MARGIN,
+    STEP_MEMO_SIZE,
+    as_coefficient,
+)
 from .report import ResidualReport, collect
 from .trig import TrigKind
 
@@ -137,7 +143,7 @@ def solve_first_order(
     coeff = as_coefficient(alpha)
     if scheme is Scheme.EXACT_DISC and not coeff.is_constant:
         raise ValueError("the exact scheme requires a constant coefficient")
-    items = _validate_scheme(scheme, ts, coeff, grid)
+    items, read = _validate_scheme(scheme, ts, coeff, grid)
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)
     if anchor is None:
@@ -146,9 +152,12 @@ def solve_first_order(
     values: list[complex] = [0j] * len(pts)
     values[anchor] = complex(x0)
     before, after = _split_steps(items, anchor)
-    steps = _step_factors(scheme, ts, coeff, pts, after, tol)
+    split = sum(not isinstance(item, Run) for item in before)  # read at steps before
+    ahead = None if read is None else islice(read, split, None)
+    steps = _step_factors(scheme, ts, coeff, pts, after, tol, ahead)
     values[anchor:] = accumulate(steps, mul, initial=values[anchor])  # values[k] * factor
-    back = list(_step_factors(scheme, ts, coeff, pts, before, tol))
+    behind = None if read is None else iter(read)
+    back = list(_step_factors(scheme, ts, coeff, pts, before, tol, behind))
     for k in range(anchor - 1, -1, -1):
         if back[k] == 0:
             raise RegressivityError("zero step factor cannot be inverted")
@@ -163,32 +172,42 @@ def solve_first_order(
     return SampledFunction(grid, tuple(values))
 
 
-def _validate_scheme(scheme, ts, coeff, grid) -> list[tuple]:
+def _validate_scheme(scheme, ts, coeff, grid) -> tuple[list[tuple], list | None]:
     """Check each step factor's regressivity along one walk of the grid, the
     last point's jump (no step of the solve) excepted; return the walk's
-    items (TimeScale.walk_runs).
+    items (TimeScale.walk_runs) and the coefficient value the check of
+    each record's step read, in walk order, for the step factors to take
+    again.
 
-    A step of a run has mu = 0, where a constant coefficient's factor
-    cannot degenerate, so only the other kinds are evaluated there; their
-    evaluation can raise.
+    Each distinct m = mu * alpha is checked once (StepRule.checker). A
+    step of a run has mu = 0, where a constant coefficient's factor cannot
+    degenerate, so only the other kinds are evaluated there; their
+    evaluation can raise. A constant coefficient's values are not kept
+    (None): its factor is taken once per distinct mu.
     """
     rule, name = _SCHEME_RULES[scheme]
     pts = grid.points
     items = []
+    constant = coeff.is_constant
+    read = None if constant else []
+    check = rule.checker() if rule is not None else None
     for item in ts.walk_runs(pts):
         items.append(item)
         if rule is None:
             continue
         if isinstance(item, Run):
-            if not coeff.is_constant:
+            if not constant:
                 k, xs = item
                 for p in pts[k : k + len(xs) - 1]:
-                    rule.check(p, 0.0 * coeff(p), name)
+                    check(p, 0.0 * coeff(p), name)
             continue
         p, q, _, mu, _, _ = item
         if q is not None:
-            rule.check(p, mu * coeff(p), name)
-    return items
+            a = coeff(p)
+            check(p, mu * a, name)
+            if not constant:
+                read.append(a)
+    return items, read
 
 
 def _split_steps(items, anchor):
@@ -209,9 +228,18 @@ def _split_steps(items, anchor):
     return before, after
 
 
-def _step_factors(scheme, ts, coeff, pts, items, tol):
-    """Step factor over each step of the walk items of the grid points pts."""
+def _step_factors(scheme, ts, coeff, pts, items, tol, read):
+    """Step factor over each step of the walk items of the grid points pts.
+
+    read iterates over the values the validation read at the steps of the
+    items' records, in order, so a coefficient is evaluated once per
+    scattered step. A constant coefficient (read None) is evaluated again,
+    once per distinct mu: its value is one object, so its factor is a
+    function of mu alone and is taken once per distinct mu, bit for bit;
+    the first STEP_MEMO_SIZE are kept.
+    """
     rule = _SCHEME_RULES[scheme][0]
+    factors: dict[float, complex] = {}  # by mu, for a constant coefficient
     for item in items:
         if isinstance(item, Run):
             k, xs = item
@@ -223,11 +251,19 @@ def _step_factors(scheme, ts, coeff, pts, items, tol):
                 yield from map(_exp, coeff.dense_integrals(xs, tol))
             continue
         p, q, s, _, _, tt = item
+        a = None if read is None else next(read)
         if s > tt:
             if abs(s - q) > 1e-12:
                 raise GridError(f"grid skips the forward jump of {p!r}")
-            a = coeff(p)
-            yield _exp(a * (s - p)) if rule is None else rule.factor(s - p, a)
+            mu = s - p
+            f = factors.get(mu)
+            if f is None:
+                if read is None:
+                    a = coeff(p)
+                f = _exp(a * mu) if rule is None else rule.factor(mu, a)
+                if read is None and len(factors) < STEP_MEMO_SIZE:
+                    factors[mu] = f
+            yield f
         elif rule is None:
             yield _exp(coeff.constant_value * (q - p))
         else:

@@ -24,7 +24,13 @@ from .errors import (
     ToleranceError,
 )
 from .timescale import DEFAULT_TOL, ClosedInterval, Grid, Run, TimeScale, _Jumps
-from .transforms import CAYLEY_RULE, FORWARD_RULE, Coefficient, as_coefficient
+from .transforms import (
+    CAYLEY_RULE,
+    FORWARD_RULE,
+    STEP_MEMO_SIZE,
+    Coefficient,
+    as_coefficient,
+)
 
 
 class ExpFamily(Enum):
@@ -198,8 +204,13 @@ class _Exponent:
 def _validate_regressive(
     family: ExpFamily, ts: TimeScale, coeff: Coefficient, lo: float, hi: float
 ) -> None:
-    """Fail fast with the first point where the step factor degenerates."""
-    check = _STEP_RULES[family].check
+    """Fail fast with the first point where the step factor degenerates.
+
+    The scattered points are scanned in order, and each distinct m =
+    mu * alpha is checked once (StepRule.checker): a uniform scale with a
+    constant coefficient has a handful.
+    """
+    check = _STEP_RULES[family].checker()
     for s, mu in ts.scattered_points(lo, hi):
         check(s, mu * coeff(s), "alpha")
 
@@ -348,8 +359,21 @@ def _grid_log_integrals(
 
 
 def _step_logs(family, ts, coeff, points, tol):
-    """Exponent increment over each consecutive pair of points."""
+    """Exponent increment over each consecutive pair of points.
+
+    A run of dense steps is integrated a run at a time; a scattered step
+    adds the family's step log of (mu, alpha), mu being the gap from the
+    point to its jump. A constant coefficient's value is one object, so
+    its step log is a function of mu alone and is taken once per distinct
+    mu, bit for bit: a uniform scale has a handful, and the first
+    STEP_MEMO_SIZE are kept. Any other coefficient's log is taken at every
+    step, since two of its values that compare equal can differ in the
+    sign of a zero part, which a fold from an off-grid anchor's exponent
+    keeps.
+    """
     log = _STEP_RULES[family].log
+    logs: dict[float, complex] = {}  # by mu, for a constant coefficient
+    keep = coeff.is_constant
     for item in ts.walk_runs(points):
         if isinstance(item, Run):
             yield from coeff.dense_integrals(item.points, tol)
@@ -362,7 +386,13 @@ def _step_logs(family, ts, coeff, points, tol):
                 raise GridError(
                     f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
                 )
-            yield log(s - p, coeff(p))
+            mu = s - p
+            w = logs.get(mu)
+            if w is None:
+                w = log(mu, coeff(p))
+                if keep and len(logs) < STEP_MEMO_SIZE:
+                    logs[mu] = w
+            yield w
         else:
             yield ts.delta_integral(coeff.dense, p, q, tol)
 

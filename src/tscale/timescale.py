@@ -8,28 +8,34 @@ Scales with accumulation points are not representable: construction
 requires a finite component list with gaps larger than the membership
 tolerance, which keeps the jump operators and the integral exact.
 
-Cost model, for a scale of C components: locating a point costs
-O(log C), since a bisection over the component left endpoints picks the
+Cost model, for a scale of C components: construction and
+normalize_components test isolated points already in order with a few
+C-level maps over their values, and check or merge one component at a
+time any other input. Locating a point costs O(log C), since a bisection over the component left endpoints picks the
 few neighbouring components whose membership tests decide. A jump
 operator, graininess, classification or membership query is one lookup.
 TimeScale.walk_runs over a grid of N points takes the steps inside one
-closed interval as one run, and locates every point that does not
-continue a run. On ascending points (checked once per walk) a run's
+closed interval as one run, takes a point that is the forward jump of
+the one before as located at the next component, and locates every other
+point. On ascending points (checked once per walk) a run's
 interior is one slice found by bisection, C-level work a point; only
 the points within the membership tolerance of an interval end are
 compared and snapped one at a time, a few float comparisons each, with
-no lookup, record or call. On a grid such as make_grid gives, that is
-one lookup per component it enters, so a walk costs O(N) plus O(log C +
-log N) per component, plus the quadrature of its dense steps, and grid
-evaluations and solvers built on it are linear in N. A constant
+no lookup, record or call. On a grid such as make_grid gives, only the
+first point is looked up, so a walk costs O(N + log C) plus O(log N) per
+interval it enters, plus the quadrature of its dense steps, and grid
+evaluations and solvers built on it are linear in N. They check each
+distinct m = mu * alpha once, and take a constant coefficient's step log
+or factor once per distinct mu. A constant
 coefficient integrates a run in one loop (Coefficient.dense_integrals):
 each dense step is Simpson's first step done on the one value, a few
 float operations and no call, with full adaptive Simpson only where that
 step would refine. A query over a range [t0, t1] (scattered_points,
 dense_segments, make_grid) locates both ends and scans only the K
 components from the one holding the lower end to the one after the upper
-end, O(log C + K); so does delta_integral, which runs the first two, plus
-the quadrature of its dense pieces. A running exponent from one anchor
+end, O(log C + K), taking a stretch of isolated points as one slice of
+their ends; so does delta_integral, which runs the first two, plus the
+quadrature of its dense pieces. A running exponent from one anchor
 (exponential._Exponent) locates each target once, evaluates each
 component's coefficient and integrates each dense piece once over all
 its targets, and checks and takes each distinct (mu, alpha) step log
@@ -45,6 +51,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, GridError, KappaError, OverlapError, ToleranceError
@@ -90,6 +97,28 @@ class IsolatedPoint:
 
 
 Component = Union[ClosedInterval, IsolatedPoint]
+
+_T = operator.attrgetter("t")
+_LEFT = operator.attrgetter("left")
+_RIGHT = operator.attrgetter("right")
+
+
+def _point_values(comps: tuple) -> tuple | None:
+    """The values of components that are all isolated points (not a
+    subclass), read with one C-level map; None for any other input."""
+    if set(map(type, comps)) != {IsolatedPoint}:
+        return None
+    return tuple(map(_T, comps))
+
+
+def _valid_points(values: tuple) -> bool:
+    """Whether TimeScale's checks pass points of these values, tested with
+    C-level maps: each finite, and each past the one before by more than
+    the tolerance (b - a > tol, as the checks test a gap after a point)."""
+    gaps = map(operator.sub, islice(values, 1, None), values)
+    return all(map(math.isfinite, values)) and all(
+        map(operator.gt, gaps, repeat(MEMBERSHIP_TOL))
+    )
 
 
 @dataclass(frozen=True)
@@ -160,6 +189,34 @@ class TimeScale:
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("a time scale needs at least one component")
+        values = _point_values(comps)
+        if values is not None and _valid_points(values):
+            lefts = rights = values
+            intervals = ()
+        else:
+            self._check_each(comps)  # raises the first error in order, if any
+            lefts, rights = tuple(map(_LEFT, comps)), tuple(map(_RIGHT, comps))
+            intervals = tuple(compress(count(), map(isinstance, comps, repeat(ClosedInterval))))
+        # The component ends, the left ends less the membership tolerance,
+        # for bisection in _locate and the range queries, and the indices of
+        # the intervals, between two of which lies a stretch of points. Not
+        # fields: equality, hashing and repr see only the components.
+        object.__setattr__(self, "_lefts", lefts)
+        object.__setattr__(self, "_rights", rights)
+        object.__setattr__(
+            self, "_lower_bounds", tuple(map(operator.sub, lefts, repeat(MEMBERSHIP_TOL)))
+        )
+        object.__setattr__(self, "_intervals", intervals)
+        # Index of the left-scattered maximum, the one point outside the
+        # differentiation domain: an isolated last component with a member
+        # below it. -1 when the scale has none.
+        last = len(comps) - 1
+        lsm = last if last > 0 and isinstance(comps[-1], IsolatedPoint) else -1
+        object.__setattr__(self, "_left_scattered_max", lsm)
+
+    @staticmethod
+    def _check_each(comps: tuple) -> None:
+        """The component checks one at a time, in order."""
         for c in comps:
             if isinstance(c, ClosedInterval):
                 if not (math.isfinite(c.lo) and math.isfinite(c.hi)):
@@ -186,18 +243,6 @@ class TimeScale:
                     f"components {a!r} and {b!r} overlap or are closer than "
                     f"{MEMBERSHIP_TOL}"
                 )
-        # Left endpoints less the membership tolerance, for bisection in
-        # _locate. Not a field: equality, hashing and repr see only the
-        # components.
-        object.__setattr__(
-            self, "_lower_bounds", tuple(c.left - MEMBERSHIP_TOL for c in comps)
-        )
-        # Index of the left-scattered maximum, the one point outside the
-        # differentiation domain: an isolated last component with a member
-        # below it. -1 when the scale has none.
-        last = len(comps) - 1
-        lsm = last if last > 0 and isinstance(comps[-1], IsolatedPoint) else -1
-        object.__setattr__(self, "_left_scattered_max", lsm)
 
     # -- membership -------------------------------------------------------
 
@@ -249,7 +294,7 @@ class TimeScale:
         if isinstance(comp, ClosedInterval) and tt < comp.hi:
             return tt
         if i + 1 < len(self.components):
-            return self.components[i + 1].left
+            return self._lefts[i + 1]
         return tt
 
     def rho(self, t: float) -> float:
@@ -287,7 +332,7 @@ class TimeScale:
     # -- structure queries --------------------------------------------------
 
     def is_discrete(self) -> bool:
-        return all(isinstance(c, IsolatedPoint) for c in self.components)
+        return not self._intervals
 
     def constant_graininess(self) -> float | None:
         """Constant graininess value, or None when graininess varies.
@@ -323,23 +368,23 @@ class TimeScale:
         return range(i, min(j + 2, len(self.components)))
 
     def scattered_points(self, t0: float, t1: float) -> tuple[tuple[float, float], ...]:
-        """Right-scattered members s in [t0, t1) with their graininess, ascending."""
+        """Right-scattered members s in [t0, t1) with their graininess, ascending.
+
+        These are the right ends in [t0, t1) of the components that are not
+        the last; the right ends ascend, so they are one slice of them,
+        found by bisection within the components a scan from t0 meets.
+        """
         i, a = self._locate(t0)
         j, b = self._locate(t1)
         if b < a:
             i, a, j, b = j, b, i, a
-        out = []
-        last = len(self.components) - 1
-        for i in self._scan(i, j):
-            comp = self.components[i]
-            if comp.left > b:
-                break
-            end = comp.right
-            # b can lie an ulp past the supremum, which is not right-scattered
-            if a <= end < b and i < last:
-                nxt = self.components[i + 1].left
-                out.append((end, nxt - end))
-        return tuple(out)
+        rights = self._rights
+        # b can lie an ulp past the supremum, which is not right-scattered
+        stop = min(self._scan(i, j).stop, len(rights) - 1)
+        lo = bisect_left(rights, a, i, stop)
+        hi = bisect_left(rights, b, lo, stop)
+        ends = rights[lo:hi]
+        return tuple(zip(ends, map(operator.sub, self._lefts[lo + 1 : hi + 1], ends)))
 
     def dense_segments(self, t0: float, t1: float) -> tuple[tuple[float, float], ...]:
         """Nondegenerate interval pieces of the scale clipped to [t0, t1]."""
@@ -400,7 +445,7 @@ class TimeScale:
 
     def walk(self, points: Sequence[float]) -> Iterator[tuple]:
         """One record per point of an ascending sequence of members, locating
-        each point once.
+        each point once (walk_runs says which take no lookup).
 
         Yields (p, q, sigma, mu, span, tt): p as given, the next point q
         (None at the last), the forward jump sigma(p), the graininess mu(p)
@@ -435,15 +480,18 @@ class TimeScale:
         and the located points, one more than its steps, in one closed
         interval, each above the one before. The record of the run's last
         point follows it. Every other point's record is reported as walk
-        reports it, with span None, and the point after it is located with
-        _locate. Whether the points ascend is checked once per walk; if
-        they do, a run's interior is taken as one slice, and only its
-        points within the membership tolerance of an interval end are
-        compared and snapped one at a time, a few float comparisons each,
-        with no lookup and no record.
+        reports it, with span None. The point after it is located with
+        _locate, unless it is the record's forward jump to the next
+        component, the step between two isolated points on a make_grid
+        grid: _locate would find it in that component at its left end, so
+        it is taken as located there. Whether the points ascend is
+        checked once per walk; if they do, a run's interior is taken as
+        one slice, and only its points within the membership tolerance of
+        an interval end are compared and snapped one at a time, a few
+        float comparisons each, with no lookup and no record.
         """
-        comps = self.components
-        lsm = self._left_scattered_max
+        comps, lefts = self.components, self._lefts
+        last, lsm = len(comps) - 1, self._left_scattered_max
         n = len(points)
         # checked once per walk: a run's interior is sliced only from
         # ascending points, so a run never needs its order checked again
@@ -454,12 +502,14 @@ class TimeScale:
             i, tt = located
             p = points[k]
             comp = comps[i]
-            s = self._sigma_at(i, tt)
+            dense = isinstance(comp, ClosedInterval)
+            # an isolated point jumps to the next component's left end
+            s = self._sigma_at(i, tt) if dense else lefts[i + 1] if i < last else tt
             mu = None if i == lsm else s - tt
             if k + 1 == n:
                 yield p, None, s, mu, None, tt
                 return
-            if isinstance(comp, ClosedInterval) and comp.lo <= tt:
+            if dense and comp.lo <= tt:
                 xs = [tt]
                 end = _extend_run(points, k, comp, xs, ascending)
                 if end > k:
@@ -467,7 +517,10 @@ class TimeScale:
                     k, located = end, (i, xs[-1])
                     continue
             q = points[k + 1]
-            located = self._locate(q)
+            # a jump to the next component's left end is located there:
+            # construction keeps it out of component i, so _locate finds it
+            # in component i + 1 and snaps it to that end
+            located = (i + 1, s) if q == s > tt else self._locate(q)
             yield p, q, s, mu, None, tt
             k += 1
 
@@ -484,15 +537,27 @@ class TimeScale:
         j, b = self._locate(t1)
         if b < a:
             raise DomainError(f"range reversed: {t0!r} > {t1!r}")
+        comps, intervals = self.components, self._intervals
         pts: list[float] = []
-        for i in self._scan(i, j):
-            comp = self.components[i]
-            if comp.left > b:
-                break
-            if comp.right < a:
-                continue
+        stop = self._scan(i, j).stop
+        while i < stop:
+            comp = comps[i]
             if isinstance(comp, IsolatedPoint):
-                pts.append(comp.t)
+                # a stretch of points, up to the next interval, ascends:
+                # those in [a, b] are one slice, and one past b ends the scan
+                nxt = bisect_right(intervals, i)
+                end = min(intervals[nxt], stop) if nxt < len(intervals) else stop
+                ts = self._lefts
+                e = bisect_right(ts, b, i, end)
+                pts.extend(ts[bisect_left(ts, a, i, e) : e])
+                if e < end:
+                    break
+                i = end
+                continue
+            i += 1
+            if comp.lo > b:
+                break
+            if comp.hi < a:
                 continue
             c, d = max(comp.lo, a), min(comp.hi, b)
             if d <= c:
@@ -672,8 +737,20 @@ def normalize_components(components: Iterable[Component]) -> tuple[Component, ..
 
     Touching means boundary contact within the membership tolerance; a
     duplicate point or any interior intersection raises OverlapError.
+
+    Isolated points (not a subclass) that are already in order are
+    returned as they are: each more than the tolerance past the one before,
+    as a few C-level maps test, they keep their places in the sort and the
+    merge loop copies them unchanged. Any other input takes the loop,
+    which raises the errors.
     """
-    comps = sorted(components, key=lambda c: (c.left, c.right))
+    comps = tuple(components)
+    values = _point_values(comps)
+    if values is not None:
+        after = map(operator.add, values, repeat(MEMBERSHIP_TOL))
+        if all(map(operator.lt, after, islice(values, 1, None))):
+            return comps
+    comps = sorted(comps, key=lambda c: (c.left, c.right))
     merged: list[list[float]] = []  # [lo, hi] pairs, point when lo == hi
     for c in comps:
         lo, hi = c.left, c.right

@@ -26,6 +26,11 @@ REGRESSIVITY_MARGIN = 1e-9
 # a short odd series is exact to double precision there.
 _SERIES_CUTOFF = 1e-4
 
+# At most this many distinct values are kept by a memo of grid steps: the
+# make_grid grid of uniform(0, 0.1, 10**6) has 21 distinct gaps, and a
+# grid whose steps all differ then keeps no more than this many.
+STEP_MEMO_SIZE = 64
+
 
 def _principal_log(w: complex) -> complex:
     """Principal-branch log with the negative real axis taken from above."""
@@ -345,6 +350,26 @@ class StepRule:
         """Raise RegressivityError at t if m = mu*name degenerates."""
         if self.degenerate(m):
             raise RegressivityError(self.message(t, m, name), t=t)
+
+    def checker(self) -> Callable[[float, complex, str], None]:
+        """check, for a scan of steps in order that tests each distinct m
+        once.
+
+        The test is a pure function of m, and its abs tests cannot tell
+        apart values that compare equal (they differ at most in the sign
+        of a zero); a NaN matches only the very object it is. An m that
+        fails raises and is never kept, so the scan raises at the same t.
+        The first STEP_MEMO_SIZE values that pass are kept.
+        """
+        passed: set[complex] = set()
+
+        def check(t: float, m: complex, name: str) -> None:
+            if m not in passed:
+                self.check(t, m, name)
+                if len(passed) < STEP_MEMO_SIZE:
+                    passed.add(m)
+
+        return check
 
 
 # The rows call xi, zeta and cayley through this module's globals, so a

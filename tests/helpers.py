@@ -18,6 +18,7 @@ from tscale import (
     GridError,
     IsolatedPoint,
     KappaError,
+    OverlapError,
     PointClass,
     RegressivityError,
     ResidualReport,
@@ -194,6 +195,95 @@ def walk_outcome(walk, *args):
 
 def _raise(exc):
     raise exc
+
+
+# -- construction one component at a time, as before the bulk checks ------------
+
+
+def reference_normalize_components(components):
+    """timescale.normalize_components as the sort and merge loop alone."""
+    comps = sorted(components, key=lambda c: (c.left, c.right))
+    merged: list[list[float]] = []  # [lo, hi] pairs, point when lo == hi
+    for c in comps:
+        lo, hi = c.left, c.right
+        if merged and lo <= merged[-1][1] + MEMBERSHIP_TOL:
+            plo, phi = merged[-1]
+            if plo == phi and lo == hi and abs(lo - phi) <= MEMBERSHIP_TOL:
+                raise OverlapError(f"duplicate point {lo!r}")
+            if lo < phi - MEMBERSHIP_TOL:
+                raise OverlapError(
+                    f"components intersect near {lo!r}: "
+                    f"[{plo!r}, {phi!r}] and [{lo!r}, {hi!r}]"
+                )
+            merged[-1][1] = max(phi, hi)
+        else:
+            merged.append([lo, hi])
+    out: list = []
+    for lo, hi in merged:
+        if hi > lo:
+            out.append(ClosedInterval(lo, hi))
+        else:
+            out.append(IsolatedPoint(lo))
+    return tuple(out)
+
+
+def reference_scale_state(components):
+    """TimeScale(components) with its checks one component at a time: the
+    error they raise first, or the scale's repr with the lookup tables built
+    from each component's properties (see scale_state)."""
+    comps = tuple(components)
+    if not comps:
+        raise ValueError("a time scale needs at least one component")
+    for c in comps:
+        if isinstance(c, ClosedInterval):
+            if not (math.isfinite(c.lo) and math.isfinite(c.hi)):
+                raise ValueError("interval endpoints must be finite")
+            if not c.hi - c.lo > MEMBERSHIP_TOL:
+                raise ValueError(
+                    f"interval [{c.lo}, {c.hi}] is empty or ill-conditioned"
+                )
+        elif isinstance(c, IsolatedPoint):
+            if not math.isfinite(c.t):
+                raise ValueError("isolated points must be finite")
+        else:
+            raise TypeError(f"not a component: {c!r}")
+    for a, b in zip(comps, comps[1:]):
+        if isinstance(a, ClosedInterval):
+            apart = b.left > a.hi + MEMBERSHIP_TOL
+        else:
+            apart = b.left - a.t > MEMBERSHIP_TOL
+        if not apart:
+            raise ValueError(
+                f"components {a!r} and {b!r} overlap or are closer than "
+                f"{MEMBERSHIP_TOL}"
+            )
+    last = len(comps) - 1
+    return repr(
+        (
+            TimeScale.__name__ + f"(components={comps!r})",
+            tuple(c.left for c in comps),
+            tuple(c.right for c in comps),
+            tuple(c.left - MEMBERSHIP_TOL for c in comps),
+            tuple(k for k, c in enumerate(comps) if isinstance(c, ClosedInterval)),
+            last if last > 0 and isinstance(comps[-1], IsolatedPoint) else -1,
+        )
+    )
+
+
+def scale_state(components):
+    """TimeScale(components)'s repr with its lookup tables, as
+    reference_scale_state gives them."""
+    ts = TimeScale(components)
+    return repr(
+        (
+            repr(ts),
+            ts._lefts,
+            ts._rights,
+            ts._lower_bounds,
+            ts._intervals,
+            ts._left_scattered_max,
+        )
+    )
 
 
 # -- linear component scans, as before the index ----------------------------------

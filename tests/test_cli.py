@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tscale
-from tscale import cli, transforms
+from tscale import cli, timescale, transforms
 
 from tscale import (
     ClosedInterval,
@@ -480,6 +480,33 @@ def test_convergence_study_nabla_first_order():
     assert 0.9 < slope < 1.1
 
 
+def test_convergence_study_builds_a_scale_for_the_step_families_only(monkeypatch):
+    built = []
+    uniform_scale = timescale.uniform
+    monkeypatch.setattr(
+        timescale, "uniform", lambda *args: built.append(args) or uniform_scale(*args)
+    )
+    for family in ("nabla", "exact", "hilger", "cayley"):
+        convergence_study(family, 0.5, 1.0, [0.5, 0.25])
+    assert built == [(0.0, 0.5, 3), (0.0, 0.25, 5)] * 2
+
+
+@pytest.mark.parametrize(
+    "family, code", [("cayley", EXIT_CONFIG), ("hilger", EXIT_CONFIG), ("nabla", EXIT_OK), ("exact", EXIT_OK)]
+)
+def test_converge_at_a_step_within_the_membership_tolerance(capsys, family, code):
+    """A uniform scale of step 1e-12 is rejected, so the step families exit
+    3; the backward-step and exact families build no scale and print their
+    row."""
+    argv = ["converge", "--family", family, "--target-t", "1e-11", "--eps-list", "1e-12"]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert out.startswith("eps,error,slope\n9.9999999999999998e-13,") and err == ""
+    else:
+        assert out == "" and "overlap or are closer than 1e-12" in err
+
+
 def test_fit_loglog_slope_handles_zero_errors():
     assert fit_loglog_slope([0.5, 0.25], [0.0, 0.0]) == 0.0
 
@@ -882,6 +909,32 @@ def test_installed_script_rejects_nan_t0_without_traceback():
 
 
 # -- defaults: RunConfig holds every one -------------------------------------------
+
+
+def _parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_one_parser_parses_as_a_fresh_one_each_time():
+    """build_parser builds the parser once per process, and parse_args
+    leaves it as it was, after errors too."""
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [
+        ["eval", "--scale", "uniform(0,1e-3,10)", "--alpha=-0.5,0.25", "--t0", "-1e-3"],
+        ["eval", "--family", "bogus"],
+        ["solve", "--scheme", "exact", "--x0", "3", "--range", "0,1"],
+        ["identity"],
+        ["identity", "--identity", "semigroup", "--family", "hilger", "--omega", "2"],
+        ["converge", "--eps-list", "0.5,0.25", "--alpha", "2.5j"],
+        ["converge", "--target-t", "2"],
+        [],
+        ["eval", "--tol", "1e-9"],
+    ]
+    for argv in argvs * 2:
+        assert _parsed(cli.build_parser(), argv) == _parsed(cli.build_parser.__wrapped__(), argv)
 
 
 @pytest.mark.parametrize(

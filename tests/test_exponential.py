@@ -568,6 +568,18 @@ def test_a_degenerate_step_after_passing_steps_of_its_gap_raises():
     assert err.value.t == 1.0
 
 
+def test_a_constant_coefficient_reports_its_first_degenerate_step():
+    """Each distinct m is checked once, in order of its first step: of two
+    degenerate values, the one met first is reported, where it is met."""
+    ts = isolated(0.0, 0.25, 0.7500000001, 1.2500000001, 1.5000000001)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    m = (0.7500000001 - 0.25) * complex(-2.0)
+    with pytest.raises(RegressivityError) as err:
+        exp_evaluate_grid(ExpFamily.HILGER_DELTA, ts, -2.0, 0.0, grid)
+    assert err.value.t == 0.25
+    assert str(err.value) == f"1 + mu*alpha = {1.0 + m!r} at t=0.25"
+
+
 def test_a_uniform_scale_takes_its_one_step_log_once(monkeypatch):
     xis, calls = [], []
     xi, call = transforms.xi, Coefficient.__call__

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tscale import (
@@ -19,6 +19,7 @@ from tscale import (
     uniform,
     union,
 )
+from tscale.timescale import normalize_components
 
 from helpers import (
     any_scale,
@@ -33,8 +34,11 @@ from helpers import (
     reference_classify,
     reference_in_kappa,
     reference_mu,
+    reference_normalize_components,
     reference_rho,
+    reference_scale_state,
     relocates,
+    scale_state,
 )
 
 MIXED = union(interval(0.0, 1.0), isolated(2.0))
@@ -152,6 +156,91 @@ def test_construction_rejects_empty_and_tiny_interval():
         TimeScale(())
     with pytest.raises(ValueError):
         TimeScale((ClosedInterval(0.0, 1e-13),))
+
+
+class _Point(IsolatedPoint):
+    """A subclass, which only the one-at-a-time checks take."""
+
+
+# gaps to the component before: apart, within a few ulps of the tolerance,
+# touching within it, and intersecting
+_GAPS = st.sampled_from([0.25, 1.0, 2e-12, 0.0, 5e-13, 1e-12, -0.1, -1e-13]) | st.floats(
+    min_value=1e-12, max_value=1.5e-12
+)
+
+
+@st.composite
+def component_inputs(draw):
+    """Component lists for construction: points only or mixed, sorted or
+    shuffled, with gaps just past, at or within the tolerance, intersecting
+    ones, zero-length and tiny intervals, a duplicate, a non-finite value,
+    a subclass or a non-component, at magnitudes where the tolerance is
+    below, near or above one ulp."""
+    x = draw(st.sampled_from([0.0, -3.0, 4095.9, 1e4]) | st.floats(-1e4, 1e4))
+    points_only = draw(st.booleans())
+    comps = []
+    for k in range(draw(st.integers(1, 8))):
+        if k:
+            x += draw(_GAPS)
+            for _ in range(draw(st.integers(0, 2))):  # an ulp or two either way
+                x = math.nextafter(x, draw(st.sampled_from([math.inf, -math.inf])))
+        if points_only or draw(st.booleans()):
+            comps.append(IsolatedPoint(x))
+        else:
+            hi = x + draw(st.sampled_from([0.0, 5e-13, 1.5e-12, 0.5]))
+            comps.append(ClosedInterval(x, hi))
+            x = hi
+    change = draw(
+        st.sampled_from(["none", "shuffle", "duplicate", "non-finite", "subclass", "other"])
+    )
+    k = draw(st.integers(0, len(comps) - 1))
+    if change == "shuffle":
+        comps = draw(st.permutations(comps))
+    elif change == "duplicate":
+        comps.insert(k, comps[k])
+    elif change == "non-finite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        comps[k] = draw(
+            st.sampled_from([IsolatedPoint(bad), ClosedInterval(0.0, bad), ClosedInterval(bad, 0.0)])
+        )
+    elif change == "subclass":
+        comps[k] = _Point(comps[k].left)
+    elif change == "other":
+        comps[k] = (comps[k].left, comps[k].right)
+    return comps
+
+
+def _state(build, comps):
+    try:
+        return build(comps)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(component_inputs())
+# a gap of exactly the tolerance, and gaps past an interval that pass
+# b.left - hi > tol but not b.left > hi + tol
+@example([IsolatedPoint(0.0), IsolatedPoint(1e-12)])
+@example([ClosedInterval(0.0, 1.5e-12), IsolatedPoint(2.5000000000000003e-12)])
+@example([ClosedInterval(9999.0, 1e4), IsolatedPoint(math.nextafter(1e4, math.inf))])
+def test_bulk_construction_equals_the_checks_one_at_a_time(comps):
+    """normalize_components and TimeScale, whose bulk tests take most
+    inputs, give what the loops over every component give: the same
+    components and lookup tables, or the same exception and message."""
+    normal = _state(normalize_components, comps)
+    assert repr(normal) == repr(_state(reference_normalize_components, comps))
+    assert _state(scale_state, comps) == _state(reference_scale_state, comps)
+    if isinstance(normal, tuple) and normal and isinstance(normal[0], IsolatedPoint | ClosedInterval):
+        assert _state(scale_state, normal) == _state(reference_scale_state, normal)
+
+
+def test_components_already_in_order_are_kept():
+    points = tuple(IsolatedPoint(0.001 * k) for k in range(1000))
+    assert normalize_components(points) is points
+    assert normalize_components(list(points)) == points
+    unsorted = (IsolatedPoint(0.2), IsolatedPoint(0.1))
+    assert normalize_components(unsorted) == unsorted[::-1]
 
 
 # -- delta integral ------------------------------------------------------------

@@ -391,18 +391,22 @@ def test_cayley_trig_grid_stays_on_the_unit_circle(n, omega):
     """The two grids on which the pair, while it was the half-sum and
     half-difference of two exponentials, raised an imaginary residue above
     1e-13 (at t=0.684 and t=1.535): every step log is purely imaginary, and
-    the pair is (cos, sin) of the phase that the log-ratio zeta folds."""
+    the pair is (cos, sin) of the phase that the log-ratio zeta folds. Each
+    distinct (mu, omega) pair of the grid's steps takes exactly one log."""
     ts = uniform(0, 1e-3, n)
     grid = ts.make_grid(ts.inf, ts.sup, 0.1)
-    logs = []
+    pairs, logs = [], []
 
     def recorded(h, z):
+        pairs.append((h, z))
         logs.append(zeta(h, z))
         return logs[-1]
 
     with mock.patch("tscale.transforms.zeta", recorded):
         pair = trig_grid(TrigFamily.CAYLEY, ts, omega, 0.0, grid)
-    assert len(logs) == n - 1 and all(w.real == 0.0 for w in logs)
+    steps = {(q - p, 1j * omega) for p, q in zip(grid.points, grid.points[1:])}
+    assert len(pairs) == len(set(pairs)) and set(pairs) == steps
+    assert all(w.real == 0.0 for w in logs)
     cs, ss = pair.c_values, pair.s_values
     assert max(abs(c * c + s * s - 1.0) for c, s in zip(cs, ss)) <= 2.3e-16
     phase = reference_cayley_phase(ts, omega, 0.0, grid)

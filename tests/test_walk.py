@@ -40,6 +40,7 @@ from helpers import (
     constant_simpson_reference,
     outcome,
     probe_points,
+    random_discrete,
     random_mixed,
     reference_grid_log_integrals,
     reference_solve,
@@ -240,6 +241,47 @@ def test_walk_matches_locating_every_point(ts, data):
     assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
 
 
+_HOP_SCALES = st.sampled_from(
+    [
+        uniform(0.0, 1e-3, 40),
+        uniform(1e4, 0.1, 30),  # an ulp of 1e4 is above the tolerance
+        W,
+        union(interval(0.0, 1.0), uniform(1.5, 0.25, 5), interval(3.0, 4.0)),
+    ]
+) | tight_scales() | st.integers(0, 2**32 - 1).map(
+    lambda s: random_discrete(np.random.default_rng(s))
+)
+
+
+@st.composite
+def _hop_points(draw):
+    """A discrete or hybrid scale and its make_grid points, some nudged by
+    up to 1e-12 or a few ulps and some dropped, so that a step lands on
+    its jump exactly, near it, or past it."""
+    ts = draw(_HOP_SCALES)
+    points = list(ts.make_grid(ts.inf, ts.sup, draw(st.sampled_from([0.1, 0.3]))).points)
+    for k in draw(st.lists(st.integers(0, len(points) - 1), max_size=4)):
+        if draw(st.booleans()):
+            points[k] += draw(st.sampled_from([-1e-12, -4e-13, 4e-13, 1e-12, 2e-12]))
+        else:
+            for _ in range(draw(st.integers(1, 3))):
+                points[k] = math.nextafter(points[k], draw(st.sampled_from([-math.inf, math.inf])))
+    for k in draw(st.lists(st.integers(0, len(points) - 1), max_size=3)):
+        if len(points) > 1 and k < len(points):
+            del points[k]
+    return ts, points
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hop_points())
+def test_walk_steps_between_isolated_points_as_locating_each(scale_points):
+    """A step that lands on its jump is taken as located at the next
+    component, with no lookup; the records, and the exception that ends
+    the walk, are those of a walk that locates every point."""
+    ts, points = scale_points
+    assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
+
+
 # offsets from the interval ends, exact in binary: 4.5e-13 and 1.8e-12
 _IN, _PAST = 2.0**-41, 2.0**-39
 _EDGE = union(interval(0.0, 1.0), isolated(1.0 + _PAST), interval(2.0, 3.0))
@@ -303,6 +345,8 @@ def test_a_walk_snaps_only_near_the_ends_of_a_run(monkeypatch):
 
 
 def test_walk_locates_only_after_a_component_ends(monkeypatch):
+    """Every step here ends a component at the next one's left end, which
+    the walk takes as located there: only the first point is looked up."""
     ts = union(interval(0.0, 1.0), isolated(1.5), interval(2.0, 3.0))
     points = ts.make_grid(0.0, 3.0, 0.01).points
     located = []
@@ -311,7 +355,7 @@ def test_walk_locates_only_after_a_component_ends(monkeypatch):
         TimeScale, "_locate", lambda self, t: located.append(t) or locate(self, t)
     )
     records = list(ts.walk(points))
-    assert located == [0.0, 1.5, 2.0]
+    assert located == [0.0]
     monkeypatch.undo()
     assert records == list(reference_walk(ts, points))
 
@@ -592,6 +636,41 @@ def test_constant_solve_evaluates_the_coefficient_per_scattered_step(monkeypatch
     monkeypatch.setattr(Coefficient, "__call__", lambda self, t: calls.append(t) or call(self, t))
     solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, ts, 0.6 - 0.4j, 1.0, 1.0, grid, TOL)
     assert calls == scattered + scattered
+
+
+def test_function_solve_evaluates_the_coefficient_once_per_scattered_step(monkeypatch):
+    """The step factors take the values the regressivity checks read."""
+    ts = uniform(0.0, 0.1, 50)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    coeff = Coefficient.from_function(lambda t: 0.6 - 0.4j + 0.3 * math.sin(3.0 * t))
+    want = outcome(lambda: reference_solve(Scheme.TRAPEZOIDAL_CAYLEY, ts, coeff, 1.0, 2.5, grid).values)
+    calls = []
+    call = Coefficient.__call__
+    monkeypatch.setattr(Coefficient, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    got = outcome(lambda: solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, ts, coeff, 1.0, 2.5, grid).values)
+    assert calls == list(grid.points[:-1]) and len(calls) == 49
+    assert got == want
+
+
+def test_step_memos_past_their_size_keep_every_value():
+    """A constant coefficient's logs and factors on a grid with more
+    distinct gaps than the memos keep, each gap recurring, equal the code
+    that takes one per step."""
+    gaps = [0.01 + 1e-4 * k for k in range(100)] * 3
+    pts = [0.0]
+    for g in gaps:
+        pts.append(pts[-1] + g)
+    ts = isolated(*pts)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    coeff = Coefficient.constant(0.6 - 0.4j)
+    for family in GRID_FAMILIES.values():
+        args = (family, ts, coeff, pts[150], grid, TOL)
+        want = outcome(lambda: _reference_grid_values(*args))
+        assert outcome(lambda: exp_evaluate_grid(*args).values) == want
+    for scheme, _ in SOLVER_PAIRS.values():
+        args = (scheme, ts, coeff, 1.0, pts[150], grid, TOL)
+        want = outcome(lambda: reference_solve(*args).values)
+        assert outcome(lambda: solve_first_order(*args).values) == want
 
 
 # -- one walk per solve ---------------------------------------------------------------
