@@ -10,9 +10,13 @@ keeps the complex phase unwrapped over long discrete products.
 from __future__ import annotations
 
 import cmath
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import accumulate
+from operator import add, sub
 
 from .errors import (
     ConstantGraininessError,
@@ -100,27 +104,54 @@ class _Terms:
     component, and the integral of the dense view over a finished piece of
     an interval. Every _Exponent run over the same terms shares them.
 
-    The coefficient is evaluated once per component, and each distinct
-    value pair (mu, alpha) is checked and its step log taken once: scales
+    Each distinct step is checked and its step log taken once: scales
     repeat their gaps, and a uniform one has a handful. This is bit for
-    bit, since the check and the log are pure functions of (mu, alpha).
-    Keys that compare equal differ at most in the sign of a zero: the abs
-    tests of the check cannot tell them apart, and their logs differ at
-    most in the sign of a zero, which the fold, started from 0j, erases.
-    A NaN alpha matches only the very object it is, whose log is the
-    same. A step that fails its check is never kept, so the first
-    RegressivityError is raised at the same t."""
+    bit, since the check and the log are pure functions of (mu, alpha). A
+    constant coefficient's value is one object, so its steps are keyed by
+    mu alone, and fold takes a stretch of them with C-level maps: the gaps
+    are finite and above the membership tolerance, so a key is no NaN and
+    no signed zero. It evaluates the coefficient once per distinct gap.
+    Any other coefficient is evaluated once per component, and its steps
+    are keyed by (mu, alpha). Keys that compare equal differ at most in
+    the sign of a zero: the abs tests of the check cannot tell them apart,
+    and their logs differ at most in the sign of a zero, which the fold,
+    started from 0j, erases. A NaN alpha matches only the very object it
+    is, whose log is the same. A step that fails its check is never kept,
+    so the first RegressivityError is raised at the same t."""
 
     def __init__(self, family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol: float):
         self.ts, self.coeff, self.tol = ts, coeff, tol
         self._rule = _STEP_RULES[family]
+        self._constant = coeff.is_constant
         self._logs: dict[int, complex] = {}
-        self._steps: dict[tuple[float, complex], complex] = {}
+        self._steps: dict = {}  # log by mu (constant) or by (mu, alpha)
         self._pieces: dict[tuple[float, float], complex] = {}
 
+    def fold(self, total: complex, lo: int, e: int) -> complex:
+        """total plus the step logs at the right ends of components lo to
+        e - 1, added in ascending order, each step checked before its log
+        is first taken."""
+        if not self._constant:
+            return reduce(add, map(self.log, range(lo, e)), total)
+        ends = self.ts._rights[lo:e]
+        mus = list(map(sub, self.ts._lefts[lo + 1 : e + 1], ends))
+        steps = self._steps
+        try:
+            return reduce(add, map(steps.__getitem__, mus), total)
+        except KeyError:  # a gap met for the first time
+            first = dict(zip(reversed(mus), reversed(ends)))  # each gap's first end
+            for mu in dict.fromkeys(mus):  # in order of first occurrence
+                if mu not in steps:
+                    s = first[mu]
+                    alpha = self.coeff(s)
+                    self._rule.check(s, mu * alpha, "alpha")
+                    steps[mu] = self._rule.log(mu, alpha)
+        return reduce(add, map(steps.__getitem__, mus), total)
+
     def log(self, k: int) -> complex:
-        """Step log at the right end of component k, its (mu, alpha)
-        checked for regressivity just before its log is first taken."""
+        """Step log at the right end of component k for a coefficient that
+        is not constant, its (mu, alpha) checked for regressivity just
+        before its log is first taken."""
         w = self._logs.get(k)
         if w is None:
             comps = self.ts.components
@@ -154,10 +185,14 @@ class _Exponent:
     RegressivityError is the one that pass raises), then the dense pieces
     added one by one. The step-log sum and the finished pieces carry over
     from the last target, so a target adds its new step logs and finished
-    pieces and integrates only its own partial piece: a run over n
-    targets on a discrete scale costs O(n) in all, one coefficient call
-    per component, and one check and one log per distinct (mu, alpha)
-    step of the shared terms.
+    pieces and integrates only its own partial piece. Its new scattered
+    ends are one slice of the component ends and its finished pieces one
+    slice of the scale's intervals, both found by bisection, and
+    _Terms.fold adds the step logs. A run over n targets on a discrete
+    scale costs O(n) in all. With a constant coefficient that is C-level
+    work per component plus one coefficient call, check and log per
+    distinct gap of the shared terms; with any other, one coefficient
+    call per component and one check and log per distinct (mu, alpha).
     """
 
     def __init__(self, terms: _Terms, anchor: float):
@@ -168,29 +203,31 @@ class _Exponent:
         self._pieces: list[complex] = []  # the finished pieces' integrals
 
     def to(self, x: float) -> complex:
-        terms, a = self._terms, self._a
-        comps = terms.ts.components
-        _, b = terms.ts._locate(x)
+        terms, a, k = self._terms, self._a, self._k
+        ts = terms.ts
+        comps, rights, intervals = ts.components, ts._rights, ts._intervals
+        _, b = ts._locate(x)
         if b == a:
             return 0j
         if b < self._b:
             raise ValueError(f"target {x!r} is below the last target {self._b!r}")
-        total, k, last = self._sum, self._k, len(comps) - 1
-        # the scattered right ends in [a, b); b can lie an ulp past the
-        # supremum, which is not right-scattered
-        while (end := comps[k].right) < b and k < last:
-            # a can lie an ulp past the end of the interval it is located in
-            if end >= a:
-                total += terms.log(k)
-            k += 1
-        passed = comps[self._k : k]
-        finished = (self._piece(c, b) for c in passed if isinstance(c, ClosedInterval))
-        pieces = self._pieces + [terms.piece(*p) for p in finished if p]
-        self._b, self._k, self._sum, self._pieces = b, k, total, pieces
+        # the scattered right ends in [a, b) are those of components lo to
+        # e - 1: b can lie an ulp past the supremum, which is not
+        # right-scattered, and a an ulp past the end of the interval it is
+        # located in
+        e = bisect_left(rights, b, k, len(rights) - 1)
+        lo = bisect_left(rights, a, k, e)
+        total = terms.fold(self._sum, lo, e) if lo < e else self._sum
+        pieces = self._pieces
+        if intervals:
+            passed = intervals[bisect_left(intervals, k) : bisect_left(intervals, e)]
+            finished = (self._piece(comps[i], b) for i in passed)
+            pieces = pieces + [terms.piece(*p) for p in finished if p]
+        self._b, self._k, self._sum, self._pieces = b, e, total, pieces
         for w in pieces:
             total += w
-        if isinstance(comps[k], ClosedInterval):
-            partial = self._piece(comps[k], b)
+        if isinstance(comps[e], ClosedInterval):
+            partial = self._piece(comps[e], b)
             if partial:
                 total += terms.integral(*partial)
         return total
@@ -203,16 +240,25 @@ class _Exponent:
 
 def _validate_regressive(
     family: ExpFamily, ts: TimeScale, coeff: Coefficient, lo: float, hi: float
-) -> None:
-    """Fail fast with the first point where the step factor degenerates.
+) -> dict[float, complex]:
+    """Fail fast with the first point where the step factor degenerates;
+    return the coefficient value read at each scattered point, by point,
+    for the step logs to take again (none for a constant coefficient,
+    whose logs are taken once per distinct mu).
 
     The scattered points are scanned in order, and each distinct m =
     mu * alpha is checked once (StepRule.checker): a uniform scale with a
     constant coefficient has a handful.
     """
     check = _STEP_RULES[family].checker()
+    read: dict[float, complex] = {}
+    keep = not coeff.is_constant
     for s, mu in ts.scattered_points(lo, hi):
-        check(s, mu * coeff(s), "alpha")
+        a = coeff(s)
+        check(s, mu * a, "alpha")
+        if keep:
+            read[s] = a
+    return read
 
 
 def _exp(w: complex) -> complex:
@@ -329,20 +375,29 @@ def _nabla_grid_values(ts, coeff, t0, grid) -> tuple[complex, ...]:
 
 def _validated_logs(family, ts, coeff, t0, grid, tol) -> list[complex]:
     """_grid_log_integrals, after validating every scattered step from the
-    lower of t0 and the grid to the upper."""
+    lower of t0 and the grid to the upper, taking the values the checks
+    read: a coefficient is evaluated once per scattered grid step."""
     lo, hi = min(grid.points[0], t0), max(grid.points[-1], t0)
-    _validate_regressive(family, ts, coeff, lo, hi)
-    return _grid_log_integrals(family, ts, coeff, t0, grid, tol)
+    read = _validate_regressive(family, ts, coeff, lo, hi)
+    return _grid_log_integrals(family, ts, coeff, t0, grid, tol, read)
 
 
 def _grid_log_integrals(
-    family: ExpFamily, ts: TimeScale, coeff: Coefficient, t0: float, grid: Grid, tol: float
+    family: ExpFamily,
+    ts: TimeScale,
+    coeff: Coefficient,
+    t0: float,
+    grid: Grid,
+    tol: float,
+    read: dict[float, complex] | None = None,
 ) -> list[complex]:
     """Exponent integral from t0 to each grid point, reusing partial sums.
 
     Walks the grid once on each side of the anchor (TimeScale.walk_runs),
-    so the cost is linear in the grid size.
+    so the cost is linear in the grid size. read holds coefficient values
+    by scattered point, as _validate_regressive returns them.
     """
+    read = {} if read is None else read
     pts = grid.points
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)
@@ -350,26 +405,30 @@ def _grid_log_integrals(
     if anchor is None:
         anchor = 0
         logs[0] = _log_integral_range(family, ts, coeff, t0s, pts[0], tol)
-    steps = _step_logs(family, ts, coeff, pts[anchor:], tol)
+    steps = _step_logs(family, ts, coeff, pts[anchor:], tol, read)
     logs[anchor:] = accumulate(steps, initial=logs[anchor])  # logs[k] + the step's log
-    back = list(_step_logs(family, ts, coeff, pts[: anchor + 1], tol))
+    back = list(_step_logs(family, ts, coeff, pts[: anchor + 1], tol, read))
     for k in range(anchor - 1, -1, -1):
         logs[k] = logs[k + 1] - back[k]
     return logs
 
 
-def _step_logs(family, ts, coeff, points, tol):
+def _step_logs(family, ts, coeff, points, tol, read):
     """Exponent increment over each consecutive pair of points.
 
     A run of dense steps is integrated a run at a time; a scattered step
     adds the family's step log of (mu, alpha), mu being the gap from the
-    point to its jump. A constant coefficient's value is one object, so
-    its step log is a function of mu alone and is taken once per distinct
-    mu, bit for bit: a uniform scale has a handful, and the first
-    STEP_MEMO_SIZE are kept. Any other coefficient's log is taken at every
-    step, since two of its values that compare equal can differ in the
-    sign of a zero part, which a fold from an off-grid anchor's exponent
-    keeps.
+    point to its jump. alpha is the value that read (by scattered point)
+    holds for the grid point, if it holds one for that very float, and
+    the coefficient's value at the grid point otherwise: a point located
+    within the membership tolerance of a scattered point, or a zero of
+    the other sign, may evaluate differently. A constant coefficient's
+    value is one object, so its step log is a function of mu alone and
+    is taken once per distinct mu, bit for bit: a uniform scale has a
+    handful, and the first STEP_MEMO_SIZE are kept. Any other
+    coefficient's log is taken at every step, since two of its values
+    that compare equal can differ in the sign of a zero part, which a
+    fold from an off-grid anchor's exponent keeps.
     """
     log = _STEP_RULES[family].log
     logs: dict[float, complex] = {}  # by mu, for a constant coefficient
@@ -389,7 +448,9 @@ def _step_logs(family, ts, coeff, points, tol):
             mu = s - p
             w = logs.get(mu)
             if w is None:
-                w = log(mu, coeff(p))
+                # a key equal to p is tt, the point p is located at
+                same = p in read and (p or math.copysign(1.0, p) == math.copysign(1.0, tt))
+                w = log(mu, read[p] if same else coeff(p))
                 if keep and len(logs) < STEP_MEMO_SIZE:
                     logs[mu] = w
             yield w

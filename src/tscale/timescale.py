@@ -25,8 +25,9 @@ no lookup, record or call. On a grid such as make_grid gives, only the
 first point is looked up, so a walk costs O(N + log C) plus O(log N) per
 interval it enters, plus the quadrature of its dense steps, and grid
 evaluations and solvers built on it are linear in N. They check each
-distinct m = mu * alpha once, and take a constant coefficient's step log
-or factor once per distinct mu. A constant
+distinct m = mu * alpha once, take a constant coefficient's step log
+or factor once per distinct mu, and evaluate any other coefficient once
+per scattered step, reusing the value its check read. A constant
 coefficient integrates a run in one loop (Coefficient.dense_integrals):
 each dense step is Simpson's first step done on the one value, a few
 float operations and no call, with full adaptive Simpson only where that
@@ -36,11 +37,15 @@ components from the one holding the lower end to the one after the upper
 end, O(log C + K), taking a stretch of isolated points as one slice of
 their ends; so does delta_integral, which runs the first two, plus the
 quadrature of its dense pieces. A running exponent from one anchor
-(exponential._Exponent) locates each target once, evaluates each
-component's coefficient and integrates each dense piece once over all
-its targets, and checks and takes each distinct (mu, alpha) step log
-once; a target then adds the finished pieces' integrals, one per
-interval it has passed.
+(exponential._Exponent) locates each target once and bisects for the
+scattered ends and the intervals it has passed since the last. A
+constant coefficient's step logs over such a stretch are C-level maps
+over its gaps, the coefficient evaluated and each distinct gap checked
+and its log taken once over all targets; any other coefficient is
+evaluated once per component, and each distinct (mu, alpha) step
+checked and its log taken once. Each dense piece is integrated once
+over all targets; a target then adds the finished pieces' integrals,
+one per interval it has passed.
 """
 
 from __future__ import annotations

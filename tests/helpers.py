@@ -449,8 +449,12 @@ def reference_step_logs(family: ExpFamily, ts: TimeScale, coeff, points, tol):
             yield step_integral(ts, coeff.dense, p, q, span, tol)
 
 
-def reference_grid_log_integrals(family: ExpFamily, ts: TimeScale, coeff, t0, grid: Grid, tol):
-    """exponential._grid_log_integrals on reference_step_logs."""
+def reference_grid_log_integrals(
+    family: ExpFamily, ts: TimeScale, coeff, t0, grid: Grid, tol, read=None
+):
+    """exponential._grid_log_integrals on reference_step_logs, which
+    evaluate the coefficient at every step: the values read by a
+    validation are not taken."""
     pts = grid.points
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)

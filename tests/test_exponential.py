@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tscale import (
@@ -439,13 +439,29 @@ def test_first_regressivity_error_is_the_validation_pass_error(family, alpha):
 RUNNING_COEFFS = PROPERTY_COEFFS + [Coefficient.constant(1e308), Coefficient.constant(1e308j)]
 
 
+# an anchor an ulp past an interval's end, where the ulp exceeds the
+# membership tolerance, followed by points; a target an ulp past the
+# supremum, likewise; and a run across three intervals
+_ULP_PAST = union(interval(1e4, 1e4 + 0.5), isolated(1e4 + 1.0, 1e4 + 1.25, 1e4 + 1.5))
+_ULP_PAST_SUP = union(isolated(1e4 - 1.0, 1e4 - 0.5), interval(1e4, 1e4 + 0.5))
+_INTERVALS = union(
+    interval(0.0, 1.0), isolated(1.5), interval(2.0, 3.0), isolated(3.25, 3.5), interval(4.0, 5.0)
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(any_scale(), st.data())
-def test_log_integral_range_is_the_one_pass_fold(ts, data):
+@given(
+    any_scale().flatmap(lambda ts: st.tuples(st.just(ts), probe_points(ts), probe_points(ts))),
+    st.sampled_from(RUNNING_COEFFS),
+)
+@example((_ULP_PAST, 1e4 + 1.5, math.nextafter(1e4 + 0.5, math.inf)), PROPERTY_COEFFS[0])
+@example((_ULP_PAST_SUP, math.nextafter(1e4 + 0.5, math.inf), 1e4 - 1.0), PROPERTY_COEFFS[0])
+@example((_INTERVALS, 4.5, 0.5), PROPERTY_COEFFS[0])
+@example((_INTERVALS, 4.5, 0.5), PROPERTY_COEFFS[-1])
+def test_log_integral_range_is_the_one_pass_fold(case, coeff):
     """_log_integral_range, one target of a running exponent, equals the
     one-pass fold bit for bit, errors included, with t on either side of t0."""
-    t, t0 = data.draw(st.lists(probe_points(ts), min_size=2, max_size=2))
-    coeff = data.draw(st.sampled_from(RUNNING_COEFFS))
+    ts, t, t0 = case
     for a, b in ((t, t0), (t0, t)):
         for family in POINTWISE:
             assert outcome(_log_integral_range, family, ts, coeff, a, b, 1e-12) == outcome(
@@ -588,8 +604,70 @@ def test_a_uniform_scale_takes_its_one_step_log_once(monkeypatch):
     ts = uniform(0.0, 2**-10, 1025)
     got = exp_hilger(ts, 0.5, 1.0, 0.0)
     assert xis == [2**-10]
-    assert len(calls) == 1024
+    assert len(calls) == 1
     assert got == reference_exp(ExpFamily.HILGER_DELTA, ts, Coefficient.constant(0.5), 1.0, 0.0)
+
+
+def _distinct_gap_points(n, seed):
+    """n random isolated points whose gaps are all distinct."""
+    rng = np.random.default_rng(seed)
+    pts = np.cumsum(rng.uniform(0.001, 0.002, n)).tolist()
+    gaps = [b - a for a, b in zip(pts, pts[1:])]
+    assert len(set(gaps)) == len(gaps)
+    return pts
+
+
+@pytest.mark.parametrize(
+    "family, cylinder", [(ExpFamily.HILGER_DELTA, "xi"), (ExpFamily.CAYLEY, "zeta")]
+)
+def test_a_constant_coefficient_takes_one_log_per_distinct_gap(monkeypatch, family, cylinder):
+    """On 2,000 points with every gap distinct, runs from three anchors
+    over shared terms take one cylinder map per gap in all, and each value
+    is the one-pass fold."""
+    pts = _distinct_gap_points(2000, 11)
+    ts, coeff = isolated(*pts), Coefficient.constant(-0.3 + 1.7j)
+    cases = [(pts[0], pts[-1]), (pts[0], pts[700]), (pts[300], pts[1500]), (pts[300], pts[-1])]
+    want = [reference_log_integral_range(family, ts, coeff, a, b, 1e-12) for a, b in cases]
+    maps = []
+    fn = getattr(transforms, cylinder)
+    monkeypatch.setattr(transforms, cylinder, lambda h, z: maps.append(h) or fn(h, z))
+    assert _log_integral_range(family, ts, coeff, pts[0], pts[-1], 1e-12) == want[0]
+    assert len(maps) == len(set(maps)) == len(pts) - 1
+    maps.clear()
+    terms = _Terms(family, ts, coeff, 1e-12)
+    first, second = _Exponent(terms, pts[0]), _Exponent(terms, pts[300])
+    got = [first.to(pts[700]), second.to(pts[1500]), second.to(pts[-1]), first.to(pts[-1])]
+    assert got == [want[1], want[2], want[3], want[0]]
+    assert sorted(maps) == sorted(b - a for a, b in zip(pts, pts[1:]))
+
+
+@pytest.mark.parametrize(
+    "family, alpha", [(ExpFamily.HILGER_DELTA, -2.0), (ExpFamily.CAYLEY, 4.0)]
+)
+def test_a_degenerate_gap_deep_in_a_stretch_raises_at_its_first_step(family, alpha):
+    """Gaps of 0.5 + 2**-32 and 0.5 degenerate the constant alpha, within
+    the margin and exactly: the first is met at point 1500 of 2,001, the
+    second at point 1600 and again at point 1800, every other gap distinct
+    and passing. The error is raised at the first degenerate step, with
+    the one-pass fold's message, on every path to it. The points are whole
+    multiples of 2**-40, so every gap is exact."""
+    units = (np.random.default_rng(12).permutation(np.arange(1000, 3000)) * 2**20).tolist()
+    units[1500] = 2**39 + 2**8
+    units[1600] = units[1800] = 2**39
+    pts = [0.0]
+    for u in units:
+        pts.append(pts[-1] + u * 2**-40)
+    ts, coeff = isolated(*pts), Coefficient.constant(alpha)
+    want = outcome(reference_log_integral_range, family, ts, coeff, pts[0], pts[-1], 1e-12)
+    assert want[0] == "RegressivityError" and want[2] == pts[1500]
+    assert outcome(_log_integral_range, family, ts, coeff, pts[0], pts[-1], 1e-12) == want
+    assert outcome(_log_integral_range, family, ts, coeff, pts[-1], pts[0], 1e-12) == want
+    run = _Exponent(_Terms(family, ts, coeff, 1e-12), pts[0])
+    assert outcome(run.to, pts[1400]) == outcome(
+        reference_log_integral_range, family, ts, coeff, pts[0], pts[1400], 1e-12
+    )
+    assert outcome(run.to, pts[-1]) == want
+    assert outcome(run.to, pts[1600]) == want  # the run goes on from pts[1400]
 
 
 def test_running_exponent_rejects_a_descending_target():

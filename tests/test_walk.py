@@ -30,7 +30,7 @@ from tscale import (
     uniform,
     union,
 )
-from tscale import exponential, timescale, transforms
+from tscale import cli, exponential, timescale, transforms
 from tscale.exponential import _STEP_RULES, _grid_log_integrals, _hilger_product_point
 from tscale.timescale import Run, _adaptive_simpson, _constant_simpson
 from tscale.transforms import xi, zeta
@@ -650,6 +650,61 @@ def test_function_solve_evaluates_the_coefficient_once_per_scattered_step(monkey
     got = outcome(lambda: solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, ts, coeff, 1.0, 2.5, grid).values)
     assert calls == list(grid.points[:-1]) and len(calls) == 49
     assert got == want
+
+
+def test_function_grid_exponent_evaluates_the_coefficient_once_per_scattered_step(monkeypatch):
+    """The grid step logs take the values the regressivity checks read."""
+    ts = uniform(0.0, 0.1, 50)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    coeff = Coefficient.from_function(lambda t: 0.6 - 0.4j + 0.3 * math.sin(3.0 * t))
+    for family in GRID_FAMILIES.values():
+        args = (family, ts, coeff, 2.5, grid, TOL)
+        want = outcome(lambda: tuple(reference_grid_log_integrals(*args)))
+        calls = []
+        call = Coefficient.__call__
+        monkeypatch.setattr(
+            Coefficient, "__call__", lambda self, t: calls.append(t) or call(self, t)
+        )
+        got = outcome(lambda: tuple(exponential._validated_logs(*args)))
+        monkeypatch.undo()
+        assert calls == list(grid.points[:-1]) and len(calls) == 49
+        assert got == want
+
+
+def test_a_grid_point_takes_a_checked_value_only_if_it_is_the_checked_float():
+    """The step logs take the value a check read at a scattered point only
+    at a grid point that is that very float: -0.0 on the grid is not the
+    scale's 0.0, nor is a point within the membership tolerance of 0.25,
+    nor a point past an interval's end 1.0 within the membership
+    tolerance, and each evaluates the coefficient on its own."""
+    coeff = Coefficient.from_function(
+        lambda t: 0.5 - 0.2j * t if math.copysign(1.0, t) > 0 else -0.25j
+    )
+    for ts, grid, t0 in [
+        (isolated(0.0, 0.25, 0.5), Grid((-0.0, 0.25 + 5e-13, 0.5), 0.1), 0.5),
+        # 1.000000000001 is located unsnapped, past the end 1.0 it jumps from
+        (W, Grid((0.0, 0.5, 1.000000000001, 1.5, 2.25, 3.0, 4.0), 0.5), 0.0),
+    ]:
+        for family in GRID_FAMILIES.values():
+            args = (family, ts, coeff, t0, grid, TOL)
+            want = outcome(lambda: tuple(reference_grid_log_integrals(*args)))
+            assert outcome(lambda: tuple(exponential._validated_logs(*args))) == want
+
+
+def test_bohner_peterson_report_locates_each_scattered_point_once_more(monkeypatch):
+    """The graininess coefficient of the Bohner-Peterson reference locates
+    its point at each evaluation, now once per scattered step: the report
+    on 1,000 points makes 1,011 lookups, where validation and step logs
+    evaluating it apart made 2,010."""
+    located = []
+    locate = TimeScale._locate
+    monkeypatch.setattr(
+        TimeScale, "_locate", lambda self, t: located.append(t) or locate(self, t)
+    )
+    argv = ["identity", "--scale", "uniform(0,1e-3,1000)", "--identity", "pythagorean",
+            "--family", "bp"]
+    assert cli.main(argv) == 0
+    assert len(located) == 1011
 
 
 def test_step_memos_past_their_size_keep_every_value():
