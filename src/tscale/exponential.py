@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -286,8 +286,7 @@ def exp_hilger(ts: TimeScale, alpha, t: float, t0: float, tol: float = DEFAULT_T
     On a uniform discrete scale with constant alpha this equals
     (1 + alpha*eps) ** (t/eps).
     """
-    coeff = as_coefficient(alpha)
-    return _exp(_log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol))
+    return _exp_point(ExpFamily.HILGER_DELTA, ts, alpha, t, t0, tol)
 
 
 def exp_cayley(ts: TimeScale, alpha, t: float, t0: float, tol: float = DEFAULT_TOL) -> complex:
@@ -296,8 +295,7 @@ def exp_cayley(ts: TimeScale, alpha, t: float, t0: float, tol: float = DEFAULT_T
     On a uniform discrete scale with constant alpha this equals
     ((1 + alpha*eps/2) / (1 - alpha*eps/2)) ** (t/eps).
     """
-    coeff = as_coefficient(alpha)
-    return _exp(_log_integral_range(ExpFamily.CAYLEY, ts, coeff, t0, t, tol))
+    return _exp_point(ExpFamily.CAYLEY, ts, alpha, t, t0, tol)
 
 
 def exp_nabla_const(eps: float, alpha: complex, t: float) -> complex:
@@ -461,43 +459,42 @@ def _step_logs(family, ts, coeff, points, tol, read):
 # -- degenerate-tolerant forward-step evaluation -----------------------------------
 
 
-def _hilger_product_point(
-    ts: TimeScale, coeff: Coefficient, t: float, t0: float, tol: float
-) -> complex:
-    """Forward-step exponential as a plain step-factor product.
-
-    Tolerates step factors that are exactly zero (the value is then zero
-    from that jump onward), which the exponent-integral path cannot
-    represent. Only forward evaluation can cross a zero factor.
-    """
-    _, a = ts._locate(t0)
-    _, b = ts._locate(t)
-    backward = b < a
-    lo, hi = (b, a) if backward else (a, b)
-    prod = 1 + 0j
-    for s, mu in ts.scattered_points(lo, hi):
-        prod *= 1.0 + mu * coeff(s)
-    for c, d in ts.dense_segments(lo, hi):
-        prod *= _exp(coeff.dense_integral(c, d, tol))
-    if backward:
-        if prod == 0:
-            raise SingularError(
-                "cannot evaluate backward through a degenerate (zero) step factor"
-            )
-        return 1.0 / prod
-    return prod
-
-
 def _hilger_grid_lenient(
     ts: TimeScale, coeff: Coefficient, t0: float, grid: Grid, tol: float
 ) -> tuple[complex, ...]:
-    """Grid values of the forward-step exponential, degenerate factors allowed."""
+    """Grid values of the forward-step exponential, degenerate factors allowed.
+
+    Where a factor lies within the margin of zero, the grid fold runs with
+    no regressivity check (a factor not exactly zero has a finite log), an
+    off-grid t0 joining the grid with the component ends between them. The
+    value is exactly zero from the first zero factor at or above t0 on; one
+    below t0 cannot be divided out.
+    """
     try:
         return _exps(_validated_logs(ExpFamily.HILGER_DELTA, ts, coeff, t0, grid, tol))
     except RegressivityError:
-        return tuple(
-            _hilger_product_point(ts, coeff, p, t0, tol) for p in grid.points
-        )
+        pass
+    pts, (_, t0s) = grid.points, ts._locate(t0)
+    steps = ts.scattered_points(min(pts[0], t0s), max(pts[-1], t0s))
+    read = {s: coeff(s) for s, _ in steps}  # for the fold to take again
+    zero = next((s for s, mu in steps if FORWARD_RULE.factor(mu, read[s]) == 0), None)
+    if zero is not None and zero < t0s:
+        raise SingularError("cannot evaluate backward through a degenerate (zero) step factor")
+    # the points located at or below the zero factor
+    kept = pts if zero is None else pts[: bisect_right(pts, zero, key=lambda p: ts._locate(p)[1])]
+    if not kept:
+        return (0j,) * len(pts)
+    added = set()
+    if grid.index_of(t0s) is None:
+        a, b = ts._locate(kept[0])[1], ts._locate(kept[-1])[1]
+        ends = ts.make_grid(min(t0s, a), max(t0s, b), math.inf).points
+        added = {x for x in ends if x < a or x > b} | {t0s}
+    points = tuple(sorted(added.union(kept)))
+    logs = _grid_log_integrals(
+        ExpFamily.HILGER_DELTA, ts, coeff, t0, Grid(points, grid.dense_step), tol, read
+    )
+    values = _exps([w for x, w in zip(points, logs) if x not in added])
+    return values + (0j,) * (len(pts) - len(kept))
 
 
 # -- property residuals -------------------------------------------------------------
@@ -505,10 +502,8 @@ def _hilger_grid_lenient(
 
 def _exp_point(family: ExpFamily, ts: TimeScale, coeff, t, t0, tol) -> complex:
     coeff = as_coefficient(coeff)
-    if family is ExpFamily.HILGER_DELTA:
-        return exp_hilger(ts, coeff, t, t0, tol)
-    if family is ExpFamily.CAYLEY:
-        return exp_cayley(ts, coeff, t, t0, tol)
+    if family in _STEP_RULES:
+        return _exp(_log_integral_range(family, ts, coeff, t0, t, tol))
     if family is ExpFamily.EXACT:
         return exp_exact(coeff.constant_value, t, t0)
     if family is ExpFamily.NABLA_CONST:

@@ -96,8 +96,8 @@ def hyp_grid(
     alpha and -alpha (Bohner-Peterson), the Cayley exponentials of alpha
     and -alpha, or the continuum pair exp(±alpha (t - t0)) (exact). The
     Bohner-Peterson family is the one definition that stays on the
-    degenerate boundary where one exponential vanishes identically; it is
-    evaluated by a step-factor product there instead of being rejected.
+    degenerate boundary where one exponential vanishes identically; there
+    its fold skips the regressivity check instead of rejecting the step.
     """
     coeff = as_coefficient(alpha)
     if family is TrigFamily.EXACT:
@@ -163,7 +163,8 @@ def pythagorean_residual(
     For the Hilger, Cayley and exact families the reference is the
     constant one. For Bohner-Peterson the identity is deformed: the
     reference is the forward-step exponential of -mu*param^2 (hyperbolic)
-    or +mu*param^2 (trigonometric), and the report carries those values.
+    or +mu*param^2 (trigonometric), degenerate factors allowed as in
+    hyp_grid, and the report carries those values.
     """
     if t0 is None:
         t0 = grid.points[0]

@@ -48,7 +48,6 @@ from tscale.exponential import (
     _exp,
     _memoized,
     _grid_log_integrals,
-    _hilger_product_point,
     _log_integral_range,
     _validate_regressive,
 )
@@ -616,8 +615,8 @@ _PAIR_EXP_FAMILY = {
 
 def reference_hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol=1e-12):
     """trig.hyp with its own family ladder: the exponentials of t from t0
-    through reference_log_integral_range, Bohner-Peterson falling back to the
-    step-factor product when a factor degenerates."""
+    through reference_log_integral_range, Bohner-Peterson falling back to
+    reference_bp_fold when a factor degenerates."""
     coeff = as_coefficient(alpha)
     if family is TrigFamily.EXACT:
         w = coeff.constant_value * (t - t0)
@@ -635,7 +634,36 @@ def _bp_exp(ts, coeff, t, t0, tol):
         L = reference_log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, t0, t, tol)
         return _exp(L)
     except RegressivityError:
-        return _hilger_product_point(ts, coeff, t, t0, tol)
+        return reference_bp_fold(ts, coeff, t0, Grid((t,), 1.0), tol)[0]
+
+
+def reference_bp_fold(ts: TimeScale, coeff, t0, grid: Grid, tol=1e-12):
+    """The forward-step exponential on a grid with no regressivity check,
+    on the linear scans: reference_grid_log_integrals over the grid points
+    up to the first exactly zero step factor, joined by an off-grid t0 and
+    the component ends between it and them, and exactly zero above that
+    factor. A zero factor below t0 raises."""
+    pts = grid.points
+    _, t0s = linear_locate(ts, t0)
+    lo, hi = min(pts[0], t0s), max(pts[-1], t0s)
+    zero = next(
+        (s for s, mu in linear_scattered_points(ts, lo, hi) if 1.0 + mu * coeff(s) == 0), None
+    )
+    if zero is not None and zero < t0s:
+        raise SingularError("cannot evaluate backward through a degenerate (zero) step factor")
+    kept = [p for p in pts if zero is None or linear_locate(ts, p)[1] <= zero]
+    added = []
+    if kept and grid.index_of(t0s) is None:
+        a, b = linear_locate(ts, kept[0])[1], linear_locate(ts, kept[-1])[1]
+        ends = linear_make_grid(ts, min(t0s, a), max(t0s, b), math.inf).points
+        added = [x for x in ends if (x < a or x > b) and x != t0s] + [t0s]
+    points = sorted(kept + added)
+    values = []
+    if kept:
+        grid = Grid(tuple(points), grid.dense_step)
+        logs = reference_grid_log_integrals(ExpFamily.HILGER_DELTA, ts, coeff, t0, grid, tol)
+        values = [_exp(L) for x, L in zip(points, logs) if x not in added]
+    return tuple(values) + (0j,) * (len(pts) - len(kept))
 
 
 def reference_trig(family: TrigFamily, ts: TimeScale, omega, t, t0, tol=1e-12):

@@ -680,6 +680,18 @@ def test_overflow_exits_4_without_traceback(argv):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_degenerate_bp_overflow_exits_4(capsys):
+    # 1 - mu*alpha vanishes at t = 400 (mu = 0.25), and the deformation
+    # exponential overflows before it: the step-factor product wrote
+    # Infinity and NaN into the JSON report and exited 1
+    argv = ["identity", "--identity", "pythagorean", "--family", "bp", "--kind", "hyp"]
+    assert main([*argv, "--alpha", "4", "--scale", "uniform(0,1,401)+points(400.25)"]) == (
+        EXIT_TOLERANCE
+    )
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("tscale: exponential overflows")
+
+
 def test_infinite_integrand_exits_4_without_hanging():
     # refining the quadrature of an infinite coefficient near 1e4 never ended
     proc = _run_script(

@@ -1,5 +1,6 @@
 import math
 import sys
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -8,11 +9,16 @@ from hypothesis import strategies as st
 
 from tscale import (
     Coefficient,
+    ExpFamily,
     Grid,
+    RegressivityError,
+    SingularError,
     TrigFamily,
     TrigKind,
     exact_trig_delta,
+    exp_evaluate_grid,
     exp_hilger,
+    graininess_coefficient,
     hyp,
     hyp_grid,
     interval,
@@ -25,6 +31,7 @@ from tscale import (
     union,
 )
 
+from tscale.exponential import _hilger_grid_lenient
 from tscale.transforms import zeta
 
 from helpers import (
@@ -36,6 +43,7 @@ from helpers import (
     reference_cayley_trig,
     reference_cayley_trig_grid,
     reference_hyp,
+    reference_product,
     reference_trig,
 )
 
@@ -553,3 +561,139 @@ def test_pointwise_pairs_match_their_own_ladder_on_fixed_cases(family):
         assert outcome(trig, family, ts, param, t, t0) == outcome(
             reference_trig, family, ts, param, t, t0
         )
+
+
+# -- the Bohner-Peterson degenerate boundary against the step-factor product -----------
+
+U = 2.0**-53
+
+
+def _relative_bound(n: int, values) -> float:
+    """Relative error allowed where the grid fold's exp(sum of step logs)
+    stands in for the product of n steps' factors: 4 n u, times the largest
+    exponent magnitude, since exp turns an exponent's absolute rounding
+    into relative error."""
+    return 4 * n * U * max([1.0] + [abs(math.log(abs(v))) for v in values if v])
+
+
+@st.composite
+def _degenerate_bp_cases(draw):
+    """A discrete scale with a forward step factor 1 + mu*rate/mu within
+    the regressivity margin of zero at step k (exactly zero on some gaps),
+    a grid over a stretch of points holding step k and a t0 on or off it:
+    the scale, its points and gaps, k, the grid, t0 and the factor's rate."""
+    gap = st.sampled_from([0.125, 0.25, 0.5, 1.0]) | st.floats(0.1, 1.2)
+    start = draw(st.floats(-5.0, 5.0))
+    pts = list(accumulate(draw(st.lists(gap, min_size=2, max_size=30)), initial=start))
+    mus = [q - p for p, q in zip(pts, pts[1:])]
+    k = draw(st.integers(0, len(mus) - 1))
+    i, j = draw(st.integers(0, k)), draw(st.integers(k + 1, len(pts) - 1))
+    t0 = draw(st.sampled_from(pts))
+    delta = draw(st.sampled_from([0.0, 3e-16, -3e-16, 1e-12, -1e-12, 5e-10, -5e-10]))
+    rate = draw(st.sampled_from([-1.0, 1.0])) * (1.0 + delta)
+    return isolated(*pts), pts, mus, k, Grid(tuple(pts[i : j + 1]), 1.0), t0, rate
+
+
+def _products(ts, coeffs, grid, t0):
+    """reference_product of each coefficient at every grid point in turn,
+    or the SingularError the first backward evaluation through a zero
+    factor raises."""
+    try:
+        return [[reference_product(ts, c, p, t0) for p in grid.points] for c in coeffs]
+    except SingularError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degenerate_bp_cases(), st.data())
+def test_degenerate_bp_pair_agrees_with_the_step_factor_product(case, data):
+    """hyp_grid(BOHNER_PETERSON) with factors of alpha or -alpha within the
+    margin of zero agrees with the step-factor product to 4 n u times the
+    exponent size, and raises the product's SingularError where it divides
+    by a zero factor. Each of its exponentials is zero exactly where the
+    product is."""
+    ts, pts, mus, k, grid, t0, rate = case
+    rates = [data.draw(st.floats(-0.9, 0.9)) for _ in mus]
+    rates[k] = rate
+    coeff = Coefficient.tabulated(pts, [r / mu for r, mu in zip(rates, mus)] + [0.0])
+    want = _products(ts, (coeff, -coeff), grid, t0)
+    if isinstance(want, SingularError):
+        assert outcome(hyp_grid, TrigFamily.BOHNER_PETERSON, ts, coeff, t0, grid) == outcome(
+            _raise, want
+        )
+        return
+    plus, minus = want
+    for c, values in zip((coeff, -coeff), want):
+        got = _hilger_grid_lenient(ts, c, t0, grid, 1e-12)
+        assert [v == 0 for v in got] == [v == 0 for v in values]
+    pair = hyp_grid(TrigFamily.BOHNER_PETERSON, ts, coeff, t0, grid)
+    bound = _relative_bound(len(grid), plus + minus)
+    for c, s, p, m in zip(pair.c_values, pair.s_values, plus, minus):
+        assert c == s if m == 0 else c == -s if p == 0 else True
+        err = max(abs(c - 0.5 * (p + m)), abs(s - 0.5 * (p - m)))
+        assert err <= bound * (abs(p) + abs(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degenerate_bp_cases(), st.booleans())
+def test_degenerate_bp_pythagorean_agrees_with_the_step_factor_product(case, deformed):
+    """pythagorean_residual(BOHNER_PETERSON, HYPERBOLIC) with a constant
+    parameter that puts one factor of the pair (or, deformed, of the
+    deformation -mu*param^2) within the margin of zero: its reference and
+    residuals agree with those of the step-factor product to 4 n u times the
+    exponent size, the reference is zero exactly where the product's is,
+    and the product's SingularError is raised."""
+    ts, pts, mus, k, grid, t0, rate = case
+    param = math.sqrt(abs(rate) / mus[k]) if deformed else rate / mus[k]
+    coeff = Coefficient.constant(param)
+    p2 = complex(param) * complex(param)
+    deform = graininess_coefficient(ts, lambda mu, s: -1.0 * mu * p2)
+    report = lambda: pythagorean_residual(
+        TrigFamily.BOHNER_PETERSON, TrigKind.HYPERBOLIC, ts, param, grid, 1e-12, t0
+    )
+    want = _products(ts, (coeff, -coeff, deform), grid, t0)
+    if isinstance(want, SingularError):
+        assert outcome(report) == outcome(_raise, want)
+        return
+    plus, minus, ref = want
+    rep = report()
+    bound = _relative_bound(len(grid), plus + minus + ref)
+    for got, res, p, m, r in zip(rep.reference, rep.residuals, plus, minus, ref):
+        assert (got == 0) == (r == 0)
+        assert abs(got - r.real) <= bound * abs(r)
+        c, s = 0.5 * (p + m), 0.5 * (p - m)
+        want_res = abs(c * c - s * s - r)
+        assert abs(res - want_res) <= bound * (abs(c) ** 2 + abs(s) ** 2 + abs(r))
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_degenerate_bp_point_located_at_the_zero_factor_keeps_its_value():
+    # 1 + mu*alpha = 0 at t = 2; a grid point 5e-13 above 2 is located at 2
+    coeff = Coefficient.piecewise([1.5, 2.5], [0.3, -1.0, 0.3])
+    grid = Grid((0.0, 1.0, 2.0 + 5e-13, 3.0), 1.0)
+    want = [reference_product(Z, coeff, p, 0.0) for p in grid.points]
+    got = _hilger_grid_lenient(Z, coeff, 0.0, grid, 1e-12)
+    assert got[3] == want[3] == 0
+    assert abs(got[2] - want[2]) <= 4 * U * abs(want[2]) and want[2] != 0
+
+
+def test_degenerate_bp_pair_costs_linear_coefficient_calls():
+    """On the degenerate boundary hyp_grid makes a number of coefficient
+    calls linear in the grid size: doubling the grid at most doubles them,
+    where the per-point product made 125,500 and 500,750 (4x)."""
+    spike = Coefficient.from_function(lambda t: 1000.0 if abs(t - 0.25) < 1e-9 else 0.1)
+    calls = []
+    for n in (500, 1000):
+        ts = uniform(0.0, 1e-3, n)
+        grid = ts.make_grid(ts.inf, ts.sup, 1e-3)
+        with pytest.raises(RegressivityError):  # 1 - mu*1000 at t = 0.25
+            exp_evaluate_grid(ExpFamily.HILGER_DELTA, ts, -spike, 0.0, grid)
+        with mock.patch.object(
+            Coefficient, "__call__", autospec=True, side_effect=Coefficient.__call__
+        ) as call:
+            hyp_grid(TrigFamily.BOHNER_PETERSON, ts, spike, 0.0, grid)
+        calls.append(call.call_count)
+    assert calls[1] <= 2 * calls[0]
