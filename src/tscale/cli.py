@@ -32,6 +32,8 @@ from .timescale import (
     IsolatedPoint,
     TimeScale,
     _Jumps,
+    _points,
+    _uniform_points,
     normalize_components,
 )
 from .transforms import as_coefficient, graininess_coefficient
@@ -146,7 +148,7 @@ def parse_scale(text: str) -> TimeScale:
         raise ParseError(str(exc)) from exc
 
 
-def _parse_term(sc: _Scanner) -> list[Component]:
+def _parse_term(sc: _Scanner) -> tuple[Component, ...]:
     start = sc.pos
     name = sc.name()
     sc.expect("(")
@@ -157,14 +159,14 @@ def _parse_term(sc: _Scanner) -> list[Component]:
         sc.expect(")")
         if not hi > lo:
             sc.fail(f"interval needs lo < hi, got ({lo!r}, {hi!r})", start)
-        return [ClosedInterval(lo, hi)]
+        return (ClosedInterval(lo, hi),)
     if name == "points":
         vals = [sc.number()]
         while sc.peek(","):
             sc.expect(",")
             vals.append(sc.number())
         sc.expect(")")
-        return [IsolatedPoint(v) for v in vals]
+        return _points(vals)
     if name == "uniform":
         first = sc.number()
         sc.expect(",")
@@ -176,7 +178,7 @@ def _parse_term(sc: _Scanner) -> list[Component]:
             sc.fail(f"uniform count must be a positive integer, got {count!r}", start)
         if step <= 0:
             sc.fail(f"uniform step must be positive, got {step!r}", start)
-        return [IsolatedPoint(first + k * step) for k in range(int(count))]
+        return _uniform_points(first, step, int(count))
     sc.fail(f"unknown term {name!r}", start)
 
 

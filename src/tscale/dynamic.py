@@ -182,14 +182,15 @@ def _validate_scheme(scheme, ts, coeff, grid) -> tuple[list[tuple], list | None]
     Each distinct m = mu * alpha is checked once (StepRule.checker). A
     step of a run has mu = 0, where a constant coefficient's factor cannot
     degenerate, so only the other kinds are evaluated there; their
-    evaluation can raise. A constant coefficient's values are not kept
-    (None): its factor is taken once per distinct mu.
+    evaluation can raise. A constant coefficient's value is read once and
+    not kept (None): its factor is taken once per distinct mu.
     """
     rule, name = _SCHEME_RULES[scheme]
     pts = grid.points
     items = []
     constant = coeff.is_constant
     read = None if constant else []
+    a = coeff.constant_value if constant else None  # one object, read once
     check = rule.checker() if rule is not None else None
     for item in ts.walk_runs(pts):
         items.append(item)
@@ -203,10 +204,10 @@ def _validate_scheme(scheme, ts, coeff, grid) -> tuple[list[tuple], list | None]
             continue
         p, q, _, mu, _, _ = item
         if q is not None:
-            a = coeff(p)
-            check(p, mu * a, name)
             if not constant:
+                a = coeff(p)
                 read.append(a)
+            check(p, mu * a, name)
     return items, read
 
 
@@ -248,7 +249,7 @@ def _step_factors(scheme, ts, coeff, pts, items, tol, read):
                 steps = zip(pts[k : k + len(xs) - 1], pts[k + 1 : k + len(xs)])
                 yield from (_exp(a * (q - p)) for p, q in steps)
             else:
-                yield from map(_exp, coeff.dense_integrals(xs, tol))
+                yield from map(_exp, coeff.dense_integrals(xs, xs[1:], tol))
             continue
         p, q, s, _, _, tt = item
         a = None if read is None else next(read)
@@ -481,20 +482,22 @@ def oscillator_residual_exact(
     w2sinc2 = omega * omega * sinc(0.5 * omega * mu) ** 2
     jumps = _Jumps(ts, grid.points, grid)
 
-    def forms(k):
+    pairs = []  # both forms at each point that is not skipped
+
+    def phi_form(k):
         dd = _second_delta(jumps, k, x)
         if dd is None:
             return None
         a_form = dd + w2phi2 * _double_average(jumps, k, x)
-        return a_form, dd + w2sinc2 * x.values[jumps.jump_index(k)]
+        pairs.append((a_form, dd + w2sinc2 * x.values[jumps.jump_index(k)]))
+        return abs(a_form)
 
-    both = collect("oscillator-exact", grid.points, forms, tol)  # residuals: the form pairs
-    phi_r = tuple(abs(a) for a, _ in both.residuals)
-    sinc_r = tuple(abs(b) for _, b in both.residuals)
+    phi_report = collect("oscillator-exact-phi", grid.points, phi_form, tol)
+    sinc_r = tuple(abs(b) for _, b in pairs)
     return ExactOscillatorResult(
-        replace(both, identity="oscillator-exact-phi", residuals=phi_r),
-        replace(both, identity="oscillator-exact-sinc", residuals=sinc_r),
-        max([0.0, *(abs(a - b) for a, b in both.residuals)]),
+        phi_report,
+        replace(phi_report, identity="oscillator-exact-sinc", residuals=sinc_r),
+        max([0.0, *(abs(a - b) for a, b in pairs)]),
     )
 
 

@@ -15,8 +15,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, sub
+from typing import Sequence
 
 from .errors import (
     ConstantGraininessError,
@@ -117,7 +118,14 @@ class _Terms:
     and their logs differ at most in the sign of a zero, which the fold,
     started from 0j, erases. A NaN alpha matches only the very object it
     is, whose log is the same. A step that fails its check is never kept,
-    so the first RegressivityError is raised at the same t."""
+    so the first RegressivityError is raised at the same t.
+
+    A piece is keyed by its ends. pieces takes the finished pieces of the
+    intervals a target has passed as a whole and integrates those not yet
+    kept in one Coefficient.dense_integrals call, in order; a piece that
+    raises leaves the ones after it uncomputed, as a loop would. Each
+    pointwise call builds its own terms: a scale is immutable, and keeps
+    none."""
 
     def __init__(self, family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol: float):
         self.ts, self.coeff, self.tol = ts, coeff, tol
@@ -165,15 +173,24 @@ class _Terms:
             self._logs[k] = w
         return w
 
-    def piece(self, c: float, d: float) -> complex:
-        """integral(c, d) of a finished piece, kept for every run."""
-        if (c, d) not in self._pieces:
-            self._pieces[c, d] = self.integral(c, d)
-        return self._pieces[c, d]
-
-    def integral(self, c: float, d: float) -> complex:
-        """Integral of the dense view over [c, d], inside one interval."""
-        return self.coeff.dense_integral(c, d, self.tol)
+    def pieces(self, passed: Sequence[int], a: float, b: float) -> list[complex]:
+        """The integrals of the dense view over the pieces in [a, b] of the
+        intervals passed (component indices, ascending), in order, each kept
+        for every run. Their ends are the intervals' ends clipped at a and
+        b with C-level maps; an empty piece (at most the interval holding a)
+        has none. The pieces not yet kept are integrated by one
+        Coefficient.dense_integrals call, in order, and kept as they come."""
+        ts, kept = self.ts, self._pieces
+        ends = zip(
+            map(max, map(ts._lefts.__getitem__, passed), repeat(a)),
+            map(min, map(ts._rights.__getitem__, passed), repeat(b)),
+        )
+        pairs = [p for p in ends if p[0] < p[1]]
+        new = [p for p in pairs if p not in kept]
+        if new:
+            los, his = zip(*new)
+            kept.update(zip(new, self.coeff.dense_integrals(los, his, self.tol)))
+        return list(map(kept.__getitem__, pairs))
 
 
 class _Exponent:
@@ -186,13 +203,15 @@ class _Exponent:
     added one by one. The step-log sum and the finished pieces carry over
     from the last target, so a target adds its new step logs and finished
     pieces and integrates only its own partial piece. Its new scattered
-    ends are one slice of the component ends and its finished pieces one
-    slice of the scale's intervals, both found by bisection, and
-    _Terms.fold adds the step logs. A run over n targets on a discrete
-    scale costs O(n) in all. With a constant coefficient that is C-level
-    work per component plus one coefficient call, check and log per
-    distinct gap of the shared terms; with any other, one coefficient
-    call per component and one check and log per distinct (mu, alpha).
+    ends are one slice of the component ends and the intervals it has
+    passed one slice of the scale's intervals, both found by bisection.
+    _Terms.fold adds the step logs, _Terms.pieces integrates the passed
+    intervals' new pieces as a whole, and one reduce adds the finished
+    pieces. A run over n targets on a discrete scale costs O(n) in all.
+    With a constant coefficient that is C-level work per component plus
+    one coefficient call, check and log per distinct gap of the shared
+    terms; with any other, one coefficient call per component and one
+    check and log per distinct (mu, alpha).
     """
 
     def __init__(self, terms: _Terms, anchor: float):
@@ -221,21 +240,16 @@ class _Exponent:
         pieces = self._pieces
         if intervals:
             passed = intervals[bisect_left(intervals, k) : bisect_left(intervals, e)]
-            finished = (self._piece(comps[i], b) for i in passed)
-            pieces = pieces + [terms.piece(*p) for p in finished if p]
+            if passed:
+                pieces = pieces + terms.pieces(passed, a, b)
         self._b, self._k, self._sum, self._pieces = b, e, total, pieces
-        for w in pieces:
-            total += w
-        if isinstance(comps[e], ClosedInterval):
-            partial = self._piece(comps[e], b)
-            if partial:
-                total += terms.integral(*partial)
+        total = reduce(add, pieces, total)
+        comp = comps[e]
+        if isinstance(comp, ClosedInterval):
+            c, d = max(comp.lo, a), min(comp.hi, b)
+            if d > c:
+                total += terms.coeff.dense_integral(c, d, terms.tol)
         return total
-
-    def _piece(self, comp: ClosedInterval, b: float) -> tuple[float, float] | None:
-        """The dense piece of interval comp in [anchor, b], if any."""
-        c, d = max(comp.lo, self._a), min(comp.hi, b)
-        return (c, d) if d > c else None
 
 
 def _validate_regressive(
@@ -244,7 +258,8 @@ def _validate_regressive(
     """Fail fast with the first point where the step factor degenerates;
     return the coefficient value read at each scattered point, by point,
     for the step logs to take again (none for a constant coefficient,
-    whose logs are taken once per distinct mu).
+    whose value is read once here and whose logs are taken once per
+    distinct mu).
 
     The scattered points are scanned in order, and each distinct m =
     mu * alpha is checked once (StepRule.checker): a uniform scale with a
@@ -253,11 +268,11 @@ def _validate_regressive(
     check = _STEP_RULES[family].checker()
     read: dict[float, complex] = {}
     keep = not coeff.is_constant
+    a = None if keep else coeff.constant_value  # one object, read once
     for s, mu in ts.scattered_points(lo, hi):
-        a = coeff(s)
-        check(s, mu * a, "alpha")
         if keep:
-            read[s] = a
+            a = read[s] = coeff(s)
+        check(s, mu * a, "alpha")
     return read
 
 
@@ -433,7 +448,8 @@ def _step_logs(family, ts, coeff, points, tol, read):
     keep = coeff.is_constant
     for item in ts.walk_runs(points):
         if isinstance(item, Run):
-            yield from coeff.dense_integrals(item.points, tol)
+            xs = item.points
+            yield from coeff.dense_integrals(xs, xs[1:], tol)
             continue
         p, q, s, _, _, tt = item
         if q is None:

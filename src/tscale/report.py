@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .errors import ToleranceError
 
 
 @dataclass(frozen=True)
@@ -12,7 +15,9 @@ class ResidualReport:
     points and residuals align; skipped lists points where the identity's
     stencil was unavailable (for example a missing second forward jump).
     reference optionally carries the right-hand side values the residuals
-    were measured against, for deformed identities.
+    were measured against, for deformed identities. A residual or reference
+    value that is not finite raises ToleranceError naming the first point
+    that has one.
     """
 
     identity: str
@@ -25,6 +30,22 @@ class ResidualReport:
     def __post_init__(self):
         if len(self.points) != len(self.residuals):
             raise ValueError("points and residuals must align")
+        # a NaN compares false with every residual, so max_residual and
+        # passed would read it as no residual at all. A row's sum is a
+        # quick test: finite values have a finite sum, unless it overflows,
+        # which the scan for the first non-finite value tells apart.
+        rows = {"residual": self.residuals}
+        if self.reference is not None:
+            rows["reference"] = self.reference
+        if all(math.isfinite(sum(row)) for row in rows.values()):
+            return
+        columns = enumerate(zip(*rows.values()))
+        k = next((k for k, vs in columns if not all(map(math.isfinite, vs))), None)
+        if k is not None:
+            values = ", ".join(f"{name} {row[k]!r}" for name, row in rows.items())
+            raise ToleranceError(
+                f"{self.identity}: non-finite value at t={self.points[k]!r}: {values}"
+            )
 
     @property
     def max_residual(self) -> float:

@@ -8,8 +8,10 @@ Scales with accumulation points are not representable: construction
 requires a finite component list with gaps larger than the membership
 tolerance, which keeps the jump operators and the integral exact.
 
-Cost model, for a scale of C components: construction and
-normalize_components test isolated points already in order with a few
+Cost model, for a scale of C components: uniform, isolated and the
+CLI's points and uniform terms make their isolated points with two C-level
+maps over the values (_points), no Python call per point. Construction
+and normalize_components test isolated points already in order with a few
 C-level maps over their values, and check or merge one component at a
 time any other input. Locating a point costs O(log C), since a bisection over the component left endpoints picks the
 few neighbouring components whose membership tests decide. A jump
@@ -44,8 +46,12 @@ over its gaps, the coefficient evaluated and each distinct gap checked
 and its log taken once over all targets; any other coefficient is
 evaluated once per component, and each distinct (mu, alpha) step
 checked and its log taken once. Each dense piece is integrated once
-over all targets; a target then adds the finished pieces' integrals,
-one per interval it has passed.
+over all targets. The intervals a target has passed since the last are
+taken as a whole: their pieces' ends are C-level maps over the interval
+ends, the pieces not yet integrated are one Coefficient.dense_integrals
+call (for a constant dense view, one _constant_simpson loop over the
+pairs of ends), and the target adds all its finished pieces with one
+C-level reduce.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ class ClosedInterval:
         return self.hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsolatedPoint:
     """A single isolated time value."""
 
@@ -101,11 +107,34 @@ class IsolatedPoint:
         return self.t
 
 
+# A point pickles its state as the dict {"t": value}, the form a point
+# without slots has, so the pickles of releases before slots load and the
+# bytes stay the same. Set here, not in the class body: dataclasses installs
+# its own pair on a frozen class with slots.
+IsolatedPoint.__getstate__ = lambda self: {"t": self.t}
+IsolatedPoint.__setstate__ = lambda self, state: IsolatedPoint.t.__set__(self, state["t"])
+
 Component = Union[ClosedInterval, IsolatedPoint]
 
 _T = operator.attrgetter("t")
 _LEFT = operator.attrgetter("left")
 _RIGHT = operator.attrgetter("right")
+
+
+def _points(values: Iterable[float]) -> tuple[IsolatedPoint, ...]:
+    """IsolatedPoint(v) for each value, in order, made with two C-level
+    maps and no Python call per point: object.__new__ makes each point and
+    the slot's own descriptor stores its value, as the frozen class's
+    __init__ stores it, past its __setattr__."""
+    values = tuple(values)
+    pts = tuple(map(object.__new__, repeat(IsolatedPoint, len(values))))
+    any(map(IsolatedPoint.t.__set__, pts, values))  # each returns None
+    return pts
+
+
+def _uniform_points(start: float, step: float, count: int) -> tuple[IsolatedPoint, ...]:
+    """The points start + k * step for k in range(count)."""
+    return _points(map(operator.add, repeat(start), map(operator.mul, range(count), repeat(step))))
 
 
 def _point_values(comps: tuple) -> tuple | None:
@@ -725,7 +754,7 @@ def interval(lo: float, hi: float) -> TimeScale:
 
 
 def isolated(*ts: float) -> TimeScale:
-    return TimeScale(tuple(IsolatedPoint(float(t)) for t in sorted(ts)))
+    return TimeScale(_points(map(float, sorted(ts))))
 
 
 def uniform(start: float, step: float, count: int) -> TimeScale:
@@ -734,7 +763,7 @@ def uniform(start: float, step: float, count: int) -> TimeScale:
         raise ValueError("count must be at least 1")
     if step <= 0:
         raise ValueError("step must be positive")
-    return TimeScale(tuple(IsolatedPoint(start + k * step) for k in range(count)))
+    return TimeScale(_uniform_points(start, step, count))
 
 
 def normalize_components(components: Iterable[Component]) -> tuple[Component, ...]:
@@ -869,22 +898,25 @@ def _adaptive_simpson(
     raise ToleranceError(f"quadrature overflows on [{a}, {b}]")
 
 
-def _constant_simpson(v: complex, xs: Sequence[float], tol: float) -> list[complex | None]:
-    """Integral of the constant v over each step between consecutive xs:
+def _constant_simpson(
+    v: complex, pairs: Iterable[tuple[float, float]], tol: float
+) -> list[complex | None]:
+    """Integral of the constant v over each [a, b] of pairs:
     _adaptive_simpson(lambda t: v, a, b, tol) + 0j, bit for bit, where the
     first Simpson step of [a, b] is accepted, and None where it would
-    refine or overflow, or tol is not positive.
+    refine or overflow, or tol is not positive. The steps of a run are the
+    pairs of its consecutive points; the finished pieces of a running
+    exponent are pairs of interval ends.
 
     The float operations are those of that first step, in the same order,
     on the one value v, and no integrand is called.
     """
     if not tol > 0:
-        return [None] * (len(xs) - 1)
+        return [None for _ in pairs]
     w = v + 4.0 * v + v
     bound = 15.0 * tol
     out: list[complex | None] = []
-    a = xs[0]
-    for b in xs[1:]:
+    for a, b in pairs:
         if a == b:
             out.append(0j)
             continue
@@ -902,7 +934,6 @@ def _constant_simpson(v: complex, xs: Sequence[float], tol: float) -> list[compl
         except OverflowError:
             accepted = False
         out.append(left + right + delta / 15.0 + 0j if accepted else None)
-        a = b
     return out
 
 

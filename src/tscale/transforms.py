@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import RegressivityError, SingularError
 from .timescale import Grid, TimeScale, _adaptive_simpson, _constant_simpson
@@ -234,30 +234,36 @@ class Coefficient:
 
     def dense_integral(self, a: float, b: float, tol: float) -> complex:
         """Integral of the dense view over [a, b], inside one closed
-        interval: the two-point case of dense_integrals."""
-        v = self.dense_value
-        if v is not None:
-            [w] = _constant_simpson(v, (a, b), tol)
-            if w is not None:
-                return w
-        # as in delta_integral, whose zero jump sum turns -0.0 into 0.0
-        return _adaptive_simpson(self.dense, a, b, tol) + 0j
+        interval: the one-piece case of dense_integrals."""
+        (w,) = self.dense_integrals((a,), (b,), tol)
+        return w
 
-    def dense_integrals(self, xs: Sequence[float], tol: float) -> Iterator[complex]:
-        """dense_integral over each step between consecutive located points
-        xs of one closed interval, in order.
+    def dense_integrals(
+        self, los: Sequence[float], his: Sequence[float], tol: float
+    ) -> Iterable[complex]:
+        """Integral of the dense view over each [lo, hi] of zip(los, his),
+        each inside one closed interval, in order: the steps of a run (its
+        points and the points after each), or the finished pieces of a
+        running exponent.
 
         A constant dense view takes Simpson's first step on its value over
-        every step at once and calls no integrand; a step whose first step
-        would refine, and every step of any other dense view, goes through
-        _adaptive_simpson when its turn comes.
+        every piece in one _constant_simpson call and calls no integrand;
+        where each piece takes it, the values are that call's list. A piece
+        whose first step would refine or overflow, and every piece of any
+        other dense view, goes through _adaptive_simpson in order, as the
+        returned iterator reaches it: a caller that raises between pieces
+        meets its error where a loop over the pieces would.
         """
         v = self.dense_value
-        ws = [None] * (len(xs) - 1) if v is None else _constant_simpson(v, xs, tol)
-        for j, w in enumerate(ws):
-            if w is None:
-                w = _adaptive_simpson(self.dense, xs[j], xs[j + 1], tol) + 0j
-            yield w
+        ws = [None] * len(los) if v is None else _constant_simpson(v, zip(los, his), tol)
+        if None not in ws:
+            return ws
+        f = self.dense
+        # + 0j as in delta_integral, whose zero jump sum turns -0.0 into 0.0
+        return (
+            _adaptive_simpson(f, a, b, tol) + 0j if w is None else w
+            for a, b, w in zip(los, his, ws)
+        )
 
     @property
     def is_constant(self) -> bool:

@@ -397,7 +397,9 @@ def reference_log_integral_range(family: ExpFamily, ts: TimeScale, coeff, t0, t1
     """exponential._log_integral_range as one pass over [t0, t1], before it
     became one target of a running exponent: the step logs summed from 0j
     in ascending order, each checked just before its log is taken, then the
-    dense pieces added one by one."""
+    dense pieces added one by one, each its own adaptive Simpson quadrature
+    of the dense view (what Coefficient.dense_integral gives, bit for bit,
+    with no batched first step)."""
     if t0 < t1:
         (_, a), (_, b) = ts._locate(t0), ts._locate(t1)
     else:
@@ -414,8 +416,18 @@ def reference_log_integral_range(family: ExpFamily, ts: TimeScale, coeff, t0, t1
         rule.check(s, mu * alpha, "alpha")
         total += rule.log(mu, alpha)
     for c, d in ts.dense_segments(a, b):
-        total += coeff.dense_integral(c, d, tol)
+        total += _adaptive_simpson(coeff.dense, c, d, tol) + 0j
     return sign * total
+
+
+def reference_exp_point(family: ExpFamily, ts: TimeScale, coeff, t, t0, tol):
+    """exp_cayley / exp_hilger as the exp of reference_log_integral_range,
+    overflow a ToleranceError."""
+    w = reference_log_integral_range(family, ts, coeff, t0, t, tol)
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        raise ToleranceError(f"exponential overflows at exponent {w!r}") from None
 
 
 # -- slow references for the grid exponent and the solver: one walk record

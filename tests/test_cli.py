@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tscale
@@ -17,6 +17,7 @@ from tscale import (
     OverlapError,
     ParseError,
     TimeScale,
+    ToleranceError,
     check_semigroup,
     check_sigma_shift,
     interval,
@@ -52,6 +53,28 @@ def test_parse_interval_plus_point():
 def test_parse_uniform():
     ts = parse_scale("uniform(0,0.5,5)")
     assert ts.components == tuple(IsolatedPoint(0.5 * k) for k in range(5))
+
+
+_STARTS = st.sampled_from([0.0, -0.0, 1e4, -1e4, 5e-324, 0.1]) | st.floats(-1e6, 1e6)
+_STEPS = st.sampled_from([1e-3, 0.1, 0.25, 2.0**-17]) | st.floats(1e-6, 1e3)
+
+
+@given(_STARTS, _STEPS, st.integers(1, 300))
+def test_parsed_uniform_term_is_timescale_uniform(start, step, count):
+    """The uniform term and timescale.uniform make the same points, bit for
+    bit (repr tells -0.0 from 0.0)."""
+    ts = parse_scale(f"uniform({start!r},{step!r},{count})")
+    assert repr(ts.components) == repr(uniform(start, step, count).components)
+
+
+@given(st.lists(_STARTS, min_size=1, max_size=30, unique=True))
+def test_parsed_points_term_is_timescale_isolated(values):
+    """The points term and timescale.isolated make the same points, bit
+    for bit, in any order of the values."""
+    ordered = sorted(values)
+    assume(all(b - a > 1e-9 for a, b in zip(ordered, ordered[1:])))
+    ts = parse_scale("points(" + ",".join(map(repr, values)) + ")")
+    assert repr(ts.components) == repr(isolated(*values).components)
 
 
 def test_parse_duplicate_point_is_overlap():
@@ -403,6 +426,40 @@ def test_identity_fail_exit_code(capsys):
     )
     assert code == EXIT_IDENTITY_FAIL
     assert payload["pass"] is False
+
+
+def test_identity_with_a_non_finite_residual_is_a_tolerance_error(capsys):
+    """omega**2 overflows in the Bohner-Peterson deformation, whose step log
+    is then infinite: the residual and the reference at t=1.0 are NaN. A
+    NaN compares false with every residual, so it once passed as zero with
+    exit 0 and a NaN (not JSON) in the reference."""
+    argv = ["identity", "--identity", "pythagorean", "--family", "bp", "--kind", "trig",
+            "--omega", "1e160", "--scale", "uniform(0,1,2)"]
+    assert main(argv) == EXIT_TOLERANCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "tscale: pythagorean-bp-trig: non-finite value at t=1.0: residual nan, reference nan\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "residuals, reference, message",
+    [
+        ((0.0, math.nan, math.inf), None, "non-finite value at t=0.5: residual nan"),
+        ((0.0, math.inf), (1.0, 2.0), "non-finite value at t=0.5: residual inf, reference 2.0"),
+        ((0.0, 0.0), (-math.inf, 2.0), "non-finite value at t=0.0: residual 0.0, reference -inf"),
+    ],
+)
+def test_residual_report_rejects_non_finite_values(residuals, reference, message):
+    points = (0.0, 0.5, 1.0)[: len(residuals)]
+    with pytest.raises(ToleranceError, match=f"^x: {message}$"):
+        ResidualReport("x", points, residuals, 1e-12, reference=reference)
+
+
+def test_residual_report_takes_finite_values_whose_sum_overflows():
+    report = ResidualReport("x", (0.0, 1.0), (1e308, 1e308), 1e-12, reference=(1e308, 1e308))
+    assert report.max_residual == 1e308 and not report.passed
 
 
 def test_identity_unknown_name_is_config_error(capsys):

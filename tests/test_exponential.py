@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tscale import (
+    ClosedInterval,
     Coefficient,
     ConstantGraininessError,
     DomainError,
@@ -43,6 +44,7 @@ from helpers import (
     probe_points,
     random_scale,
     reference_exp,
+    reference_exp_point,
     reference_log_integral_range,
     reference_product,
 )
@@ -493,6 +495,68 @@ def test_running_exponents_equal_one_pass_per_target(ts, data):
             assert outcome(run.to, x) == outcome(
                 reference_log_integral_range, family, ts, coeff, anchor, x, 1e-12
             )
+
+
+# a constant whose first Simpson step over [1e4, 1e4 + 0.1] refines at tol 1e-12
+_REFINING = complex(831988.9607137693, -813456.2712951798)
+
+# the cases of the dense pieces' one kernel call: a constant, one whose first
+# step refines, one whose estimate overflows, a function and a step function
+# (no constant dense view, adaptive Simpson for every piece)
+PIECE_COEFFS = [
+    Coefficient.constant(0.7 - 0.4j),
+    Coefficient.constant(_REFINING),
+    Coefficient.constant(1e308),
+    PROPERTY_COEFFS[-1],
+    Coefficient.piecewise([0.5, 1e4 + 0.25], [0.3 - 0.2j, -0.5 + 1j, 0.1j]),
+]
+
+PIECE_SCALES = [
+    _INTERVALS,
+    _ULP_PAST,
+    _ULP_PAST_SUP,
+    union(interval(1e4, 1e4 + 0.1), isolated(1e4 + 0.2), interval(1e4 + 0.3, 1e4 + 0.4)),
+    union(*(interval(0.11 * k, 0.11 * k + 0.05) for k in range(8)), isolated(0.9)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(PIECE_SCALES), any_scale()), st.data())
+def test_pointwise_exponentials_equal_the_per_piece_reference(ts, data):
+    """exp_cayley and exp_hilger, and runs from several anchors over shared
+    terms, equal the per-piece reference bit for bit, errors included: one
+    adaptive Simpson quadrature per dense piece, no batched first step.
+    Targets are interval ends, interior points, make_grid points and an ulp
+    past the supremum; anchors lie at interval ends and inside intervals;
+    a run goes on past an error."""
+    family = data.draw(st.sampled_from(list(POINTWISE)))
+    coeff = data.draw(
+        st.sampled_from(
+            PIECE_COEFFS
+            + [graininess_coefficient(ts, lambda mu, s: 0.4 - 0.3j + mu, dense_value=0.4 - 0.3j)]
+        )
+    )
+    tol = data.draw(st.sampled_from([1e-12, 1e-6, math.nan]))
+    ends = {e for c in ts.components for e in (c.left, c.right)}
+    inner = {0.5 * (c.lo + c.hi) for c in ts.components if isinstance(c, ClosedInterval)}
+    grid = set(ts.make_grid(ts.inf, ts.sup, data.draw(st.sampled_from([0.05, 0.3]))).points)
+    past = math.nextafter(ts.sup, math.inf)
+    targets = sorted(t for t in ends | inner | grid | {past} if t in ts)[:30]
+    anchors = data.draw(st.lists(st.sampled_from(sorted(ends | inner)), min_size=1, max_size=3))
+    for t0 in anchors[:2]:
+        for t in (targets[0], targets[-1], past):
+            for a, b in ((t, t0), (t0, t)):
+                assert outcome(POINTWISE[family], ts, coeff, a, b, tol) == outcome(
+                    reference_exp_point, family, ts, coeff, a, b, tol
+                )
+    terms = _Terms(family, ts, coeff, tol)
+    runs = [(t0, _Exponent(terms, t0)) for t0 in sorted(anchors)]
+    for x in targets:
+        for t0, run in runs:
+            if x >= t0:
+                assert outcome(run.to, x) == outcome(
+                    reference_log_integral_range, family, ts, coeff, t0, x, tol
+                )
 
 
 def _periodic_union(pairs):

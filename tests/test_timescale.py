@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tscale import (
     uniform,
     union,
 )
-from tscale.timescale import normalize_components
+from tscale.timescale import _points, _uniform_points, normalize_components
 
 from helpers import (
     any_scale,
@@ -241,6 +242,82 @@ def test_components_already_in_order_are_kept():
     assert normalize_components(list(points)) == points
     unsorted = (IsolatedPoint(0.2), IsolatedPoint(0.1))
     assert normalize_components(unsorted) == unsorted[::-1]
+
+
+# values where a point built in bulk could differ from one built alone: the
+# signed zeros, subnormals, the ends of the float range and the ulps near 1e4
+_POINT_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+     1e4, math.nextafter(1e4, math.inf), math.nextafter(1e4, 0.0), -1e4]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _same_point(bulk, alone):
+    """The value-type contract of IsolatedPoint, compared in full."""
+    assert type(bulk) is type(alone) is IsolatedPoint
+    assert bulk == alone and hash(bulk) == hash(alone) and repr(bulk) == repr(alone)
+    assert dataclasses.fields(bulk) == dataclasses.fields(alone)
+    assert dataclasses.astuple(bulk) == dataclasses.astuple(alone)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bulk.t = 1.0
+    for p in (bulk, alone):
+        back = pickle.loads(pickle.dumps(p))
+        assert type(back) is IsolatedPoint and repr(back) == repr(alone) and back == alone
+
+
+# IsolatedPoint(-0.0) at protocol 2 and IsolatedPoint(1e4) at protocol 4,
+# pickled by the class before it had slots
+_PICKLES_BEFORE_SLOTS = [
+    (
+        "800263747363616c652e74696d657363616c650a49736f6c61746564506f696e740a71002981"
+        "71017d7102580100000074710347800000000000000073622e",
+        -0.0,
+    ),
+    (
+        "8004953a000000000000008c10747363616c652e74696d657363616c65948c0d49736f6c6174"
+        "6564506f696e749493942981947d948c0174944740c388000000000073622e",
+        1e4,
+    ),
+]
+
+
+@pytest.mark.parametrize("data, t", _PICKLES_BEFORE_SLOTS)
+def test_points_pickle_as_they_did_before_slots(data, t):
+    """Both ways: a pickle written before the class had slots loads, and a
+    point pickles to the very same bytes."""
+    data = bytes.fromhex(data)
+    assert repr(pickle.loads(data)) == repr(IsolatedPoint(t))
+    assert pickle.dumps(_points([t])[0], protocol=data[1]) == data
+
+
+@given(st.lists(_POINT_VALUES, max_size=12))
+def test_points_built_in_bulk_are_the_points_built_one_at_a_time(values):
+    pts = _points(values)
+    assert len(pts) == len(values)
+    for bulk, v in zip(pts, values):
+        _same_point(bulk, IsolatedPoint(v))
+
+
+@given(
+    st.sampled_from([0.0, -0.0, 1e4, -1e4, 5e-324]) | st.floats(-1e6, 1e6),
+    st.sampled_from([1e-3, 0.1, 2.0**-17]) | st.floats(1e-6, 1e3),
+    st.integers(0, 50),
+)
+def test_uniform_points_are_start_plus_k_steps(start, step, count):
+    pts = _uniform_points(start, step, count)
+    assert len(pts) == count
+    for k, p in enumerate(pts):
+        _same_point(p, IsolatedPoint(start + k * step))
+
+
+def test_constructors_build_the_points_of_their_values():
+    assert repr(uniform(0, 1, 3).components) == repr(
+        tuple(IsolatedPoint(0 + k * 1) for k in range(3))
+    )
+    assert isolated(2, -0.0, 1e4).components == (
+        IsolatedPoint(-0.0), IsolatedPoint(2.0), IsolatedPoint(1e4)
+    )
+    assert repr(isolated(-0.0).components) == "(IsolatedPoint(t=-0.0),)"
 
 
 # -- delta integral ------------------------------------------------------------

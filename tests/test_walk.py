@@ -32,6 +32,7 @@ from tscale import (
 )
 from tscale import cli, exponential, timescale, transforms
 from tscale.exponential import _STEP_RULES, _grid_log_integrals
+from tscale.dynamic import _SCHEME_RULES
 from tscale.timescale import Run, _adaptive_simpson, _constant_simpson
 from tscale.transforms import xi, zeta
 
@@ -396,7 +397,7 @@ _TOLS = st.sampled_from([1e-12, 1e-8, 1e-3, math.inf, math.nan, 0.0, -1.0])
 @example(1j, (0.0, 0.0), 1e-12)
 @example(3e307j, (1e4, math.nextafter(1e4, math.inf)), 1e-12)  # a non-finite first step
 def test_constant_simpson_is_the_first_simpson_step(v, span, tol):
-    [got] = _constant_simpson(v, span, tol)
+    [got] = _constant_simpson(v, [span], tol)
     want = constant_simpson_reference(v, *span, tol)
     if got is None:  # the first step refines or overflows, or tol is rejected
         assert want[0] in ("Refines", "ToleranceError", "ValueError")
@@ -416,8 +417,8 @@ def test_constant_simpson_of_a_run_is_each_step_alone(v, start, widths, tol):
     xs = [start]
     for w in widths:
         xs.append(xs[-1] + w)
-    steps = [_constant_simpson(v, (a, b), tol)[0] for a, b in zip(xs, xs[1:])]
-    assert outcome(lambda: tuple(_constant_simpson(v, xs, tol))) == outcome(
+    steps = [_constant_simpson(v, [(a, b)], tol)[0] for a, b in zip(xs, xs[1:])]
+    assert outcome(lambda: tuple(_constant_simpson(v, zip(xs, xs[1:]), tol))) == outcome(
         lambda: tuple(steps)
     )
 
@@ -426,11 +427,11 @@ def test_simpson_rejects_a_nan_tolerance():
     # no piece meets it: near 1e4 every piece would refine toward sub-ulp width
     with pytest.raises(ValueError, match="tol must be positive"):
         _adaptive_simpson(lambda t: 1 + 0j, 1e4, 1e4 + 0.5, math.nan)
-    assert _constant_simpson(1 + 0j, (1e4, 1e4 + 0.5), math.nan) == [None]
+    assert _constant_simpson(1 + 0j, [(1e4, 1e4 + 0.5)], math.nan) == [None]
 
 
 def test_constant_simpson_declines_a_refining_first_step():
-    assert _constant_simpson(_REFINING, (1e4, 1e4 + 0.1), 1e-12) == [None]
+    assert _constant_simpson(_REFINING, [(1e4, 1e4 + 0.1)], 1e-12) == [None]
     assert constant_simpson_reference(_REFINING, 1e4, 1e4 + 0.1, 1e-12)[0] == "Refines"
 
 
@@ -452,7 +453,7 @@ def test_constant_simpson_overflow_is_a_tolerance_error(monkeypatch):
     want = outcome(_adaptive_simpson, lambda t: 1j, 0.0, 1.0, 1e-12)
     assert want == ("ToleranceError", "quadrature overflows on [0.0, 1.0]", None)
     # the batched first step declines, and full Simpson raises in its turn
-    assert _constant_simpson(1j, (0.0, 1.0), 1e-12) == [None]
+    assert _constant_simpson(1j, [(0.0, 1.0)], 1e-12) == [None]
     coeff = Coefficient.constant(1j)
     assert outcome(coeff.dense_integral, 0.0, 1.0, 1e-12) == want
 
@@ -626,8 +627,9 @@ def _reference_grid_values(family, ts, coeff, t0, grid, tol):
 
 
 def test_constant_solve_evaluates_the_coefficient_per_scattered_step(monkeypatch):
-    """A constant coefficient is evaluated for the check and the factor of
-    each scattered step, and at no dense point."""
+    """A constant coefficient is evaluated for the factor of each scattered
+    step (each distinct gap), and neither by the checks, which read its
+    value once, nor at any dense point."""
     ts = union(interval(0.0, 2.0), isolated(2.3, 2.6), interval(3.0, 5.0))
     grid = ts.make_grid(0.0, 5.0, 1e-3)
     scattered = [r[0] for r in ts.walk(grid.points) if r[1] is not None and r[4] is None]
@@ -636,7 +638,58 @@ def test_constant_solve_evaluates_the_coefficient_per_scattered_step(monkeypatch
     call = Coefficient.__call__
     monkeypatch.setattr(Coefficient, "__call__", lambda self, t: calls.append(t) or call(self, t))
     solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, ts, 0.6 - 0.4j, 1.0, 1.0, grid, TOL)
-    assert calls == scattered + scattered
+    assert calls == scattered
+
+
+def test_constant_grid_checks_read_the_coefficient_once(monkeypatch):
+    """The grid checks read a constant coefficient's value once, not at
+    every scattered step: on uniform(0, 1e-3, 1000) a grid exponential and
+    a solve evaluate it once per distinct gap (9), for the step logs or
+    factors, where the checks made it 1,008 calls each."""
+    ts = uniform(0.0, 1e-3, 1000)
+    grid = ts.make_grid(ts.inf, ts.sup, 1e-3)
+    pts = grid.points
+    gaps = set(map(float.__sub__, pts[1:], pts[:-1]))
+    assert len(gaps) == 9
+    calls = []
+    call = Coefficient.__call__
+    monkeypatch.setattr(Coefficient, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    alpha = Coefficient.constant(0.5 - 0.2j)
+    runs = [lambda f=f: exp_evaluate_grid(f, ts, alpha, 0.0, grid) for f in GRID_FAMILIES.values()]
+    runs += [
+        lambda s=s: solve_first_order(s, ts, alpha, 1.0, 0.0, grid)
+        for s in (Scheme.TRAPEZOIDAL_CAYLEY, Scheme.EXPLICIT_DELTA)
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == len(gaps)
+
+
+@pytest.mark.parametrize(
+    "family, scheme, alpha, message",
+    [
+        (ExpFamily.HILGER_DELTA, Scheme.EXPLICIT_DELTA, -4.0, "1 + mu*{} = 0j at t=0.2"),
+        (
+            ExpFamily.CAYLEY,
+            Scheme.TRAPEZOIDAL_CAYLEY,
+            8.0,
+            "mu*{} = (2+0j) at t=0.2 is within margin of ±2",
+        ),
+    ],
+)
+def test_constant_grid_checks_report_the_first_degenerate_step(family, scheme, alpha, message):
+    """Read once, a constant coefficient still fails its check at the
+    first degenerate gap in order (0.2 to 0.45; 0.5 to 0.75 is the next),
+    on the grid exponential and the solve of its family alike."""
+    ts = isolated(0.0, 0.1, 0.2, 0.45, 0.5, 0.75, 0.8)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    name = _SCHEME_RULES[scheme][1]  # the explicit scheme's coefficient is beta
+    for t0 in (0.0, 0.8):
+        got = outcome(lambda: exp_evaluate_grid(family, ts, alpha, t0, grid))
+        assert got == ("RegressivityError", message.format("alpha"), 0.2)
+        got = outcome(lambda: solve_first_order(scheme, ts, alpha, 1.0, t0, grid))
+        assert got == ("RegressivityError", message.format(name), 0.2)
 
 
 def test_function_solve_evaluates_the_coefficient_once_per_scattered_step(monkeypatch):
