@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul
 from typing import Callable
 
@@ -32,13 +32,18 @@ from .errors import (
     SingularError,
     ToleranceError,
 )
-from .exponential import _exp
-from .timescale import DEFAULT_TOL, Grid, Run, TimeScale, _Jumps
+from .exponential import (
+    _dense_integrals,
+    _exp,
+    _grid_steps,
+    _split_steps,
+    _validate_regressive,
+)
+from .timescale import DEFAULT_TOL, Grid, TimeScale, _Jumps
 from .transforms import (
     CAYLEY_RULE,
     FORWARD_RULE,
     REGRESSIVITY_MARGIN,
-    STEP_MEMO_SIZE,
     as_coefficient,
 )
 from .report import ResidualReport, collect
@@ -131,8 +136,9 @@ def solve_first_order(
 
     Grid points before t0 are filled by inverting the step factors, which
     the regressivity validation guarantees to be possible. The grid is
-    walked once: validation keeps the walk records, and the step factors
-    are taken from them. A marched value or step factor that overflows
+    walked once, by the checked walk of the grid exponentials
+    (exponential._validate_regressive), and the step factors are taken
+    from its records. A marched value or step factor that overflows
     raises ToleranceError.
 
     The explicit and trapezoidal schemes step from a right-dense point
@@ -151,13 +157,18 @@ def solve_first_order(
     pts = grid.points
     values: list[complex] = [0j] * len(pts)
     values[anchor] = complex(x0)
+    rule = _SCHEME_RULES[scheme][0]
+    if rule is None:  # the exact flow, over the raw points
+        a = coeff.constant_value
+        step = lambda mu, b: _exp(b * mu)
+        dense = lambda ps, xs: (_exp(a * (q - p)) for p, q in zip(ps, ps[1:]))
+    else:  # the step factor, and _exp of the dense view's integral
+        step = rule.factor
+        dense = lambda ps, xs: map(_exp, _dense_integrals(ts, coeff, tol, ps, xs))
     before, after = _split_steps(items, anchor)
-    split = sum(not isinstance(item, Run) for item in before)  # read at steps before
-    ahead = None if read is None else islice(read, split, None)
-    steps = _step_factors(scheme, ts, coeff, pts, after, tol, ahead)
+    steps = _grid_steps(pts, after, coeff, read, step, dense)
     values[anchor:] = accumulate(steps, mul, initial=values[anchor])  # values[k] * factor
-    behind = None if read is None else iter(read)
-    back = list(_step_factors(scheme, ts, coeff, pts, before, tol, behind))
+    back = list(_grid_steps(pts, before, coeff, read, step, dense))
     for k in range(anchor - 1, -1, -1):
         if back[k] == 0:
             raise RegressivityError("zero step factor cannot be inverted")
@@ -172,103 +183,11 @@ def solve_first_order(
     return SampledFunction(grid, tuple(values))
 
 
-def _validate_scheme(scheme, ts, coeff, grid) -> tuple[list[tuple], list | None]:
-    """Check each step factor's regressivity along one walk of the grid, the
-    last point's jump (no step of the solve) excepted; return the walk's
-    items (TimeScale.walk_runs) and the coefficient value the check of
-    each record's step read, in walk order, for the step factors to take
-    again.
-
-    Each distinct m = mu * alpha is checked once (StepRule.checker). A
-    step of a run has mu = 0, where a constant coefficient's factor cannot
-    degenerate, so only the other kinds are evaluated there; their
-    evaluation can raise. A constant coefficient's value is read once and
-    not kept (None): its factor is taken once per distinct mu.
-    """
-    rule, name = _SCHEME_RULES[scheme]
-    pts = grid.points
-    items = []
-    constant = coeff.is_constant
-    read = None if constant else []
-    a = coeff.constant_value if constant else None  # one object, read once
-    check = rule.checker() if rule is not None else None
-    for item in ts.walk_runs(pts):
-        items.append(item)
-        if rule is None:
-            continue
-        if isinstance(item, Run):
-            if not constant:
-                k, xs = item
-                for p in pts[k : k + len(xs) - 1]:
-                    check(p, 0.0 * coeff(p), name)
-            continue
-        p, q, _, mu, _, _ = item
-        if q is not None:
-            if not constant:
-                a = coeff(p)
-                read.append(a)
-            check(p, mu * a, name)
-    return items, read
-
-
-def _split_steps(items, anchor):
-    """The walk items of the steps before point anchor and of the steps
-    from it on, a run across the anchor cut there; the last point's
-    record, which has no step, is dropped."""
-    k = 0  # the index of the item's first point
-    for n, item in enumerate(items):
-        end = k + len(item.points) - 1 if isinstance(item, Run) else k + 1
-        if end > anchor:
-            break
-        k = end
-    before, after = items[:n], items[n:-1]
-    if k < anchor:
-        xs = items[n].points
-        before.append(Run(k, xs[: anchor - k + 1]))
-        after[0] = Run(anchor, xs[anchor - k :])
-    return before, after
-
-
-def _step_factors(scheme, ts, coeff, pts, items, tol, read):
-    """Step factor over each step of the walk items of the grid points pts.
-
-    read iterates over the values the validation read at the steps of the
-    items' records, in order, so a coefficient is evaluated once per
-    scattered step. A constant coefficient (read None) is evaluated again,
-    once per distinct mu: its value is one object, so its factor is a
-    function of mu alone and is taken once per distinct mu, bit for bit;
-    the first STEP_MEMO_SIZE are kept.
-    """
-    rule = _SCHEME_RULES[scheme][0]
-    factors: dict[float, complex] = {}  # by mu, for a constant coefficient
-    for item in items:
-        if isinstance(item, Run):
-            k, xs = item
-            if rule is None:
-                a = coeff.constant_value
-                steps = zip(pts[k : k + len(xs) - 1], pts[k + 1 : k + len(xs)])
-                yield from (_exp(a * (q - p)) for p, q in steps)
-            else:
-                yield from map(_exp, coeff.dense_integrals(xs, xs[1:], tol))
-            continue
-        p, q, s, _, _, tt = item
-        a = None if read is None else next(read)
-        if s > tt:
-            if abs(s - q) > 1e-12:
-                raise GridError(f"grid skips the forward jump of {p!r}")
-            mu = s - p
-            f = factors.get(mu)
-            if f is None:
-                if read is None:
-                    a = coeff(p)
-                f = _exp(a * mu) if rule is None else rule.factor(mu, a)
-                if read is None and len(factors) < STEP_MEMO_SIZE:
-                    factors[mu] = f
-            yield f
-        elif rule is None:
-            yield _exp(coeff.constant_value * (q - p))
-        else:
-            yield _exp(ts.delta_integral(coeff.dense, p, q, tol))
+def _validate_scheme(scheme, ts, coeff, grid) -> tuple[list[tuple], dict | None]:
+    """The one checked walk of the grid (exponential._validate_regressive)
+    with the scheme's step rule and the name its messages give the
+    coefficient; the exact scheme checks nothing."""
+    return _validate_regressive(*_SCHEME_RULES[scheme], ts, coeff, grid.points)
 
 
 # -- correction factors --------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Sequence
@@ -34,6 +34,7 @@ from .transforms import (
     FORWARD_RULE,
     STEP_MEMO_SIZE,
     Coefficient,
+    StepRule,
     as_coefficient,
 )
 
@@ -252,30 +253,6 @@ class _Exponent:
         return total
 
 
-def _validate_regressive(
-    family: ExpFamily, ts: TimeScale, coeff: Coefficient, lo: float, hi: float
-) -> dict[float, complex]:
-    """Fail fast with the first point where the step factor degenerates;
-    return the coefficient value read at each scattered point, by point,
-    for the step logs to take again (none for a constant coefficient,
-    whose value is read once here and whose logs are taken once per
-    distinct mu).
-
-    The scattered points are scanned in order, and each distinct m =
-    mu * alpha is checked once (StepRule.checker): a uniform scale with a
-    constant coefficient has a handful.
-    """
-    check = _STEP_RULES[family].checker()
-    read: dict[float, complex] = {}
-    keep = not coeff.is_constant
-    a = None if keep else coeff.constant_value  # one object, read once
-    for s, mu in ts.scattered_points(lo, hi):
-        if keep:
-            a = read[s] = coeff(s)
-        check(s, mu * a, "alpha")
-    return read
-
-
 def _exp(w: complex) -> complex:
     """cmath.exp, with overflow reported as a ToleranceError."""
     try:
@@ -349,10 +326,10 @@ def exp_evaluate_grid(
 ) -> ExpEvaluation:
     """Evaluate one family at every grid point in linear total cost.
 
-    The exponent integral is accumulated incrementally between
-    consecutive grid points along one TimeScale.walk_runs of the grid,
-    anchored at t0 so the value there is exactly one when t0 lies on the
-    grid.
+    The exponent integral is accumulated between consecutive grid points
+    along the checked walk solve_first_order takes too
+    (_validate_regressive), anchored at t0 so the value there is exactly
+    one when t0 lies on the grid.
 
     A step from a right-dense point past its interval's unsampled upper
     end integrates the dense view across the jump (mu * alpha), not the
@@ -387,12 +364,8 @@ def _nabla_grid_values(ts, coeff, t0, grid) -> tuple[complex, ...]:
 
 
 def _validated_logs(family, ts, coeff, t0, grid, tol) -> list[complex]:
-    """_grid_log_integrals, after validating every scattered step from the
-    lower of t0 and the grid to the upper, taking the values the checks
-    read: a coefficient is evaluated once per scattered grid step."""
-    lo, hi = min(grid.points[0], t0), max(grid.points[-1], t0)
-    read = _validate_regressive(family, ts, coeff, lo, hi)
-    return _grid_log_integrals(family, ts, coeff, t0, grid, tol, read)
+    """_grid_log_integrals, each scattered step checked by the family's rule."""
+    return _grid_log_integrals(family, ts, coeff, t0, grid, tol, _STEP_RULES[family])
 
 
 def _grid_log_integrals(
@@ -402,74 +375,128 @@ def _grid_log_integrals(
     t0: float,
     grid: Grid,
     tol: float,
-    read: dict[float, complex] | None = None,
+    rule: StepRule | None = None,
 ) -> list[complex]:
     """Exponent integral from t0 to each grid point, reusing partial sums.
 
-    Walks the grid once on each side of the anchor (TimeScale.walk_runs),
-    so the cost is linear in the grid size. read holds coefficient values
-    by scattered point, as _validate_regressive returns them.
+    t0 is located after the lower of it and the first grid point, as a
+    scan from the range's lower end meets them. An off-grid t0 starts from
+    the checked stretch to the first grid point (_log_integral_range). One
+    walk (_validate_regressive, checking by rule unless it is None) is
+    folded forward and back from the anchor: linear in the grid size.
     """
-    read = {} if read is None else read
     pts = grid.points
+    if not t0 <= pts[0]:  # a NaN t0 too
+        ts._locate(pts[0])
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)
     logs: list[complex] = [0j] * len(pts)
     if anchor is None:
         anchor = 0
         logs[0] = _log_integral_range(family, ts, coeff, t0s, pts[0], tol)
-    steps = _step_logs(family, ts, coeff, pts[anchor:], tol, read)
+    items, read = _validate_regressive(rule, "alpha", ts, coeff, pts)
+    before, after = _split_steps(items, anchor)
+    log, dense = _STEP_RULES[family].log, partial(_dense_integrals, ts, coeff, tol)
+    steps = _grid_steps(pts, after, coeff, read, log, dense)
     logs[anchor:] = accumulate(steps, initial=logs[anchor])  # logs[k] + the step's log
-    back = list(_step_logs(family, ts, coeff, pts[: anchor + 1], tol, read))
+    back = list(_grid_steps(pts, before, coeff, read, log, dense))
     for k in range(anchor - 1, -1, -1):
         logs[k] = logs[k + 1] - back[k]
     return logs
 
 
-def _step_logs(family, ts, coeff, points, tol, read):
-    """Exponent increment over each consecutive pair of points.
-
-    A run of dense steps is integrated a run at a time; a scattered step
-    adds the family's step log of (mu, alpha), mu being the gap from the
-    point to its jump. alpha is the value that read (by scattered point)
-    holds for the grid point, if it holds one for that very float, and
-    the coefficient's value at the grid point otherwise: a point located
-    within the membership tolerance of a scattered point, or a zero of
-    the other sign, may evaluate differently. A constant coefficient's
-    value is one object, so its step log is a function of mu alone and
-    is taken once per distinct mu, bit for bit: a uniform scale has a
-    handful, and the first STEP_MEMO_SIZE are kept. Any other
-    coefficient's log is taken at every step, since two of its values
-    that compare equal can differ in the sign of a zero part, which a
-    fold from an off-grid anchor's exponent keeps.
+def _validate_regressive(
+    rule: StepRule | None, name: str, ts: TimeScale, coeff: Coefficient, points
+) -> tuple[list[tuple], dict[float, complex] | None]:
+    """Walk the points once (TimeScale.walk_runs), raising at the first
+    scattered step that degenerates by rule (none where rule is None), and
+    return the walk's items and the coefficient value each check read, by
+    grid point (None for a constant coefficient, read once here, or where
+    rule is None). A step of graininess zero cannot degenerate, and the
+    left-scattered maximum takes none, so only scattered steps are
+    checked, each distinct m = mu * alpha once (StepRule.checker).
     """
-    log = _STEP_RULES[family].log
-    logs: dict[float, complex] = {}  # by mu, for a constant coefficient
-    keep = coeff.is_constant
+    check = None if rule is None else rule.checker()
+    constant = coeff.is_constant
+    read = None if constant or check is None else {}
+    a = coeff.constant_value if constant else None  # one object, read once
+    items = []
     for item in ts.walk_runs(points):
+        items.append(item)
+        if check is None or isinstance(item, Run):
+            continue
+        p, q, s, mu, _, tt = item
+        if q is not None and s > tt:
+            if not constant:
+                a = read[p] = coeff(p)
+            check(p, mu * a, name)
+    return items, read
+
+
+def _split_steps(items, anchor):
+    """The walk items of the steps before point anchor and of the steps
+    from it on, a run across the anchor cut there; the last point's
+    record, which has no step, is dropped."""
+    k = 0  # the index of the item's first point
+    for n, item in enumerate(items):
+        end = k + len(item.points) - 1 if isinstance(item, Run) else k + 1
+        if end > anchor:
+            break
+        k = end
+    before, after = items[:n], items[n:-1]
+    if k < anchor:
+        xs = items[n].points
+        before.append(Run(k, xs[: anchor - k + 1]))
+        after[0] = Run(anchor, xs[anchor - k :])
+    return before, after
+
+
+def _grid_steps(pts, items, coeff, read, step, dense):
+    """The increment over each step of the walk items of the grid points
+    pts: step(mu, a) at a scattered point p (mu the gap to its jump, a the
+    coefficient at p, from read where the walk's check read it), and
+    dense(ps, xs) over the steps between consecutive grid points ps, xs
+    being a run's located points or None for one step outside a run.
+
+    A constant coefficient's value is one object, so its step is a
+    function of mu alone and is taken once per distinct mu, bit for bit;
+    the first STEP_MEMO_SIZE are kept. Any other coefficient's step is
+    taken at every step: two of its values that compare equal can differ
+    in the sign of a zero part, which a fold from an off-grid anchor's
+    exponent keeps.
+    """
+    memo: dict[float, complex] = {}  # by mu, for a constant coefficient
+    keep = coeff.is_constant
+    for item in items:
         if isinstance(item, Run):
-            xs = item.points
-            yield from coeff.dense_integrals(xs, xs[1:], tol)
+            k, xs = item
+            yield from dense(pts[k : k + len(xs)], xs)
             continue
         p, q, s, _, _, tt = item
-        if q is None:
-            return
-        if s > tt:
-            if abs(s - q) > 1e-12:
-                raise GridError(
-                    f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
-                )
-            mu = s - p
-            w = logs.get(mu)
-            if w is None:
-                # a key equal to p is tt, the point p is located at
-                same = p in read and (p or math.copysign(1.0, p) == math.copysign(1.0, tt))
-                w = log(mu, read[p] if same else coeff(p))
-                if keep and len(logs) < STEP_MEMO_SIZE:
-                    logs[mu] = w
-            yield w
-        else:
-            yield ts.delta_integral(coeff.dense, p, q, tol)
+        if s <= tt:
+            yield from dense((p, q), None)
+            continue
+        if abs(s - q) > 1e-12:
+            raise GridError(
+                f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
+            )
+        mu = s - p
+        w = memo.get(mu)
+        if w is None:
+            w = step(mu, coeff(p) if read is None else read[p])
+            if keep and len(memo) < STEP_MEMO_SIZE:
+                memo[mu] = w
+        yield w
+
+
+def _dense_integrals(ts: TimeScale, coeff: Coefficient, tol: float, ps, xs):
+    """The dense view's delta integral over each step between consecutive
+    grid points ps: a run's (located points xs) in one
+    Coefficient.dense_integrals call, one step outside a run (xs None)
+    by TimeScale.delta_integral."""
+    if xs is None:
+        return (ts.delta_integral(coeff.dense, ps[0], ps[1], tol),)
+    return coeff.dense_integrals(xs, xs[1:], tol)
 
 
 # -- degenerate-tolerant forward-step evaluation -----------------------------------
@@ -492,7 +519,7 @@ def _hilger_grid_lenient(
         pass
     pts, (_, t0s) = grid.points, ts._locate(t0)
     steps = ts.scattered_points(min(pts[0], t0s), max(pts[-1], t0s))
-    read = {s: coeff(s) for s, _ in steps}  # for the fold to take again
+    read = {s: coeff(s) for s, _ in steps}
     zero = next((s for s, mu in steps if FORWARD_RULE.factor(mu, read[s]) == 0), None)
     if zero is not None and zero < t0s:
         raise SingularError("cannot evaluate backward through a degenerate (zero) step factor")
@@ -507,7 +534,7 @@ def _hilger_grid_lenient(
         added = {x for x in ends if x < a or x > b} | {t0s}
     points = tuple(sorted(added.union(kept)))
     logs = _grid_log_integrals(
-        ExpFamily.HILGER_DELTA, ts, coeff, t0, Grid(points, grid.dense_step), tol, read
+        ExpFamily.HILGER_DELTA, ts, coeff, t0, Grid(points, grid.dense_step), tol
     )
     values = _exps([w for x, w in zip(points, logs) if x not in added])
     return values + (0j,) * (len(pts) - len(kept))

@@ -26,10 +26,11 @@ compared and snapped one at a time, a few float comparisons each, with
 no lookup, record or call. On a grid such as make_grid gives, only the
 first point is looked up, so a walk costs O(N + log C) plus O(log N) per
 interval it enters, plus the quadrature of its dense steps, and grid
-evaluations and solvers built on it are linear in N. They check each
-distinct m = mu * alpha once, take a constant coefficient's step log
-or factor once per distinct mu, and evaluate any other coefficient once
-per scattered step, reusing the value its check read. A constant
+evaluations and solvers built on it are linear in N. Each walks its grid
+once (exponential._validate_regressive), checking a scattered step's
+m = mu * alpha once per distinct m; it takes a constant coefficient's
+step log or factor once per distinct mu and evaluates any other
+coefficient once per scattered step, reusing the value read. A constant
 coefficient integrates a run in one loop (Coefficient.dense_integrals):
 each dense step is Simpson's first step done on the one value, a few
 float operations and no call, with full adaptive Simpson only where that

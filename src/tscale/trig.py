@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import ToleranceError
 from .timescale import DEFAULT_TOL, Grid, TimeScale, _Jumps, delta_derivative_numeric
 from .transforms import as_coefficient, graininess_coefficient
 from .exponential import (
@@ -98,6 +99,8 @@ def hyp_grid(
     Bohner-Peterson family is the one definition that stays on the
     degenerate boundary where one exponential vanishes identically; there
     its fold skips the regressivity check instead of rejecting the step.
+    A pair of these three families that is not finite at some grid point
+    raises ToleranceError at the first such point.
     """
     coeff = as_coefficient(alpha)
     if family is TrigFamily.EXACT:
@@ -117,6 +120,11 @@ def hyp_grid(
         raise ValueError(f"unknown family {family!r}")
     cs = tuple(0.5 * (a + b) for a, b in zip(plus, minus))
     ss = tuple(0.5 * (a - b) for a, b in zip(plus, minus))
+    if not all(map(cmath.isfinite, cs + ss)):
+        k = next(k for k, cv in enumerate(zip(cs, ss)) if not all(map(cmath.isfinite, cv)))
+        raise ToleranceError(
+            f"non-finite hyperbolic pair at t={grid.points[k]!r}: ({cs[k]!r}, {ss[k]!r})"
+        )
     return TrigPair(family, TrigKind.HYPERBOLIC, param, grid, cs, ss)
 
 

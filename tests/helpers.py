@@ -49,7 +49,6 @@ from tscale.exponential import (
     _memoized,
     _grid_log_integrals,
     _log_integral_range,
-    _validate_regressive,
 )
 from tscale.dynamic import _SCHEME_RULES, phi, psi, sinc
 from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson
@@ -460,12 +459,9 @@ def reference_step_logs(family: ExpFamily, ts: TimeScale, coeff, points, tol):
             yield step_integral(ts, coeff.dense, p, q, span, tol)
 
 
-def reference_grid_log_integrals(
-    family: ExpFamily, ts: TimeScale, coeff, t0, grid: Grid, tol, read=None
-):
-    """exponential._grid_log_integrals on reference_step_logs, which
-    evaluate the coefficient at every step: the values read by a
-    validation are not taken."""
+def reference_grid_log_integrals(family: ExpFamily, ts: TimeScale, coeff, t0, grid: Grid, tol):
+    """exponential._grid_log_integrals, unchecked, on reference_step_logs,
+    which evaluate the coefficient at every step."""
     pts = grid.points
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)
@@ -481,20 +477,41 @@ def reference_grid_log_integrals(
     return logs
 
 
+def reference_checked_walk(rule, name, ts: TimeScale, coeff, points):
+    """reference_walk's records, each scattered step's regressivity checked
+    by rule (if it is not None) as the walk reaches it."""
+    records = []
+    for record in reference_walk(ts, points):
+        records.append(record)
+        p, q, s, mu, _, tt = record
+        if q is not None and s > tt and rule is not None:
+            rule.check(p, mu * coeff(p), name)
+    return records
+
+
+def reference_validated_logs(family: ExpFamily, ts: TimeScale, coeff, t0, grid: Grid, tol):
+    """exponential._validated_logs on the slow paths: the lower of t0 and
+    the first grid point located, then t0; the off-grid stretch
+    (reference_log_integral_range); each scattered step of
+    reference_checked_walk checked; then reference_grid_log_integrals."""
+    pts = grid.points
+    ts._locate(min(pts[0], t0))
+    _, t0s = ts._locate(t0)
+    if grid.index_of(t0s) is None:
+        reference_log_integral_range(family, ts, coeff, t0s, pts[0], tol)
+    reference_checked_walk(_STEP_RULES[family], "alpha", ts, coeff, pts)
+    return reference_grid_log_integrals(family, ts, coeff, t0, grid, tol)
+
+
 def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, tol=1e-12):
-    """dynamic.solve_first_order on reference_walk's records: each step's
-    regressivity checked, then each step's factor taken, a record at a
-    time."""
+    """dynamic.solve_first_order on reference_walk's records: each scattered
+    step's regressivity checked, then each step's factor taken, a record at
+    a time."""
     coeff = as_coefficient(alpha)
     if scheme is Scheme.EXACT_DISC and not coeff.is_constant:
         raise ValueError("the exact scheme requires a constant coefficient")
     rule, name = _SCHEME_RULES[scheme]
-    records = []
-    for record in reference_walk(ts, grid.points):
-        records.append(record)
-        p, q, _, mu, _, _ = record
-        if q is not None and rule is not None:
-            rule.check(p, mu * coeff(p), name)
+    records = reference_checked_walk(rule, name, ts, coeff, grid.points)
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)
     if anchor is None:
@@ -507,7 +524,9 @@ def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, to
         for p, q, s, _, span, tt in records:
             if s > tt:
                 if abs(s - q) > 1e-12:
-                    raise GridError(f"grid skips the forward jump of {p!r}")
+                    raise GridError(
+                        f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
+                    )
                 a = coeff(p)
                 yield _exp(a * (s - p)) if rule is None else rule.factor(s - p, a)
             elif rule is None:
@@ -609,7 +628,8 @@ def reference_cayley_trig_grid(ts: TimeScale, omega: float, t0, grid: Grid, tol=
     the residues checked point by point, cosine first."""
     coeff = Coefficient.constant(1j * float(omega))
     lo, hi = min(grid.points[0], t0), max(grid.points[-1], t0)
-    _validate_regressive(ExpFamily.CAYLEY, ts, coeff, lo, hi)
+    for s, mu in ts.scattered_points(lo, hi):
+        _STEP_RULES[ExpFamily.CAYLEY].check(s, mu * coeff(s), "alpha")
     logs = _grid_log_integrals(ExpFamily.CAYLEY, ts, coeff, t0, grid, tol)
     cs, ss = [], []
     for L, p in zip(logs, grid.points):
@@ -628,7 +648,16 @@ _PAIR_EXP_FAMILY = {
 def reference_hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol=1e-12):
     """trig.hyp with its own family ladder: the exponentials of t from t0
     through reference_log_integral_range, Bohner-Peterson falling back to
-    reference_bp_fold when a factor degenerates."""
+    reference_bp_fold when a factor degenerates. A pair of the three step
+    families that is not finite raises ToleranceError."""
+    ch, sh = _reference_pair(family, ts, alpha, t, t0, tol)
+    if family is not TrigFamily.EXACT and not (cmath.isfinite(ch) and cmath.isfinite(sh)):
+        raise ToleranceError(f"non-finite hyperbolic pair at t={float(t)!r}: ({ch!r}, {sh!r})")
+    return ch, sh
+
+
+def _reference_pair(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol):
+    """reference_hyp's half-sum and half-difference, finite or not."""
     coeff = as_coefficient(alpha)
     if family is TrigFamily.EXACT:
         w = coeff.constant_value * (t - t0)
@@ -679,12 +708,13 @@ def reference_bp_fold(ts: TimeScale, coeff, t0, grid: Grid, tol=1e-12):
 
 
 def reference_trig(family: TrigFamily, ts: TimeScale, omega, t, t0, tol=1e-12):
-    """trig.trig with its own family ladder, on reference_hyp."""
+    """trig.trig with its own family ladder, on reference_hyp's pair,
+    finite or not."""
     omega = float(omega)
     if family in (TrigFamily.EXACT, TrigFamily.HILGER):
         w = omega * (t - t0)
         return math.cos(w), math.sin(w)
-    ch, sh = reference_hyp(family, ts, Coefficient.constant(1j * omega), t, t0, tol)
+    ch, sh = _reference_pair(family, ts, Coefficient.constant(1j * omega), t, t0, tol)
     return _require_real(ch, t), _require_real(sh / 1j, t)
 
 

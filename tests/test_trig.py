@@ -537,6 +537,20 @@ def test_pointwise_pair_within_tolerance_of_the_anchor_takes_its_value(family):
     assert hyp(family, ts, 1.0, t, 0.5) == (pair.c_values[1], pair.s_values[1])
 
 
+@pytest.mark.parametrize("family", [f for f in TrigFamily if f is not TrigFamily.EXACT])
+def test_a_hyperbolic_pair_that_is_not_finite_raises(family):
+    """An infinite coefficient makes a step log infinite and the pair NaN:
+    hyp_grid and hyp raise ToleranceError at the first such grid point, as
+    the reference pair does."""
+    ts = uniform(0.0, 1.0, 2)
+    coeff = Coefficient.from_function(lambda t: math.inf)
+    error = ("ToleranceError", "non-finite hyperbolic pair at t=1.0: ((nan+nanj), (nan+nanj))", None)
+    pair = lambda: hyp_grid(family, ts, coeff, 0.0, ts.make_grid(0.0, 1.0, 0.1))
+    assert outcome(pair) == error
+    assert outcome(hyp, family, ts, coeff, 1.0, 0.0) == error
+    assert outcome(reference_hyp, family, ts, coeff, 1.0, 0.0) == error
+
+
 @pytest.mark.parametrize("family", list(TrigFamily))
 def test_pointwise_pairs_match_their_own_ladder_on_fixed_cases(family):
     # the BP degenerate factor (1 + 1*(-1) = 0 forward, backward through it),

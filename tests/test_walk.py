@@ -46,6 +46,7 @@ from helpers import (
     reference_grid_log_integrals,
     reference_product,
     reference_solve,
+    reference_validated_logs,
     reference_walk,
     tight_scales,
     walk_outcome,
@@ -171,7 +172,30 @@ def test_grid_skipping_a_forward_jump_raises_grid_error():
         assert str(err.value) == "grid skips the forward jump of 1.0: next sample 3.0, jump 2.0"
         with pytest.raises(GridError) as err:
             solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, ts, 0.5, 1.0, t0, grid)
-        assert str(err.value) == "grid skips the forward jump of 1.0"
+        assert str(err.value) == "grid skips the forward jump of 1.0: next sample 3.0, jump 2.0"
+
+
+@pytest.mark.parametrize("t0, first", [(1.5, 0.5), (math.nan, 0.5), (-0.5, -0.5)])
+def test_grid_exponential_reports_the_lower_non_member_first(t0, first):
+    """Of a non-member first grid point and a non-member t0 (NaN too), the
+    lower is reported, as a scan from the range's lower end meets it."""
+    ts = isolated(0.0, 1.0, 2.0)
+    for family in GRID_FAMILIES.values():
+        with pytest.raises(DomainError) as err:
+            exp_evaluate_grid(family, ts, 0.5, t0, Grid((0.5, 1.0, 2.0), 1.0))
+        assert str(err.value) == f"t={first!r} is not a member of the time scale"
+
+
+@pytest.mark.parametrize("family, alpha", [(ExpFamily.HILGER_DELTA, -2.0), (ExpFamily.CAYLEY, 4.0)])
+def test_an_off_grid_anchor_reports_its_stretch_before_the_grid(family, alpha):
+    """Every gap degenerates: a t0 below the grid reports the first step of
+    its stretch to the grid, as a scan from the range's lower end meets it,
+    before any step of the grid's walk."""
+    ts = isolated(0.0, 0.5, 1.0, 1.5, 2.0)
+    args = (family, ts, alpha, 0.0, Grid((1.0, 1.5, 2.0), 0.5), TOL)
+    got = outcome(lambda: exp_evaluate_grid(*args).values)
+    assert got[0] == "RegressivityError" and got[2] == 0.0
+    assert got == outcome(lambda: _reference_grid_values(*args))
 
 
 def test_grid_point_just_below_an_interval_steps_into_it():
@@ -622,7 +646,7 @@ def test_a_point_just_below_an_interval_starts_its_run():
 
 
 def _reference_grid_values(family, ts, coeff, t0, grid, tol):
-    with mock.patch.object(exponential, "_grid_log_integrals", reference_grid_log_integrals):
+    with mock.patch.object(exponential, "_validated_logs", reference_validated_logs):
         return exp_evaluate_grid(family, ts, coeff, t0, grid, tol).values
 
 
@@ -639,6 +663,50 @@ def test_constant_solve_evaluates_the_coefficient_per_scattered_step(monkeypatch
     monkeypatch.setattr(Coefficient, "__call__", lambda self, t: calls.append(t) or call(self, t))
     solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, ts, 0.6 - 0.4j, 1.0, 1.0, grid, TOL)
     assert calls == scattered
+
+
+def test_function_grid_checks_evaluate_no_dense_run_point(monkeypatch):
+    """Neither the grid exponential's walk nor the solver's checks a
+    function coefficient at a point of a dense run, where a step of
+    graininess zero cannot degenerate: on the 4,004-point hybrid grid each
+    evaluates it at the 3 scattered steps alone, and the steps take those
+    values again."""
+    ts = union(interval(0.0, 2.0), isolated(2.3, 2.6), interval(3.0, 5.0))
+    grid = ts.make_grid(0.0, 5.0, 1e-3)
+    scattered = [r[0] for r in ts.walk(grid.points) if r[1] is not None and r[4] is None]
+    assert scattered == [2.0, 2.3, 2.6] and len(grid) == 4004
+    coeff = Coefficient.from_function(lambda t: 0.6 - 0.4j + 0.3 * math.sin(3.0 * t))
+    runs = [lambda f=f: exp_evaluate_grid(f, ts, coeff, 1.0, grid) for f in GRID_FAMILIES.values()]
+    runs += [
+        lambda s=s: solve_first_order(s, ts, coeff, 1.0, 1.0, grid)
+        for s in (Scheme.TRAPEZOIDAL_CAYLEY, Scheme.EXPLICIT_DELTA)
+    ]
+    calls = []
+    call = Coefficient.__call__
+    monkeypatch.setattr(Coefficient, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls == scattered
+
+
+def test_a_step_from_the_left_scattered_maximum_is_a_zero_step():
+    """A grid point within the membership tolerance above the
+    left-scattered maximum is located at it: the step to it has no
+    graininess (mu None), is checked by no rule, and multiplies by one
+    in every scheme and exponential."""
+    ts, grid = isolated(0.0, 1.0), Grid((0.0, 1.0, 1.0 + 4e-13), 0.1)
+    got = {s: solve_first_order(s, ts, 0.5, 1.0, 0.0, grid).values for s in Scheme}
+    assert got[Scheme.TRAPEZOIDAL_CAYLEY] == (1, 1.6666666666666667, 1.6666666666666667)
+    assert got[Scheme.EXPLICIT_DELTA] == (1, 1.5, 1.5)
+    for scheme, family in SOLVER_PAIRS.values():
+        want = outcome(lambda: reference_solve(scheme, ts, 0.5, 1.0, 0.0, grid).values)
+        assert outcome(lambda: got[scheme]) == want
+        values = exp_evaluate_grid(family, ts, 0.5, 0.0, grid).values
+        if family in GRID_FAMILIES.values():
+            assert values == got[scheme]
+            want = outcome(lambda: _reference_grid_values(family, ts, 0.5, 0.0, grid, TOL))
+            assert outcome(lambda: values) == want
 
 
 def test_constant_grid_checks_read_the_coefficient_once(monkeypatch):
@@ -748,8 +816,9 @@ def test_a_grid_point_takes_a_checked_value_only_if_it_is_the_checked_float():
 def test_bohner_peterson_report_locates_each_scattered_point_once_more(monkeypatch):
     """The graininess coefficient of the Bohner-Peterson reference locates
     its point at each evaluation, now once per scattered step: the report
-    on 1,000 points makes 1,011 lookups, where validation and step logs
-    evaluating it apart made 2,010."""
+    on 1,000 points makes 1,005 lookups, where validation and step logs
+    evaluating it apart made 2,010 (and 1,011 when the validation scanned
+    the scattered points apart from two half walks of the grid)."""
     located = []
     locate = TimeScale._locate
     monkeypatch.setattr(
@@ -758,7 +827,7 @@ def test_bohner_peterson_report_locates_each_scattered_point_once_more(monkeypat
     argv = ["identity", "--scale", "uniform(0,1e-3,1000)", "--identity", "pythagorean",
             "--family", "bp"]
     assert cli.main(argv) == 0
-    assert len(located) == 1011
+    assert len(located) == 1005
 
 
 def test_step_memos_past_their_size_keep_every_value():
@@ -813,7 +882,7 @@ def test_solver_walks_the_grid_once(monkeypatch):
         (Scheme.TRAPEZOIDAL_CAYLEY, uniform(0.0, 1.0, 5), 0.5, (0.0, 1.0, 3.0, 4.0), 2.0,
          (GridError, "t0=2.0 must be a grid point")),
         (Scheme.TRAPEZOIDAL_CAYLEY, uniform(0.0, 1.0, 5), 0.5, (0.0, 1.0, 3.0, 4.0), 3.0,
-         (GridError, "grid skips the forward jump of 1.0")),
+         (GridError, "grid skips the forward jump of 1.0: next sample 3.0, jump 2.0")),
     ],
 )
 def test_solver_first_error_with_one_walk(scheme, ts, alpha, points, t0, error):
