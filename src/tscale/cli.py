@@ -46,6 +46,7 @@ from .exponential import (
     _semigroup_residual,
     _sigma_shift_residual,
     exp_evaluate_grid,
+    exp_exact,
     exp_nabla_const,
 )
 from .trig import TrigFamily, TrigKind, pythagorean_residual, trig_grid
@@ -242,7 +243,7 @@ class RunConfig:
 # The command-line names are the enums' values.
 _EXP_FAMILIES = {family.value: family for family in ExpFamily}
 _TRIG_FAMILIES = {family.value: family for family in TrigFamily}
-_STEP_FAMILIES = {family.value: family for family in _STEP_RULES}
+_LAW_FAMILIES = {f.value: f for f, rule in _STEP_RULES.items() if rule.oplus is not None}
 _SCHEMES = {scheme.value: scheme for scheme in Scheme}
 
 
@@ -455,12 +456,12 @@ def _delbis_report(config, ts, grid, family):
 # The single list of identities, in --help order: each name's report builder
 # and the --family names it accepts, or None when it reads no family. The
 # shift law steps by the family's step factor and the product law combines
-# exponents with its circle-plus: both accept the families with a step rule.
+# exponents with its circle-plus: both accept the families whose rule has one.
 _IDENTITIES = {
     "pythagorean": (_pythagorean_report, _TRIG_FAMILIES),
     "semigroup": (_semigroup_report, _EXP_FAMILIES),
-    "sigma-shift": (_sigma_shift_report, _STEP_FAMILIES),
-    "product-law": (_product_law_report, _STEP_FAMILIES),
+    "sigma-shift": (_sigma_shift_report, _LAW_FAMILIES),
+    "product-law": (_product_law_report, _LAW_FAMILIES),
     "unit-circle": (_unit_circle_report, None),
     "oscillator-cayley": (_oscillator_cayley_report, None),
     "oscillator-exact": (_oscillator_exact_report, None),
@@ -495,9 +496,9 @@ def convergence_study(family_name, alpha, target_t, eps_list, tol=1e-12):
     """Error of one family against the continuum exponential at target_t.
 
     For each step eps, target_t must be an integer multiple of eps. The
-    families accumulated step by step are evaluated on the uniform discrete
-    scale covering [0, target_t]; the backward-step family takes eps itself
-    and the exact family no step, so neither builds a scale.
+    forward-step and Cayley families are evaluated on the uniform discrete
+    scale covering [0, target_t]; the backward-step and exact families take
+    their closed forms, with eps itself and no step, so neither builds one.
     """
     from .timescale import uniform as uniform_scale
 
@@ -516,8 +517,10 @@ def convergence_study(family_name, alpha, target_t, eps_list, tol=1e-12):
         if family is ExpFamily.NABLA_CONST:
             # the step is eps: a scale's gaps would carry the rounding of k*eps
             val = exp_nabla_const(eps, alpha, target_t)
+        elif family is ExpFamily.EXACT:
+            val = exp_exact(alpha, target_t, 0.0)
         else:
-            ts = uniform_scale(0.0, eps, k + 1) if family in _STEP_RULES else None
+            ts = uniform_scale(0.0, eps, k + 1)
             val = _exp_point(family, ts, alpha, target_t, 0.0, tol)
         rows.append((eps, abs(val - exact_value)))
     return rows

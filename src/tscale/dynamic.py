@@ -1,12 +1,12 @@
 """First-order solvers, averaging operators, modified delta derivatives and
 second-order oscillator residuals.
 
-The three stepping schemes mirror the three exponential constructions:
+The three stepping schemes mirror three exponential constructions:
 forward stepping multiplies by 1 + mu*beta, trapezoidal stepping by the
 Cayley factor (1 + mu*alpha/2)/(1 - mu*alpha/2), and exact stepping by
-exp(alpha*mu). The first two factors and their regressivity tests are the
-step-rule table's in transforms. Dense segments integrate the continuum
-equation; the exact scheme uses the closed-form flow there, never quadrature.
+exp(alpha*mu). The factors and their regressivity tests are the step-rule
+table's in transforms. Dense segments integrate the continuum equation:
+every scheme steps there by the exponential of the coefficient's integral.
 
 Cost: a residual report walks its grid once (timescale._Jumps, one walk per
 report; the oscillator-cayley report shares one table between its two
@@ -42,6 +42,7 @@ from .exponential import (
 from .timescale import DEFAULT_TOL, Grid, TimeScale, _Jumps
 from .transforms import (
     CAYLEY_RULE,
+    EXACT_RULE,
     FORWARD_RULE,
     REGRESSIVITY_MARGIN,
     as_coefficient,
@@ -53,16 +54,14 @@ from .trig import TrigKind
 class Scheme(Enum):
     EXPLICIT_DELTA = "explicit"  # x' = beta * x
     TRAPEZOIDAL_CAYLEY = "trapezoidal"  # x' = alpha * avg(x)
-    EXACT_DISC = "exact"  # x' = alpha * psi * avg(x), constant alpha
+    EXACT_DISC = "exact"  # x' = alpha * psi(alpha, mu) * avg(x)
 
 
-# Each scheme's step rule, and the name its messages give the coefficient;
-# the exact scheme has none: it steps by the continuum flow, which never
-# degenerates.
+# Each scheme's step rule, and the name its messages give the coefficient.
 _SCHEME_RULES = {
     Scheme.EXPLICIT_DELTA: (FORWARD_RULE, "beta"),
     Scheme.TRAPEZOIDAL_CAYLEY: (CAYLEY_RULE, "alpha"),
-    Scheme.EXACT_DISC: (None, None),
+    Scheme.EXACT_DISC: (EXACT_RULE, "alpha"),
 }
 
 
@@ -141,14 +140,11 @@ def solve_first_order(
     from its records. A marched value or step factor that overflows
     raises ToleranceError.
 
-    The explicit and trapezoidal schemes step from a right-dense point
-    past its interval's unsampled upper end by the exponential of the dense
-    view's delta integral, exp(mu * alpha) across the jump, not by their
-    step factor.
+    Every scheme steps from a right-dense point past its interval's
+    unsampled upper end by the exponential of the dense view's delta
+    integral, exp(mu * alpha) across the jump, not by its step factor.
     """
     coeff = as_coefficient(alpha)
-    if scheme is Scheme.EXACT_DISC and not coeff.is_constant:
-        raise ValueError("the exact scheme requires a constant coefficient")
     items, read = _validate_scheme(scheme, ts, coeff, grid)
     _, t0s = ts._locate(t0)
     anchor = grid.index_of(t0s)
@@ -157,14 +153,8 @@ def solve_first_order(
     pts = grid.points
     values: list[complex] = [0j] * len(pts)
     values[anchor] = complex(x0)
-    rule = _SCHEME_RULES[scheme][0]
-    if rule is None:  # the exact flow, over the raw points
-        a = coeff.constant_value
-        step = lambda mu, b: _exp(b * mu)
-        dense = lambda ps, xs: (_exp(a * (q - p)) for p, q in zip(ps, ps[1:]))
-    else:  # the step factor, and _exp of the dense view's integral
-        step = rule.factor
-        dense = lambda ps, xs: map(_exp, _dense_integrals(ts, coeff, tol, ps, xs))
+    step = _SCHEME_RULES[scheme][0].factor
+    dense = lambda ps, xs: map(_exp, _dense_integrals(ts, coeff, tol, ps, xs))
     before, after = _split_steps(items, anchor)
     steps = _grid_steps(pts, after, coeff, read, step, dense)
     values[anchor:] = accumulate(steps, mul, initial=values[anchor])  # values[k] * factor
@@ -186,7 +176,7 @@ def solve_first_order(
 def _validate_scheme(scheme, ts, coeff, grid) -> tuple[list[tuple], dict | None]:
     """The one checked walk of the grid (exponential._validate_regressive)
     with the scheme's step rule and the name its messages give the
-    coefficient; the exact scheme checks nothing."""
+    coefficient."""
     return _validate_regressive(*_SCHEME_RULES[scheme], ts, coeff, grid.points)
 
 

@@ -1,10 +1,11 @@
 """Exponential function families on time scales.
 
 Four families share one evaluation core: an exponent integral is
-accumulated along the scale (log terms at right-scattered points,
-quadrature on continuous pieces) and exponentiated once per requested
-point. Accumulating the exponent, rather than multiplying step factors,
-keeps the complex phase unwrapped over long discrete products.
+accumulated along the scale (the family's step log at right-scattered
+points, quadrature on continuous pieces) and exponentiated once per
+requested point; the families differ only in their step rule. Accumulating
+the exponent, rather than multiplying step factors, keeps the complex
+phase unwrapped over long discrete products.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from operator import add, sub
 from typing import Sequence
 
 from .errors import (
-    ConstantGraininessError,
     DomainError,
     GridError,
     KappaError,
@@ -30,11 +30,14 @@ from .errors import (
 )
 from .timescale import DEFAULT_TOL, ClosedInterval, Grid, Run, TimeScale, _Jumps
 from .transforms import (
+    BACKWARD_RULE,
     CAYLEY_RULE,
+    EXACT_RULE,
     FORWARD_RULE,
     STEP_MEMO_SIZE,
     Coefficient,
     StepRule,
+    _exp,
     as_coefficient,
 )
 
@@ -46,8 +49,21 @@ class ExpFamily(Enum):
     EXACT = "exact"
 
 
-# The families whose exponent is accumulated step by step, and their rules.
-_STEP_RULES = {ExpFamily.HILGER_DELTA: FORWARD_RULE, ExpFamily.CAYLEY: CAYLEY_RULE}
+# Each family's step rule.
+_STEP_RULES = {
+    ExpFamily.HILGER_DELTA: FORWARD_RULE,
+    ExpFamily.NABLA_CONST: BACKWARD_RULE,
+    ExpFamily.CAYLEY: CAYLEY_RULE,
+    ExpFamily.EXACT: EXACT_RULE,
+}
+
+
+def _family_rule(family: ExpFamily, coeff: Coefficient) -> StepRule:
+    """The family's step rule, for a coefficient it takes."""
+    rule = _STEP_RULES[family]
+    if rule.constant_only and not coeff.is_constant:
+        raise ValueError("coefficient is not constant")
+    return rule
 
 
 @dataclass(frozen=True)
@@ -86,6 +102,7 @@ def _log_integral_range(
     coefficient's dense view on continuous pieces; the cylinder maps reduce
     to the identity at zero graininess there).
     """
+    terms = _Terms(family, ts, coeff, tol)  # checks the coefficient first
     # the lower end is located first, as a separate validation pass over
     # [t0, t1] did: of two non-members the same one is reported
     if t0 < t1:
@@ -97,7 +114,7 @@ def _log_integral_range(
     sign = 1.0
     if b < a:
         a, b, sign = b, a, -1.0
-    return sign * _Exponent(_Terms(family, ts, coeff, tol), a).to(b)
+    return sign * _Exponent(terms, a).to(b)
 
 
 class _Terms:
@@ -130,7 +147,7 @@ class _Terms:
 
     def __init__(self, family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol: float):
         self.ts, self.coeff, self.tol = ts, coeff, tol
-        self._rule = _STEP_RULES[family]
+        self._rule = _family_rule(family, coeff)
         self._constant = coeff.is_constant
         self._logs: dict[int, complex] = {}
         self._steps: dict = {}  # log by mu (constant) or by (mu, alpha)
@@ -253,14 +270,6 @@ class _Exponent:
         return total
 
 
-def _exp(w: complex) -> complex:
-    """cmath.exp, with overflow reported as a ToleranceError."""
-    try:
-        return cmath.exp(w)
-    except OverflowError:
-        raise ToleranceError(f"exponential overflows at exponent {w!r}") from None
-
-
 def _exps(ws: list[complex]) -> tuple[complex, ...]:
     """_exp of each exponent in order."""
     try:
@@ -329,43 +338,22 @@ def exp_evaluate_grid(
     The exponent integral is accumulated between consecutive grid points
     along the checked walk solve_first_order takes too
     (_validate_regressive), anchored at t0 so the value there is exactly
-    one when t0 lies on the grid.
+    one when t0 lies on the grid. The backward-step family takes a constant
+    coefficient only.
 
     A step from a right-dense point past its interval's unsampled upper
     end integrates the dense view across the jump (mu * alpha), not the
     family's step log, unlike exp_cayley and exp_hilger.
     """
     coeff = as_coefficient(alpha)
-    if family is ExpFamily.EXACT:
-        a = coeff.constant_value
-        values = _exps([a * (p - t0) for p in grid.points])
-    elif family is ExpFamily.NABLA_CONST:
-        values = _nabla_grid_values(ts, coeff, t0, grid)
-    else:
-        values = _exps(_validated_logs(family, ts, coeff, t0, grid, tol))
+    values = _exps(_validated_logs(family, ts, coeff, t0, grid, tol))
     return ExpEvaluation(family, ts, coeff, t0, grid, values, tol)
-
-
-def _nabla_step(ts: TimeScale) -> float:
-    """The step of a uniform discrete scale, the only kind the backward-step
-    family is defined on."""
-    eps = ts.constant_graininess()
-    if not ts.is_discrete() or eps is None or eps <= 0:
-        raise ConstantGraininessError(
-            "the backward-step family needs a uniform discrete scale"
-        )
-    return eps
-
-
-def _nabla_grid_values(ts, coeff, t0, grid) -> tuple[complex, ...]:
-    eps = _nabla_step(ts)
-    a = coeff.constant_value
-    return tuple(exp_nabla_const(eps, a, p - t0) for p in grid.points)
 
 
 def _validated_logs(family, ts, coeff, t0, grid, tol) -> list[complex]:
     """_grid_log_integrals, each scattered step checked by the family's rule."""
-    return _grid_log_integrals(family, ts, coeff, t0, grid, tol, _STEP_RULES[family])
+    rule = _family_rule(family, coeff)
+    return _grid_log_integrals(family, ts, coeff, t0, grid, tol, rule)
 
 
 def _grid_log_integrals(
@@ -544,14 +532,7 @@ def _hilger_grid_lenient(
 
 
 def _exp_point(family: ExpFamily, ts: TimeScale, coeff, t, t0, tol) -> complex:
-    coeff = as_coefficient(coeff)
-    if family in _STEP_RULES:
-        return _exp(_log_integral_range(family, ts, coeff, t0, t, tol))
-    if family is ExpFamily.EXACT:
-        return exp_exact(coeff.constant_value, t, t0)
-    if family is ExpFamily.NABLA_CONST:
-        return exp_nabla_const(_nabla_step(ts), coeff.constant_value, t - t0)
-    raise ValueError(f"unknown family {family!r}")
+    return _exp(_log_integral_range(family, ts, as_coefficient(coeff), t0, t, tol))
 
 
 def check_semigroup(
@@ -585,13 +566,10 @@ def _pointwise_runs(family: ExpFamily, ts: TimeScale, coeff, tol):
 def _exp_runs(family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol):
     """anchor -> (x -> E(x, anchor)) for x ascending from the anchor.
 
-    The values are those of _pointwise_runs, errors included. The step
-    families run one _Exponent per anchor, and all the anchors of one
-    returned function share the step logs and dense pieces they have in
-    common; the others evaluate their closed forms.
+    The values are those of _pointwise_runs, errors included. One
+    _Exponent runs per anchor, and all the anchors of one returned function
+    share the step logs and dense pieces they have in common.
     """
-    if family not in _STEP_RULES:
-        return _pointwise_runs(family, ts, coeff, tol)
     terms = _Terms(family, ts, coeff, tol)
 
     def exp_from(anchor):
@@ -625,7 +603,7 @@ def _semigroup_residual(from_t0, from_t1, t, t0) -> float:
 
 def _shift_rule(family):
     rule = _STEP_RULES.get(family)
-    if rule is None:
+    if rule is None or rule.oplus is None:
         raise ValueError("shift law check supports the Cayley and forward-step families")
     return rule
 

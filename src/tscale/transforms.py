@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .errors import RegressivityError, SingularError
+from .errors import RegressivityError, SingularError, ToleranceError
 from .timescale import Grid, TimeScale, _adaptive_simpson, _constant_simpson
 
 # Margin below which regressivity predicates report failure instead of
@@ -39,6 +39,14 @@ def _principal_log(w: complex) -> complex:
     if w.imag == 0.0:
         w = complex(w.real, 0.0)  # clears a negative zero below the cut
     return cmath.log(w)
+
+
+def _exp(w: complex) -> complex:
+    """cmath.exp, with overflow reported as a ToleranceError."""
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        raise ToleranceError(f"exponential overflows at exponent {w!r}") from None
 
 
 def xi(h: float, z: complex) -> complex:
@@ -343,14 +351,18 @@ class StepRule:
     The solvers multiply factor(mu, a); the exponentials sum log(mu, a),
     its exponent taken through the cylinder map, not from factor, so the
     two stay independent. degenerate(m) tests m = mu*a, and message(t, m,
-    name) says why it failed.
+    name) says why it failed. oplus is the product law's circle-plus, None
+    where the identities check no shift or product law. A constant_only rule
+    reads the coefficient at the jump's far end, which is the value read at
+    the step only for a constant coefficient.
     """
 
     factor: Callable[[float, complex], complex]
     log: Callable[[float, complex], complex]
     degenerate: Callable[[complex], bool]
     message: Callable[[float, complex, str], str]
-    oplus: Callable[[float, complex, complex], complex]
+    oplus: Callable[[float, complex, complex], complex] | None = None
+    constant_only: bool = False
 
     def check(self, t: float, m: complex, name: str) -> None:
         """Raise RegressivityError at t if m = mu*name degenerates."""
@@ -393,6 +405,19 @@ CAYLEY_RULE = StepRule(  # the Cayley exponential, trapezoidal scheme
     degenerate=lambda m: min(abs(m - 2.0), abs(m + 2.0)) <= REGRESSIVITY_MARGIN,
     message=lambda t, m, name: f"mu*{name} = {m!r} at t={t!r} is within margin of ±2",
     oplus=oplus_cayley,
+)
+EXACT_RULE = StepRule(  # the exact-discretization exponential, exact scheme
+    factor=lambda mu, a: _exp(mu * a),
+    log=lambda mu, a: mu * a,
+    degenerate=lambda m: False,
+    message=lambda t, m, name: f"mu*{name} = {m!r} at t={t!r}",
+)
+BACKWARD_RULE = StepRule(  # the backward-step (nabla) exponential
+    factor=lambda mu, a: 1.0 / (1.0 - mu * a),
+    log=lambda mu, a: -mu * xi(mu, -a),
+    degenerate=lambda m: abs(1.0 - m) <= REGRESSIVITY_MARGIN,
+    message=lambda t, m, name: f"1 - mu*{name} = {1.0 - m!r} at t={t!r}",
+    constant_only=True,
 )
 
 

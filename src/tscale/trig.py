@@ -4,11 +4,11 @@ Each hyperbolic pair is the half-sum and half-difference of two
 exponentials. Each trigonometric pair is the real and imaginary part of
 one exponential of 1j*omega: for real omega the exponential of -1j*omega
 is its conjugate, so these are the half-sum and half-difference over 1j
-of the two, real by construction. The Cayley exponential maps the
-imaginary axis into the unit circle, so its pair satisfies the circular
-identity on any supported scale; the forward-step-based family satisfies
-a deformed identity instead, with the deformation itself an exponential
-that this module evaluates for comparison.
+of the two, real by construction. The Cayley and exact exponentials map
+the imaginary axis into the unit circle, so their pairs satisfy the
+circular identity on any supported scale; the forward-step-based family
+satisfies a deformed identity instead, with the deformation itself an
+exponential that this module evaluates for comparison.
 """
 
 from __future__ import annotations
@@ -48,6 +48,16 @@ class TrigKind(Enum):
 _EXP_FAMILY_OF = {
     TrigFamily.HILGER: ExpFamily.HILGER_DELTA,
     TrigFamily.CAYLEY: ExpFamily.CAYLEY,
+    TrigFamily.EXACT: ExpFamily.EXACT,
+}
+
+# The exponential of 1j*omega whose real and imaginary parts are each
+# family's trigonometric pair. The Hilger construction reduces to the
+# restricted continuum functions for a constant frequency, the exact family's.
+_TRIG_EXP_FAMILY = {
+    **_EXP_FAMILY_OF,
+    TrigFamily.HILGER: ExpFamily.EXACT,
+    TrigFamily.BOHNER_PETERSON: ExpFamily.HILGER_DELTA,
 }
 
 
@@ -69,8 +79,7 @@ class TrigPair:
 def hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol: float = DEFAULT_TOL):
     """Hyperbolic pair (cosh-like, sinh-like) of the given family at t: the
     one-point grid pair of hyp_grid. As at a grid point, a t within the
-    membership tolerance of the located t0 takes the value at t0 (the
-    exact family excepted)."""
+    membership tolerance of the located t0 takes the value at t0."""
     pair = hyp_grid(family, ts, alpha, t0, Grid((t,), 1.0), tol)
     return pair.c_values[0], pair.s_values[0]
 
@@ -95,19 +104,14 @@ def hyp_grid(
     The two exponentials combined are: the forward-step exponential and
     its reciprocal (Hilger family), the forward-step exponentials of
     alpha and -alpha (Bohner-Peterson), the Cayley exponentials of alpha
-    and -alpha, or the continuum pair exp(±alpha (t - t0)) (exact). The
+    and -alpha, or the exact exponential and its reciprocal. The
     Bohner-Peterson family is the one definition that stays on the
     degenerate boundary where one exponential vanishes identically; there
     its fold skips the regressivity check instead of rejecting the step.
-    A pair of these three families that is not finite at some grid point
-    raises ToleranceError at the first such point.
+    An exponential that overflows, or a pair that is not finite at some
+    grid point, raises ToleranceError at the first such point.
     """
     coeff = as_coefficient(alpha)
-    if family is TrigFamily.EXACT:
-        a = coeff.constant_value
-        cs = tuple(cmath.cosh(a * (p - t0)) for p in grid.points)
-        ss = tuple(cmath.sinh(a * (p - t0)) for p in grid.points)
-        return TrigPair(family, TrigKind.HYPERBOLIC, a, grid, cs, ss)
     param = coeff.constant_value if coeff.is_constant else None
     if family in _EXP_FAMILY_OF:
         # the reciprocal is exactly the exponential of the negated exponent
@@ -133,22 +137,16 @@ def trig_grid(
 ) -> TrigPair:
     """Trigonometric pair sampled on a grid, as real floats.
 
-    The Hilger trigonometric construction reduces to the restricted
-    continuum functions for constant frequency, the only case supported
-    here, so it samples the exact family. The Cayley and Bohner-Peterson
-    pairs are the real and imaginary parts of one exp_evaluate_grid of
-    1j*omega (Cayley, forward-step), real by construction and linear in
-    the grid size; the Cayley pair lies on the unit circle at any step
-    count, since its step logs are purely imaginary (transforms.zeta).
+    Each pair is the real and imaginary part of one exp_evaluate_grid of
+    1j*omega (_TRIG_EXP_FAMILY), real by construction and linear in the
+    grid size. The Cayley and exact pairs lie on the unit circle at any
+    step count, since their step logs and dense pieces are purely imaginary
+    (transforms.zeta, mu*alpha).
     """
     omega = float(omega)
-    if family in (TrigFamily.EXACT, TrigFamily.HILGER):
-        cs = tuple(math.cos(omega * (p - t0)) for p in grid.points)
-        ss = tuple(math.sin(omega * (p - t0)) for p in grid.points)
-        return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, cs, ss)
-    if family not in (TrigFamily.CAYLEY, TrigFamily.BOHNER_PETERSON):
+    exp_family = _TRIG_EXP_FAMILY.get(family)
+    if exp_family is None:
         raise ValueError(f"unknown family {family!r}")
-    exp_family = ExpFamily.CAYLEY if family is TrigFamily.CAYLEY else ExpFamily.HILGER_DELTA
     values = exp_evaluate_grid(exp_family, ts, 1j * omega, t0, grid, tol).values
     cs, ss = tuple(v.real for v in values), tuple(v.imag for v in values)
     return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, cs, ss)

@@ -493,7 +493,10 @@ def reference_validated_logs(family: ExpFamily, ts: TimeScale, coeff, t0, grid: 
     """exponential._validated_logs on the slow paths: the lower of t0 and
     the first grid point located, then t0; the off-grid stretch
     (reference_log_integral_range); each scattered step of
-    reference_checked_walk checked; then reference_grid_log_integrals."""
+    reference_checked_walk checked; then reference_grid_log_integrals. A
+    constant_only rule's coefficient is checked first."""
+    if _STEP_RULES[family].constant_only and not coeff.is_constant:
+        raise ValueError("coefficient is not constant")
     pts = grid.points
     ts._locate(min(pts[0], t0))
     _, t0s = ts._locate(t0)
@@ -508,8 +511,6 @@ def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, to
     step's regressivity checked, then each step's factor taken, a record at
     a time."""
     coeff = as_coefficient(alpha)
-    if scheme is Scheme.EXACT_DISC and not coeff.is_constant:
-        raise ValueError("the exact scheme requires a constant coefficient")
     rule, name = _SCHEME_RULES[scheme]
     records = reference_checked_walk(rule, name, ts, coeff, grid.points)
     _, t0s = ts._locate(t0)
@@ -527,10 +528,7 @@ def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, to
                     raise GridError(
                         f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
                     )
-                a = coeff(p)
-                yield _exp(a * (s - p)) if rule is None else rule.factor(s - p, a)
-            elif rule is None:
-                yield _exp(coeff.constant_value * (q - p))
+                yield rule.factor(s - p, coeff(p))
             else:
                 yield _exp(step_integral(ts, coeff.dense, p, q, span, tol))
 
@@ -642,32 +640,33 @@ def reference_cayley_trig_grid(ts: TimeScale, omega: float, t0, grid: Grid, tol=
 _PAIR_EXP_FAMILY = {
     TrigFamily.HILGER: ExpFamily.HILGER_DELTA,
     TrigFamily.CAYLEY: ExpFamily.CAYLEY,
+    TrigFamily.EXACT: ExpFamily.EXACT,
 }
 
 
 def reference_hyp(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol=1e-12):
     """trig.hyp with its own family ladder: the exponentials of t from t0
     through reference_log_integral_range, Bohner-Peterson falling back to
-    reference_bp_fold when a factor degenerates. A pair of the three step
-    families that is not finite raises ToleranceError."""
+    reference_bp_fold when a factor degenerates. A pair that is not finite
+    raises ToleranceError."""
     ch, sh = _reference_pair(family, ts, alpha, t, t0, tol)
-    if family is not TrigFamily.EXACT and not (cmath.isfinite(ch) and cmath.isfinite(sh)):
+    if not (cmath.isfinite(ch) and cmath.isfinite(sh)):
         raise ToleranceError(f"non-finite hyperbolic pair at t={float(t)!r}: ({ch!r}, {sh!r})")
     return ch, sh
 
 
 def _reference_pair(family: TrigFamily, ts: TimeScale, alpha, t, t0, tol):
     """reference_hyp's half-sum and half-difference, finite or not."""
-    coeff = as_coefficient(alpha)
-    if family is TrigFamily.EXACT:
-        w = coeff.constant_value * (t - t0)
-        return cmath.cosh(w), cmath.sinh(w)
-    if family is TrigFamily.BOHNER_PETERSON:
-        e_plus, e_minus = (_bp_exp(ts, c, t, t0, tol) for c in (coeff, -coeff))
-    else:
-        L = reference_log_integral_range(_PAIR_EXP_FAMILY[family], ts, coeff, t0, t, tol)
-        e_plus, e_minus = _exp(L), _exp(-L)
+    e_plus, e_minus = _reference_exps(family, ts, as_coefficient(alpha), t, t0, tol)
     return 0.5 * (e_plus + e_minus), 0.5 * (e_plus - e_minus)
+
+
+def _reference_exps(family: TrigFamily, ts: TimeScale, coeff, t, t0, tol):
+    """The two exponentials that reference_hyp's pair combines."""
+    if family is TrigFamily.BOHNER_PETERSON:
+        return tuple(_bp_exp(ts, c, t, t0, tol) for c in (coeff, -coeff))
+    L = reference_log_integral_range(_PAIR_EXP_FAMILY[family], ts, coeff, t0, t, tol)
+    return _exp(L), _exp(-L)
 
 
 def _bp_exp(ts, coeff, t, t0, tol):
@@ -709,12 +708,17 @@ def reference_bp_fold(ts: TimeScale, coeff, t0, grid: Grid, tol=1e-12):
 
 def reference_trig(family: TrigFamily, ts: TimeScale, omega, t, t0, tol=1e-12):
     """trig.trig with its own family ladder, on reference_hyp's pair,
-    finite or not."""
+    finite or not, of an exponential of 1j*omega that is finite (a grid
+    exponential raises ToleranceError otherwise); the Hilger pair is the
+    exact family's."""
     omega = float(omega)
-    if family in (TrigFamily.EXACT, TrigFamily.HILGER):
-        w = omega * (t - t0)
-        return math.cos(w), math.sin(w)
-    ch, sh = _reference_pair(family, ts, Coefficient.constant(1j * omega), t, t0, tol)
+    if family is TrigFamily.HILGER:
+        family = TrigFamily.EXACT
+    coeff = Coefficient.constant(1j * omega)
+    e_plus, e_minus = _reference_exps(family, ts, coeff, t, t0, tol)
+    if not cmath.isfinite(e_plus):
+        raise ToleranceError("non-finite exponential value on grid")
+    ch, sh = 0.5 * (e_plus + e_minus), 0.5 * (e_plus - e_minus)
     return _require_real(ch, t), _require_real(sh / 1j, t)
 
 
@@ -1015,7 +1019,7 @@ def reference_derivative_residual(family, kind, ts, param, grid, tol=1e-12, t0=N
 def reference_sigma_shift_residual(family, ts, coeff, t, from_t0) -> float:
     """check_sigma_shift with E(., t0) given as from_t0."""
     rule = _STEP_RULES.get(family)
-    if rule is None:
+    if rule is None or rule.oplus is None:
         raise ValueError("shift law check supports the Cayley and forward-step families")
     _, tt = ts._locate(t)
     factor = rule.factor(ts.mu(tt), coeff(tt))

@@ -962,6 +962,61 @@ def test_nabla_eval_on_long_and_far_uniform_scales(capsys, argv):
     )
 
 
+def test_nabla_eval_far_from_zero(capsys):
+    # the first gap of uniform(1e8, 0.1, n) is 0.0999999940...: the fold
+    # needs no lattice test. Each point carries up to half an ulp of 1e8
+    # (7.5e-9) of rounding, so alpha*(t - t0) is off by up to 7.5e-12
+    code, out, err = _run(capsys, ["eval", "--family", "nabla", "--alpha", "0.001",
+                                   "--t0", "1e8", "--scale", "uniform(1e8,0.1,1000)"])
+    assert (code, err) == (EXIT_OK, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    ts, values = [float(t) for t, _, _ in rows], [float(re) for _, re, _ in rows]
+    assert len(values) == 1000
+    assert values == pytest.approx([(1 - 1e-4) ** -k for k in range(1000)], rel=1e-11)
+    want = [1.0]
+    for p, q in zip(ts, ts[1:]):
+        want.append(want[-1] / (1 - 0.001 * (q - p)))
+    assert values == pytest.approx(want, rel=4 * 1000 * 2.0**-53)
+
+
+@pytest.mark.parametrize("alpha", ["2", "2.0000000001"])
+def test_nabla_step_within_the_margin_is_a_regressivity_failure(capsys, alpha):
+    code, _, err = _run(capsys, ["eval", "--family", "nabla", "--alpha", alpha,
+                                 "--scale", "uniform(0,0.5,4)"])
+    assert code == EXIT_REGRESSIVITY
+    assert err.startswith("tscale: regressivity failure: 1 - mu*alpha = ")
+    assert err.endswith(" at t=0.0\n")
+
+
+@pytest.mark.parametrize(
+    "scale, step",
+    [
+        ("interval(0,2)+points(2.3,2.6)+interval(3,5)", "1e-3"),
+        ("uniform(0,1e-3,1000)", "0.1"),
+        ("points(0,0.1,0.35,0.5,1.2)", "0.1"),
+    ],
+)
+def test_exact_solve_equals_exact_eval(capsys, scale, step):
+    common = ["--scale", scale, "--dense-step", step, "--alpha=-0.5,0.25", "--t0", "0.5"]
+    code, solved, _ = _run(capsys, ["solve", "--scheme", "exact", *common])
+    assert code == EXIT_OK
+    code, evaluated, _ = _run(capsys, ["eval", "--family", "exact", *common])
+    assert code == EXIT_OK
+    pairs = list(zip(solved.splitlines()[1:], evaluated.splitlines()[1:]))
+    assert len(pairs) == len(evaluated.splitlines()) - 1 > 1
+    for a, b in pairs:
+        ta, *xa = a.split(",")
+        tb, *xb = b.split(",")
+        u, v = complex(*map(float, xa)), complex(*map(float, xb))
+        assert ta == tb and abs(u - v) <= 1e-12 * abs(v)
+
+
+def test_exact_hyperbolic_overflow_exits_4(capsys):
+    code, _, err = _run(capsys, ["identity", "--identity", "pythagorean", "--family", "exact",
+                                 "--kind", "hyp", "--alpha", "1000", "--scale", "uniform(0,1,3)"])
+    assert (code, err) == (EXIT_TOLERANCE, "tscale: exponential overflows at exponent (1000+0j)\n")
+
+
 def test_key_error_is_not_a_config_error(monkeypatch):
     def broken(config):
         raise KeyError("internal")

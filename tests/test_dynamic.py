@@ -162,10 +162,26 @@ def test_solver_validates_regressivity():
         solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, zs, -2.0, 1, 0.0, g)
 
 
-def test_solver_exact_requires_constant():
+def test_solver_exact_takes_any_coefficient():
+    # the step factors e^(mu*alpha(p)) of alpha(t) = t multiply to e^(k(k-1)/2)
     g = Z12.make_grid(0, 11, 1.0)
-    with pytest.raises(ValueError):
-        solve_first_order(Scheme.EXACT_DISC, Z12, lambda t: t, 1, 0.0, g)
+    x = solve_first_order(Scheme.EXACT_DISC, Z12, lambda t: t, 1, 0.0, g)
+    for k, v in enumerate(x.values):
+        assert abs(v - math.exp(k * (k - 1) / 2)) <= 1e-14 * math.exp(k * (k - 1) / 2)
+    ev = exp_evaluate_grid(ExpFamily.EXACT, Z12, lambda t: t, 0.0, g)
+    for u, v in zip(x.values, ev.values):
+        assert abs(u - v) <= 1e-12 * abs(v)
+
+
+def test_solver_exact_steps_on_located_points():
+    # 1.0 + 4e-13 is located at the member 1.0: a zero step, as in every
+    # other scheme, not exp(alpha * 4e-13)
+    grid = Grid((0.0, 1.0, 1.0 + 4e-13), 0.1)
+    for scheme in Scheme:
+        x = solve_first_order(scheme, isolated(0.0, 1.0), 0.5, 1, 0.0, grid)
+        assert x.values[1] == x.values[2]
+    x = solve_first_order(Scheme.EXACT_DISC, isolated(0.0, 1.0), 0.5, 1, 0.0, grid)
+    assert x.values[1:] == (1.6487212707001282, 1.6487212707001282)
 
 
 def test_solver_requires_anchor_on_grid():

@@ -13,6 +13,7 @@ from tscale import (
     Grid,
     RegressivityError,
     SingularError,
+    ToleranceError,
     TrigFamily,
     TrigKind,
     exact_trig_delta,
@@ -527,7 +528,7 @@ def test_bp_trig_half_sum_exceptions(ts, omega, t, t0):
     assert got == outcome(exp_hilger, ts, 1j * omega, t, t0)
 
 
-@pytest.mark.parametrize("family", [f for f in TrigFamily if f is not TrigFamily.EXACT])
+@pytest.mark.parametrize("family", list(TrigFamily))
 def test_pointwise_pair_within_tolerance_of_the_anchor_takes_its_value(family):
     ts = interval(0.0, 1.0)
     t = 0.5 + 5e-13
@@ -537,7 +538,7 @@ def test_pointwise_pair_within_tolerance_of_the_anchor_takes_its_value(family):
     assert hyp(family, ts, 1.0, t, 0.5) == (pair.c_values[1], pair.s_values[1])
 
 
-@pytest.mark.parametrize("family", [f for f in TrigFamily if f is not TrigFamily.EXACT])
+@pytest.mark.parametrize("family", list(TrigFamily))
 def test_a_hyperbolic_pair_that_is_not_finite_raises(family):
     """An infinite coefficient makes a step log infinite and the pair NaN:
     hyp_grid and hyp raise ToleranceError at the first such grid point, as
@@ -549,6 +550,24 @@ def test_a_hyperbolic_pair_that_is_not_finite_raises(family):
     assert outcome(pair) == error
     assert outcome(hyp, family, ts, coeff, 1.0, 0.0) == error
     assert outcome(reference_hyp, family, ts, coeff, 1.0, 0.0) == error
+
+
+def test_an_exact_hyperbolic_pair_that_overflows_is_a_tolerance_error():
+    # cosh and sinh of the closed form raised a bare OverflowError here
+    ts = uniform(0, 1, 3)
+    with pytest.raises(ToleranceError, match=r"^exponential overflows at exponent \(1000\+0j\)$"):
+        hyp_grid(TrigFamily.EXACT, ts, 1000, 0.0, Grid((0.0, 1.0, 2.0), 1.0))
+    with pytest.raises(ToleranceError, match=r"^exponential overflows at exponent \(2000\+0j\)$"):
+        hyp(TrigFamily.EXACT, ts, 1000, 2.0, 0.0)
+
+
+def test_exact_hyperbolic_pair_of_a_varying_coefficient():
+    # alpha(t) = t on an interval: cosh and sinh of t^2/2
+    ts = interval(0.0, 1.0)
+    pair = hyp_grid(TrigFamily.EXACT, ts, lambda t: t, 0.0, ts.make_grid(0.0, 1.0, 0.25))
+    for p, c, s in zip(pair.grid.points, pair.c_values, pair.s_values):
+        assert abs(c - math.cosh(0.5 * p * p)) <= 1e-15 and abs(s - math.sinh(0.5 * p * p)) <= 1e-15
+    assert pair.parameter is None
 
 
 @pytest.mark.parametrize("family", list(TrigFamily))

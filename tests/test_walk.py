@@ -73,6 +73,16 @@ GRIDS = {
 }
 
 GRID_FAMILIES = {"cayley": ExpFamily.CAYLEY, "hilger": ExpFamily.HILGER_DELTA}
+# every family: each runs the same fold on its own step rule
+EXP_FAMILIES = {family.value: family for family in ExpFamily}
+
+# each family's step log by the public cylinder maps
+PUBLIC_STEP_LOGS = {
+    ExpFamily.HILGER_DELTA: lambda mu, a: mu * xi(mu, a),
+    ExpFamily.NABLA_CONST: lambda mu, a: -mu * xi(mu, -a),
+    ExpFamily.CAYLEY: lambda mu, a: mu * zeta(mu, a),
+    ExpFamily.EXACT: lambda mu, a: mu * a,
+}
 
 
 def _reference_logs(family, ts, coeff, t0, points):
@@ -83,8 +93,7 @@ def _reference_logs(family, ts, coeff, t0, points):
     def step(p, q):
         s = ts.sigma(p)
         if s > p:
-            mu = s - p
-            return mu * (xi(mu, coeff(p)) if family is ExpFamily.HILGER_DELTA else zeta(mu, coeff(p)))
+            return PUBLIC_STEP_LOGS[family](s - p, coeff(p))
         return ts.delta_integral(coeff.dense, p, q, TOL)
 
     anchor = points.index(t0)
@@ -105,10 +114,14 @@ ON_GRID_T0 = sorted(name for name, (points, t0) in GRIDS.items() if t0 in points
 
 @pytest.mark.parametrize("grid_name", ON_GRID_T0)
 @pytest.mark.parametrize("coeff_name", sorted(COEFFS))
-@pytest.mark.parametrize("family_name", sorted(GRID_FAMILIES))
+@pytest.mark.parametrize("family_name", sorted(EXP_FAMILIES))
 def test_grid_exponential_matches_per_step_reference_bitwise(grid_name, coeff_name, family_name):
     points, t0 = GRIDS[grid_name]
-    family, coeff = GRID_FAMILIES[family_name], COEFFS[coeff_name]
+    family, coeff = EXP_FAMILIES[family_name], COEFFS[coeff_name]
+    if family is ExpFamily.NABLA_CONST and not coeff.is_constant:
+        with pytest.raises(ValueError, match="^coefficient is not constant$"):
+            exp_evaluate_grid(family, W, coeff, t0, Grid(points, 0.2), TOL)
+        return
     ev = exp_evaluate_grid(family, W, coeff, t0, Grid(points, 0.2), TOL)
     ref = _reference_logs(family, W, coeff, t0, points)
     assert ev.values == tuple(cmath.exp(L) for L in ref)
@@ -155,7 +168,7 @@ SOLVER_PAIRS = {
 def test_solver_matches_grid_exponential(grid_name, scheme_name):
     points, t0 = GRIDS[grid_name]
     scheme, family = SOLVER_PAIRS[scheme_name]
-    coeff = COEFFS["constant"] if scheme is Scheme.EXACT_DISC else COEFFS["varying"]
+    coeff = COEFFS["varying"]
     grid = Grid(points, 0.2)
     x = solve_first_order(scheme, W, coeff, 1.0, t0, grid, TOL)
     ev = exp_evaluate_grid(family, W, coeff, t0, grid, TOL)
@@ -180,7 +193,7 @@ def test_grid_exponential_reports_the_lower_non_member_first(t0, first):
     """Of a non-member first grid point and a non-member t0 (NaN too), the
     lower is reported, as a scan from the range's lower end meets it."""
     ts = isolated(0.0, 1.0, 2.0)
-    for family in GRID_FAMILIES.values():
+    for family in EXP_FAMILIES.values():
         with pytest.raises(DomainError) as err:
             exp_evaluate_grid(family, ts, 0.5, t0, Grid((0.5, 1.0, 2.0), 1.0))
         assert str(err.value) == f"t={first!r} is not a member of the time scale"
@@ -602,7 +615,7 @@ def test_run_walk_matches_one_record_per_step(scale_grid, make_coeff, tol):
     alpha = make_coeff(ts)
     if not (isinstance(alpha, complex | float) and cmath.isnan(alpha)):
         coeff = as_coefficient(alpha)
-        for family in GRID_FAMILIES.values():
+        for family in EXP_FAMILIES.values():
             args = (family, ts, coeff, t0, grid, tol)
             want = outcome(lambda: tuple(reference_grid_log_integrals(*args)))
             assert outcome(lambda: tuple(_grid_log_integrals(*args))) == want
@@ -703,10 +716,9 @@ def test_a_step_from_the_left_scattered_maximum_is_a_zero_step():
         want = outcome(lambda: reference_solve(scheme, ts, 0.5, 1.0, 0.0, grid).values)
         assert outcome(lambda: got[scheme]) == want
         values = exp_evaluate_grid(family, ts, 0.5, 0.0, grid).values
-        if family in GRID_FAMILIES.values():
-            assert values == got[scheme]
-            want = outcome(lambda: _reference_grid_values(family, ts, 0.5, 0.0, grid, TOL))
-            assert outcome(lambda: values) == want
+        assert values == got[scheme]
+        want = outcome(lambda: _reference_grid_values(family, ts, 0.5, 0.0, grid, TOL))
+        assert outcome(lambda: values) == want
 
 
 def test_constant_grid_checks_read_the_coefficient_once(monkeypatch):
@@ -841,7 +853,7 @@ def test_step_memos_past_their_size_keep_every_value():
     ts = isolated(*pts)
     grid = ts.make_grid(ts.inf, ts.sup, 0.1)
     coeff = Coefficient.constant(0.6 - 0.4j)
-    for family in GRID_FAMILIES.values():
+    for family in EXP_FAMILIES.values():
         args = (family, ts, coeff, pts[150], grid, TOL)
         want = outcome(lambda: _reference_grid_values(*args))
         assert outcome(lambda: exp_evaluate_grid(*args).values) == want
