@@ -111,10 +111,9 @@ def _log_integral_range(
         (_, b), (_, a) = ts._locate(t1), ts._locate(t0)
     if a == b:
         return 0j
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-    return sign * _Exponent(terms, a).to(b)
+    if b < a:  # the run from the lower end, negated
+        return -1.0 * _Exponent(terms, b).to(a)
+    return _Exponent(terms, a).to(b)
 
 
 class _Terms:
@@ -274,7 +273,7 @@ def _exps(ws: list[complex]) -> tuple[complex, ...]:
     """_exp of each exponent in order."""
     try:
         return tuple(map(cmath.exp, ws))
-    except OverflowError:
+    except (OverflowError, ValueError):
         return tuple(map(_exp, ws))  # raises for the first exponent that overflows
 
 

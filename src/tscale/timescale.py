@@ -31,10 +31,9 @@ once (exponential._validate_regressive), checking a scattered step's
 m = mu * alpha once per distinct m; it takes a constant coefficient's
 step log or factor once per distinct mu and evaluates any other
 coefficient once per scattered step, reusing the value read. A constant
-coefficient integrates a run in one loop (Coefficient.dense_integrals):
-each dense step is Simpson's first step done on the one value, a few
-float operations and no call, with full adaptive Simpson only where that
-step would refine. A query over a range [t0, t1] (scattered_points,
+dense view integrates a run exactly (Coefficient.dense_integrals): each
+dense step is the value times its width, C-level maps over the run's
+points and no call. A query over a range [t0, t1] (scattered_points,
 dense_segments, make_grid) locates both ends and scans only the K
 components from the one holding the lower end to the one after the upper
 end, O(log C + K), taking a stretch of isolated points as one slice of
@@ -50,9 +49,8 @@ checked and its log taken once. Each dense piece is integrated once
 over all targets. The intervals a target has passed since the last are
 taken as a whole: their pieces' ends are C-level maps over the interval
 ends, the pieces not yet integrated are one Coefficient.dense_integrals
-call (for a constant dense view, one _constant_simpson loop over the
-pairs of ends), and the target adds all its finished pieces with one
-C-level reduce.
+call (for a constant dense view, C-level maps over the pairs of ends),
+and the target adds all its finished pieces with one C-level reduce.
 """
 
 from __future__ import annotations
@@ -897,45 +895,6 @@ def _adaptive_simpson(
     except OverflowError:
         pass
     raise ToleranceError(f"quadrature overflows on [{a}, {b}]")
-
-
-def _constant_simpson(
-    v: complex, pairs: Iterable[tuple[float, float]], tol: float
-) -> list[complex | None]:
-    """Integral of the constant v over each [a, b] of pairs:
-    _adaptive_simpson(lambda t: v, a, b, tol) + 0j, bit for bit, where the
-    first Simpson step of [a, b] is accepted, and None where it would
-    refine or overflow, or tol is not positive. The steps of a run are the
-    pairs of its consecutive points; the finished pieces of a running
-    exponent are pairs of interval ends.
-
-    The float operations are those of that first step, in the same order,
-    on the one value v, and no integrand is called.
-    """
-    if not tol > 0:
-        return [None for _ in pairs]
-    w = v + 4.0 * v + v
-    bound = 15.0 * tol
-    out: list[complex | None] = []
-    for a, b in pairs:
-        if a == b:
-            out.append(0j)
-            continue
-        m = 0.5 * (a + b)
-        whole = (b - a) / 6.0 * w
-        left = (m - a) / 6.0 * w
-        right = (b - m) / 6.0 * w
-        delta = left + right - whole
-        try:  # a finite delta within bound has a finite estimate; on a span
-            # below float resolution a non-finite one is _adaptive_simpson's
-            # ToleranceError
-            accepted = abs(delta) <= bound or (
-                (0.5 * (a + m) <= a or 0.5 * (m + b) >= b) and cmath.isfinite(whole)
-            )
-        except OverflowError:
-            accepted = False
-        out.append(left + right + delta / 15.0 + 0j if accepted else None)
-    return out
 
 
 def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth) -> complex:

@@ -13,10 +13,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from itertools import repeat
+from operator import add, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import RegressivityError, SingularError, ToleranceError
-from .timescale import Grid, TimeScale, _adaptive_simpson, _constant_simpson
+from .timescale import Grid, TimeScale, _adaptive_simpson
 
 # Margin below which regressivity predicates report failure instead of
 # letting downstream exponentials lose all precision.
@@ -42,10 +44,11 @@ def _principal_log(w: complex) -> complex:
 
 
 def _exp(w: complex) -> complex:
-    """cmath.exp, with overflow reported as a ToleranceError."""
+    """cmath.exp, with overflow reported as a ToleranceError, as is an
+    exponent whose imaginary part has overflowed (cmath's domain error)."""
     try:
         return cmath.exp(w)
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise ToleranceError(f"exponential overflows at exponent {w!r}") from None
 
 
@@ -254,24 +257,21 @@ class Coefficient:
         points and the points after each), or the finished pieces of a
         running exponent.
 
-        A constant dense view takes Simpson's first step on its value over
-        every piece in one _constant_simpson call and calls no integrand;
-        where each piece takes it, the values are that call's list. A piece
-        whose first step would refine or overflow, and every piece of any
-        other dense view, goes through _adaptive_simpson in order, as the
-        returned iterator reaches it: a caller that raises between pieces
-        meets its error where a loop over the pieces would.
+        A constant dense view integrates exactly: v * (hi - lo) + 0j for
+        each piece, built with C-level maps, no integrand called. Any other
+        dense view goes through _adaptive_simpson piece by piece. Either way
+        an error comes as the returned iterator reaches the piece it belongs
+        to: a non-finite piece is a ToleranceError, a tol that is not
+        positive a ValueError. A caller that raises between pieces meets its
+        own error where a loop over the pieces would.
         """
         v = self.dense_value
-        ws = [None] * len(los) if v is None else _constant_simpson(v, zip(los, his), tol)
-        if None not in ws:
-            return ws
-        f = self.dense
         # + 0j as in delta_integral, whose zero jump sum turns -0.0 into 0.0
-        return (
-            _adaptive_simpson(f, a, b, tol) + 0j if w is None else w
-            for a, b, w in zip(los, his, ws)
-        )
+        if v is None or not tol > 0:  # _adaptive_simpson rejects the tol
+            f = self.dense
+            return (_adaptive_simpson(f, a, b, tol) + 0j for a, b in zip(los, his))
+        ws = list(map(add, map(v.__mul__, map(sub, his, los)), repeat(0j)))
+        return ws if all(map(cmath.isfinite, ws)) else _finite_pieces(ws, los, his)
 
     @property
     def is_constant(self) -> bool:
@@ -294,18 +294,29 @@ class Coefficient:
             pts, vals = self.payload
             return Coefficient.tabulated(pts, tuple(factor * v for v in vals))
         inner, inner_dense = self._eval, self._dense
-        return Coefficient.from_function(
+        scaled = Coefficient.from_function(
             lambda t: factor * inner(t),
             dense_fn=(
                 None if inner_dense is inner else (lambda t: factor * inner_dense(t))
             ),
         )
+        if self.dense_value is not None:
+            scaled.dense_value = factor * self.dense_value
+        return scaled
 
     def __neg__(self) -> "Coefficient":
         return self.scaled(-1.0)
 
     def __repr__(self):
         return f"Coefficient({self.kind}, {self.payload!r})"
+
+
+def _finite_pieces(ws, los, his) -> Iterator[complex]:
+    """ws in order, up to a ToleranceError at the first non-finite one."""
+    for w, a, b in zip(ws, los, his):
+        if not cmath.isfinite(w):
+            raise ToleranceError(f"quadrature overflows on [{a}, {b}]")
+        yield w
 
 
 def as_coefficient(alpha) -> Coefficient:
@@ -328,8 +339,8 @@ def graininess_coefficient(ts: TimeScale, fn, dense_value=None) -> Coefficient:
     on closed segments even though the jump value at a segment's
     scattered right endpoint differs. A dense_value, the value of
     fn(0.0, t) when it does not depend on t, stands in for the dense
-    evaluator, and quadrature on continuous pieces then integrates the
-    constant without calling an integrand.
+    evaluator, and a continuous piece [a, b] then integrates exactly to
+    dense_value * (b - a), with no integrand called.
     """
     v = None if dense_value is None else complex(dense_value)
     return Coefficient(

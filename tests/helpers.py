@@ -388,7 +388,7 @@ def reference_exp(family: ExpFamily, ts: TimeScale, coeff, t: float, t0: float, 
     for s, mu in linear_scattered_points(ts, a, b):
         total += rule.log(mu, coeff(s))
     for c, d in linear_dense_segments(ts, a, b):
-        total += linear_delta_integral(ts, coeff.dense, c, d, tol)
+        total += dense_piece(coeff, c, d, tol)
     return cmath.exp(sign * total)
 
 
@@ -396,18 +396,16 @@ def reference_log_integral_range(family: ExpFamily, ts: TimeScale, coeff, t0, t1
     """exponential._log_integral_range as one pass over [t0, t1], before it
     became one target of a running exponent: the step logs summed from 0j
     in ascending order, each checked just before its log is taken, then the
-    dense pieces added one by one, each its own adaptive Simpson quadrature
-    of the dense view (what Coefficient.dense_integral gives, bit for bit,
-    with no batched first step)."""
+    dense pieces added one by one, each its own dense_piece."""
     if t0 < t1:
         (_, a), (_, b) = ts._locate(t0), ts._locate(t1)
     else:
         (_, b), (_, a) = ts._locate(t1), ts._locate(t0)
     if a == b:
         return 0j
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
+    reverse = b < a  # then the pass from the lower end, negated
+    if reverse:
+        a, b = b, a
     rule = _STEP_RULES[family]
     total = 0j
     for s, mu in ts.scattered_points(a, b):
@@ -415,8 +413,8 @@ def reference_log_integral_range(family: ExpFamily, ts: TimeScale, coeff, t0, t1
         rule.check(s, mu * alpha, "alpha")
         total += rule.log(mu, alpha)
     for c, d in ts.dense_segments(a, b):
-        total += _adaptive_simpson(coeff.dense, c, d, tol) + 0j
-    return sign * total
+        total += dense_piece(coeff, c, d, tol)
+    return -1.0 * total if reverse else total
 
 
 def reference_exp_point(family: ExpFamily, ts: TimeScale, coeff, t, t0, tol):
@@ -433,13 +431,29 @@ def reference_exp_point(family: ExpFamily, ts: TimeScale, coeff, t, t0, tol):
 #    and one step_integral per step, each point located on its own
 
 
-def step_integral(ts: TimeScale, f, p: float, q: float, span, tol: float) -> complex:
-    """delta_integral(f, p, q, tol) over one step of reference_walk: a
-    single Simpson quadrature over the step's span, if it has one."""
+def dense_piece(coeff, a: float, b: float, tol: float) -> complex:
+    """The integral of coeff's dense view over [a, b], inside one closed
+    interval: v * (b - a) for a constant dense view v, which is what the
+    integral of a constant is, a non-finite one a ToleranceError; adaptive
+    Simpson for any other dense view, or for a tol that is not positive,
+    which it rejects. + 0j as delta_integral adds its zero jump sum, which
+    turns -0.0 into 0.0."""
+    v = coeff.dense_value
+    if v is None or not tol > 0:
+        return _adaptive_simpson(coeff.dense, a, b, tol) + 0j
+    w = v * (b - a) + 0j
+    if not cmath.isfinite(w):
+        raise ToleranceError(f"quadrature overflows on [{a}, {b}]")
+    return w
+
+
+def step_integral(ts: TimeScale, coeff, p: float, q: float, span, tol: float) -> complex:
+    """The dense view's delta integral from p to q over one step of
+    reference_walk: its dense_piece over the step's span, if it has one,
+    else delta_integral, which integrates by adaptive Simpson."""
     if span is None:
-        return ts.delta_integral(f, p, q, tol)
-    # delta_integral adds its zero jump sum, which turns -0.0 into 0.0
-    return _adaptive_simpson(f, span[0], span[1], tol) + 0j
+        return ts.delta_integral(coeff.dense, p, q, tol)
+    return dense_piece(coeff, span[0], span[1], tol)
 
 
 def reference_step_logs(family: ExpFamily, ts: TimeScale, coeff, points, tol):
@@ -456,7 +470,7 @@ def reference_step_logs(family: ExpFamily, ts: TimeScale, coeff, points, tol):
                 )
             yield log(s - p, coeff(p))
         else:
-            yield step_integral(ts, coeff.dense, p, q, span, tol)
+            yield step_integral(ts, coeff, p, q, span, tol)
 
 
 def reference_grid_log_integrals(family: ExpFamily, ts: TimeScale, coeff, t0, grid: Grid, tol):
@@ -530,7 +544,7 @@ def reference_solve(scheme: Scheme, ts: TimeScale, alpha, x0, t0, grid: Grid, to
                     )
                 yield rule.factor(s - p, coeff(p))
             else:
-                yield _exp(step_integral(ts, coeff.dense, p, q, span, tol))
+                yield _exp(step_integral(ts, coeff, p, q, span, tol))
 
     for k, f in enumerate(factors(records[anchor:-1]), anchor):
         values[k + 1] = values[k] * f
@@ -558,7 +572,7 @@ def reference_product(ts: TimeScale, coeff, t: float, t0: float, tol=1e-12):
     for s, mu in linear_scattered_points(ts, lo, hi):
         prod *= 1.0 + mu * coeff(s)
     for c, d in linear_dense_segments(ts, lo, hi):
-        prod *= cmath.exp(linear_delta_integral(ts, coeff.dense, c, d, tol))
+        prod *= cmath.exp(dense_piece(coeff, c, d, tol))
     if backward:
         if prod == 0:
             raise SingularError(
@@ -780,26 +794,6 @@ def _hexed(v):
     if isinstance(v, tuple):
         return tuple(_hexed(x) for x in v)
     return v
-
-
-class Refines(Exception):
-    """Adaptive Simpson asked for a sixth integrand value."""
-
-
-def constant_simpson_reference(v: complex, a: float, b: float, tol: float):
-    """outcome of _adaptive_simpson(lambda t: v, a, b, tol) + 0j, as
-    Coefficient.dense_integral returns it, up to the end of the first
-    Simpson step, which takes five integrand values; a Refines outcome
-    when the quadrature goes on to refine."""
-    calls = []
-
-    def f(t):
-        calls.append(t)
-        if len(calls) > 5:
-            raise Refines
-        return v
-
-    return outcome(lambda: _adaptive_simpson(f, a, b, tol) + 0j)
 
 
 # -- the residual operators as they were before they read one walk's jumps:

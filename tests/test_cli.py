@@ -428,6 +428,20 @@ def test_identity_fail_exit_code(capsys):
     assert payload["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "scale", ["uniform(0,0.5,12)", "interval(0,2)+points(2.3,2.6)+interval(3,5)"]
+)
+def test_an_exponent_summed_to_an_infinite_phase_exits_4(capsys, scale):
+    """Finite steps of 5e307j (exact family) or dense pieces of 1e307j sum
+    to an infinite imaginary exponent, whose exp is cmath's domain error:
+    it once escaped as a ValueError with the configuration exit code 3."""
+    argv = ["eval", "--family", "exact", "--alpha=0,1e308", "--scale", scale]
+    assert main(argv) == EXIT_TOLERANCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tscale: exponential overflows at exponent infj\n"
+
+
 def test_identity_with_a_non_finite_residual_is_a_tolerance_error(capsys):
     """omega**2 overflows in the Bohner-Peterson deformation, whose step log
     is then infinite: the residual and the reference at t=1.0 are NaN. A
@@ -750,13 +764,35 @@ def test_degenerate_bp_overflow_exits_4(capsys):
 
 
 def test_infinite_integrand_exits_4_without_hanging():
-    # refining the quadrature of an infinite coefficient near 1e4 never ended
+    # refining the quadrature of an infinite coefficient near 1e4 never
+    # ended; the first step's exponent, 1e308 * 0.1, is finite and its
+    # exponential is not
     proc = _run_script(
         "eval", "--scale", "interval(1e4,10000.5)", "--t0", "1e4", "--alpha", "1e308"
     )
     assert proc.returncode == EXIT_TOLERANCE
     assert proc.stdout == ""
-    assert proc.stderr == "tscale: quadrature overflows on [10000.0, 10000.1]\n"
+    assert proc.stderr == (
+        "tscale: exponential overflows at exponent (1.000000000003638e+307+0j)\n"
+    )
+
+
+def test_an_infinite_dense_integral_exits_4():
+    # 1e308 over the dense step [0, 2] is infinite
+    proc = _run_script("eval", "--scale", "interval(0,4)", "--dense-step", "2", "--alpha", "1e308")
+    assert (proc.returncode, proc.stdout) == (EXIT_TOLERANCE, "")
+    assert proc.stderr == "tscale: quadrature overflows on [0.0, 2.0]\n"
+
+
+def test_a_huge_imaginary_coefficient_over_a_tiny_interval_is_on_the_unit_circle():
+    # the exponent 1e308j * 1e-7 is finite: the exponential has modulus 1
+    proc = _run_script(
+        "eval", "--scale", "interval(1e4,10000.0000001)", "--alpha", "0,1e308", "--t0", "1e4"
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert rows[0] == ["10000", "1", "0"]
+    assert all(abs(abs(complex(float(re), float(im))) - 1) <= 4 * 2.0**-53 for _, re, im in rows)
 
 
 def test_python_m_tscale_runs_the_cli_without_warnings(capsys):

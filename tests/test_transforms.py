@@ -20,12 +20,15 @@ from tscale import (
     exp_cayley,
     exp_evaluate_grid,
     exp_hilger,
+    graininess_coefficient,
+    interval,
     isolated,
     ominus_mu,
     oplus_cayley,
     oplus_mu,
     solve_first_order,
     uniform,
+    union,
     xi,
     zeta,
     zeta_inv,
@@ -366,6 +369,18 @@ def test_coefficient_scaled_piecewise_and_tabulated():
     assert p(-1.0) == 2 and p(0.5) == 4
     t = (-Coefficient.tabulated([1.0], [3]))(1.0)
     assert t == -3
+
+
+def test_coefficient_scaled_keeps_a_constant_dense_view():
+    c = Coefficient.constant(0.5 - 1j).scaled(3)
+    assert c.dense_value == c.dense(0.7) == 1.5 - 3j
+    ts = union(interval(0.0, 1.0), isolated(1.5))
+    g = graininess_coefficient(ts, lambda mu, s: 2 + mu, 2)
+    for scaled, factor in ((-g, -1), (g.scaled(3), 3)):
+        assert scaled.dense_value == scaled.dense(0.5) == factor * 2
+        assert scaled(1.0) == factor * 2.5  # the jump value, mu = 0.5
+        assert scaled.dense_integral(0.25, 0.75, 1e-12) == factor * 2 * 0.5
+    assert (-graininess_coefficient(ts, lambda mu, s: 2 + mu)).dense_value is None
 
 
 def _scan_piecewise(bps, vals, t):

@@ -19,11 +19,14 @@ from tscale import (
     RegressivityError,
     Scheme,
     TimeScale,
+    ToleranceError,
+    TrigFamily,
     as_coefficient,
     exp_cayley,
     exp_evaluate_grid,
     exp_hilger,
     graininess_coefficient,
+    hyp_grid,
     interval,
     isolated,
     solve_first_order,
@@ -33,12 +36,12 @@ from tscale import (
 from tscale import cli, exponential, timescale, transforms
 from tscale.exponential import _STEP_RULES, _grid_log_integrals
 from tscale.dynamic import _SCHEME_RULES
-from tscale.timescale import Run, _adaptive_simpson, _constant_simpson
+from tscale.timescale import Run, _adaptive_simpson
 from tscale.transforms import xi, zeta
 
 from helpers import (
     any_scale,
-    constant_simpson_reference,
+    dense_piece,
     outcome,
     probe_points,
     random_discrete,
@@ -87,14 +90,17 @@ PUBLIC_STEP_LOGS = {
 
 def _reference_logs(family, ts, coeff, t0, points):
     """Exponent integrals accumulated step by step from an on-grid t0 with
-    the public operators: a step log at each scattered point, delta_integral
-    over each step from a right-dense point."""
+    the public operators: a step log at each scattered point, the dense
+    view's dense_piece over a step inside one interval, and delta_integral
+    over a step from a right-dense point across a jump."""
 
     def step(p, q):
         s = ts.sigma(p)
         if s > p:
             return PUBLIC_STEP_LOGS[family](s - p, coeff(p))
-        return ts.delta_integral(coeff.dense, p, q, TOL)
+        if ts.scattered_points(p, q):
+            return ts.delta_integral(coeff.dense, p, q, TOL)
+        return dense_piece(coeff, p, q, TOL)
 
     anchor = points.index(t0)
     logs = [0j] * len(points)
@@ -404,7 +410,9 @@ def test_walk_locates_only_after_a_component_ends(monkeypatch):
 
 _VALUES = st.builds(
     complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)
-) | st.sampled_from([0j, complex(-0.0, -0.0), 1e10 + 0j, complex(3e5, -7.25)])
+) | st.sampled_from(
+    [0j, complex(-0.0, -0.0), 1e10 + 0j, complex(3e5, -7.25), 3e307j, complex(-1e308, 1e308)]
+)
 
 
 @st.composite
@@ -428,18 +436,56 @@ _REFINING = complex(831988.9607137693, -813456.2712951798)
 _TOLS = st.sampled_from([1e-12, 1e-8, 1e-3, math.inf, math.nan, 0.0, -1.0])
 
 
+def _exact_pieces(v, los, his, tol):
+    """The integral of the constant v over each [a, b], exactly:
+    v * (b - a) + 0j, in order, up to a ToleranceError at the first
+    non-finite one; a tol that is not positive is a ValueError."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    for a, b in zip(los, his):
+        w = v * (b - a) + 0j
+        if not cmath.isfinite(w):
+            raise ToleranceError(f"quadrature overflows on [{a}, {b}]")
+        yield w
+
+
+def _pieces(integrals, *args):
+    """The pieces integrals(*args) yields before any error, and its outcome."""
+    got = []
+    result = outcome(lambda: got.extend(integrals(*args)))
+    return outcome(lambda: tuple(got)), result
+
+
+def _constant_pieces(v, los, his, tol):
+    return _pieces(Coefficient.constant(v).dense_integrals, los, his, tol)
+
+
+def _near_simpson(w, v, a, b, tol):
+    """w is within a few ulps of adaptive Simpson on the constant v over
+    [a, b], wherever that converges."""
+    try:
+        simpson = _adaptive_simpson(lambda t: v, a, b, tol)
+    except ToleranceError:
+        return True
+    # Simpson's (b - a) / 6 rounds to the subnormal grid on a tiny span
+    bound = 8 * (math.ulp(abs(v) * (b - a)) + abs(v) * math.ulp(0.0))
+    return abs(w - simpson) <= bound
+
+
 @settings(max_examples=400, deadline=None)
 @given(_VALUES, _spans(), _TOLS)
-@example(_REFINING, (1e4, 1e4 + 0.1), 1e-12)  # the first step does not converge
+@example(_REFINING, (1e4, 1e4 + 0.1), 1e-12)  # Simpson refines; the integral is v*0.1
 @example(1j, (0.0, 0.0), 1e-12)
-@example(3e307j, (1e4, math.nextafter(1e4, math.inf)), 1e-12)  # a non-finite first step
+@example(3e307j, (1e4, math.nextafter(1e4, math.inf)), 1e-12)
+@example(complex(-1e308, 1e308), (0.0, 100.0), 1e-12)  # a non-finite piece
+@example(1 + 0j, (1e4, 1e4 + 0.5), math.nan)
 def test_constant_simpson_is_the_first_simpson_step(v, span, tol):
-    [got] = _constant_simpson(v, [span], tol)
-    want = constant_simpson_reference(v, *span, tol)
-    if got is None:  # the first step refines or overflows, or tol is rejected
-        assert want[0] in ("Refines", "ToleranceError", "ValueError")
-    else:
-        assert outcome(lambda: got) == want
+    """Simpson's rule is exact on a constant, and a constant dense view
+    takes that exact value in one step: its integral over [a, b] is
+    v * (b - a) + 0j bit for bit, a non-finite one a ToleranceError, and
+    a tol that is not positive a ValueError."""
+    a, b = span
+    assert _constant_pieces(v, [a], [b], tol) == _pieces(_exact_pieces, v, [a], [b], tol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -449,14 +495,83 @@ def test_constant_simpson_is_the_first_simpson_step(v, span, tol):
     st.lists(st.sampled_from([0.0, 2.0**-40, 1e-12, 1e-4, 0.5]), min_size=1, max_size=12),
     _TOLS,
 )
-@example(_REFINING, 1e4, [0.1, 1e-4, 0.1], 1e-12)  # refines between accepted steps
+@example(_REFINING, 1e4, [0.1, 1e-4, 0.1], 1e-12)  # Simpson refines between pieces
+@example(complex(-1e308, 1e308), 0.0, [1e-4, 100.0, 0.5], 1e-12)  # the 2nd piece overflows
 def test_constant_simpson_of_a_run_is_each_step_alone(v, start, widths, tol):
+    """A run's steps integrate in one dense_integrals call as each does
+    alone, in order, up to the error of the first that fails."""
     xs = [start]
     for w in widths:
         xs.append(xs[-1] + w)
-    steps = [_constant_simpson(v, [(a, b)], tol)[0] for a, b in zip(xs, xs[1:])]
-    assert outcome(lambda: tuple(_constant_simpson(v, zip(xs, xs[1:]), tol))) == outcome(
-        lambda: tuple(steps)
+    got, result = _constant_pieces(v, xs[:-1], xs[1:], tol)
+    assert (got, result) == _pieces(_exact_pieces, v, xs[:-1], xs[1:], tol)
+    alone = []
+    for a, b in zip(xs, xs[1:]):
+        step = outcome(Coefficient.constant(v).dense_integral, a, b, tol)
+        if isinstance(step[0], str) and step[0].endswith("Error"):
+            assert result == step
+            break
+        alone.append(step)
+    assert got == tuple(alone)
+
+
+def test_constant_simpson_declines_a_refining_first_step(monkeypatch):
+    """Where Simpson's first step over [a, b] misses tol and refines, a
+    constant dense view still takes one step: v * (b - a) + 0j, within a
+    few ulps of the refined Simpson value."""
+    a, b, tol = 1e4, 1e4 + 0.1, 1e-12
+    steps = []
+    step = timescale._simpson_step
+    monkeypatch.setattr(
+        timescale, "_simpson_step", lambda *args: steps.append(args[1:3]) or step(*args)
+    )
+    _adaptive_simpson(lambda t: _REFINING, a, b, tol)
+    assert len(steps) > 1
+    steps.clear()
+    w = Coefficient.constant(_REFINING).dense_integral(a, b, tol)
+    assert steps == []
+    assert outcome(lambda: w) == outcome(lambda: _REFINING * (b - a) + 0j)
+    assert _near_simpson(w, _REFINING, a, b, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES, _spans(), _TOLS)
+@example(_REFINING, (1e4, 1e4 + 0.1), 1e-12)
+@example(1 + 0j, (1e4, 1e4 + 0.5), math.nan)
+def test_constant_dense_integral_is_adaptive_simpson(v, span, tol):
+    """A constant dense view's integral over [a, b] is within a few ulps of
+    adaptive Simpson wherever that converges, and meets the same
+    ValueError where tol is not positive."""
+    coeff = Coefficient.constant(v)
+    got = outcome(coeff.dense_integral, *span, tol)
+    if not tol > 0:
+        assert got == outcome(_adaptive_simpson, lambda t: v, *span, tol)
+    elif cmath.isfinite(v * (span[1] - span[0])):
+        assert _near_simpson(coeff.dense_integral(*span, tol), v, *span, tol)
+
+
+def test_constant_simpson_overflow_is_a_tolerance_error(monkeypatch):
+    """An infinite constant piece is the ToleranceError adaptive Simpson
+    raises where its arithmetic overflows, after the pieces before it."""
+    def overflowing_abs(x):
+        raise OverflowError("absolute value too large")
+
+    monkeypatch.setattr(timescale, "abs", overflowing_abs, raising=False)
+    want = outcome(_adaptive_simpson, lambda t: 1j, 0.0, 1.0, 1e-12)
+    assert want == ("ToleranceError", "quadrature overflows on [0.0, 1.0]", None)
+    # the exact integral calls neither Simpson nor its abs
+    assert Coefficient.constant(1j).dense_integral(0.0, 1.0, 1e-12) == 1j
+    monkeypatch.undo()
+    v = 3e307j
+    los, his = [0.0, -1e4, 0.0], [1.0, -1e4 + 100.0, 0.5]
+    assert _constant_pieces(v, los, his, 1e-12) == (
+        outcome(lambda: (v,)),
+        ("ToleranceError", "quadrature overflows on [-10000.0, -9900.0]", None),
+    )
+    assert outcome(Coefficient.constant(1e308 + 0j).dense_integral, 0.0, 10.0, 1e-12) == (
+        "ToleranceError",
+        "quadrature overflows on [0.0, 10.0]",
+        None,
     )
 
 
@@ -464,35 +579,8 @@ def test_simpson_rejects_a_nan_tolerance():
     # no piece meets it: near 1e4 every piece would refine toward sub-ulp width
     with pytest.raises(ValueError, match="tol must be positive"):
         _adaptive_simpson(lambda t: 1 + 0j, 1e4, 1e4 + 0.5, math.nan)
-    assert _constant_simpson(1 + 0j, [(1e4, 1e4 + 0.5)], math.nan) == [None]
-
-
-def test_constant_simpson_declines_a_refining_first_step():
-    assert _constant_simpson(_REFINING, [(1e4, 1e4 + 0.1)], 1e-12) == [None]
-    assert constant_simpson_reference(_REFINING, 1e4, 1e4 + 0.1, 1e-12)[0] == "Refines"
-
-
-@settings(max_examples=300, deadline=None)
-@given(_VALUES, _spans(), _TOLS)
-@example(_REFINING, (1e4, 1e4 + 0.1), 1e-12)
-def test_constant_dense_integral_is_adaptive_simpson(v, span, tol):
-    coeff = Coefficient.constant(v)
-    assert outcome(coeff.dense_integral, *span, tol) == outcome(
-        lambda: _adaptive_simpson(lambda t: v, *span, tol) + 0j
-    )
-
-
-def test_constant_simpson_overflow_is_a_tolerance_error(monkeypatch):
-    def overflowing_abs(x):
-        raise OverflowError("absolute value too large")
-
-    monkeypatch.setattr(timescale, "abs", overflowing_abs, raising=False)
-    want = outcome(_adaptive_simpson, lambda t: 1j, 0.0, 1.0, 1e-12)
-    assert want == ("ToleranceError", "quadrature overflows on [0.0, 1.0]", None)
-    # the batched first step declines, and full Simpson raises in its turn
-    assert _constant_simpson(1j, [(0.0, 1.0)], 1e-12) == [None]
-    coeff = Coefficient.constant(1j)
-    assert outcome(coeff.dense_integral, 0.0, 1.0, 1e-12) == want
+    with pytest.raises(ValueError, match="tol must be positive"):
+        Coefficient.constant(1 + 0j).dense_integral(1e4, 1e4 + 0.5, math.nan)
 
 
 def _simpson_calls(monkeypatch):
@@ -520,19 +608,40 @@ def test_constant_coefficient_dense_steps_call_no_quadrature(monkeypatch, coeff_
 @pytest.mark.parametrize("family", [ExpFamily.CAYLEY, ExpFamily.HILGER_DELTA])
 def test_graininess_coefficient_with_a_dense_value_calls_no_quadrature(monkeypatch, family):
     """The product law's combined coefficient: given its constant dense
-    value, its grid exponential calls no quadrature and is bit for bit the
-    one whose dense view evaluates fn(0.0, t) under full Simpson."""
+    value, its grid exponential calls no quadrature, is bit for bit the
+    per-step reference that integrates that value exactly, and is within
+    rounding of the one whose dense view evaluates fn(0.0, t) under full
+    Simpson."""
     a, b = 0.6 - 0.4j, -0.3 + 0.2j
     oplus = _STEP_RULES[family].oplus
     grid = W.make_grid(0.0, 4.0, 0.05)
     values = lambda coeff: exp_evaluate_grid(family, W, coeff, 0.0, grid, TOL).values
     plain = graininess_coefficient(W, lambda mu, s: oplus(mu, a, b))
-    want = outcome(values, plain)
+    simpson = values(plain)
     calls = _simpson_calls(monkeypatch)
     fast = graininess_coefficient(W, lambda mu, s: oplus(mu, a, b), oplus(0.0, a, b))
-    assert outcome(values, fast) == want
+    got = values(fast)
     assert calls == []
+    want = _reference_grid_values(family, W, fast, 0.0, grid, TOL)
+    assert outcome(lambda: got) == outcome(lambda: want)
+    assert all(abs(u - w) <= 1e-14 * abs(w) for u, w in zip(got, simpson))
     assert fast.dense(0.5) == plain.dense(0.5) and fast(1.5) == plain(1.5)
+
+
+def test_bohner_peterson_pair_of_a_dense_value_calls_no_quadrature(monkeypatch):
+    """hyp_grid negates the coefficient for its minus exponential, and the
+    negation keeps the constant dense view: neither side integrates by
+    Simpson."""
+    coeff = graininess_coefficient(W, lambda mu, s: 0.4 + mu, 0.4)
+    grid = W.make_grid(0.0, 4.0, 0.05)
+    calls = _simpson_calls(monkeypatch)
+    pair = hyp_grid(TrigFamily.BOHNER_PETERSON, W, coeff, 0.0, grid, TOL)
+    assert calls == []
+    monkeypatch.undo()
+    plain = graininess_coefficient(W, lambda mu, s: 0.4 + mu)
+    want = hyp_grid(TrigFamily.BOHNER_PETERSON, W, plain, 0.0, grid, TOL)
+    for got, simpson in zip(pair.c_values + pair.s_values, want.c_values + want.s_values):
+        assert _close(got, simpson, 1e-14)
 
 
 # -- the run walk against one record per step --------------------------------------
