@@ -32,9 +32,9 @@ from .timescale import (
     IsolatedPoint,
     TimeScale,
     _Jumps,
+    _normalized_scale,
     _points,
     _uniform_points,
-    normalize_components,
 )
 from .transforms import as_coefficient, graininess_coefficient
 from .exponential import (
@@ -144,7 +144,7 @@ def parse_scale(text: str) -> TimeScale:
         if sc.at_end():
             sc.fail("dangling '+'")
     try:
-        return TimeScale(normalize_components(comps))
+        return _normalized_scale(comps)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

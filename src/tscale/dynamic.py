@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
-from operator import mul
+from operator import mul, truediv
 from typing import Callable
 
 from .errors import (
@@ -137,8 +137,10 @@ def solve_first_order(
     the regressivity validation guarantees to be possible. The grid is
     walked once, by the checked walk of the grid exponentials
     (exponential._validate_regressive), and the step factors are taken
-    from its records. A marched value or step factor that overflows
-    raises ToleranceError.
+    from its items (exponential._grid_steps), a stretch of scattered steps
+    with C-level maps; the values are marched forward and back from the
+    anchor with C-level accumulates. A marched value or step factor that
+    overflows raises ToleranceError.
 
     Every scheme steps from a right-dense point past its interval's
     unsampled upper end by the exponential of the dense view's delta
@@ -159,12 +161,15 @@ def solve_first_order(
     steps = _grid_steps(pts, after, coeff, read, step, dense)
     values[anchor:] = accumulate(steps, mul, initial=values[anchor])  # values[k] * factor
     back = list(_grid_steps(pts, before, coeff, read, step, dense))
-    for k in range(anchor - 1, -1, -1):
+    if 0 in back or not all(map(cmath.isfinite, back)):
+        # the first factor that cannot be inverted, marching down from the anchor
+        k = max(k for k, f in enumerate(back) if f == 0 or not cmath.isfinite(f))
         if back[k] == 0:
             raise RegressivityError("zero step factor cannot be inverted")
-        if not cmath.isfinite(back[k]):
-            raise ToleranceError(f"step factor {back[k]!r} at t={pts[k]!r} is not finite")
-        values[k] = values[k + 1] / back[k]
+        raise ToleranceError(f"step factor {back[k]!r} at t={pts[k]!r} is not finite")
+    # values[k] = values[k + 1] / the step's factor, from the anchor down
+    back = accumulate(reversed(back), truediv, initial=values[anchor])
+    values[: anchor + 1] = reversed(list(back))
     # a non-finite x0 is the caller's, and SampledFunction reports it
     if cmath.isfinite(values[anchor]) and not all(map(cmath.isfinite, values)):
         bad = [k for k, v in enumerate(values) if not cmath.isfinite(v)]

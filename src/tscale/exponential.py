@@ -16,8 +16,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
-from itertools import accumulate, repeat
-from operator import add, sub
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
+from operator import add, mul, not_, sub
 from typing import Sequence
 
 from .errors import (
@@ -28,13 +28,12 @@ from .errors import (
     SingularError,
     ToleranceError,
 )
-from .timescale import DEFAULT_TOL, ClosedInterval, Grid, Run, TimeScale, _Jumps
+from .timescale import DEFAULT_TOL, ClosedInterval, Grid, Run, Stretch, TimeScale, _Jumps
 from .transforms import (
     BACKWARD_RULE,
     CAYLEY_RULE,
     EXACT_RULE,
     FORWARD_RULE,
-    STEP_MEMO_SIZE,
     Coefficient,
     StepRule,
     _exp,
@@ -126,10 +125,12 @@ class _Terms:
     repeat their gaps, and a uniform one has a handful. This is bit for
     bit, since the check and the log are pure functions of (mu, alpha). A
     constant coefficient's value is one object, so its steps are keyed by
-    mu alone, and fold takes a stretch of them with C-level maps: the gaps
-    are finite and above the membership tolerance, so a key is no NaN and
-    no signed zero. It evaluates the coefficient once per distinct gap.
-    Any other coefficient is evaluated once per component, and its steps
+    mu alone, and fold takes a stretch of them with the bulk gap fold the
+    grid walk uses too (_by_gap): the gaps are finite and above the
+    membership tolerance, so a key is no NaN and no signed zero. It
+    evaluates the coefficient once per distinct gap. Any other
+    coefficient is evaluated once per component (Coefficient.at_step, with
+    the gap the fold holds), and its steps
     are keyed by (mu, alpha). Keys that compare equal differ at most in
     the sign of a zero: the abs tests of the check cannot tell them apart,
     and their logs differ at most in the sign of a zero, which the fold,
@@ -158,20 +159,18 @@ class _Terms:
         is first taken."""
         if not self._constant:
             return reduce(add, map(self.log, range(lo, e)), total)
-        ends = self.ts._rights[lo:e]
-        mus = list(map(sub, self.ts._lefts[lo + 1 : e + 1], ends))
-        steps = self._steps
+        mus, steps = self.ts._gaps(lo, e), self._steps
         try:
             return reduce(add, map(steps.__getitem__, mus), total)
         except KeyError:  # a gap met for the first time
-            first = dict(zip(reversed(mus), reversed(ends)))  # each gap's first end
-            for mu in dict.fromkeys(mus):  # in order of first occurrence
-                if mu not in steps:
-                    s = first[mu]
-                    alpha = self.coeff(s)
-                    self._rule.check(s, mu * alpha, "alpha")
-                    steps[mu] = self._rule.log(mu, alpha)
+            _by_gap(steps, mus, self.ts._rights[lo:e], self._checked_log)
         return reduce(add, map(steps.__getitem__, mus), total)
+
+    def _checked_log(self, mu: float, s: float) -> complex:
+        """The step log of graininess mu at s, checked for regressivity."""
+        alpha = self.coeff.at_step(mu, s)
+        self._rule.check(s, mu * alpha, "alpha")
+        return self._rule.log(mu, alpha)
 
     def log(self, k: int) -> complex:
         """Step log at the right end of component k for a coefficient that
@@ -182,7 +181,7 @@ class _Terms:
             comps = self.ts.components
             s = comps[k].right
             mu = comps[k + 1].left - s
-            alpha = self.coeff(s)
+            alpha = self.coeff.at_step(mu, s)
             w = self._steps.get((mu, alpha))
             if w is None:
                 self._rule.check(s, mu * alpha, "alpha")
@@ -370,7 +369,8 @@ def _grid_log_integrals(
     scan from the range's lower end meets them. An off-grid t0 starts from
     the checked stretch to the first grid point (_log_integral_range). One
     walk (_validate_regressive, checking by rule unless it is None) is
-    folded forward and back from the anchor: linear in the grid size.
+    folded forward and back from the anchor, each a C-level accumulate:
+    linear in the grid size.
     """
     pts = grid.points
     if not t0 <= pts[0]:  # a NaN t0 too
@@ -387,8 +387,8 @@ def _grid_log_integrals(
     steps = _grid_steps(pts, after, coeff, read, log, dense)
     logs[anchor:] = accumulate(steps, initial=logs[anchor])  # logs[k] + the step's log
     back = list(_grid_steps(pts, before, coeff, read, log, dense))
-    for k in range(anchor - 1, -1, -1):
-        logs[k] = logs[k + 1] - back[k]
+    # logs[k] = logs[k + 1] - the step's log, from the anchor down
+    logs[: anchor + 1] = reversed(list(accumulate(reversed(back), sub, initial=logs[anchor])))
     return logs
 
 
@@ -401,40 +401,84 @@ def _validate_regressive(
     grid point (None for a constant coefficient, read once here, or where
     rule is None). A step of graininess zero cannot degenerate, and the
     left-scattered maximum takes none, so only scattered steps are
-    checked, each distinct m = mu * alpha once (StepRule.checker).
+    checked; the coefficient is read there by Coefficient.at_step, with the
+    graininess the walk holds.
+
+    A stretch is checked as a whole, raising where a loop over its steps
+    would, at the same t. A constant coefficient's m = mu * alpha is
+    tested once per distinct gap, in order of first occurrence, at its
+    first point (_by_gap). Any other coefficient is read and its m tested
+    through one chain of C-level maps that stops at the first step that
+    degenerates, reading no point past it.
     """
-    check = None if rule is None else rule.checker()
     constant = coeff.is_constant
-    read = None if constant or check is None else {}
+    read = None if constant or rule is None else {}
     a = coeff.constant_value if constant else None  # one object, read once
     items = []
     for item in ts.walk_runs(points):
         items.append(item)
-        if check is None or isinstance(item, Run):
+        if rule is None or isinstance(item, Run):
+            continue
+        if isinstance(item, Stretch):
+            k, _, _, mus = item
+            ps = points[k : k + len(mus)]
+            if constant:
+                _by_gap({}, mus, ps, lambda mu, p: rule.check(p, mu * a, name))
+                continue
+            # read and tested a step at a time, lazily: no read past the
+            # first step that degenerates
+            reads, alphas = tee(map(coeff.at_step, mus, ps))
+            ms = map(mul, mus, reads)
+            bad = next(compress(count(), map(rule.degenerate, ms)), None)
+            if bad is not None:
+                rule.check(ps[bad], mus[bad] * list(islice(alphas, bad + 1))[-1], name)
+            read.update(zip(ps, alphas))
             continue
         p, q, s, mu, _, tt = item
         if q is not None and s > tt:
             if not constant:
-                a = read[p] = coeff(p)
-            check(p, mu * a, name)
+                a = read[p] = coeff.at_step(mu, p)
+            rule.check(p, mu * a, name)
     return items, read
+
+
+def _by_gap(memo: dict, mus: list[float], ps: Sequence[float], fn) -> None:
+    """The bulk fold of a stretch of scattered steps of a constant
+    coefficient, shared by the grid walk and the running exponent
+    (_Terms.fold): memo[mu] = fn(mu, p) for each distinct gap mu of the
+    steps that memo lacks, in order of first occurrence, p the point the
+    first step of that gap leaves. The gaps are finite and above the
+    membership tolerance, so none is a NaN or a signed zero, and fn is a
+    function of the gap: taken once per distinct gap it gives each step's
+    value bit for bit, and a fn that raises does so at the first step a
+    loop over them would raise at. The gaps are looked up in memo by one
+    chain of C-level maps, which sees each gap taken as it goes."""
+    for i in compress(count(), map(not_, map(memo.__contains__, mus))):
+        memo[mus[i]] = fn(mus[i], ps[i])
 
 
 def _split_steps(items, anchor):
     """The walk items of the steps before point anchor and of the steps
-    from it on, a run across the anchor cut there; the last point's
-    record, which has no step, is dropped."""
+    from it on, a run or stretch across the anchor cut there; the last
+    point's record, which has no step, is dropped."""
     k = 0  # the index of the item's first point
     for n, item in enumerate(items):
-        end = k + len(item.points) - 1 if isinstance(item, Run) else k + 1
+        if isinstance(item, Run):
+            end = k + len(item.points) - 1
+        else:
+            end = k + len(item.mus) if isinstance(item, Stretch) else k + 1
         if end > anchor:
             break
         k = end
     before, after = items[:n], items[n:-1]
     if k < anchor:
-        xs = items[n].points
-        before.append(Run(k, xs[: anchor - k + 1]))
-        after[0] = Run(anchor, xs[anchor - k :])
+        item, j = items[n], anchor - k
+        if isinstance(item, Run):
+            before.append(Run(k, item.points[: j + 1]))
+            after[0] = Run(anchor, item.points[j:])
+        else:
+            before.append(Stretch(k, item.lo, item.lo + j, item.mus[:j]))
+            after[0] = Stretch(anchor, item.lo + j, item.stop, item.mus[j:])
     return before, after
 
 
@@ -443,37 +487,55 @@ def _grid_steps(pts, items, coeff, read, step, dense):
     pts: step(mu, a) at a scattered point p (mu the gap to its jump, a the
     coefficient at p, from read where the walk's check read it), and
     dense(ps, xs) over the steps between consecutive grid points ps, xs
-    being a run's located points or None for one step outside a run.
+    being a run's located points or None for one step outside a run. Each
+    item's increments are one iterable, chained at C level.
 
     A constant coefficient's value is one object, so its step is a
-    function of mu alone and is taken once per distinct mu, bit for bit;
-    the first STEP_MEMO_SIZE are kept. Any other coefficient's step is
-    taken at every step: two of its values that compare equal can differ
-    in the sign of a zero part, which a fold from an off-grid anchor's
-    exponent keeps.
+    function of mu alone and is taken once per distinct mu, bit for bit:
+    a stretch's gaps are mapped through the walk's memo (_by_gap). Any
+    other coefficient's step is taken at every step, a stretch's with one
+    map: two of its values that compare equal can differ in the sign of a
+    zero part, which a fold from an off-grid anchor's exponent keeps.
     """
     memo: dict[float, complex] = {}  # by mu, for a constant coefficient
-    keep = coeff.is_constant
-    for item in items:
-        if isinstance(item, Run):
-            k, xs = item
-            yield from dense(pts[k : k + len(xs)], xs)
-            continue
-        p, q, s, _, _, tt = item
-        if s <= tt:
-            yield from dense((p, q), None)
-            continue
-        if abs(s - q) > 1e-12:
-            raise GridError(
-                f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
-            )
-        mu = s - p
-        w = memo.get(mu)
-        if w is None:
-            w = step(mu, coeff(p) if read is None else read[p])
-            if keep and len(memo) < STEP_MEMO_SIZE:
-                memo[mu] = w
-        yield w
+    constant = coeff.is_constant
+
+    def increments():
+        for item in items:
+            if isinstance(item, Run):
+                k, xs = item
+                yield dense(pts[k : k + len(xs)], xs)
+                continue
+            if isinstance(item, Stretch):
+                k, _, _, mus = item
+                ps = pts[k : k + len(mus)]
+                if constant:
+                    _by_gap(memo, mus, ps, lambda mu, p: step(mu, coeff.at_step(mu, p)))
+                    yield map(memo.__getitem__, mus)
+                else:
+                    if read is None:
+                        alphas = map(coeff.at_step, mus, ps)
+                    else:
+                        alphas = map(read.__getitem__, ps)
+                    yield map(step, mus, alphas)
+                continue
+            p, q, s, mu, _, tt = item
+            if s <= tt:
+                yield dense((p, q), None)
+                continue
+            if abs(s - q) > 1e-12:
+                raise GridError(
+                    f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
+                )
+            h = s - p
+            w = memo.get(h)
+            if w is None:
+                w = step(h, coeff.at_step(mu, p) if read is None else read[p])
+                if constant:
+                    memo[h] = w
+            yield (w,)
+
+    return chain.from_iterable(increments())
 
 
 def _dense_integrals(ts: TimeScale, coeff: Coefficient, tol: float, ps, xs):
@@ -506,7 +568,7 @@ def _hilger_grid_lenient(
         pass
     pts, (_, t0s) = grid.points, ts._locate(t0)
     steps = ts.scattered_points(min(pts[0], t0s), max(pts[-1], t0s))
-    read = {s: coeff(s) for s, _ in steps}
+    read = {s: coeff.at_step(mu, s) for s, mu in steps}
     zero = next((s for s, mu in steps if FORWARD_RULE.factor(mu, read[s]) == 0), None)
     if zero is not None and zero < t0s:
         raise SingularError("cannot evaluate backward through a degenerate (zero) step factor")
@@ -531,7 +593,17 @@ def _hilger_grid_lenient(
 
 
 def _exp_point(family: ExpFamily, ts: TimeScale, coeff, t, t0, tol) -> complex:
-    return _exp(_log_integral_range(family, ts, as_coefficient(coeff), t0, t, tol))
+    return _finite_exp(_log_integral_range(family, ts, as_coefficient(coeff), t0, t, tol))
+
+
+def _finite_exp(w: complex) -> complex:
+    """_exp of a pointwise exponent, with a value that is not finite (an
+    exponent summed to an infinite real part, which cmath.exp does not
+    reject) reported as the same overflow."""
+    v = _exp(w)
+    if not cmath.isfinite(v):
+        raise ToleranceError(f"exponential overflows at exponent {w!r}")
+    return v
 
 
 def check_semigroup(
@@ -573,7 +645,7 @@ def _exp_runs(family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol):
 
     def exp_from(anchor):
         to = _Exponent(terms, anchor).to
-        return lambda x: _exp(to(x))
+        return lambda x: _finite_exp(to(x))
 
     return exp_from
 

@@ -12,29 +12,39 @@ Cost model, for a scale of C components: uniform, isolated and the
 CLI's points and uniform terms make their isolated points with two C-level
 maps over the values (_points), no Python call per point. Construction
 and normalize_components test isolated points already in order with a few
-C-level maps over their values, and check or merge one component at a
-time any other input. Locating a point costs O(log C), since a bisection over the component left endpoints picks the
-few neighbouring components whose membership tests decide. A jump
+C-level maps over their values, which parse_scale and union read once for
+both (_normalized_scale), and check or merge one component at a time any
+other input. Locating a point costs O(log C), since a bisection over the
+component left endpoints picks the few neighbouring components whose
+membership tests decide. A jump
 operator, graininess, classification or membership query is one lookup.
 TimeScale.walk_runs over a grid of N points takes the steps inside one
-closed interval as one run, takes a point that is the forward jump of
-the one before as located at the next component, and locates every other
-point. On ascending points (checked once per walk) a run's
-interior is one slice found by bisection, C-level work a point; only
-the points within the membership tolerance of an interval end are
-compared and snapped one at a time, a few float comparisons each, with
-no lookup, record or call. On a grid such as make_grid gives, only the
-first point is looked up, so a walk costs O(N + log C) plus O(log N) per
-interval it enters, plus the quadrature of its dense steps, and grid
-evaluations and solvers built on it are linear in N. Each walks its grid
-once (exponential._validate_regressive), checking a scattered step's
-m = mu * alpha once per distinct m; it takes a constant coefficient's
-step log or factor once per distinct mu and evaluates any other
-coefficient once per scattered step, reusing the value read. A constant
-dense view integrates a run exactly (Coefficient.dense_integrals): each
-dense step is the value times its width, C-level maps over the run's
-points and no call. A query over a range [t0, t1] (scattered_points,
-dense_segments, make_grid) locates both ends and scans only the K
+closed interval as one run, and the steps between consecutive isolated
+points that each land on their forward jump as one stretch; it takes a
+point that is the forward jump of the one before as located at the next
+component, and locates every other point. On ascending points (checked
+once per walk, at its first run) a run's interior is one slice found by bisection, C-level
+work a point; only the points within the membership tolerance of an
+interval end are compared and snapped one at a time, a few float
+comparisons each, with no lookup, record or call. A stretch is the grid
+compared with the component left ends at C level, a slice at a time, and
+yields no record. On a grid such as make_grid gives, only the first point
+is looked up, so a walk costs O(N + log C) plus O(log N) per interval it
+enters, plus the quadrature of its dense steps, and grid evaluations,
+solvers and jump tables built on it are linear in N, C-level work a point
+on a discrete scale. Each walks its grid once
+(exponential._validate_regressive), checking a stretch with C-level maps:
+a constant coefficient's m = mu * alpha once per distinct gap, any other
+coefficient read with one map (Coefficient.at_step, with the graininess
+the walk holds) and each step tested up to the first that fails. It takes
+a constant coefficient's step log or factor once per distinct gap, a
+stretch's gaps mapped through a memo (exponential._by_gap, the bulk fold
+the running exponent shares), and evaluates any other coefficient once
+per scattered step, reusing the value read. A constant dense view
+integrates a run exactly (Coefficient.dense_integrals): each dense step
+is the value times its width, C-level maps over the run's points and no
+call. A query over a range [t0, t1] (scattered_points, dense_segments,
+make_grid) locates both ends and scans only the K
 components from the one holding the lower end to the one after the upper
 end, O(log C + K), taking a stretch of isolated points as one slice of
 their ends; so does delta_integral, which runs the first two, plus the
@@ -211,6 +221,20 @@ class Run(NamedTuple):
     points: list[float]
 
 
+class Stretch(NamedTuple):
+    """Consecutive grid points that are consecutive points of the scale,
+    each step landing on its forward jump, taken by TimeScale.walk_runs:
+    the index of the first; the components lo to stop - 1, whose right
+    ends the steps' points are located at; and the graininess there
+    (TimeScale._gaps). The point after the last step is the left end of
+    component stop."""
+
+    start: int
+    lo: int
+    stop: int
+    mus: list[float]
+
+
 @dataclass(frozen=True)
 class TimeScale:
     """Finite union of closed intervals and isolated points, strictly ordered."""
@@ -224,12 +248,17 @@ class TimeScale:
             raise ValueError("a time scale needs at least one component")
         values = _point_values(comps)
         if values is not None and _valid_points(values):
-            lefts = rights = values
-            intervals = ()
-        else:
-            self._check_each(comps)  # raises the first error in order, if any
-            lefts, rights = tuple(map(_LEFT, comps)), tuple(map(_RIGHT, comps))
-            intervals = tuple(compress(count(), map(isinstance, comps, repeat(ClosedInterval))))
+            self._index(values, values, ())
+            return
+        self._check_each(comps)  # raises the first error in order, if any
+        self._index(
+            tuple(map(_LEFT, comps)),
+            tuple(map(_RIGHT, comps)),
+            tuple(compress(count(), map(isinstance, comps, repeat(ClosedInterval)))),
+        )
+
+    def _index(self, lefts: tuple, rights: tuple, intervals: tuple) -> None:
+        comps = self.components
         # The component ends, the left ends less the membership tolerance,
         # for bisection in _locate and the range queries, and the indices of
         # the intervals, between two of which lies a stretch of points. Not
@@ -400,6 +429,11 @@ class TimeScale:
         """
         return range(i, min(j + 2, len(self.components)))
 
+    def _gaps(self, lo: int, stop: int) -> list[float]:
+        """The graininess at the right ends of components lo to stop - 1,
+        each the gap to the next component's left end: one C-level map."""
+        return list(map(operator.sub, self._lefts[lo + 1 : stop + 1], self._rights[lo:stop]))
+
     def scattered_points(self, t0: float, t1: float) -> tuple[tuple[float, float], ...]:
         """Right-scattered members s in [t0, t1) with their graininess, ascending.
 
@@ -416,8 +450,7 @@ class TimeScale:
         stop = min(self._scan(i, j).stop, len(rights) - 1)
         lo = bisect_left(rights, a, i, stop)
         hi = bisect_left(rights, b, lo, stop)
-        ends = rights[lo:hi]
-        return tuple(zip(ends, map(operator.sub, self._lefts[lo + 1 : hi + 1], ends)))
+        return tuple(zip(rights[lo:hi], self._gaps(lo, hi)))
 
     def dense_segments(self, t0: float, t1: float) -> tuple[tuple[float, float], ...]:
         """Nondegenerate interval pieces of the scale clipped to [t0, t1]."""
@@ -489,46 +522,67 @@ class TimeScale:
         over a step with a span is one quadrature over the span
         (Coefficient.dense_integral).
 
-        These are the records of walk_runs, each run expanded into the
-        records of its steps: (p, q, x, 0.0, (x, y), x) for consecutive
-        located points x, y of the run.
+        These are the records of walk_runs, each run and stretch expanded
+        into the records of its steps: (p, q, x, 0.0, (x, y), x) for
+        consecutive located points x, y of a run, and (p, q, s, s - x,
+        None, x) for a stretch's step from the right end x of a component
+        to the next one's left end s.
         """
+        lefts, rights = self._lefts, self._rights
         for item in self.walk_runs(points):
             if isinstance(item, Run):
                 k, xs = item
                 for j in range(len(xs) - 1):
                     x = xs[j]
                     yield points[k + j], points[k + j + 1], x, 0.0, (x, xs[j + 1]), x
+            elif isinstance(item, Stretch):
+                k, lo, _, mus = item
+                for j, mu in enumerate(mus):
+                    p, q = points[k + j], points[k + j + 1]
+                    yield p, q, lefts[lo + j + 1], mu, None, rights[lo + j]
             else:
                 yield item
 
     def walk_runs(self, points: Sequence[float]) -> Iterator[tuple]:
         """The records of walk, with the steps inside a closed interval
-        taken a run at a time.
+        taken a run at a time and the steps between isolated points a
+        stretch at a time.
 
         A run is a maximal stretch of consecutive points whose steps each
         have a span (_extend_run decides each step), starting at any point
         located in a closed interval at or above its lower end. It is
         reported as one Run(start, points): the index of its first point
         and the located points, one more than its steps, in one closed
-        interval, each above the one before. The record of the run's last
-        point follows it. Every other point's record is reported as walk
-        reports it, with span None. The point after it is located with
-        _locate, unless it is the record's forward jump to the next
-        component, the step between two isolated points on a make_grid
-        grid: _locate would find it in that component at its left end, so
-        it is taken as located there. Whether the points ascend is
-        checked once per walk; if they do, a run's interior is taken as
-        one slice, and only its points within the membership tolerance of
-        an interval end are compared and snapped one at a time, a few
-        float comparisons each, with no lookup and no record.
+        interval, each above the one before. Whether the points ascend is
+        checked once per walk, at its first run; if they do, a run's
+        interior is taken as one slice, and only its points within the
+        membership tolerance of an interval end are compared and snapped
+        one at a time, a few float comparisons each, with no lookup and no
+        record.
+
+        A stretch starts at a point equal to the isolated point it is
+        located at, when the next point is that point's forward jump, the
+        next component's left end. It runs on while each next point is the
+        next component's left end and each point a step leaves is an
+        isolated point: one Stretch(start, lo, stop, mus), found by
+        comparing the points with the component left ends a slice at a
+        time, at C level (_matched), each slice twice the last, so that a
+        stretch of m steps costs O(m) C-level work and no record. The next
+        interval, found by bisection, bounds it.
+
+        The record of a run's or stretch's last point follows it. Every
+        other point's record is reported as walk reports it, with span
+        None. The point after it is located with _locate, unless it is the
+        record's forward jump to the next component: _locate would find it
+        in that component at its left end, so it is taken as located there.
         """
-        comps, lefts = self.components, self._lefts
+        comps, lefts, intervals = self.components, self._lefts, self._intervals
         last, lsm = len(comps) - 1, self._left_scattered_max
         n = len(points)
-        # checked once per walk: a run's interior is sliced only from
-        # ascending points, so a run never needs its order checked again
-        ascending = all(map(operator.lt, points, points[1:]))
+        # checked once per walk, at the first run: a run's interior is
+        # sliced only from ascending points, so a run never needs its order
+        # checked again
+        ascending = None
         located = self._locate(points[0])
         k = 0
         while True:
@@ -542,14 +596,26 @@ class TimeScale:
             if k + 1 == n:
                 yield p, None, s, mu, None, tt
                 return
-            if dense and comp.lo <= tt:
-                xs = [tt]
-                end = _extend_run(points, k, comp, xs, ascending)
-                if end > k:
-                    yield Run(k, xs)
-                    k, located = end, (i, xs[-1])
-                    continue
             q = points[k + 1]
+            if dense:
+                if comp.lo <= tt:
+                    if ascending is None:
+                        ascending = all(map(operator.lt, points, points[1:]))
+                    xs = [tt]
+                    end = _extend_run(points, k, comp, xs, ascending)
+                    if end > k:
+                        yield Run(k, xs)
+                        k, located = end, (i, xs[-1])
+                        continue
+            elif q == s > tt and p == tt:
+                # the steps between isolated points up to the next interval
+                # (or the last component), which a stretch may land on
+                nxt = bisect_right(intervals, i)
+                bound = intervals[nxt] if nxt < len(intervals) else last
+                m = _matched(points, k + 1, lefts, i + 1, min(bound - i, n - 1 - k))
+                yield Stretch(k, i, i + m, self._gaps(i, i + m))
+                k, located = k + m, (i + m, lefts[i + m])
+                continue
             # a jump to the next component's left end is located there:
             # construction keeps it out of component i, so _locate finds it
             # in component i + 1 and snaps it to that end
@@ -606,16 +672,17 @@ class TimeScale:
 
 class _Jumps:
     """The forward jump of each of ascending points, read by index from one
-    TimeScale.walk: sigma, mu (None at the left-scattered maximum), the
+    TimeScale.walk_runs: sigma, mu (None at the left-scattered maximum), the
     located value and, against a sample grid, next, the grid index of
-    sigma. A value the walk does not give is looked up: a grid index where
-    a point is not its own grid point, the backward jump of a point no span
-    reaches, the jump of a jump that is no point. Past a non-member the
-    points are walked one at a time; check(k) raises the error of locating
-    point k, where a loop locating each point would meet it, as do
-    located_index(k) and jump_index(k). One walk per report: a report builds
-    its table, and the oscillator-cayley report shares one between its two
-    passes.
+    sigma. A run's and a stretch's columns are filled from slices: a run's
+    located points, and a stretch's component ends and gaps. A value the
+    walk does not give is looked up: a grid index where a point is not its
+    own grid point, the backward jump of a point no span reaches, the jump
+    of a jump that is no point. Past a non-member the points are walked one
+    at a time; check(k) raises the error of locating point k, where a loop
+    locating each point would meet it, as do located_index(k) and
+    jump_index(k). One walk per report: a report builds its table, and the
+    oscillator-cayley report shares one between its two passes.
     """
 
     def __init__(self, ts: TimeScale, points: Sequence[float], grid: Grid | None = None):
@@ -623,23 +690,45 @@ class _Jumps:
         self._aligned = grid is not None and points is grid.points
         self.sigma, self.mu, self.located = [], [], []
         self._spanned = [False]  # whether the step to each point has a span
+        self._next: list[int] = []  # next where a stretch gives it, else -1
         self._errors: dict[int, DomainError] = {}
         try:
-            self._add(ts.walk(points))
+            self._add(ts.walk_runs(points))
         except DomainError:  # locating a point loses the record before it
             for p in points[len(self.sigma) :]:
                 try:
-                    self._add(ts.walk((p,)))
+                    self._add(ts.walk_runs((p,)))
                 except DomainError as exc:
                     self._errors[len(self.sigma)] = exc
                     self._add([(p,) + (None,) * 5])
 
-    def _add(self, records) -> None:
-        for _, _, s, mu, span, tt in records:
-            self.sigma.append(s)
-            self.mu.append(mu)
-            self.located.append(tt)
-            self._spanned.append(span is not None)
+    def _add(self, items) -> None:
+        ts = self.ts
+        for item in items:
+            if isinstance(item, Run):
+                xs = item.points[:-1]
+                self.sigma += xs
+                self.mu += [0.0] * len(xs)
+                self.located += xs
+                self._spanned += [True] * len(xs)
+                self._next += [-1] * len(xs)
+            elif isinstance(item, Stretch):
+                k, lo, stop, mus = item
+                m = len(mus)
+                self.sigma += ts._lefts[lo + 1 : stop + 1]
+                self.mu += mus
+                self.located += ts._rights[lo:stop]
+                self._spanned += [False] * m
+                # each jump is the next point, more than the tolerance above
+                # the point: Grid.index_of finds it there and nowhere below
+                self._next += range(k + 1, k + 1 + m) if self._aligned else [-1] * m
+            else:
+                _, _, s, mu, span, tt = item
+                self.sigma.append(s)
+                self.mu.append(mu)
+                self.located.append(tt)
+                self._spanned.append(span is not None)
+                self._next.append(-1)
 
     def check(self, k: int) -> None:
         if k in self._errors:
@@ -656,7 +745,11 @@ class _Jumps:
 
     @cached_property
     def next(self) -> list[int | None]:
-        return [None if s is None else self.index(k, s) for k, s in enumerate(self.sigma)]
+        index = self.index
+        return [
+            j if j >= 0 else None if s is None else index(k, s)
+            for k, (s, j) in enumerate(zip(self.sigma, self._next))
+        ]
 
     def located_index(self, k: int) -> int:
         """The grid index of the located value; GridError, as a sample
@@ -735,6 +828,20 @@ def _extend_run(
     return len(points) - 1
 
 
+def _matched(a: Sequence[float], i: int, b: tuple, j: int, limit: int) -> int:
+    """The length of the longest common prefix of a[i:] and the tuple
+    b[j:], at most limit: compared a slice at a time at C level, each slice
+    twice the last, so linear in the length found."""
+    n, size = 0, 16
+    while n < limit:
+        end = min(n + size, limit)
+        xs, ys = tuple(a[i + n : i + end]), b[j + n : j + end]
+        if xs != ys:
+            return next(compress(count(n), map(operator.ne, xs, ys)))
+        n, size = end, 2 * size
+    return limit
+
+
 def _snap(comp: ClosedInterval, t: float) -> float:
     """Canonical value of a t that comp accepts: an endpoint within the
     membership tolerance of t, or t itself."""
@@ -779,10 +886,8 @@ def normalize_components(components: Iterable[Component]) -> tuple[Component, ..
     """
     comps = tuple(components)
     values = _point_values(comps)
-    if values is not None:
-        after = map(operator.add, values, repeat(MEMBERSHIP_TOL))
-        if all(map(operator.lt, after, islice(values, 1, None))):
-            return comps
+    if values is not None and _in_order(values):
+        return comps
     comps = sorted(comps, key=lambda c: (c.left, c.right))
     merged: list[list[float]] = []  # [lo, hi] pairs, point when lo == hi
     for c in comps:
@@ -808,11 +913,36 @@ def normalize_components(components: Iterable[Component]) -> tuple[Component, ..
     return tuple(out)
 
 
+def _in_order(values: tuple) -> bool:
+    """normalize_components' test that isolated points of these values are
+    in order, with C-level maps: each past the one before by more than the
+    tolerance (a + tol < b, as its merge loop tests a touch)."""
+    after = map(operator.add, values, repeat(MEMBERSHIP_TOL))
+    return all(map(operator.lt, after, islice(values, 1, None)))
+
+
+def _normalized_scale(components: Iterable[Component]) -> TimeScale:
+    """TimeScale(normalize_components(components)), the values of isolated
+    points read once: points that pass both normalize_components' order
+    test and construction's checks make the scale at once. The two gap
+    tests, a + tol < b and b - a > tol, can disagree by an ulp, so each is
+    kept. Any other input takes normalize_components and construction,
+    which raise the errors."""
+    comps = tuple(components)
+    values = _point_values(comps)
+    if values is None or not (_in_order(values) and _valid_points(values)):
+        return TimeScale(normalize_components(comps))
+    ts = object.__new__(TimeScale)  # construction, with no second read or check
+    object.__setattr__(ts, "components", comps)
+    ts._index(values, values, ())
+    return ts
+
+
 def union(*scales: TimeScale) -> TimeScale:
     comps: list[Component] = []
     for s in scales:
         comps.extend(s.components)
-    return TimeScale(normalize_components(comps))
+    return _normalized_scale(comps)
 
 
 # -- numeric delta derivative --------------------------------------------------

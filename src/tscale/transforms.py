@@ -28,11 +28,6 @@ REGRESSIVITY_MARGIN = 1e-9
 # a short odd series is exact to double precision there.
 _SERIES_CUTOFF = 1e-4
 
-# At most this many distinct values are kept by a memo of grid steps: the
-# make_grid grid of uniform(0, 0.1, 10**6) has 21 distinct gaps, and a
-# grid whose steps all differ then keeps no more than this many.
-STEP_MEMO_SIZE = 64
-
 
 def _principal_log(w: complex) -> complex:
     """Principal-branch log with the negative real axis taken from above."""
@@ -175,10 +170,12 @@ class Coefficient:
     limit along the piece uses zero graininess; `dense` exposes that limit
     evaluator so quadrature sees a continuous integrand. For plain
     coefficients the two evaluators coincide. dense_value, when not None,
-    is the dense evaluator's value at every t.
+    is the dense evaluator's value at every t. Such a coefficient also
+    takes its value at a scattered step from the graininess the caller
+    holds (at_step), with no lookup of its own.
     """
 
-    __slots__ = ("kind", "_eval", "_dense", "payload", "dense_value")
+    __slots__ = ("kind", "_eval", "_dense", "payload", "dense_value", "_jump")
 
     def __init__(self, kind, eval_fn, payload, dense_fn=None, dense_value=None):
         self.kind = kind
@@ -186,6 +183,7 @@ class Coefficient:
         self._dense = dense_fn if dense_fn is not None else eval_fn
         self.payload = payload
         self.dense_value = dense_value
+        self._jump = None  # fn(mu, t) of a coefficient defined through the graininess
 
     @classmethod
     def constant(cls, value: complex) -> "Coefficient":
@@ -237,6 +235,11 @@ class Coefficient:
 
     def __call__(self, t: float) -> complex:
         return self._eval(t)
+
+    def at_step(self, mu: float, t: float) -> complex:
+        """The value at t, a point of graininess mu: self(t), which a
+        coefficient defined through the graininess takes from mu."""
+        return self(t) if self._jump is None else self._jump(mu, t)
 
     @property
     def dense(self) -> Callable[[float], complex]:
@@ -302,6 +305,9 @@ class Coefficient:
         )
         if self.dense_value is not None:
             scaled.dense_value = factor * self.dense_value
+        if self._jump is not None:
+            inner_jump = self._jump
+            scaled._jump = lambda mu, t: factor * inner_jump(mu, t)
         return scaled
 
     def __neg__(self) -> "Coefficient":
@@ -340,16 +346,20 @@ def graininess_coefficient(ts: TimeScale, fn, dense_value=None) -> Coefficient:
     scattered right endpoint differs. A dense_value, the value of
     fn(0.0, t) when it does not depend on t, stands in for the dense
     evaluator, and a continuous piece [a, b] then integrates exactly to
-    dense_value * (b - a), with no integrand called.
+    dense_value * (b - a), with no integrand called. A walk that holds a
+    step's graininess passes it in (Coefficient.at_step), and the point is
+    not located again.
     """
     v = None if dense_value is None else complex(dense_value)
-    return Coefficient(
+    coeff = Coefficient(
         "function",
         lambda t: complex(fn(ts.mu(t), t)),
         None,
         (lambda t: complex(fn(0.0, t))) if v is None else (lambda t: v),
         v,
     )
+    coeff._jump = lambda mu, t: complex(fn(mu, t))
+    return coeff
 
 
 # -- step rules and regressivity ---------------------------------------------------
@@ -379,26 +389,6 @@ class StepRule:
         """Raise RegressivityError at t if m = mu*name degenerates."""
         if self.degenerate(m):
             raise RegressivityError(self.message(t, m, name), t=t)
-
-    def checker(self) -> Callable[[float, complex, str], None]:
-        """check, for a scan of steps in order that tests each distinct m
-        once.
-
-        The test is a pure function of m, and its abs tests cannot tell
-        apart values that compare equal (they differ at most in the sign
-        of a zero); a NaN matches only the very object it is. An m that
-        fails raises and is never kept, so the scan raises at the same t.
-        The first STEP_MEMO_SIZE values that pass are kept.
-        """
-        passed: set[complex] = set()
-
-        def check(t: float, m: complex, name: str) -> None:
-            if m not in passed:
-                self.check(t, m, name)
-                if len(passed) < STEP_MEMO_SIZE:
-                    passed.add(m)
-
-        return check
 
 
 # The rows call xi, zeta and cayley through this module's globals, so a

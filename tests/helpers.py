@@ -419,12 +419,15 @@ def reference_log_integral_range(family: ExpFamily, ts: TimeScale, coeff, t0, t1
 
 def reference_exp_point(family: ExpFamily, ts: TimeScale, coeff, t, t0, tol):
     """exp_cayley / exp_hilger as the exp of reference_log_integral_range,
-    overflow a ToleranceError."""
+    overflow, or a value that is not finite, a ToleranceError."""
     w = reference_log_integral_range(family, ts, coeff, t0, t, tol)
     try:
-        return cmath.exp(w)
+        v = cmath.exp(w)
     except OverflowError:
-        raise ToleranceError(f"exponential overflows at exponent {w!r}") from None
+        v = math.inf
+    if not cmath.isfinite(v):
+        raise ToleranceError(f"exponential overflows at exponent {w!r}")
+    return v
 
 
 # -- slow references for the grid exponent and the solver: one walk record

@@ -38,6 +38,7 @@ from tscale.cli import (
     main,
 )
 from tscale.report import ResidualReport
+from tscale.timescale import MEMBERSHIP_TOL
 
 from helpers import outcome, reference_convergence_study
 
@@ -75,6 +76,48 @@ def test_parsed_points_term_is_timescale_isolated(values):
     assume(all(b - a > 1e-9 for a, b in zip(ordered, ordered[1:])))
     ts = parse_scale("points(" + ",".join(map(repr, values)) + ")")
     assert repr(ts.components) == repr(isolated(*values).components)
+
+
+def _parse_twice(values):
+    """The scale of a points term as normalize_components and then
+    construction made it, each reading the values and testing each gap."""
+    try:
+        return TimeScale(timescale.normalize_components(timescale._points(values)))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, 1e-12, 2e-12, 0.1, 0.10000000000100001, 0.3, 1e4, 1e4 + 2e-12, -1.0]),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_parse_reads_a_point_scale_once_with_the_same_errors(values):
+    """The points term, read once, makes the scale, or raises the error,
+    that normalize_components and then construction made or raised, bit
+    for bit, on values in and out of order, duplicated, within the
+    tolerance and an ulp either side of it."""
+    text = "points(" + ",".join(map(repr, values)) + ")"
+    want = outcome(lambda: repr(_parse_twice(values)))
+    assert outcome(lambda: repr(parse_scale(text))) == want
+
+
+def test_parse_reads_the_values_of_ordered_points_once(monkeypatch):
+    calls = []
+    read = timescale._point_values
+    monkeypatch.setattr(timescale, "_point_values", lambda comps: calls.append(1) or read(comps))
+    ts = parse_scale("uniform(0,1e-3,1000)")
+    assert calls == [1]
+    monkeypatch.undo()
+    assert vars(ts) == vars(uniform(0, 1e-3, 1000))
+    # an ulp from the tolerance the two gap tests disagree: b - a > tol
+    # passes construction, and a + tol < b fails the order test, whose
+    # merge loop joins the two points into one interval, as it did
+    pair = (0.1, 0.10000000000100001)
+    assert pair[1] - pair[0] > MEMBERSHIP_TOL and not pair[0] + MEMBERSHIP_TOL < pair[1]
+    assert parse_scale("points(0.1,0.10000000000100001)") == TimeScale((ClosedInterval(*pair),))
 
 
 def test_parse_duplicate_point_is_overlap():

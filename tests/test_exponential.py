@@ -34,7 +34,7 @@ from tscale import (
 )
 
 from tscale import transforms
-from tscale.exponential import _Exponent, _Terms, _exp_point, _log_integral_range
+from tscale.exponential import _Exponent, _Terms, _exp_point, _exp_runs, _log_integral_range
 
 from helpers import (
     any_scale,
@@ -881,6 +881,27 @@ def test_overflow_is_a_tolerance_error_on_both_paths():
         exp_cayley(dense, 1e308, 1.0, 0.0)
     with pytest.raises(ToleranceError, match=r"^quadrature overflows on \[0.0, 2.0\]$"):
         exp_cayley(interval(0.0, 2.0), 1e308, 2.0, 0.0)
+
+
+def test_a_pointwise_exponent_summed_to_an_infinite_real_part_raises():
+    """cmath.exp raises only where a finite exponent overflows: an exponent
+    summed to +inf made an infinite value, returned with no error by the
+    pointwise exponentials and by the running exponent's values (the
+    semigroup and sigma-shift reports). Each now raises ToleranceError."""
+    cases = [
+        (ExpFamily.CAYLEY, union(interval(0, 1), isolated(1.5), interval(2, 3)), 1e308, 3.0,
+         "exponential overflows at exponent (inf+6.283185307179586j)"),
+        (ExpFamily.CAYLEY, union(*[interval(2 * k, 2 * k + 1) for k in range(30)]), 1e307, 59.0,
+         "exponential overflows at exponent (inf+91.10618695410406j)"),
+        (ExpFamily.EXACT, Z4, 1e308, 3.0, "exponential overflows at exponent (inf+0j)"),
+    ]
+    for family, ts, alpha, t, message in cases:
+        assert outcome(_exp_point, family, ts, alpha, t, 0.0, 1e-12) == ("ToleranceError", message, None)
+        run = _exp_runs(family, ts, Coefficient.constant(alpha), 1e-12)(0.0)
+        assert outcome(run, t) == ("ToleranceError", message, None)
+    assert outcome(exp_cayley, *cases[0][1:4], 0.0) == ("ToleranceError", cases[0][4], None)
+    with pytest.raises(ToleranceError, match=r"^exponential overflows at exponent \(inf\+0j\)$"):
+        check_semigroup(ExpFamily.EXACT, Z4, 1e308, 3.0, 0.0, 1.0)
 
 
 def test_infinite_quadrature_estimate_is_a_tolerance_error():

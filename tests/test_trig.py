@@ -32,6 +32,7 @@ from tscale import (
     union,
 )
 
+from tscale import transforms
 from tscale.exponential import _hilger_grid_lenient
 from tscale.transforms import zeta
 
@@ -730,3 +731,34 @@ def test_degenerate_bp_pair_costs_linear_coefficient_calls():
             hyp_grid(TrigFamily.BOHNER_PETERSON, ts, spike, 0.0, grid)
         calls.append(call.call_count)
     assert calls[1] <= 2 * calls[0]
+
+
+_BP_HYBRID = union(interval(0.0, 2.0), isolated(2.3, 2.6), interval(3.0, 5.0))
+
+
+@pytest.mark.parametrize(
+    "kind, param, ts",
+    [
+        (TrigKind.TRIGONOMETRIC, 2.5, _BP_HYBRID),
+        (TrigKind.HYPERBOLIC, 0.5 - 0.25j, _BP_HYBRID),
+        # param**2 overflows: the dense view is NaN, a quadrature error
+        (TrigKind.TRIGONOMETRIC, 1e160, interval(0.0, 2.0)),
+    ],
+)
+def test_bp_deformation_integrates_its_dense_view_exactly(kind, param, ts):
+    """The Bohner-Peterson deformation coefficient's dense view is its value
+    at mu = 0, a zero (NaN where param**2 overflows), given as its
+    dense_value: the report runs no adaptive Simpson, and its values and
+    errors are, bit for bit, those of the deformation integrated by
+    Simpson."""
+    grid = ts.make_grid(ts.inf, ts.sup, 1e-3)
+    report = lambda: pythagorean_residual(TrigFamily.BOHNER_PETERSON, kind, ts, param, grid)
+    calls = []
+    simpson = transforms._adaptive_simpson
+    with mock.patch.object(transforms, "_adaptive_simpson", lambda *a: calls.append(a) or simpson(*a)):
+        got = outcome(lambda: (report().residuals, report().reference))
+    assert calls == []
+    without_dense_value = lambda ts, fn, dense_value=None: graininess_coefficient(ts, fn)
+    # the package exports the function trig under the module's name
+    with mock.patch.object(sys.modules["tscale.trig"], "graininess_coefficient", without_dense_value):
+        assert outcome(lambda: (report().residuals, report().reference)) == got

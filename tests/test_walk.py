@@ -34,9 +34,9 @@ from tscale import (
     union,
 )
 from tscale import cli, exponential, timescale, transforms
-from tscale.exponential import _STEP_RULES, _grid_log_integrals
+from tscale.exponential import _STEP_RULES, _grid_log_integrals, _validate_regressive
 from tscale.dynamic import _SCHEME_RULES
-from tscale.timescale import Run, _adaptive_simpson
+from tscale.timescale import IsolatedPoint, Run, Stretch, _Jumps, _adaptive_simpson
 from tscale.transforms import xi, zeta
 
 from helpers import (
@@ -46,6 +46,7 @@ from helpers import (
     probe_points,
     random_discrete,
     random_mixed,
+    reference_checked_walk,
     reference_grid_log_integrals,
     reference_product,
     reference_solve,
@@ -750,7 +751,7 @@ def test_only_a_run_has_spans(scale_points):
     ts, points = scale_points
     try:
         for item in ts.walk_runs(points):
-            assert isinstance(item, Run) or item[4] is None
+            assert isinstance(item, (Run, Stretch)) or item[4] is None
     except DomainError:
         pass
     assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
@@ -934,12 +935,13 @@ def test_a_grid_point_takes_a_checked_value_only_if_it_is_the_checked_float():
             assert outcome(lambda: tuple(exponential._validated_logs(*args))) == want
 
 
-def test_bohner_peterson_report_locates_each_scattered_point_once_more(monkeypatch):
-    """The graininess coefficient of the Bohner-Peterson reference locates
-    its point at each evaluation, now once per scattered step: the report
-    on 1,000 points makes 1,005 lookups, where validation and step logs
-    evaluating it apart made 2,010 (and 1,011 when the validation scanned
-    the scattered points apart from two half walks of the grid)."""
+def test_bohner_peterson_report_takes_mu_from_the_walk(monkeypatch):
+    """The graininess coefficient of the Bohner-Peterson reference takes
+    each step's graininess from the walk (Coefficient.at_step) and locates
+    no point of its own: the report on 1,000 points makes at most 10
+    lookups, where locating the point at each evaluation made 1,005 (once
+    per scattered step), and 2,010 when validation and step logs
+    evaluated it apart."""
     located = []
     locate = TimeScale._locate
     monkeypatch.setattr(
@@ -948,7 +950,7 @@ def test_bohner_peterson_report_locates_each_scattered_point_once_more(monkeypat
     argv = ["identity", "--scale", "uniform(0,1e-3,1000)", "--identity", "pythagorean",
             "--family", "bp"]
     assert cli.main(argv) == 0
-    assert len(located) == 1005
+    assert len(located) <= 10
 
 
 def test_step_memos_past_their_size_keep_every_value():
@@ -1010,3 +1012,176 @@ def test_solver_first_error_with_one_walk(scheme, ts, alpha, points, t0, error):
     with pytest.raises(error[0]) as err:
         solve_first_order(scheme, ts, alpha, 1.0, t0, Grid(points, 1.0))
     assert str(err.value) == error[1]
+
+
+# -- a stretch of scattered steps as one walk item ------------------------------------
+
+
+def test_a_stretch_is_one_walk_item():
+    """The steps between isolated points that each land on their jump are
+    one Stretch, the component ends its steps leave; the record of its
+    last point follows it, as a run's does."""
+    ts = uniform(0.0, 0.25, 6)
+    points = ts.make_grid(0.0, 1.25, 0.1).points
+    assert list(ts.walk_runs(points)) == [
+        Stretch(0, 0, 5, [0.25, 0.25, 0.25, 0.25, 0.25]),
+        (1.25, None, 1.25, None, None, 1.25),
+    ]
+    assert list(ts.walk(points)) == list(reference_walk(ts, points))
+    points = W.make_grid(0.0, 4.0, 0.5).points
+    assert list(W.walk_runs(points)) == [
+        Run(0, [0.0, 0.5, 1.0]),
+        (1.0, 1.5, 1.5, 0.5, None, 1.0),  # an interval's end leaves no stretch
+        Stretch(3, 1, 3, [0.75, 0.75]),  # 1.5 -> 2.25 -> 3.0, landing on the interval
+        Run(5, [3.0, 3.5, 4.0]),
+        (4.0, None, 4.0, 0.0, None, 4.0),
+    ]
+    assert list(W.walk(points)) == list(reference_walk(W, points))
+
+
+def test_a_degenerate_gap_deep_in_a_stretch_raises_at_its_first_point():
+    """A gap that degenerates only past the first slices the stretch is
+    compared in raises at its first point, with the message of a check a
+    step at a time, forward and back from the anchor."""
+    values = [0.0]
+    for gap in [0.25] * 40 + [0.5] + [0.25] * 10 + [0.5] + [0.25] * 3:
+        values.append(values[-1] + gap)
+    ts = isolated(*values)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    for t0 in (0.0, ts.sup):
+        with pytest.raises(RegressivityError) as err:
+            exp_evaluate_grid(ExpFamily.HILGER_DELTA, ts, -2.0, t0, grid)
+        assert str(err.value) == "1 + mu*alpha = 0j at t=10.0" and err.value.t == 10.0
+        with pytest.raises(RegressivityError) as err:
+            solve_first_order(Scheme.EXPLICIT_DELTA, ts, -2.0, 1.0, t0, grid)
+        assert str(err.value) == "1 + mu*beta = 0j at t=10.0"
+    coeff = Coefficient.constant(-2.0)
+    want = outcome(reference_checked_walk, _STEP_RULES[ExpFamily.HILGER_DELTA], "alpha", ts, coeff, grid.points)
+    got = outcome(_validate_regressive, _STEP_RULES[ExpFamily.HILGER_DELTA], "alpha", ts, coeff, grid.points)
+    assert got == want == ("RegressivityError", "1 + mu*alpha = 0j at t=10.0", 10.0)
+
+
+def test_a_stretch_reads_no_coefficient_past_its_first_degenerate_step(monkeypatch):
+    """A coefficient that is not constant is read along a stretch up to the
+    first step that degenerates, and no further, as a check a step at a
+    time reads it."""
+    ts = uniform(0.0, 0.25, 40)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    coeff = Coefficient.from_function(lambda t: -4.0 if t == 5.0 else 0.5)
+    calls = []
+    call = Coefficient.__call__
+    monkeypatch.setattr(Coefficient, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    with pytest.raises(RegressivityError, match=r"^1 \+ mu\*alpha = 0j at t=5.0$"):
+        exp_evaluate_grid(ExpFamily.HILGER_DELTA, ts, coeff, 0.0, grid)
+    assert calls == list(grid.points[:21])
+
+
+@st.composite
+def _stretch_scales(draw):
+    """Point scales whose gaps repeat (a uniform scale, or a few gap values
+    in any order), some with a gap of 0.5 that degenerates at alpha -2
+    or 4, often deep in a stretch, and some meeting an interval before,
+    after or between their points."""
+    n = draw(st.integers(2, 60))
+    start = draw(st.sampled_from([0.0, -3.0, 0.1, 1e4]))
+    if draw(st.booleans()):
+        values = [p.t for p in uniform(start, draw(st.sampled_from([0.25, 0.1, 1e-3])), n).components]
+    else:
+        values = [start]
+        for gap in draw(st.lists(st.sampled_from([0.25, 0.3, 0.125, 1.0]), min_size=n - 1, max_size=n - 1)):
+            values.append(values[-1] + gap)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 2))
+        values = values[: k + 1] + [v - values[k + 1] + values[k] + 0.5 for v in values[k + 1 :]]
+    comps = [IsolatedPoint(v) for v in values]
+    where = draw(st.sampled_from(["none", "before", "after", "between"]))
+    if where == "before":
+        comps.insert(0, ClosedInterval(values[0] - 1.0, values[0] - 0.5))
+    elif where == "after":
+        comps.append(ClosedInterval(values[-1] + 0.5, values[-1] + 1.0))
+    elif where == "between" and n > 2:
+        k = draw(st.integers(0, n - 2))
+        comps = comps[: k + 1] + [ClosedInterval(values[k] + 0.25, values[k] + 0.75)] + [
+            IsolatedPoint(v + 1.0) for v in values[k + 1 :]
+        ]
+    return TimeScale(tuple(comps))
+
+
+@st.composite
+def _stretch_grids(draw):
+    """A stretch scale and a grid of it: its make_grid grid, whole or a
+    slice, with points dropped (a step then skips its jump, or lands past
+    a component), points nudged within the tolerance of their member (a
+    point then is not its located value), and an anchor on the grid or
+    off it."""
+    ts = draw(_stretch_scales())
+    pts = list(ts.make_grid(ts.inf, ts.sup, 0.2).points)
+    if draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2)))
+        pts = pts[i : j + 1]
+    for k in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3)):
+        if len(pts) > 1 and k < len(pts):
+            del pts[k]
+    for k in draw(st.lists(st.integers(0, len(pts) - 1), max_size=2)):
+        pts[k] += draw(st.sampled_from([-4e-13, 4e-13]))
+    pts = sorted(set(pts))
+    t0 = draw(st.sampled_from(pts) | probe_points(ts))
+    return ts, Grid(tuple(pts), 0.2), t0
+
+
+def _reads(rule, name, ts, coeff, points):
+    """The coefficient values _validate_regressive read, by grid point, in
+    order (None for a constant coefficient)."""
+    read = _validate_regressive(rule, name, ts, coeff, points)[1]
+    return None if read is None else tuple(sorted(read.items()))
+
+
+def _reference_reads(rule, name, ts, coeff, points):
+    """_reads of reference_checked_walk, which reads the coefficient at each
+    scattered step it checks."""
+    records = reference_checked_walk(rule, name, ts, coeff, points)
+    if coeff.is_constant:
+        return None
+    return tuple((p, coeff(p)) for p, q, s, _, _, tt in records if q is not None and s > tt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stretch_grids(), _RUN_COEFFS)
+@example((uniform(0.0, 0.5, 30), Grid(tuple(0.5 * k for k in range(30)), 0.2), 14.5), lambda ts: -2.0)
+def test_stretch_walk_matches_one_record_per_step(scale_grid, make_coeff):
+    """On scales of isolated points, alone or meeting an interval, the walk,
+    the checked walk (its first error and the coefficient values it
+    read), the grid exponent and exponential of every family, the three
+    solvers and the jumps table equal, bit for bit and errors included,
+    the code that took one walk record (reference_walk) per step."""
+    ts, grid, t0 = scale_grid
+    pts = grid.points
+    assert walk_outcome(ts.walk, pts) == walk_outcome(reference_walk, ts, pts)
+    alpha = make_coeff(ts)
+    if not (isinstance(alpha, complex | float) and cmath.isnan(alpha)):
+        coeff = as_coefficient(alpha)
+        for rule, name in _SCHEME_RULES.values():
+            want = outcome(_reference_reads, rule, name, ts, coeff, pts)
+            assert outcome(_reads, rule, name, ts, coeff, pts) == want
+        for family in EXP_FAMILIES.values():
+            args = (family, ts, coeff, t0, grid, TOL)
+            want = outcome(lambda: tuple(reference_grid_log_integrals(*args)))
+            assert outcome(lambda: tuple(_grid_log_integrals(*args))) == want
+            want = outcome(lambda: _reference_grid_values(*args))
+            assert outcome(lambda: exp_evaluate_grid(*args).values) == want
+    for scheme, _ in SOLVER_PAIRS.values():
+        args = (scheme, ts, alpha, 1.0 - 0.5j, t0, grid, TOL)
+        want = outcome(lambda: reference_solve(*args).values)
+        assert outcome(lambda: solve_first_order(*args).values) == want
+    try:
+        records = list(reference_walk(ts, pts))
+    except DomainError:
+        return
+    jumps = _Jumps(ts, pts, grid)
+    assert outcome(lambda: tuple(jumps.sigma)) == outcome(lambda: tuple(r[2] for r in records))
+    assert outcome(lambda: tuple(jumps.mu)) == outcome(lambda: tuple(r[3] for r in records))
+    assert outcome(lambda: tuple(jumps.located)) == outcome(lambda: tuple(r[5] for r in records))
+    assert jumps._spanned == [False] + [r[4] is not None for r in records]
+    assert jumps.next == [None if r[2] is None else grid.index_of(r[2]) for r in records]
+    whole = ts.make_grid(ts.inf, ts.sup, 0.2)  # a grid the points are not
+    assert _Jumps(ts, pts, whole).next == [None if r[2] is None else whole.index_of(r[2]) for r in records]
