@@ -11,8 +11,15 @@ every scheme steps there by the exponential of the coefficient's integral.
 Cost: a residual report walks its grid once (timescale._Jumps, one walk per
 report; the oscillator-cayley report shares one table between its two
 passes) and reads each point's sigma, mu and the grid index of its jump by
-index; the pointwise average, double_average, delta_prime and
-delta_doubleprime are the one-point case of that code.
+index. Over the regular regions the walk marks (_Jumps.regular: a stretch
+of scattered steps, the interior of a dense run with a symmetric stencil)
+it computes the second differences, double averages and delbis quotients
+as C-level maps over shifted slices of the value, point and mu columns,
+with no Python call per point; delbis takes each distinct gap's cosine,
+denominator and pi guard once (exponential._by_gap). Every other point
+takes the per-point operators, of which the pointwise average,
+double_average, delta_prime and delta_doubleprime are the one-point case.
+Both apply the same stencil formulas, so the floats are the same.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate
-from operator import mul, truediv
+from itertools import accumulate, compress, count, repeat
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Callable
 
 from .errors import (
@@ -33,13 +40,14 @@ from .errors import (
     ToleranceError,
 )
 from .exponential import (
+    _by_gap,
     _dense_integrals,
     _exp,
     _grid_steps,
     _split_steps,
     _validate_regressive,
 )
-from .timescale import DEFAULT_TOL, Grid, TimeScale, _Jumps
+from .timescale import DEFAULT_TOL, Grid, TimeScale, _asymmetric, _Jumps
 from .transforms import (
     CAYLEY_RULE,
     EXACT_RULE,
@@ -109,14 +117,42 @@ def _average(jumps, k: int, x: SampledFunction) -> complex:
     v = x.values[jumps.located_index(k)]
     if not jumps.mu[k]:
         return v
-    return 0.5 * (v + x.values[jumps.jump_index(k)])
+    return _one(_halves, v, x.values[jumps.jump_index(k)])
 
 
 def _double_average(jumps, k: int, x: SampledFunction) -> complex:
     """double_average at point k of jumps, whose grid is x's."""
     if not jumps.mu[k]:
         return x.values[jumps.located_index(k)]
-    return 0.5 * (_average(jumps, k, x) + _average(*jumps.jump(k), x))
+    return _one(_halves, _average(jumps, k, x), _average(*jumps.jump(k), x))
+
+
+# -- stencil formulas -------------------------------------------------------------------
+# Each is written once, as a chain of C-level maps over columns: a report maps
+# it over shifted slices of a regular region, a per-point operator applies it
+# to one value each (_one), so both give the same floats.
+
+
+def _one(formula, *values):
+    """formula at one point: its columns of one value each."""
+    return next(formula(*((v,) for v in values)))
+
+
+def _halves(u, w):
+    """0.5 * (u + w)."""
+    return map(mul, repeat(0.5), map(add, u, w))
+
+
+def _quotients(v, v_sigma, h):
+    """(v_sigma - v) / h: the forward quotient of x over a step h, and of
+    the forward quotients x'' over the first of two steps."""
+    return map(truediv, map(sub, v_sigma, v), h)
+
+
+def _dense_second(v0, v1, v2, hl, hr):
+    """x'' from samples at t - hl, t and t + hr, a symmetric stencil."""
+    top = map(add, map(sub, v2, map(mul, repeat(2.0), v1)), v0)
+    return map(truediv, top, map(mul, hl, hr))
 
 
 # -- first-order solver ------------------------------------------------------------
@@ -246,7 +282,8 @@ def delta_prime(alpha: complex, ts: TimeScale, x: SampledFunction, t: float) -> 
     d = mu * psi(alpha, mu)
     if d == 0:
         raise SingularError(f"degenerate quotient denominator at t={t!r}")
-    return (x.values[jumps.jump_index(0)] - x.values[jumps.located_index(0)]) / d
+    v_sigma = x.values[jumps.jump_index(0)]
+    return _one(_quotients, x.values[jumps.located_index(0)], v_sigma, d)
 
 
 def delta_doubleprime(omega: float, ts: TimeScale, x: SampledFunction, t: float) -> complex:
@@ -265,11 +302,17 @@ def _delta_doubleprime(omega: float, jumps, k: int, x: SampledFunction) -> compl
     mu = jumps.mu[k]
     if not mu:
         return _sample_derivative(jumps, k, x)
+    cos, den = _oscillator_step(omega, mu)
+    v = x.values[jumps.jump_index(k)]
+    return _one(_quotients, x.values[jumps.located_index(k)] * cos, v, den)
+
+
+def _oscillator_step(omega: float, mu: float) -> tuple[float, float]:
+    """cos(omega*mu) and the denominator mu * sinc(omega*mu) of
+    delta_doubleprime for a gap mu, which must keep |omega*mu| below pi."""
     if abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
         raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
-    den = mu * sinc(omega * mu)
-    v = x.values[jumps.jump_index(k)]
-    return (v - x.values[jumps.located_index(k)] * math.cos(omega * mu)) / den
+    return math.cos(omega * mu), mu * sinc(omega * mu)
 
 
 def _sample_derivative(jumps, k: int, x: SampledFunction) -> complex:
@@ -313,18 +356,46 @@ def _second_delta(jumps, k: int, x: SampledFunction) -> complex | None:
         s2, j2 = after.sigma[m], after.next[m]
         if s2 == s or j2 is None:
             return None
-        d1 = (vals[j] - vals[i]) / (s - t)
-        d2 = (vals[j2] - vals[j]) / (s2 - s)
-        return (d2 - d1) / (s - t)
+        d = _one(_quotients, vals[i], vals[j], s - t)
+        d_sigma = _one(_quotients, vals[j], vals[j2], s2 - s)
+        return _one(_quotients, d, d_sigma, s - t)
     if i == 0 or i == len(pts) - 1:
         return None
     if jumps.rho(k) < t:
         return None
     hl = pts[i] - pts[i - 1]
     hr = pts[i + 1] - pts[i]
-    if abs(hl - hr) > 1e-9 * max(hl, hr):
+    if _one(_asymmetric, hl, hr):
         return None
-    return (vals[i + 1] - 2.0 * vals[i] + vals[i - 1]) / (hl * hr)
+    return _one(_dense_second, vals[i - 1], vals[i], vals[i + 1], hl, hr)
+
+
+def _second_order_report(identity: str, jumps, x: SampledFunction, form, tol: float):
+    """The report of form(dd, da, xs), columns of x'', avg(avg(x)) and
+    x(sigma), over the points of jumps, whose grid is x's, skipping points
+    with no x'' stencil: the per-point operators at each point, and C-level
+    maps over shifted slices of the columns on each regular region."""
+    vals = x.values
+
+    def residual(k):
+        dd = _second_delta(jumps, k, x)
+        if dd is None:
+            return None
+        da = _double_average(jumps, k, x)
+        return _one(form, dd, da, vals[jumps.jump_index(k)])
+
+    def region(a, b):
+        if jumps.mu[a]:  # a stretch: point k's jumps are points k + 1 and k + 2
+            v, mu = vals[a : b + 2], jumps.mu[a : b + 1]
+            # the quotient and average at point k are those at the jump of k - 1
+            d, avg = list(_quotients(v, v[1:], mu)), list(_halves(v, v[1:]))
+            return form(_quotients(d, d[1:], mu), _halves(avg, avg[1:]), v[1:])
+        pts, v1 = jumps.points, vals[a:b]  # a run's interior: each point its own jump
+        hs = list(map(sub, pts[a : b + 1], pts[a - 1 : b]))
+        dd = _dense_second(vals[a - 1 : b - 1], v1, vals[a + 1 : b + 1], hs, hs[1:])
+        return form(dd, v1, v1)
+
+    return collect(identity, jumps.points, residual, tol, jumps.regular(2), region)
 
 
 def oscillator_residual_cayley(
@@ -347,17 +418,12 @@ def oscillator_residual_cayley(
 
 def _oscillator_cayley(jumps, param, x, tol, kind=TrigKind.TRIGONOMETRIC) -> ResidualReport:
     """oscillator_residual_cayley over the points of jumps, whose grid is x's."""
+    op = add if kind is TrigKind.TRIGONOMETRIC else sub
 
-    def residual(k):
-        dd = _second_delta(jumps, k, x)
-        if dd is None:
-            return None
-        da = _double_average(jumps, k, x)
-        if kind is TrigKind.TRIGONOMETRIC:
-            return abs(dd + complex(param) ** 2 * da)
-        return abs(dd - complex(param) ** 2 * da)
+    def form(dd, da, _):
+        return map(abs, map(op, dd, map(mul, repeat(complex(param) ** 2), da)))
 
-    return collect(f"oscillator-cayley-{kind.value}", jumps.points, residual, tol)
+    return _second_order_report(f"oscillator-cayley-{kind.value}", jumps, x, form, tol)
 
 
 @dataclass(frozen=True)
@@ -394,24 +460,22 @@ def oscillator_residual_exact(
         raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
     w2phi2 = omega * omega * phi(omega * mu) ** 2
     w2sinc2 = omega * omega * sinc(0.5 * omega * mu) ** 2
+    phi_forms, sinc_forms = [], []  # both forms at each point that is not skipped
+
+    def form(dd, da, xs):
+        dd = list(dd)
+        phis = list(map(add, dd, map(mul, repeat(w2phi2), da)))
+        phi_forms.extend(phis)
+        sinc_forms.extend(map(add, dd, map(mul, repeat(w2sinc2), xs)))
+        return map(abs, phis)
+
     jumps = _Jumps(ts, grid.points, grid)
-
-    pairs = []  # both forms at each point that is not skipped
-
-    def phi_form(k):
-        dd = _second_delta(jumps, k, x)
-        if dd is None:
-            return None
-        a_form = dd + w2phi2 * _double_average(jumps, k, x)
-        pairs.append((a_form, dd + w2sinc2 * x.values[jumps.jump_index(k)]))
-        return abs(a_form)
-
-    phi_report = collect("oscillator-exact-phi", grid.points, phi_form, tol)
-    sinc_r = tuple(abs(b) for _, b in pairs)
+    phi_report = _second_order_report("oscillator-exact-phi", jumps, x, form, tol)
+    sinc_r = tuple(map(abs, sinc_forms))
     return ExactOscillatorResult(
         phi_report,
         replace(phi_report, identity="oscillator-exact-sinc", residuals=sinc_r),
-        max([0.0, *(abs(a - b) for a, b in pairs)]),
+        max([0.0, *map(abs, map(sub, phi_forms, sinc_forms))]),
     )
 
 
@@ -439,7 +503,12 @@ def delbis_relation_residual(
     if mu > 0 and abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
         raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
     corr = 0.5 * mu * omega * omega * sinc(0.5 * omega * mu) ** 2
+    sinc_mu, vals = sinc(omega * mu), x.values
     jumps = _Jumps(ts, grid.points, grid)
+
+    def form(v, v_sigma, h, q):
+        rhs = map(sub, map(mul, repeat(sinc_mu), q), map(mul, repeat(corr), v))
+        return map(abs, map(sub, _quotients(v, v_sigma, h), rhs))
 
     def residual(k):
         jumps.check(k)
@@ -451,9 +520,29 @@ def delbis_relation_residual(
         i = jumps.index(k, p)
         if i is None:
             raise GridError(f"t={p!r} is not sampled")
-        v = x.values[i]
-        lhs = (x.values[j] - v) / (s - p)
-        rhs = sinc(omega * mu) * _delta_doubleprime(omega, jumps, k, x) - corr * v
-        return abs(lhs - rhs)
+        q = _delta_doubleprime(omega, jumps, k, x)
+        return _one(form, vals[i], vals[j], s - p, q)
 
-    return collect("delbis", grid.points, residual, tol)
+    steps: dict = {}  # each gap's (cos, den), or the error of its guard
+
+    def step(gap, _):
+        try:
+            return _oscillator_step(omega, gap)
+        except SingularError as exc:
+            return exc
+
+    def region(a, b):
+        if not jumps.mu[a]:  # a run's interior: each point right-dense
+            return repeat(None, b - a)
+        mus = jumps.mu[a:b]
+        _by_gap(steps, mus, mus, step)
+        at = list(map(steps.__getitem__, mus))
+        cut = next(compress(count(), map(isinstance, at, repeat(SingularError))), len(at))
+        v, v_sigma, at = vals[a : a + cut], vals[a + 1 : a + cut + 1], at[:cut]
+        q = _quotients(map(mul, v, map(itemgetter(0), at)), v_sigma, map(itemgetter(1), at))
+        residuals = list(form(v, v_sigma, mus, q))
+        if cut < len(mus):
+            raise steps[mus[cut]]  # at the first point that has the gap
+        return residuals
+
+    return collect("delbis", grid.points, residual, tol, jumps.regular(1), region)

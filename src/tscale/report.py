@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_not, not_
 
 from .errors import ToleranceError
 
@@ -55,23 +57,32 @@ class ResidualReport:
     def argmax_t(self) -> float | None:
         if not self.residuals:
             return None
-        k = max(range(len(self.residuals)), key=lambda i: self.residuals[i])
-        return self.points[k]
+        # the first maximal point: no residual is NaN, and -0.0 == 0.0
+        return self.points[self.residuals.index(self.max_residual)]
 
     @property
     def passed(self) -> bool:
         return self.max_residual < self.tol
 
 
-def collect(identity: str, points, residual, tol: float) -> ResidualReport:
+def collect(
+    identity: str, points, residual, tol: float, regions=(), region=None
+) -> ResidualReport:
     """The report of residual(k) over the points, skipping point k where
-    it is None."""
-    pts, residuals, skipped = [], [], []
-    for k, p in enumerate(points):
-        r = residual(k)
-        if r is None:
-            skipped.append(p)
-        else:
-            pts.append(p)
-            residuals.append(r)
-    return ResidualReport(identity, tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
+    it is None. Over each (a, b) of regions, ascending and apart,
+    region(a, b) gives the residuals of points a to b - 1 at once, None
+    where skipped, and raises what residual would first raise there."""
+    rs, k = [], 0
+    for a, b in regions:
+        rs += map(residual, range(k, a))
+        rs += region(a, b)
+        k = b
+    rs += map(residual, range(k, len(points)))
+    kept = list(map(is_not, rs, repeat(None)))
+    return ResidualReport(
+        identity,
+        tuple(compress(points, kept)),
+        tuple(compress(rs, kept)),
+        tol,
+        skipped=tuple(compress(points, map(not_, kept))),
+    )

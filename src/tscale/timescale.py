@@ -409,15 +409,14 @@ class TimeScale:
             return 0.0
         if not self.is_discrete():
             return None
-        pts = [c.t for c in self.components]
+        pts = self._lefts
         if len(pts) < 2:
             return None
         eps = pts[1] - pts[0]
         tol = max(MEMBERSHIP_TOL, 4 * math.ulp(max(abs(pts[0]), abs(pts[-1]))))
-        for a, b in zip(pts, pts[1:]):
-            if abs((b - a) - eps) > tol:
-                return None
-        return eps
+        # each gap's distance from the first, tested with C-level maps
+        off = map(abs, map(operator.sub, self._gaps(0, len(pts) - 1), repeat(eps)))
+        return None if any(map(operator.gt, off, repeat(tol))) else eps
 
     def _scan(self, i: int, j: int) -> range:
         """Indices of the components that a scan from a to b meets, for
@@ -682,7 +681,10 @@ class _Jumps:
     at a time; check(k) raises the error of locating point k, where a loop
     locating each point would meet it, as do located_index(k) and
     jump_index(k). One walk per report: a report builds its table, and the
-    oscillator-cayley report shares one between its two passes.
+    oscillator-cayley report shares one between its two passes. Against its
+    own grid the table also keeps where each stretch and run lies; regular
+    says where a stencil of one or two jumps is regular, so that a report
+    can take it there as C-level maps over shifted slices of the columns.
     """
 
     def __init__(self, ts: TimeScale, points: Sequence[float], grid: Grid | None = None):
@@ -691,6 +693,7 @@ class _Jumps:
         self.sigma, self.mu, self.located = [], [], []
         self._spanned = [False]  # whether the step to each point has a span
         self._next: list[int] = []  # next where a stretch gives it, else -1
+        self._regions: list[tuple[int, int]] = []  # candidates for regular
         self._errors: dict[int, DomainError] = {}
         try:
             self._add(ts.walk_runs(points))
@@ -712,6 +715,8 @@ class _Jumps:
                 self.located += xs
                 self._spanned += [True] * len(xs)
                 self._next += [-1] * len(xs)
+                if self._aligned and len(xs) > 1:  # the run's interior
+                    self._regions.append((item.start + 1, item.start + len(xs)))
             elif isinstance(item, Stretch):
                 k, lo, stop, mus = item
                 m = len(mus)
@@ -722,6 +727,8 @@ class _Jumps:
                 # each jump is the next point, more than the tolerance above
                 # the point: Grid.index_of finds it there and nowhere below
                 self._next += range(k + 1, k + 1 + m) if self._aligned else [-1] * m
+                if self._aligned:
+                    self._regions.append((k, k + m))
             else:
                 _, _, s, mu, span, tt = item
                 self.sigma.append(s)
@@ -745,11 +752,45 @@ class _Jumps:
 
     @cached_property
     def next(self) -> list[int | None]:
-        index = self.index
-        return [
-            j if j >= 0 else None if s is None else index(k, s)
-            for k, (s, j) in enumerate(zip(self.sigma, self._next))
-        ]
+        nxt: list[int | None] = self._next[:]
+        # only the jumps no stretch gives are looked up, found by a C-level scan
+        for k in compress(count(), map(operator.lt, nxt, repeat(0))):
+            s = self.sigma[k]
+            nxt[k] = None if s is None else self.index(k, s)
+        return nxt
+
+    def regular(self, jumps: int) -> list[tuple[int, int]]:
+        """The regions (a, b), ascending and apart, whose points a to b - 1
+        each have a regular stencil of that many forward jumps (1 or 2), on
+        which C-level maps over shifted slices of the columns give what the
+        per-point operators give (dynamic):
+        - in a stretch, point k's jump is point k + 1 and its second point
+          k + 2, so the stretch's last step has no second jump in it;
+        - in the interior of a run, point k is right-dense and located at
+          itself, with the symmetric sampled stencil k - 1, k, k + 1;
+        and each point is its own grid index, by index's test with no
+        search. A region one of these fails is left to the per-point
+        operators whole. Only a table aligned with its grid has any."""
+        ends = ((a, b - (jumps - 1) if self.mu[a] else b) for a, b in self._regular)
+        return [(a, b) for a, b in ends if a < b]
+
+    @cached_property
+    def _regular(self) -> list[tuple[int, int]]:
+        pts, sub = self.points, operator.sub
+        regions = []
+        for a, b in self._regions:
+            c = max(a, 1)
+            tops = map(sub, pts[c:b], repeat(MEMBERSHIP_TOL))
+            if not all(map(operator.lt, pts[c - 1 : b - 1], tops)):
+                continue
+            if not self.mu[a]:  # a run: every mu is 0.0, every gap in a stretch positive
+                hs = list(map(sub, pts[a : b + 1], pts[a - 1 : b]))
+                if not all(map(operator.eq, self.located[a:b], pts[a:b])) or any(
+                    _asymmetric(hs, hs[1:])
+                ):
+                    continue
+            regions.append((a, b))
+        return regions
 
     def located_index(self, k: int) -> int:
         """The grid index of the located value; GridError, as a sample
@@ -779,6 +820,14 @@ class _Jumps:
         if self._aligned and j is not None and self.points[j] == s:
             return self, j
         return _Jumps(self.ts, (s,), self.grid), 0
+
+
+def _asymmetric(hl: Sequence[float], hr: Sequence[float]) -> Iterator[bool]:
+    """Whether each pair of sampled steps hl, hr around a right-dense point
+    is too far apart for the symmetric second difference: more than 1e-9
+    of the larger. A C-level map."""
+    tols = map(operator.mul, repeat(1e-9), map(max, hl, hr))
+    return map(operator.gt, map(abs, map(operator.sub, hl, hr)), tols)
 
 
 def _extend_run(
@@ -876,7 +925,10 @@ def normalize_components(components: Iterable[Component]) -> tuple[Component, ..
     """Sort components, merge ones that touch, reject ones that intersect.
 
     Touching means boundary contact within the membership tolerance; a
-    duplicate point or any interior intersection raises OverlapError.
+    duplicate point or any interior intersection raises OverlapError. Two
+    isolated points are never merged: they are one point given twice
+    (OverlapError) or two points, as construction's gap test b - a > tol
+    decides.
 
     Isolated points (not a subclass) that are already in order are
     returned as they are: each more than the tolerance past the one before,
@@ -894,8 +946,11 @@ def normalize_components(components: Iterable[Component]) -> tuple[Component, ..
         lo, hi = c.left, c.right
         if merged and lo <= merged[-1][1] + MEMBERSHIP_TOL:
             plo, phi = merged[-1]
-            if plo == phi and lo == hi and abs(lo - phi) <= MEMBERSHIP_TOL:
-                raise OverlapError(f"duplicate point {lo!r}")
+            if plo == phi and lo == hi:
+                if not lo - phi > MEMBERSHIP_TOL:
+                    raise OverlapError(f"duplicate point {lo!r}")
+                merged.append([lo, hi])
+                continue
             if lo < phi - MEMBERSHIP_TOL:
                 raise OverlapError(
                     f"components intersect near {lo!r}: "

@@ -114,10 +114,11 @@ def test_parse_reads_the_values_of_ordered_points_once(monkeypatch):
     assert vars(ts) == vars(uniform(0, 1e-3, 1000))
     # an ulp from the tolerance the two gap tests disagree: b - a > tol
     # passes construction, and a + tol < b fails the order test, whose
-    # merge loop joins the two points into one interval, as it did
+    # merge loop keeps two isolated points apart, as construction does
     pair = (0.1, 0.10000000000100001)
     assert pair[1] - pair[0] > MEMBERSHIP_TOL and not pair[0] + MEMBERSHIP_TOL < pair[1]
-    assert parse_scale("points(0.1,0.10000000000100001)") == TimeScale((ClosedInterval(*pair),))
+    ts = parse_scale("points(0.1,0.10000000000100001)")
+    assert ts == isolated(*pair) and ts.components == tuple(map(IsolatedPoint, pair))
 
 
 def test_parse_duplicate_point_is_overlap():

@@ -1,6 +1,9 @@
 """The residual operators on one walk's jumps against the per-point code they
 replaced (tests/helpers.py), bit for bit and errors included, and the
-lookups they make."""
+lookups they make; the reports' column maps over regular regions against
+the per-point operators at every point."""
+
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from tscale import (
     average,
     check_sigma_shift,
     cli,
+    dynamic,
     delbis_relation_residual,
     delta_doubleprime,
     delta_prime,
@@ -33,10 +37,15 @@ from tscale import (
     union,
 )
 from tscale.exponential import _exp_runs, _memoized, _pointwise_runs
+from tscale.transforms import REGRESSIVITY_MARGIN
 
 from helpers import (
     outcome,
+    per_point_delbis,
+    per_point_oscillator_cayley,
+    per_point_oscillator_exact,
     probe_points,
+    random_discrete,
     random_scale,
     reference_average,
     reference_delbis,
@@ -242,3 +251,156 @@ def test_identity_reports_read_each_jump_from_one_walk(monkeypatch, identity, sc
     calls = _lookups(monkeypatch, lambda: cli.cmd_identity(config))
     assert calls["locate"] <= 2 * n + 20
     assert calls["index_of"] <= n
+
+
+# -- column maps over regular regions ------------------------------------------------
+
+
+def wave(t):
+    return complex(math.cos(t), 0.5 * math.sin(t))
+
+
+def _guard_breaking(gap):
+    """The least omega with |omega * gap| at the pi guard of delta_doubleprime."""
+    limit = math.pi - REGRESSIVITY_MARGIN
+    omega = limit / gap
+    while omega * gap < limit:
+        omega = math.nextafter(omega, math.inf)
+    return omega
+
+
+@st.composite
+def column_cases(draw):
+    """A scale, samples on a grid of it and omega. Point, uniform and mixed
+    scales (stretches between intervals), and uniform-like points with one
+    gap planted a few 1e-13 wider; make_grid grids, whole, sliced or
+    subsampled (some jumps then unsampled), with points nudged or added
+    within the membership tolerance and points dropped. omega is a fixed
+    value or the least that breaks the pi guard at one of the scale's
+    gaps: on a planted scale the constant graininess, its first gap,
+    passes the guard, and delbis raises at the first point of the wider
+    gap, inside a stretch."""
+    shape = draw(st.sampled_from(["uniform", "points", "mixed", "planted"]))
+    h = draw(st.sampled_from([0.25, 0.1, 1e-3]))
+    start = draw(st.sampled_from([0.0, -3.7, 1e4]))
+    n = draw(st.integers(3, 60))
+    if shape == "uniform":
+        ts = uniform(start, h, n)
+    elif shape == "points":
+        ts = random_discrete(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 3, 40)
+    elif shape == "mixed":
+        a = start + n * h + 0.5
+        m = draw(st.integers(2, 30))
+        ts = union(uniform(start, h, n), interval(a, a + 1.0), uniform(a + 1.5, h, m))
+    else:
+        j = draw(st.integers(0, n - 2))
+        wide = draw(st.sampled_from([2e-13, 5e-13, 9e-13]))
+        ts = isolated(*(start + k * h + (wide if k > j else 0.0) for k in range(n)))
+    pts = list(ts.make_grid(ts.inf, ts.sup, draw(st.sampled_from([0.05, 0.3]))).points)
+    cut = draw(st.sampled_from(["whole", "slice", "subsampled"]))
+    if cut == "slice":
+        i, j = sorted(draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2)))
+        pts = pts[i : j + 1]
+    elif cut == "subsampled":
+        pts = pts[draw(st.integers(0, 1)) :: draw(st.integers(2, 3))] or pts[:1]
+    nudges = st.sampled_from([-1e-12, -4e-13, 4e-13, 1e-12])
+    places = st.lists(st.integers(0, 2**30), max_size=3)  # spread over the grid
+    for k in draw(places):
+        pts[k % len(pts)] += draw(nudges)
+    for k in draw(places):
+        pts.append(pts[k % len(pts)] + draw(nudges))  # a second point within the tolerance
+    for k in draw(places):
+        if len(pts) > 1:
+            del pts[k % len(pts)]  # an asymmetric dense stencil, or an unsampled jump
+    grid = Grid(tuple(sorted(set(pts))), 0.1)
+    if draw(st.booleans()):
+        x = SampledFunction.sample(lambda t: wave(2.5 * t), grid)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        size = len(grid.points)
+        x = SampledFunction(grid, tuple(rng.normal(size=size) + 1j * rng.normal(size=size)))
+    values = [c.left for c in ts.components]
+    gaps = sorted(set(b - a for a, b in zip(values, values[1:]) if b - a < 1.0))
+    if gaps and draw(st.booleans()):
+        omega = _guard_breaking(gaps[-1] if draw(st.booleans()) else draw(st.sampled_from(gaps)))
+    else:
+        omega = draw(st.sampled_from([0.5, 2.5, 40.0, 1e200]))
+    return ts, x, omega
+
+
+def _column_outcomes(ts, x, omega):
+    grid = x.grid
+    for kind in TrigKind:
+        args = (ts, omega, x, grid, 1e-12, kind)
+        yield (
+            outcome(lambda: _report(oscillator_residual_cayley(*args))),
+            outcome(lambda: _report(per_point_oscillator_cayley(*args))),
+        )
+    args = (ts, omega, x, grid)
+    yield (
+        outcome(lambda: _exact(oscillator_residual_exact(*args))),
+        outcome(lambda: _exact(per_point_oscillator_exact(*args))),
+    )
+    yield (
+        outcome(lambda: _report(delbis_relation_residual(*args))),
+        outcome(lambda: _report(per_point_delbis(*args))),
+    )
+
+
+# gap 20, from t = 5, is 5e-13 wider than the others
+_PLANTED = isolated(*(0.25 * k + (5e-13 if k > 20 else 0.0) for k in range(40)))
+_PLANTED_X = SampledFunction.sample(wave, _PLANTED.make_grid(0.0, _PLANTED.sup, 0.1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_cases())
+@example((_PLANTED, _PLANTED_X, _guard_breaking(0.25 + 5e-13)))
+def test_reports_match_the_per_point_operators_at_every_point(case):
+    """Residuals, points, skipped, form_agreement and the first error's
+    type and message, bit for bit."""
+    for got, want in _column_outcomes(*case):
+        assert got == want
+
+
+def test_delbis_raises_the_guard_inside_a_stretch_at_the_wider_gap():
+    ts, x = _PLANTED, _PLANTED_X
+    omega = _guard_breaking(max(b.t - a.t for a, b in zip(ts.components, ts.components[1:])))
+    assert ts.constant_graininess() * omega < math.pi - REGRESSIVITY_MARGIN
+    got = outcome(delbis_relation_residual, ts, omega, x, x.grid)
+    assert got[0] == "SingularError" and "must stay below pi" in got[1]
+    assert got == outcome(per_point_delbis, ts, omega, x, x.grid)
+    # on the points before the wider gap, the relation holds
+    head = Grid(x.grid.points[:21], 0.1)
+    rep = delbis_relation_residual(ts, omega, SampledFunction(head, x.values[:21]), head)
+    assert len(rep.points) == 20 and rep.skipped == (head.points[-1],)
+
+
+@pytest.mark.parametrize(
+    "ts, step, irregular",
+    [
+        (uniform(0.0, 1e-3, 1000), 0.1, {998, 999}),  # the last two points
+        (interval(0.0, 1.0), 1e-3, {0, 1000}),  # the ends of the run
+    ],
+)
+def test_per_point_operators_run_only_at_irregular_points(monkeypatch, ts, step, irregular):
+    grid = ts.make_grid(ts.inf, ts.sup, step)
+    x = SampledFunction.sample(wave, grid)
+    seen = []
+
+    def counted(name, at):
+        op = getattr(dynamic, name)
+        monkeypatch.setattr(dynamic, name, lambda *args: seen.append(args[at]) or op(*args))
+
+    counted("_second_delta", 1)
+    counted("_double_average", 1)
+    counted("_delta_doubleprime", 2)
+    omega = 2.5
+    reports = [
+        lambda: oscillator_residual_cayley(ts, omega, x, grid),
+        lambda: oscillator_residual_exact(ts, omega, x, grid),
+        lambda: delbis_relation_residual(ts, omega, x, grid),
+    ]
+    for report in reports:
+        seen.clear()
+        report()
+        assert set(seen) <= irregular

@@ -13,6 +13,7 @@ from tscale import (
     Grid,
     IsolatedPoint,
     KappaError,
+    OverlapError,
     TimeScale,
     delta_derivative_numeric,
     interval,
@@ -20,7 +21,7 @@ from tscale import (
     uniform,
     union,
 )
-from tscale.timescale import _points, _uniform_points, normalize_components
+from tscale.timescale import MEMBERSHIP_TOL, _points, _uniform_points, normalize_components
 
 from helpers import (
     any_scale,
@@ -234,6 +235,19 @@ def test_bulk_construction_equals_the_checks_one_at_a_time(comps):
     assert _state(scale_state, comps) == _state(reference_scale_state, comps)
     if isinstance(normal, tuple) and normal and isinstance(normal[0], IsolatedPoint | ClosedInterval):
         assert _state(scale_state, normal) == _state(reference_scale_state, normal)
+
+
+def test_two_points_are_never_merged_into_an_interval():
+    """An ulp past the tolerance, b - a > tol passes construction while
+    a + tol < b fails the order test: the merge loop keeps two points, as
+    construction does; at the tolerance they are one point given twice."""
+    pair = (0.1, 0.10000000000100001)
+    assert pair[1] - pair[0] > MEMBERSHIP_TOL and not pair[0] + MEMBERSHIP_TOL < pair[1]
+    points = tuple(map(IsolatedPoint, pair))
+    assert normalize_components(points[::-1]) == points
+    assert union(isolated(pair[1]), isolated(pair[0])) == isolated(*pair)
+    with pytest.raises(OverlapError, match="duplicate point"):
+        normalize_components((IsolatedPoint(0.1), IsolatedPoint(0.1 + 5e-13)))
 
 
 def test_components_already_in_order_are_kept():
