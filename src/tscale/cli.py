@@ -23,6 +23,8 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import add, mul
 
 from .errors import DomainError, OverlapError, ParseError, RegressivityError, TscaleError
 from .timescale import (
@@ -392,7 +394,8 @@ def _sigma_shift_report(config, ts, grid, family):
             return None
         return _sigma_shift_residual(family, coeff, jumps, k, from_t0)
 
-    return collect("sigma-shift", grid.points, residual, config.tol), {}
+    residuals = map(residual, range(len(grid.points)))
+    return collect("sigma-shift", grid.points, residuals, config.tol), {}
 
 
 def _product_law_report(config, ts, grid, family):
@@ -432,7 +435,7 @@ def _oscillator_cayley_report(config, ts, grid, family):
 
 def _oscillator_exact_report(config, ts, grid, family):
     omega = config.omega
-    x = SampledFunction.sample(lambda t: math.sin(omega * t), grid)
+    x = SampledFunction(grid, tuple(map(math.sin, map(mul, repeat(omega), grid.points))))
     result = oscillator_residual_exact(ts, omega, x, grid, config.tol)
     # pass requires both forms and their mutual agreement below tol
     pairs = zip(result.phi_form.residuals, result.sinc_form.residuals)
@@ -447,9 +450,11 @@ def _oscillator_exact_report(config, ts, grid, family):
 
 
 def _delbis_report(config, ts, grid, family):
-    x = SampledFunction.sample(
-        lambda t: math.sin(t) + 0.5 * math.cos(2.0 * t) + 0.25 * t, grid
-    )
+    # sin(t) + 0.5 * cos(2.0 * t) + 0.25 * t, in that order of operations
+    pts = grid.points
+    waves = map(mul, repeat(0.5), map(math.cos, map(mul, repeat(2.0), pts)))
+    ramp = map(mul, repeat(0.25), pts)
+    x = SampledFunction(grid, tuple(map(add, map(add, map(math.sin, pts), waves), ramp)))
     return delbis_relation_residual(ts, config.omega, x, grid, config.tol), {}
 
 

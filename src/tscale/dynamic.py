@@ -8,18 +8,13 @@ exp(alpha*mu). The factors and their regressivity tests are the step-rule
 table's in transforms. Dense segments integrate the continuum equation:
 every scheme steps there by the exponential of the coefficient's integral.
 
-Cost: a residual report walks its grid once (timescale._Jumps, one walk per
-report; the oscillator-cayley report shares one table between its two
-passes) and reads each point's sigma, mu and the grid index of its jump by
-index. Over the regular regions the walk marks (_Jumps.regular: a stretch
-of scattered steps, the interior of a dense run with a symmetric stencil)
-it computes the second differences, double averages and delbis quotients
-as C-level maps over shifted slices of the value, point and mu columns,
-with no Python call per point; delbis takes each distinct gap's cosine,
-denominator and pi guard once (exponential._by_gap). Every other point
-takes the per-point operators, of which the pointwise average,
-double_average, delta_prime and delta_doubleprime are the one-point case.
-Both apply the same stencil formulas, so the floats are the same.
+Cost: a residual report walks its grid once (timescale._Jumps; the
+oscillator-cayley report shares one table between its two passes), gathers
+each point's stencil by the table's grid index columns (timescale._gather)
+and maps the stencil formulas (trig._quotients, trig._halves, _dense_second)
+over them, no Python call per point; delbis takes each distinct gap's
+cosine, denominator and pi guard once (exponential._by_gap). The pointwise
+operators apply the same formulas to a one-point table: the same floats.
 """
 
 from __future__ import annotations
@@ -29,8 +24,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, compress, count, repeat
-from operator import add, itemgetter, mul, sub, truediv
-from typing import Callable
+from operator import add, and_, is_not, itemgetter, mul, ne, sub, truediv
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     ConstantGraininessError,
@@ -47,7 +42,7 @@ from .exponential import (
     _split_steps,
     _validate_regressive,
 )
-from .timescale import DEFAULT_TOL, Grid, TimeScale, _asymmetric, _Jumps
+from .timescale import DEFAULT_TOL, Grid, TimeScale, _gather, _Jumps
 from .transforms import (
     CAYLEY_RULE,
     EXACT_RULE,
@@ -56,7 +51,7 @@ from .transforms import (
     as_coefficient,
 )
 from .report import ResidualReport, collect
-from .trig import TrigKind
+from .trig import TrigKind, _halves, _merged, _quotients
 
 
 class Scheme(Enum):
@@ -89,7 +84,7 @@ class SampledFunction:
 
     @classmethod
     def sample(cls, fn: Callable[[float], complex], grid: Grid) -> "SampledFunction":
-        return cls(grid, tuple(complex(fn(p)) for p in grid.points))
+        return cls(grid, tuple(map(fn, grid.points)))
 
     def value_at(self, t: float) -> complex:
         i = self.grid.index_of(t)
@@ -103,34 +98,21 @@ class SampledFunction:
 
 def average(x: SampledFunction, ts: TimeScale, t: float) -> complex:
     """Forward average (x(t) + x(sigma(t))) / 2; plain x(t) at right-dense t."""
-    return _average(_Jumps(ts, (t,), x.grid), 0, x)
+    jumps = _Jumps(ts, (t,), x.grid)
+    v = x.values[jumps.located_index(0)]
+    return _one(_halves, v, x.values[jumps.jump_index(0)]) if jumps.mu[0] else v
 
 
 def double_average(x: SampledFunction, ts: TimeScale, t: float) -> complex:
     """Iterated forward average; equals (x + 2 x^sigma + x^sigma^sigma)/4
     when both forward jumps scatter, and x(t) at right-dense points."""
-    return _double_average(_Jumps(ts, (t,), x.grid), 0, x)
-
-
-def _average(jumps, k: int, x: SampledFunction) -> complex:
-    """average at point k of jumps, whose grid is x's."""
-    v = x.values[jumps.located_index(k)]
-    if not jumps.mu[k]:
-        return v
-    return _one(_halves, v, x.values[jumps.jump_index(k)])
-
-
-def _double_average(jumps, k: int, x: SampledFunction) -> complex:
-    """double_average at point k of jumps, whose grid is x's."""
-    if not jumps.mu[k]:
-        return x.values[jumps.located_index(k)]
-    return _one(_halves, _average(jumps, k, x), _average(*jumps.jump(k), x))
+    jumps, avg = _Jumps(ts, (t,), x.grid), average(x, ts, t)
+    return _one(_halves, avg, average(x, ts, jumps.sigma[0])) if jumps.mu[0] else avg
 
 
 # -- stencil formulas -------------------------------------------------------------------
-# Each is written once, as a chain of C-level maps over columns: a report maps
-# it over shifted slices of a regular region, a per-point operator applies it
-# to one value each (_one), so both give the same floats.
+# With trig._halves and trig._quotients, each is a chain of C-level maps over
+# columns: of the values a report gathers, or of one value each (_one).
 
 
 def _one(formula, *values):
@@ -138,21 +120,22 @@ def _one(formula, *values):
     return next(formula(*((v,) for v in values)))
 
 
-def _halves(u, w):
-    """0.5 * (u + w)."""
-    return map(mul, repeat(0.5), map(add, u, w))
-
-
-def _quotients(v, v_sigma, h):
-    """(v_sigma - v) / h: the forward quotient of x over a step h, and of
-    the forward quotients x'' over the first of two steps."""
-    return map(truediv, map(sub, v_sigma, v), h)
-
-
 def _dense_second(v0, v1, v2, hl, hr):
     """x'' from samples at t - hl, t and t + hr, a symmetric stencil."""
     top = map(add, map(sub, v2, map(mul, repeat(2.0), v1)), v0)
     return map(truediv, top, map(mul, hl, hr))
+
+
+def _slopes(x: SampledFunction, at: Sequence[int]) -> Iterator[complex]:
+    """The ordinary derivative estimate at each grid index of at, from the
+    samples beside it: the central difference, one-sided at the grid's ends."""
+    pts, vals, last = x.grid.points, x.values, len(x.values) - 1
+    if at and not last:
+        raise GridError("need at least two samples for a derivative estimate")
+    lo = tuple(map(max, map(sub, at, repeat(1)), repeat(0)))
+    hi = tuple(map(min, map(add, at, repeat(1)), repeat(last)))
+    h = map(sub, _gather(pts, hi), _gather(pts, lo))
+    return _quotients(_gather(vals, lo), _gather(vals, hi), h)
 
 
 # -- first-order solver ------------------------------------------------------------
@@ -278,7 +261,7 @@ def delta_prime(alpha: complex, ts: TimeScale, x: SampledFunction, t: float) -> 
     jumps = _Jumps(ts, (t,), x.grid)
     mu = jumps.mu[0]
     if not mu:
-        return _sample_derivative(jumps, 0, x)
+        return next(_slopes(x, [jumps.located_index(0)]))
     d = mu * psi(alpha, mu)
     if d == 0:
         raise SingularError(f"degenerate quotient denominator at t={t!r}")
@@ -293,38 +276,23 @@ def delta_doubleprime(omega: float, ts: TimeScale, x: SampledFunction, t: float)
     points. Requires |omega*mu| < pi; at right-dense points falls back to
     an ordinary derivative estimate from neighboring samples.
     """
-    omega = float(omega)
-    return _delta_doubleprime(omega, _Jumps(ts, (t,), x.grid), 0, x)
-
-
-def _delta_doubleprime(omega: float, jumps, k: int, x: SampledFunction) -> complex:
-    """delta_doubleprime at point k of jumps, whose grid is x's."""
-    mu = jumps.mu[k]
+    jumps = _Jumps(ts, (t,), x.grid)
+    mu = jumps.mu[0]
     if not mu:
-        return _sample_derivative(jumps, k, x)
-    cos, den = _oscillator_step(omega, mu)
-    v = x.values[jumps.jump_index(k)]
-    return _one(_quotients, x.values[jumps.located_index(k)] * cos, v, den)
+        return next(_slopes(x, [jumps.located_index(0)]))
+    step = _oscillator_step(float(omega), mu)
+    if isinstance(step, SingularError):
+        raise step
+    v = x.values[jumps.jump_index(0)]
+    return _one(_quotients, x.values[jumps.located_index(0)] * step[0], v, step[1])
 
 
-def _oscillator_step(omega: float, mu: float) -> tuple[float, float]:
+def _oscillator_step(omega: float, mu: float) -> tuple[float, float] | SingularError:
     """cos(omega*mu) and the denominator mu * sinc(omega*mu) of
-    delta_doubleprime for a gap mu, which must keep |omega*mu| below pi."""
+    delta_doubleprime for a gap mu; the error to raise at |omega*mu| >= pi."""
     if abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
-        raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
+        return SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
     return math.cos(omega * mu), mu * sinc(omega * mu)
-
-
-def _sample_derivative(jumps, k: int, x: SampledFunction) -> complex:
-    i = jumps.located_index(k)
-    pts, vals = x.grid.points, x.values
-    if 0 < i < len(pts) - 1:
-        return (vals[i + 1] - vals[i - 1]) / (pts[i + 1] - pts[i - 1])
-    if i == 0:
-        if len(pts) < 2:
-            raise GridError("need at least two samples for a derivative estimate")
-        return (vals[1] - vals[0]) / (pts[1] - pts[0])
-    return (vals[i] - vals[i - 1]) / (pts[i] - pts[i - 1])
 
 
 # -- second-order residuals ---------------------------------------------------------------
@@ -335,67 +303,40 @@ def _check_aligned(x: SampledFunction, grid: Grid) -> None:
         raise GridError("samples and grid do not align")
 
 
-def _second_delta(jumps, k: int, x: SampledFunction) -> complex | None:
-    """x'' at point k of jumps, whose grid is x's, or None when the
-    stencil is unavailable.
-
-    Defined at points with two scattered forward jumps, and at interior
-    right-and-left-dense points with a symmetric sampled stencil.
-    """
-    pts, vals, t = x.grid.points, x.values, jumps.points[k]
-    i = jumps.index(k, t)
-    if i is None:
-        return None
-    jumps.check(k)
-    s = jumps.sigma[k]
-    if s > t:
-        j = jumps.next[k]
-        if j is None:
-            return None
-        after, m = jumps.jump(k)
-        s2, j2 = after.sigma[m], after.next[m]
-        if s2 == s or j2 is None:
-            return None
-        d = _one(_quotients, vals[i], vals[j], s - t)
-        d_sigma = _one(_quotients, vals[j], vals[j2], s2 - s)
-        return _one(_quotients, d, d_sigma, s - t)
-    if i == 0 or i == len(pts) - 1:
-        return None
-    if jumps.rho(k) < t:
-        return None
-    hl = pts[i] - pts[i - 1]
-    hr = pts[i + 1] - pts[i]
-    if _one(_asymmetric, hl, hr):
-        return None
-    return _one(_dense_second, vals[i - 1], vals[i], vals[i + 1], hl, hr)
+def _constant_step(ts: TimeScale, omega: float, x: SampledFunction, grid: Grid):
+    """The constant graininess mu and float omega; |omega*mu| must stay below pi."""
+    _check_aligned(x, grid)
+    mu = ts.constant_graininess()
+    if mu is None:
+        raise ConstantGraininessError("scale does not have constant graininess")
+    omega = float(omega)
+    if abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
+        raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
+    return mu, omega
 
 
 def _second_order_report(identity: str, jumps, x: SampledFunction, form, tol: float):
     """The report of form(dd, da, xs), columns of x'', avg(avg(x)) and
-    x(sigma), over the points of jumps, whose grid is x's, skipping points
-    with no x'' stencil: the per-point operators at each point, and C-level
-    maps over shifted slices of the columns on each regular region."""
-    vals = x.values
-
-    def residual(k):
-        dd = _second_delta(jumps, k, x)
-        if dd is None:
-            return None
-        da = _double_average(jumps, k, x)
-        return _one(form, dd, da, vals[jumps.jump_index(k)])
-
-    def region(a, b):
-        if jumps.mu[a]:  # a stretch: point k's jumps are points k + 1 and k + 2
-            v, mu = vals[a : b + 2], jumps.mu[a : b + 1]
-            # the quotient and average at point k are those at the jump of k - 1
-            d, avg = list(_quotients(v, v[1:], mu)), list(_halves(v, v[1:]))
-            return form(_quotients(d, d[1:], mu), _halves(avg, avg[1:]), v[1:])
-        pts, v1 = jumps.points, vals[a:b]  # a run's interior: each point its own jump
-        hs = list(map(sub, pts[a : b + 1], pts[a - 1 : b]))
-        dd = _dense_second(vals[a - 1 : b - 1], v1, vals[a + 1 : b + 1], hs, hs[1:])
-        return form(dd, v1, v1)
-
-    return collect(identity, jumps.points, residual, tol, jumps.regular(2), region)
+    x(sigma), over the points of jumps, whose grid is x's: quotients over a
+    point's two jumps below its jump, the symmetric second difference over
+    its grid neighbours where right-dense (a C-level sort puts the two in
+    point order), else skipped. Raises the first error in point order."""
+    pts, vals, e = jumps.points, x.values, jumps.stop
+    (ks, js, j2, ss, s2), (ds, i, hl, hr) = jumps.stencils
+    h = list(map(sub, ss, _gather(pts, ks)))
+    vj, vj2 = _gather(vals, js), _gather(vals, j2)
+    d = _quotients(_gather(vals, _gather(jumps.own, ks)), vj, h)
+    dd = _quotients(d, _quotients(vj, vj2, map(sub, s2, ss)), h)
+    da = _halves(_halves(_gather(vals, _gather(jumps.at, ks)), vj), _halves(vj, vj2))
+    vl, vi, vr = (_gather(vals, map(add, i, repeat(off))) for off in (-1, 0, 1))
+    dense = list(_dense_second(vl, vi, vr, hl, hr))
+    cols = dd, da, vj
+    if ds:  # the two kinds in point order
+        order = sorted(range(len(ks) + len(ds)), key=(ks + ds).__getitem__)
+        cols = (_gather([*u, *w], order) for u, w in ((dd, dense), (da, vi), (vj, vi)))
+    residuals = list(_merged(e, (sorted(ks + ds), form(*cols) if ks or ds else ())))
+    jumps.check(e)
+    return collect(identity, pts, residuals, tol)
 
 
 def oscillator_residual_cayley(
@@ -451,13 +392,7 @@ def oscillator_residual_exact(
     Requires a constant-graininess scale and |omega*mu| < pi. For samples
     of the restricted sin/cos both forms vanish and agree pointwise.
     """
-    _check_aligned(x, grid)
-    mu = ts.constant_graininess()
-    if mu is None:
-        raise ConstantGraininessError("scale does not have constant graininess")
-    omega = float(omega)
-    if abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
-        raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
+    mu, omega = _constant_step(ts, omega, x, grid)
     w2phi2 = omega * omega * phi(omega * mu) ** 2
     w2sinc2 = omega * omega * sinc(0.5 * omega * mu) ** 2
     phi_forms, sinc_forms = [], []  # both forms at each point that is not skipped
@@ -495,54 +430,29 @@ def delbis_relation_residual(
     samples. Requires constant graininess; right-dense points are skipped
     (both quotients collapse to the same ordinary derivative there).
     """
-    _check_aligned(x, grid)
-    mu = ts.constant_graininess()
-    if mu is None:
-        raise ConstantGraininessError("scale does not have constant graininess")
-    omega = float(omega)
-    if mu > 0 and abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
-        raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
-    corr = 0.5 * mu * omega * omega * sinc(0.5 * omega * mu) ** 2
-    sinc_mu, vals = sinc(omega * mu), x.values
+    mu, omega = _constant_step(ts, omega, x, grid)
+    corr, sinc_mu = 0.5 * mu * omega * omega * sinc(0.5 * omega * mu) ** 2, sinc(omega * mu)
     jumps = _Jumps(ts, grid.points, grid)
-
-    def form(v, v_sigma, h, q):
-        rhs = map(sub, map(mul, repeat(sinc_mu), q), map(mul, repeat(corr), v))
-        return map(abs, map(sub, _quotients(v, v_sigma, h), rhs))
-
-    def residual(k):
-        jumps.check(k)
-        p, s, j = jumps.points[k], jumps.sigma[k], None
-        if jumps.mu[k] is not None and s != p:
-            j = jumps.next[k]
-        if j is None:
-            return None
-        i = jumps.index(k, p)
-        if i is None:
-            raise GridError(f"t={p!r} is not sampled")
-        q = _delta_doubleprime(omega, jumps, k, x)
-        return _one(form, vals[i], vals[j], s - p, q)
-
-    steps: dict = {}  # each gap's (cos, den), or the error of its guard
-
-    def step(gap, _):
-        try:
-            return _oscillator_step(omega, gap)
-        except SingularError as exc:
-            return exc
-
-    def region(a, b):
-        if not jumps.mu[a]:  # a run's interior: each point right-dense
-            return repeat(None, b - a)
-        mus = jumps.mu[a:b]
-        _by_gap(steps, mus, mus, step)
-        at = list(map(steps.__getitem__, mus))
+    pts, vals, e = jumps.points, x.values, jumps.stop
+    # a point apart from its jump, off the left-scattered maximum
+    apart = map(and_, map(is_not, jumps.mu[:e], repeat(None)), map(ne, jumps.sigma[:e], pts))
+    ks, js = jumps.jumping(compress(range(e), apart))
+    mus, steps, failed = _gather(jumps.mu, ks), {}, ()
+    if mu:  # isolated points: each gap's cosine, denominator and pi guard once
+        _by_gap(steps, mus, mus, lambda gap, _: _oscillator_step(omega, gap))
+        at = _gather(steps, mus)
         cut = next(compress(count(), map(isinstance, at, repeat(SingularError))), len(at))
-        v, v_sigma, at = vals[a : a + cut], vals[a + 1 : a + cut + 1], at[:cut]
-        q = _quotients(map(mul, v, map(itemgetter(0), at)), v_sigma, map(itemgetter(1), at))
-        residuals = list(form(v, v_sigma, mus, q))
-        if cut < len(mus):
-            raise steps[mus[cut]]  # at the first point that has the gap
-        return residuals
-
-    return collect("delbis", grid.points, residual, tol, jumps.regular(1), region)
+        ks, js, at, failed = ks[:cut], js[:cut], at[:cut], at[cut:]
+        vc = map(mul, _gather(vals, _gather(jumps.at, ks)), map(itemgetter(0), at))
+        q = _quotients(vc, _gather(vals, js), map(itemgetter(1), at))
+    else:  # one interval: the ordinary derivative estimate at a point located apart
+        q = _slopes(x, _gather(jumps.at, ks))
+    vi = _gather(vals, _gather(jumps.own, ks))
+    h = map(sub, _gather(jumps.sigma, ks), _gather(pts, ks))
+    plain = _quotients(vi, _gather(vals, js), h)
+    rhs = map(sub, map(mul, repeat(sinc_mu), q), map(mul, repeat(corr), vi))
+    residuals = list(_merged(e, (ks, map(abs, map(sub, plain, rhs)))))
+    if failed:
+        raise failed[0]  # at the first point that has the gap
+    jumps.check(e)
+    return collect("delbis", grid.points, residuals, tol)

@@ -65,19 +65,10 @@ class ResidualReport:
         return self.max_residual < self.tol
 
 
-def collect(
-    identity: str, points, residual, tol: float, regions=(), region=None
-) -> ResidualReport:
-    """The report of residual(k) over the points, skipping point k where
-    it is None. Over each (a, b) of regions, ascending and apart,
-    region(a, b) gives the residuals of points a to b - 1 at once, None
-    where skipped, and raises what residual would first raise there."""
-    rs, k = [], 0
-    for a, b in regions:
-        rs += map(residual, range(k, a))
-        rs += region(a, b)
-        k = b
-    rs += map(residual, range(k, len(points)))
+def collect(identity: str, points, residuals, tol: float) -> ResidualReport:
+    """The report of a column of residuals over the points, None where a
+    point is skipped."""
+    rs = list(residuals)
     kept = list(map(is_not, rs, repeat(None)))
     return ResidualReport(
         identity,

@@ -671,20 +671,19 @@ class TimeScale:
 
 class _Jumps:
     """The forward jump of each of ascending points, read by index from one
-    TimeScale.walk_runs: sigma, mu (None at the left-scattered maximum), the
-    located value and, against a sample grid, next, the grid index of
-    sigma. A run's and a stretch's columns are filled from slices: a run's
-    located points, and a stretch's component ends and gaps. A value the
-    walk does not give is looked up: a grid index where a point is not its
-    own grid point, the backward jump of a point no span reaches, the jump
-    of a jump that is no point. Past a non-member the points are walked one
-    at a time; check(k) raises the error of locating point k, where a loop
-    locating each point would meet it, as do located_index(k) and
-    jump_index(k). One walk per report: a report builds its table, and the
-    oscillator-cayley report shares one between its two passes. Against its
-    own grid the table also keeps where each stretch and run lies; regular
-    says where a stencil of one or two jumps is regular, so that a report
-    can take it there as C-level maps over shifted slices of the columns.
+    TimeScale.walk_runs: sigma, mu (None at the left-scattered maximum) and
+    the located value, a run's and a stretch's filled from slices. Past a
+    non-member the points are walked one at a time; stop is the first point
+    whose locating raised (the number of points where none did), and
+    check(k) raises point k's error, where a loop locating each point would
+    meet it. One walk per report; the oscillator-cayley report shares one.
+
+    Against a sample grid it has grid index columns, None where unsampled:
+    own, at and next, of each point, its located value and sigma. Over the
+    grid's own points a point's index is its position, unless a grid point
+    lies within the membership tolerance below it; a stretch gives each
+    jump's; any other value is searched for (Grid.index_of). jumping and
+    stencils gather the indices of a stencil by C-level maps.
     """
 
     def __init__(self, ts: TimeScale, points: Sequence[float], grid: Grid | None = None):
@@ -693,7 +692,6 @@ class _Jumps:
         self.sigma, self.mu, self.located = [], [], []
         self._spanned = [False]  # whether the step to each point has a span
         self._next: list[int] = []  # next where a stretch gives it, else -1
-        self._regions: list[tuple[int, int]] = []  # candidates for regular
         self._errors: dict[int, DomainError] = {}
         try:
             self._add(ts.walk_runs(points))
@@ -704,6 +702,7 @@ class _Jumps:
                 except DomainError as exc:
                     self._errors[len(self.sigma)] = exc
                     self._add([(p,) + (None,) * 5])
+        self.stop = min(self._errors, default=len(points))
 
     def _add(self, items) -> None:
         ts = self.ts
@@ -715,8 +714,6 @@ class _Jumps:
                 self.located += xs
                 self._spanned += [True] * len(xs)
                 self._next += [-1] * len(xs)
-                if self._aligned and len(xs) > 1:  # the run's interior
-                    self._regions.append((item.start + 1, item.start + len(xs)))
             elif isinstance(item, Stretch):
                 k, lo, stop, mus = item
                 m = len(mus)
@@ -727,8 +724,6 @@ class _Jumps:
                 # each jump is the next point, more than the tolerance above
                 # the point: Grid.index_of finds it there and nowhere below
                 self._next += range(k + 1, k + 1 + m) if self._aligned else [-1] * m
-                if self._aligned:
-                    self._regions.append((k, k + m))
             else:
                 _, _, s, mu, span, tt = item
                 self.sigma.append(s)
@@ -741,93 +736,98 @@ class _Jumps:
         if k in self._errors:
             raise self._errors[k]
 
-    def index(self, k: int, t: float) -> int | None:
-        """Grid.index_of(t), for t point k or near it; no search where t is
-        point k, grid point k, with no grid point within the membership
-        tolerance below it."""
+    @cached_property
+    def own(self) -> list[int | None]:
         pts = self.points
-        if t == pts[k] and self._aligned and (k == 0 or pts[k - 1] < t - MEMBERSHIP_TOL):
-            return k
-        return self.grid.index_of(t)
+        if self._aligned:
+            own = list(range(len(pts)))
+            tops = map(operator.sub, pts[1:], repeat(MEMBERSHIP_TOL))
+            crowded = compress(count(1), map(operator.ge, pts, tops))
+        else:
+            own, crowded = [None] * len(pts), range(len(pts))
+        for k in crowded:
+            own[k] = self.grid.index_of(pts[k])
+        return own
+
+    @cached_property
+    def at(self) -> list[int | None]:
+        return self._indices(self.located, self.own, map(operator.ne, self.located, self.points))
 
     @cached_property
     def next(self) -> list[int | None]:
-        nxt: list[int | None] = self._next[:]
-        # only the jumps no stretch gives are looked up, found by a C-level scan
-        for k in compress(count(), map(operator.lt, nxt, repeat(0))):
-            s = self.sigma[k]
-            nxt[k] = None if s is None else self.index(k, s)
-        return nxt
+        return self._indices(self.sigma, self._next, map(operator.lt, self._next, repeat(0)))
 
-    def regular(self, jumps: int) -> list[tuple[int, int]]:
-        """The regions (a, b), ascending and apart, whose points a to b - 1
-        each have a regular stencil of that many forward jumps (1 or 2), on
-        which C-level maps over shifted slices of the columns give what the
-        per-point operators give (dynamic):
-        - in a stretch, point k's jump is point k + 1 and its second point
-          k + 2, so the stretch's last step has no second jump in it;
-        - in the interior of a run, point k is right-dense and located at
-          itself, with the symmetric sampled stencil k - 1, k, k + 1;
-        and each point is its own grid index, by index's test with no
-        search. A region one of these fails is left to the per-point
-        operators whole. Only a table aligned with its grid has any."""
-        ends = ((a, b - (jumps - 1) if self.mu[a] else b) for a, b in self._regular)
-        return [(a, b) for a, b in ends if a < b]
-
-    @cached_property
-    def _regular(self) -> list[tuple[int, int]]:
-        pts, sub = self.points, operator.sub
-        regions = []
-        for a, b in self._regions:
-            c = max(a, 1)
-            tops = map(sub, pts[c:b], repeat(MEMBERSHIP_TOL))
-            if not all(map(operator.lt, pts[c - 1 : b - 1], tops)):
-                continue
-            if not self.mu[a]:  # a run: every mu is 0.0, every gap in a stretch positive
-                hs = list(map(sub, pts[a : b + 1], pts[a - 1 : b]))
-                if not all(map(operator.eq, self.located[a:b], pts[a:b])) or any(
-                    _asymmetric(hs, hs[1:])
-                ):
-                    continue
-            regions.append((a, b))
-        return regions
+    def _indices(self, values, given, missing) -> list[int | None]:
+        """The grid index of each of values, one a point: given's, but where
+        missing says, own's where the value is the point, else a search."""
+        col, pts = list(given), self.points
+        for k in compress(count(), missing):
+            t = values[k]
+            col[k] = self.own[k] if t == pts[k] else None if t is None else self.grid.index_of(t)
+        return col
 
     def located_index(self, k: int) -> int:
-        """The grid index of the located value; GridError, as a sample
-        lookup raises it, where there is none."""
+        """at[k]; point k's error, or GridError as a sample lookup raises it, where None."""
         self.check(k)
-        i = self.index(k, self.located[k])
-        if i is None:
+        if self.at[k] is None:
             raise GridError(f"t={self.located[k]!r} is not sampled")
-        return i
+        return self.at[k]
 
     def jump_index(self, k: int) -> int:
-        """next[k]; GridError, as a sample lookup raises it, where None."""
+        """next[k]; point k's error, or GridError as a sample lookup raises it, where None."""
         self.check(k)
         if self.next[k] is None:
             raise GridError(f"t={self.sigma[k]!r} is not sampled")
         return self.next[k]
 
-    def rho(self, k: int) -> float:
-        """The backward jump of point k: its located value where the step
-        to it has a span."""
-        return self.located[k] if self._spanned[k] else self.ts.rho(self.points[k])
+    def jumping(self, ks) -> list[list[int]]:
+        """The points of ks whose jump is sampled, and the jumps' next."""
+        ks = list(ks)
+        js = _gather(self.next, ks)
+        sampled = list(map(operator.is_not, js, repeat(None)))
+        return [list(compress(ks, sampled)), list(compress(js, sampled))]
 
-    def jump(self, k: int) -> tuple["_Jumps", int]:
-        """The jumps of point k's forward jump and its index there: these
-        where the jump is a point, else the jump's own."""
-        j, s = self.next[k], self.sigma[k]
-        if self._aligned and j is not None and self.points[j] == s:
-            return self, j
-        return _Jumps(self.ts, (s,), self.grid), 0
+    @cached_property
+    def stencils(self) -> tuple[list[list], list[list]]:
+        """The points before stop with a second-difference stencil, on a
+        table over its own grid. Below its jump, a point whose jump and whose
+        jump's jump are sampled and apart (read at the jump if that is a
+        point): columns of the points, both jumps' next and both jumps.
+        Right-dense, one with no backward jump below, an interior own index
+        i, steps i - 1 to i to i + 1 within 1e-9 of the larger: ks, i, hl, hr."""
+        pts, sub, e = self.points, operator.sub, self.stop
+        below = list(map(operator.gt, self.sigma[:e], pts))
+        ks, js = self.jumping(compress(range(e), below))
+        ss, s2 = _gather(self.sigma, ks), list(_gather(self.sigma, js))
+        j2 = list(_gather(self.next, js))
+        for m in compress(count(), map(operator.ne, _gather(pts, js), ss)):
+            jumps = _Jumps(self.ts, (ss[m],), self.grid)
+            s2[m], j2[m] = jumps.sigma[0], jumps.next[0]
+        apart = map(operator.ne, s2, ss)
+        kept = list(map(operator.and_, apart, map(operator.is_not, j2, repeat(None))))
+        forward = [list(compress(c, kept)) for c in (ks, js, j2, ss, s2)]
+        ks = list(compress(range(e), map(operator.not_, below)))
+        i = _gather(self.own, ks)
+        inner = list(map(operator.and_, map(bool, i), map(operator.lt, i, repeat(len(pts) - 1))))
+        ks, i = list(compress(ks, inner)), list(compress(i, inner))
+        # the backward jump: the located value where the step to the point has a span
+        rho = list(_gather(self.located, ks))
+        for m in compress(count(), map(operator.not_, _gather(self._spanned, ks))):
+            rho[m] = self.ts.rho(pts[ks[m]])
+        left, mid, right = (_gather(pts, map(operator.add, i, repeat(d))) for d in (-1, 0, 1))
+        hl, hr = list(map(sub, mid, left)), list(map(sub, right, mid))
+        tols = map(operator.mul, repeat(1e-9), map(max, hl, hr))
+        symmetric = map(operator.le, map(abs, map(sub, hl, hr)), tols)
+        kept = list(map(operator.and_, map(operator.ge, rho, _gather(pts, ks)), symmetric))
+        return forward, [list(compress(c, kept)) for c in (ks, i, hl, hr)]
 
 
-def _asymmetric(hl: Sequence[float], hr: Sequence[float]) -> Iterator[bool]:
-    """Whether each pair of sampled steps hl, hr around a right-dense point
-    is too far apart for the symmetric second difference: more than 1e-9
-    of the larger. A C-level map."""
-    tols = map(operator.mul, repeat(1e-9), map(max, hl, hr))
-    return map(operator.gt, map(abs, map(operator.sub, hl, hr)), tols)
+def _gather(values: Sequence, indices: Iterable[int]) -> tuple:
+    """values[i] for each i of indices, by one C-level call."""
+    indices = tuple(indices)
+    if len(indices) == 1:
+        return (values[indices[0]],)
+    return operator.itemgetter(*indices)(values) if indices else ()
 
 
 def _extend_run(

@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
+from operator import add, gt, is_not, mul, not_, sub, truediv
+from typing import Iterator
 
 from .errors import ToleranceError
-from .timescale import DEFAULT_TOL, Grid, TimeScale, _Jumps, delta_derivative_numeric
+from .timescale import DEFAULT_TOL, Grid, TimeScale, _gather, _Jumps, delta_derivative_numeric
 from .transforms import as_coefficient, graininess_coefficient
 from .exponential import (
     ExpFamily,
@@ -231,26 +235,61 @@ def derivative_residual(
         c_rate, s_rate = -w, w
         pair_at = _memoized(lambda u: trig(family, ts, w, u, t0, tol))
     cs, ss = pair.c_values, pair.s_values
-    jumps = _Jumps(ts, grid.points, grid)
+    jumps, pts = _Jumps(ts, grid.points, grid), grid.points
+    # off the left-scattered maximum, a point below its jump takes the
+    # quotients over it and a right-dense point Richardson estimates
+    on = list(compress(range(len(pts)), map(is_not, jumps.mu, repeat(None))))
+    below = list(map(gt, _gather(jumps.sigma, on), _gather(jumps.located, on)))
+    ks, js = jumps.jumping(compress(on, below))
+    mus = list(map(sub, _gather(jumps.sigma, ks), _gather(pts, ks)))
+    ck, cj, sk, sj = (_gather(v, c) for v in (cs, ss) for c in (ks, js))
+    dc, ds = _quotients(ck, cj, mus), _quotients(sk, sj, mus)
+    avg_c, avg_s = _halves(ck, cj), _halves(sk, sj)
+    c_law = map(abs, map(sub, dc, map(mul, repeat(c_rate), avg_s)))
+    s_law = map(abs, map(sub, ds, map(mul, repeat(s_rate), avg_c)))
 
-    def residual(k):
-        p, s = jumps.points[k], jumps.sigma[k]
-        if jumps.mu[k] is None:
-            return None
-        if s > jumps.located[k]:
-            j = jumps.next[k]
-            if j is None:
-                return None
-            mu = s - p
-            dc, ds = (cs[j] - cs[k]) / mu, (ss[j] - ss[k]) / mu
-            avg_c, avg_s = 0.5 * (cs[k] + cs[j]), 0.5 * (ss[k] + ss[j])
-        else:
-            dc = delta_derivative_numeric(ts, lambda u: pair_at(u)[0], p)
-            ds = delta_derivative_numeric(ts, lambda u: pair_at(u)[1], p)
-            avg_c, avg_s = cs[k], ss[k]
-        return max(abs(dc - c_rate * avg_s), abs(ds - s_rate * avg_c))
+    def dense(k):
+        p = pts[k]
+        dc = delta_derivative_numeric(ts, lambda u: pair_at(u)[0], p)
+        ds = delta_derivative_numeric(ts, lambda u: pair_at(u)[1], p)
+        return max(abs(dc - c_rate * ss[k]), abs(ds - s_rate * cs[k]))
 
-    return collect(f"derivative-{family.value}-{kind.value}", grid.points, residual, tol)
+    right_dense = list(compress(on, map(not_, below)))
+    laws = (ks, map(max, c_law, s_law)), (right_dense, map(dense, right_dense))
+    residuals = _merged(len(pts), *laws)
+    return collect(f"derivative-{family.value}-{kind.value}", pts, residuals, tol)
+
+
+# -- stencil formulas --------------------------------------------------------------------
+# Each is written once, as a chain of C-level maps over columns of the values
+# a residual report gathers; a one-point operator maps it over one value each.
+
+
+def _halves(u, w):
+    """0.5 * (u + w)."""
+    return map(mul, repeat(0.5), map(add, u, w))
+
+
+def _quotients(v, v_sigma, h):
+    """(v_sigma - v) / h: the forward quotient of x over a step h, and of
+    the forward quotients x'' over the first of two steps."""
+    return map(truediv, map(sub, v_sigma, v), h)
+
+
+def _merged(n: int, *columns) -> Iterator:
+    """A column of n points from (positions, values) columns: the next of a
+    column's values at each of its positions, ascending, None at a point no
+    column has. C-level maps that take the values, and meet any error
+    computing them, in point order."""
+    if len(columns) == 1:  # the values in order, each at its position
+        col = [None] * n
+        deque(map(col.__setitem__, *columns[0]), 0)
+        return iter(col)
+    kind = [0] * n
+    for mark, (ks, _) in enumerate(columns, 1):
+        deque(map(kind.__setitem__, ks, repeat(mark)), 0)
+    its = (repeat(None), *(iter(values) for _, values in columns))
+    return map(next, map(its.__getitem__, kind))
 
 
 def exact_trig_delta(omega: float, mu: float, t: float) -> tuple[float, float]:

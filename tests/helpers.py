@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -53,14 +52,11 @@ from tscale.exponential import (
 )
 from tscale.dynamic import (
     _SCHEME_RULES,
-    _delta_doubleprime,
-    _double_average,
-    _second_delta,
     phi,
     psi,
     sinc,
 )
-from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson, _Jumps
+from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson
 from tscale.transforms import (
     REGRESSIVITY_MARGIN,
     _SERIES_CUTOFF,
@@ -978,101 +974,6 @@ def reference_delbis(ts, omega, x, grid, tol=1e-12):
         pts.append(p)
         residuals.append(abs(lhs - rhs))
     return ResidualReport("delbis", tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
-
-
-# -- the residual reports as per-point loops over one walk's jumps: the
-#    per-point operators at every point, where the reports take C-level maps
-#    over the regular regions (_Jumps.regular) and the operators elsewhere
-
-
-def _per_point_report(identity, points, residual, tol):
-    pts, residuals, skipped = [], [], []
-    for k, p in enumerate(points):
-        r = residual(k)
-        if r is None:
-            skipped.append(p)
-        else:
-            pts.append(p)
-            residuals.append(r)
-    return ResidualReport(identity, tuple(pts), tuple(residuals), tol, skipped=tuple(skipped))
-
-
-def per_point_oscillator_cayley(ts, param, x, grid, tol=1e-12, kind=TrigKind.TRIGONOMETRIC):
-    if grid.points != x.grid.points:
-        raise GridError("samples and grid do not align")
-    jumps = _Jumps(ts, grid.points, grid)
-
-    def residual(k):
-        dd = _second_delta(jumps, k, x)
-        if dd is None:
-            return None
-        da = _double_average(jumps, k, x)
-        if kind is TrigKind.TRIGONOMETRIC:
-            return abs(dd + complex(param) ** 2 * da)
-        return abs(dd - complex(param) ** 2 * da)
-
-    return _per_point_report(f"oscillator-cayley-{kind.value}", grid.points, residual, tol)
-
-
-def per_point_oscillator_exact(ts, omega, x, grid, tol=1e-12):
-    if grid.points != x.grid.points:
-        raise GridError("samples and grid do not align")
-    mu = ts.constant_graininess()
-    if mu is None:
-        raise ConstantGraininessError("scale does not have constant graininess")
-    omega = float(omega)
-    if abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
-        raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
-    w2phi2 = omega * omega * phi(omega * mu) ** 2
-    w2sinc2 = omega * omega * sinc(0.5 * omega * mu) ** 2
-    jumps = _Jumps(ts, grid.points, grid)
-    pairs = []
-
-    def phi_form(k):
-        dd = _second_delta(jumps, k, x)
-        if dd is None:
-            return None
-        a_form = dd + w2phi2 * _double_average(jumps, k, x)
-        pairs.append((a_form, dd + w2sinc2 * x.values[jumps.jump_index(k)]))
-        return abs(a_form)
-
-    phi_report = _per_point_report("oscillator-exact-phi", grid.points, phi_form, tol)
-    sinc_r = tuple(abs(b) for _, b in pairs)
-    return ExactOscillatorResult(
-        phi_report,
-        replace(phi_report, identity="oscillator-exact-sinc", residuals=sinc_r),
-        max([0.0, *(abs(a - b) for a, b in pairs)]),
-    )
-
-
-def per_point_delbis(ts, omega, x, grid, tol=1e-12):
-    if grid.points != x.grid.points:
-        raise GridError("samples and grid do not align")
-    mu = ts.constant_graininess()
-    if mu is None:
-        raise ConstantGraininessError("scale does not have constant graininess")
-    omega = float(omega)
-    if mu > 0 and abs(omega * mu) >= math.pi - REGRESSIVITY_MARGIN:
-        raise SingularError(f"|omega*mu| = {abs(omega * mu)!r} must stay below pi")
-    corr = 0.5 * mu * omega * omega * sinc(0.5 * omega * mu) ** 2
-    jumps = _Jumps(ts, grid.points, grid)
-
-    def residual(k):
-        jumps.check(k)
-        p, s, j = jumps.points[k], jumps.sigma[k], None
-        if jumps.mu[k] is not None and s != p:
-            j = jumps.next[k]
-        if j is None:
-            return None
-        i = jumps.index(k, p)
-        if i is None:
-            raise GridError(f"t={p!r} is not sampled")
-        v = x.values[i]
-        lhs = (x.values[j] - v) / (s - p)
-        rhs = sinc(omega * mu) * _delta_doubleprime(omega, jumps, k, x) - corr * v
-        return abs(lhs - rhs)
-
-    return _per_point_report("delbis", grid.points, residual, tol)
 
 
 def reference_derivative_residual(family, kind, ts, param, grid, tol=1e-12, t0=None):

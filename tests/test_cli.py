@@ -418,6 +418,34 @@ def test_identity_semigroup_and_shift_and_product(capsys):
         assert payload["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "scale, step",
+    [("uniform(0,1e-3,1000)", "0.1"), ("interval(0,1)+points(1.5,2,2.5)+interval(3,4)", "0.01")],
+)
+def test_report_samples_equal_the_pointwise_lambdas(monkeypatch, scale, step):
+    """The oscillator-exact and delbis reports sample x with chains of
+    C-level maps; the floats are a per-point lambda's, bit for bit."""
+    omega, seen = 2.5, {}
+    lambdas = {
+        "oscillator_residual_exact": lambda t: math.sin(omega * t),
+        "delbis_relation_residual": lambda t: math.sin(t) + 0.5 * math.cos(2.0 * t) + 0.25 * t,
+    }
+    for name in lambdas:
+
+        def captured(ts, omega, x, *args, name=name, report=getattr(cli, name)):
+            seen[name] = x
+            return report(ts, omega, x, *args)
+
+        monkeypatch.setattr(cli, name, captured)
+    for identity in ("oscillator-exact", "delbis"):  # the hybrid scale then exits 3
+        main(["identity", "--identity", identity, "--omega", repr(omega), "--scale", scale,
+              "--dense-step", step])
+    for name, fn in lambdas.items():
+        pts = seen[name].grid.points
+        want = [(v.real.hex(), v.imag.hex()) for v in (complex(fn(p)) for p in pts)]
+        assert [(v.real.hex(), v.imag.hex()) for v in seen[name].values] == want
+
+
 def test_identity_oscillators_and_delbis(capsys):
     code, payload = run_identity(
         capsys,

@@ -1,7 +1,7 @@
-"""The residual operators on one walk's jumps against the per-point code they
-replaced (tests/helpers.py), bit for bit and errors included, and the
-lookups they make; the reports' column maps over regular regions against
-the per-point operators at every point."""
+"""The residual reports and operators, which gather their stencils by index
+from one walk's jumps, against the per-point code they replaced
+(tests/helpers.py), bit for bit and errors included; the lookups they make;
+and how often they map each stencil formula."""
 
 import math
 
@@ -41,9 +41,6 @@ from tscale.transforms import REGRESSIVITY_MARGIN
 
 from helpers import (
     outcome,
-    per_point_delbis,
-    per_point_oscillator_cayley,
-    per_point_oscillator_exact,
     probe_points,
     random_discrete,
     random_scale,
@@ -253,7 +250,7 @@ def test_identity_reports_read_each_jump_from_one_walk(monkeypatch, identity, sc
     assert calls["index_of"] <= n
 
 
-# -- column maps over regular regions ------------------------------------------------
+# -- the gathered stencils at every point ---------------------------------------------
 
 
 def wave(t):
@@ -334,27 +331,31 @@ def _column_outcomes(ts, x, omega):
         args = (ts, omega, x, grid, 1e-12, kind)
         yield (
             outcome(lambda: _report(oscillator_residual_cayley(*args))),
-            outcome(lambda: _report(per_point_oscillator_cayley(*args))),
+            outcome(lambda: _report(reference_oscillator_cayley(*args))),
         )
     args = (ts, omega, x, grid)
     yield (
         outcome(lambda: _exact(oscillator_residual_exact(*args))),
-        outcome(lambda: _exact(per_point_oscillator_exact(*args))),
+        outcome(lambda: _exact(reference_oscillator_exact(*args))),
     )
     yield (
         outcome(lambda: _report(delbis_relation_residual(*args))),
-        outcome(lambda: _report(per_point_delbis(*args))),
+        outcome(lambda: _report(reference_delbis(*args))),
     )
 
 
 # gap 20, from t = 5, is 5e-13 wider than the others
 _PLANTED = isolated(*(0.25 * k + (5e-13 if k > 20 else 0.0) for k in range(40)))
 _PLANTED_X = SampledFunction.sample(wave, _PLANTED.make_grid(0.0, _PLANTED.sup, 0.1))
+# t = 1 is right-dense with grid steps of 0.1 on both sides, but left-scattered
+_STEP_BELOW = union(isolated(0.9), interval(1.0, 2.0))
+_STEP_BELOW_X = SampledFunction.sample(wave, _STEP_BELOW.make_grid(0.9, 2.0, 0.1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(column_cases())
 @example((_PLANTED, _PLANTED_X, _guard_breaking(0.25 + 5e-13)))
+@example((_STEP_BELOW, _STEP_BELOW_X, 2.5))
 def test_reports_match_the_per_point_operators_at_every_point(case):
     """Residuals, points, skipped, form_agreement and the first error's
     type and message, bit for bit."""
@@ -368,39 +369,51 @@ def test_delbis_raises_the_guard_inside_a_stretch_at_the_wider_gap():
     assert ts.constant_graininess() * omega < math.pi - REGRESSIVITY_MARGIN
     got = outcome(delbis_relation_residual, ts, omega, x, x.grid)
     assert got[0] == "SingularError" and "must stay below pi" in got[1]
-    assert got == outcome(per_point_delbis, ts, omega, x, x.grid)
+    assert got == outcome(reference_delbis, ts, omega, x, x.grid)
     # on the points before the wider gap, the relation holds
     head = Grid(x.grid.points[:21], 0.1)
     rep = delbis_relation_residual(ts, omega, SampledFunction(head, x.values[:21]), head)
     assert len(rep.points) == 20 and rep.skipped == (head.points[-1],)
 
 
+FORMULAS = ("_quotients", "_halves", "_dense_second")
+
+
+def _formula_calls(monkeypatch, report):
+    """report()'s calls of each stencil formula, as dynamic names it."""
+    counts = dict.fromkeys(FORMULAS, 0)
+    for name in FORMULAS:
+
+        def counted(*args, name=name, formula=getattr(dynamic, name)):
+            counts[name] += 1
+            return formula(*args)
+
+        monkeypatch.setattr(dynamic, name, counted)
+    report()
+    monkeypatch.undo()
+    return counts
+
+
 @pytest.mark.parametrize(
-    "ts, step, irregular",
+    "scale_at, formula",
     [
-        (uniform(0.0, 1e-3, 1000), 0.1, {998, 999}),  # the last two points
-        (interval(0.0, 1.0), 1e-3, {0, 1000}),  # the ends of the run
+        pytest.param(lambda n: (uniform(0.0, 1e-3, n), 0.1), "_quotients", id="stretch"),
+        pytest.param(lambda n: (interval(0.0, 1.0), 1.0 / n), "_dense_second", id="run"),
     ],
 )
-def test_per_point_operators_run_only_at_irregular_points(monkeypatch, ts, step, irregular):
-    grid = ts.make_grid(ts.inf, ts.sup, step)
-    x = SampledFunction.sample(wave, grid)
-    seen = []
-
-    def counted(name, at):
-        op = getattr(dynamic, name)
-        monkeypatch.setattr(dynamic, name, lambda *args: seen.append(args[at]) or op(*args))
-
-    counted("_second_delta", 1)
-    counted("_double_average", 1)
-    counted("_delta_doubleprime", 2)
-    omega = 2.5
-    reports = [
-        lambda: oscillator_residual_cayley(ts, omega, x, grid),
-        lambda: oscillator_residual_exact(ts, omega, x, grid),
-        lambda: delbis_relation_residual(ts, omega, x, grid),
-    ]
-    for report in reports:
-        seen.clear()
-        report()
-        assert set(seen) <= irregular
+def test_reports_call_each_formula_as_often_at_any_size(monkeypatch, scale_at, formula):
+    """No stencil formula runs once per point: each report maps each
+    formula over a whole column, as often at n = 100 as at n = 10,000."""
+    omega, seen = 2.5, {}
+    for n in (100, 10_000):
+        ts, step = scale_at(n)
+        grid = ts.make_grid(ts.inf, ts.sup, step)
+        x = SampledFunction.sample(lambda t: wave(2.5 * t), grid)
+        reports = [
+            lambda: oscillator_residual_cayley(ts, omega, x, grid),
+            lambda: oscillator_residual_exact(ts, omega, x, grid),
+            lambda: delbis_relation_residual(ts, omega, x, grid),
+        ]
+        seen[n] = [_formula_calls(monkeypatch, report) for report in reports]
+    assert seen[100] == seen[10_000]
+    assert seen[100][0][formula] > 0  # the counters see the reports' calls
