@@ -23,20 +23,20 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 
 from .errors import DomainError, OverlapError, ParseError, RegressivityError, TscaleError
 from .timescale import (
     ClosedInterval,
-    Component,
     Grid,
     IsolatedPoint,
     TimeScale,
     _Jumps,
-    _normalized_scale,
+    _of_values,
     _points,
-    _uniform_points,
+    _uniform_values,
+    normalize_components,
 )
 from .transforms import as_coefficient, graininess_coefficient
 from .exponential import (
@@ -135,23 +135,26 @@ def parse_scale(text: str) -> TimeScale:
     ParseError with the source position.
     """
     sc = _Scanner(text)
-    comps: list[Component] = []
+    terms: list = []  # an interval, or the values of a points or uniform term
     if sc.at_end():
         sc.fail("empty scale spec")
     while True:
-        comps.extend(_parse_term(sc))
+        terms.append(_parse_term(sc))
         if sc.at_end():
             break
         sc.expect("+")
         if sc.at_end():
             sc.fail("dangling '+'")
     try:
-        return _normalized_scale(comps)
+        if not any(isinstance(t, ClosedInterval) for t in terms):
+            return _of_values(tuple(chain.from_iterable(terms)), normalize=True)
+        comps = ((t,) if isinstance(t, ClosedInterval) else _points(t) for t in terms)
+        return TimeScale(normalize_components(chain.from_iterable(comps)))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def _parse_term(sc: _Scanner) -> tuple[Component, ...]:
+def _parse_term(sc: _Scanner) -> ClosedInterval | tuple[float, ...]:
     start = sc.pos
     name = sc.name()
     sc.expect("(")
@@ -162,14 +165,14 @@ def _parse_term(sc: _Scanner) -> tuple[Component, ...]:
         sc.expect(")")
         if not hi > lo:
             sc.fail(f"interval needs lo < hi, got ({lo!r}, {hi!r})", start)
-        return (ClosedInterval(lo, hi),)
+        return ClosedInterval(lo, hi)
     if name == "points":
         vals = [sc.number()]
         while sc.peek(","):
             sc.expect(",")
             vals.append(sc.number())
         sc.expect(")")
-        return _points(vals)
+        return tuple(vals)
     if name == "uniform":
         first = sc.number()
         sc.expect(",")
@@ -181,7 +184,7 @@ def _parse_term(sc: _Scanner) -> tuple[Component, ...]:
             sc.fail(f"uniform count must be a positive integer, got {count!r}", start)
         if step <= 0:
             sc.fail(f"uniform step must be positive, got {step!r}", start)
-        return _uniform_points(first, step, int(count))
+        return _uniform_values(first, step, int(count))
     sc.fail(f"unknown term {name!r}", start)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat, tee
-from operator import add, mul, not_, sub
+from operator import add, lt, mul, not_, sub
 from typing import Sequence
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     SingularError,
     ToleranceError,
 )
-from .timescale import DEFAULT_TOL, ClosedInterval, Grid, Run, Stretch, TimeScale, _Jumps
+from .timescale import DEFAULT_TOL, Grid, Run, Stretch, TimeScale, _Jumps
 from .transforms import (
     BACKWARD_RULE,
     CAYLEY_RULE,
@@ -138,9 +138,10 @@ class _Terms:
     is, whose log is the same. A step that fails its check is never kept,
     so the first RegressivityError is raised at the same t.
 
-    A piece is keyed by its ends. pieces takes the finished pieces of the
-    intervals a target has passed as a whole and integrates those not yet
-    kept in one Coefficient.dense_integrals call, in order; a piece that
+    pieces takes the finished pieces of the intervals a target has passed
+    as a whole, in one Coefficient.dense_integrals call, in order: all of
+    them for a constant dense view, whose pieces are exact, and for any
+    other those not yet kept, a piece keyed by its ends. A piece that
     raises leaves the ones after it uncomputed, as a loop would. Each
     pointwise call builds its own terms: a scale is immutable, and keeps
     none."""
@@ -178,9 +179,8 @@ class _Terms:
         before its log is first taken."""
         w = self._logs.get(k)
         if w is None:
-            comps = self.ts.components
-            s = comps[k].right
-            mu = comps[k + 1].left - s
+            s = self.ts._rights[k]
+            mu = self.ts._lefts[k + 1] - s
             alpha = self.coeff.at_step(mu, s)
             w = self._steps.get((mu, alpha))
             if w is None:
@@ -191,21 +191,26 @@ class _Terms:
 
     def pieces(self, passed: Sequence[int], a: float, b: float) -> list[complex]:
         """The integrals of the dense view over the pieces in [a, b] of the
-        intervals passed (component indices, ascending), in order, each kept
-        for every run. Their ends are the intervals' ends clipped at a and
-        b with C-level maps; an empty piece (at most the interval holding a)
-        has none. The pieces not yet kept are integrated by one
+        intervals passed (component indices, ascending), in order. Their
+        ends are the intervals' ends clipped at a and b with C-level maps;
+        an empty piece (at most the interval holding a) has none. A constant
+        dense view's pieces are one Coefficient.dense_integrals call, exact
+        and recomputed bit for bit, so none is kept. Any other's are kept
+        for every run: the pieces not yet kept are integrated by one
         Coefficient.dense_integrals call, in order, and kept as they come."""
-        ts, kept = self.ts, self._pieces
-        ends = zip(
-            map(max, map(ts._lefts.__getitem__, passed), repeat(a)),
-            map(min, map(ts._rights.__getitem__, passed), repeat(b)),
-        )
-        pairs = [p for p in ends if p[0] < p[1]]
+        ts, coeff, tol = self.ts, self.coeff, self.tol
+        los = list(map(max, map(ts._lefts.__getitem__, passed), repeat(a)))
+        his = list(map(min, map(ts._rights.__getitem__, passed), repeat(b)))
+        if coeff.dense_value is not None and tol > 0:
+            nonempty = list(map(lt, los, his))
+            los, his = list(compress(los, nonempty)), list(compress(his, nonempty))
+            return list(coeff.dense_integrals(los, his, tol))
+        kept = self._pieces
+        pairs = [p for p in zip(los, his) if p[0] < p[1]]
         new = [p for p in pairs if p not in kept]
         if new:
             los, his = zip(*new)
-            kept.update(zip(new, self.coeff.dense_integrals(los, his, self.tol)))
+            kept.update(zip(new, coeff.dense_integrals(los, his, tol)))
         return list(map(kept.__getitem__, pairs))
 
 
@@ -240,7 +245,7 @@ class _Exponent:
     def to(self, x: float) -> complex:
         terms, a, k = self._terms, self._a, self._k
         ts = terms.ts
-        comps, rights, intervals = ts.components, ts._rights, ts._intervals
+        lefts, rights, intervals = ts._lefts, ts._rights, ts._intervals
         _, b = ts._locate(x)
         if b == a:
             return 0j
@@ -260,11 +265,10 @@ class _Exponent:
                 pieces = pieces + terms.pieces(passed, a, b)
         self._b, self._k, self._sum, self._pieces = b, e, total, pieces
         total = reduce(add, pieces, total)
-        comp = comps[e]
-        if isinstance(comp, ClosedInterval):
-            c, d = max(comp.lo, a), min(comp.hi, b)
-            if d > c:
-                total += terms.coeff.dense_integral(c, d, terms.tol)
+        # empty at a point, whose ends are equal
+        c, d = max(lefts[e], a), min(rights[e], b)
+        if d > c:
+            total += terms.coeff.dense_integral(c, d, terms.tol)
         return total
 
 

@@ -8,15 +8,17 @@ Scales with accumulation points are not representable: construction
 requires a finite component list with gaps larger than the membership
 tolerance, which keeps the jump operators and the integral exact.
 
-Cost model, for a scale of C components: uniform, isolated and the
-CLI's points and uniform terms make their isolated points with two C-level
-maps over the values (_points), no Python call per point. Construction
-and normalize_components test isolated points already in order with a few
-C-level maps over their values, which parse_scale and union read once for
-both (_normalized_scale), and check or merge one component at a time any
-other input. Locating a point costs O(log C), since a bisection over the
-component left endpoints picks the few neighbouring components whose
-membership tests decide. A jump
+Cost model, for a scale of C components: every query reads the tables of
+component ends, not the components. A scale of isolated points is its
+values: uniform, isolated, the CLI's points and uniform terms and a union
+of discrete scales test the values with a few C-level maps and index them
+(_of_values), making no point object. Reading components (equality,
+hashing, repr, render, pickling) makes the points once, with two C-level
+maps (_points). Construction and normalize_components test isolated points
+already in order with a few C-level maps over their values, and check or
+merge one component at a time any other input. Locating a point costs
+O(log C), since a bisection over the component left endpoints picks the
+few neighbouring components whose membership tests decide. A jump
 operator, graininess, classification or membership query is one lookup.
 TimeScale.walk_runs over a grid of N points takes the steps inside one
 closed interval as one run, and the steps between consecutive isolated
@@ -71,7 +73,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, GridError, KappaError, OverlapError, ToleranceError
@@ -141,9 +143,9 @@ def _points(values: Iterable[float]) -> tuple[IsolatedPoint, ...]:
     return pts
 
 
-def _uniform_points(start: float, step: float, count: int) -> tuple[IsolatedPoint, ...]:
-    """The points start + k * step for k in range(count)."""
-    return _points(map(operator.add, repeat(start), map(operator.mul, range(count), repeat(step))))
+def _uniform_values(start: float, step: float, count: int) -> tuple[float, ...]:
+    """The values start + k * step for k in range(count)."""
+    return tuple(map(operator.add, repeat(start), map(operator.mul, range(count), repeat(step))))
 
 
 def _point_values(comps: tuple) -> tuple | None:
@@ -258,10 +260,11 @@ class TimeScale:
         )
 
     def _index(self, lefts: tuple, rights: tuple, intervals: tuple) -> None:
-        comps = self.components
         # The component ends, the left ends less the membership tolerance,
         # for bisection in _locate and the range queries, and the indices of
-        # the intervals, between two of which lies a stretch of points. Not
+        # the intervals, between two of which lies a stretch of points. Every
+        # query reads these: component i is an interval exactly when its ends
+        # differ, since construction requires hi - lo > MEMBERSHIP_TOL. Not
         # fields: equality, hashing and repr see only the components.
         object.__setattr__(self, "_lefts", lefts)
         object.__setattr__(self, "_rights", rights)
@@ -272,9 +275,23 @@ class TimeScale:
         # Index of the left-scattered maximum, the one point outside the
         # differentiation domain: an isolated last component with a member
         # below it. -1 when the scale has none.
-        last = len(comps) - 1
-        lsm = last if last > 0 and isinstance(comps[-1], IsolatedPoint) else -1
+        last = len(lefts) - 1
+        lsm = last if last > 0 and lefts[-1] == rights[-1] else -1
         object.__setattr__(self, "_left_scattered_max", lsm)
+
+    def __getattr__(self, name: str):
+        """The components of a scale made from values (_of_values), made
+        when first read and kept."""
+        if name != "components":
+            raise AttributeError(f"'TimeScale' object has no attribute {name!r}")
+        comps = _points(self._lefts)
+        object.__setattr__(self, "components", comps)
+        return comps
+
+    def __getstate__(self) -> dict:
+        # components first, as construction stores them: the pickle of a
+        # scale made from values is the one its components would make
+        return {"components": self.components, **vars(self)}
 
     @staticmethod
     def _check_each(comps: tuple) -> None:
@@ -310,11 +327,11 @@ class TimeScale:
 
     @property
     def inf(self) -> float:
-        return self.components[0].left
+        return self._lefts[0]
 
     @property
     def sup(self) -> float:
-        return self.components[-1].right
+        return self._rights[-1]
 
     def __contains__(self, t: float) -> bool:
         try:
@@ -335,13 +352,14 @@ class TimeScale:
         if not math.isfinite(t):
             raise DomainError(f"t={t!r} is not finite")
         stop = bisect_right(self._lower_bounds, t)
+        lefts, rights = self._lefts, self._rights
         for i in range(max(0, stop - 2), stop):
-            comp = self.components[i]
-            if isinstance(comp, IsolatedPoint):
-                if abs(t - comp.t) <= MEMBERSHIP_TOL:
-                    return i, comp.t
-            elif t <= comp.hi + MEMBERSHIP_TOL:
-                return i, _snap(comp, t)
+            lo, hi = lefts[i], rights[i]
+            if lo == hi:
+                if abs(t - lo) <= MEMBERSHIP_TOL:
+                    return i, lo
+            elif t <= hi + MEMBERSHIP_TOL:
+                return i, _snap(lo, hi, t)
         raise DomainError(f"t={t!r} is not a member of the time scale")
 
     # -- jump operators ----------------------------------------------------
@@ -351,11 +369,11 @@ class TimeScale:
         return self._sigma_at(*self._locate(t))
 
     def _sigma_at(self, i: int, tt: float) -> float:
-        """Forward jump of tt, located in component i."""
-        comp = self.components[i]
-        if isinstance(comp, ClosedInterval) and tt < comp.hi:
+        """Forward jump of tt, located in component i (a point is located
+        at its own value, its right end)."""
+        if tt < self._rights[i]:
             return tt
-        if i + 1 < len(self.components):
+        if i + 1 < len(self._lefts):
             return self._lefts[i + 1]
         return tt
 
@@ -365,11 +383,10 @@ class TimeScale:
 
     def _rho_at(self, i: int, tt: float) -> float:
         """Backward jump of tt, located in component i."""
-        comp = self.components[i]
-        if isinstance(comp, ClosedInterval) and tt > comp.lo:
+        if tt > self._lefts[i]:
             return tt
         if i > 0:
-            return self.components[i - 1].right
+            return self._rights[i - 1]
         return tt
 
     def in_kappa(self, t: float) -> bool:
@@ -405,7 +422,7 @@ class TimeScale:
         MEMBERSHIP_TOL or four ulps of the largest |t|, whichever is more:
         the points carry the rounding of their own magnitude.
         """
-        if len(self.components) == 1 and isinstance(self.components[0], ClosedInterval):
+        if len(self._lefts) == 1 and self._intervals:
             return 0.0
         if not self.is_discrete():
             return None
@@ -426,7 +443,7 @@ class TimeScale:
         at or above b, so a scan over these indices that stops at the first
         component starting above b finds what a scan from component 0 finds.
         """
-        return range(i, min(j + 2, len(self.components)))
+        return range(i, min(j + 2, len(self._lefts)))
 
     def _gaps(self, lo: int, stop: int) -> list[float]:
         """The graininess at the right ends of components lo to stop - 1,
@@ -457,15 +474,15 @@ class TimeScale:
         j, b = self._locate(t1)
         if b < a:
             i, a, j, b = j, b, i, a
+        lefts, rights = self._lefts, self._rights
         out = []
         for i in self._scan(i, j):
-            comp = self.components[i]
-            if comp.left > b:
+            if lefts[i] > b:
                 break
-            if isinstance(comp, ClosedInterval):
-                c, d = max(comp.lo, a), min(comp.hi, b)
-                if d > c:
-                    out.append((c, d))
+            # empty at a point, whose ends are equal
+            c, d = max(lefts[i], a), min(rights[i], b)
+            if d > c:
+                out.append((c, d))
         return tuple(out)
 
     # -- integration ---------------------------------------------------------
@@ -575,8 +592,8 @@ class TimeScale:
         record's forward jump to the next component: _locate would find it
         in that component at its left end, so it is taken as located there.
         """
-        comps, lefts, intervals = self.components, self._lefts, self._intervals
-        last, lsm = len(comps) - 1, self._left_scattered_max
+        lefts, rights, intervals = self._lefts, self._rights, self._intervals
+        last, lsm = len(lefts) - 1, self._left_scattered_max
         n = len(points)
         # checked once per walk, at the first run: a run's interior is
         # sliced only from ascending points, so a run never needs its order
@@ -587,21 +604,20 @@ class TimeScale:
         while True:
             i, tt = located
             p = points[k]
-            comp = comps[i]
-            dense = isinstance(comp, ClosedInterval)
-            # an isolated point jumps to the next component's left end
-            s = self._sigma_at(i, tt) if dense else lefts[i + 1] if i < last else tt
+            lo, hi = lefts[i], rights[i]
+            dense = lo != hi
+            s = tt if tt < hi else lefts[i + 1] if i < last else tt  # _sigma_at
             mu = None if i == lsm else s - tt
             if k + 1 == n:
                 yield p, None, s, mu, None, tt
                 return
             q = points[k + 1]
             if dense:
-                if comp.lo <= tt:
+                if lo <= tt:
                     if ascending is None:
                         ascending = all(map(operator.lt, points, points[1:]))
                     xs = [tt]
-                    end = _extend_run(points, k, comp, xs, ascending)
+                    end = _extend_run(points, k, lo, hi, xs, ascending)
                     if end > k:
                         yield Run(k, xs)
                         k, located = end, (i, xs[-1])
@@ -635,29 +651,28 @@ class TimeScale:
         j, b = self._locate(t1)
         if b < a:
             raise DomainError(f"range reversed: {t0!r} > {t1!r}")
-        comps, intervals = self.components, self._intervals
+        lefts, rights, intervals = self._lefts, self._rights, self._intervals
         pts: list[float] = []
         stop = self._scan(i, j).stop
         while i < stop:
-            comp = comps[i]
-            if isinstance(comp, IsolatedPoint):
+            lo, hi = lefts[i], rights[i]
+            if lo == hi:
                 # a stretch of points, up to the next interval, ascends:
                 # those in [a, b] are one slice, and one past b ends the scan
                 nxt = bisect_right(intervals, i)
                 end = min(intervals[nxt], stop) if nxt < len(intervals) else stop
-                ts = self._lefts
-                e = bisect_right(ts, b, i, end)
-                pts.extend(ts[bisect_left(ts, a, i, e) : e])
+                e = bisect_right(lefts, b, i, end)
+                pts.extend(lefts[bisect_left(lefts, a, i, e) : e])
                 if e < end:
                     break
                 i = end
                 continue
             i += 1
-            if comp.lo > b:
+            if lo > b:
                 break
-            if comp.hi < a:
+            if hi < a:
                 continue
-            c, d = max(comp.lo, a), min(comp.hi, b)
+            c, d = max(lo, a), min(hi, b)
             if d <= c:
                 pts.append(c)
                 continue
@@ -682,8 +697,9 @@ class _Jumps:
     own, at and next, of each point, its located value and sigma. Over the
     grid's own points a point's index is its position, unless a grid point
     lies within the membership tolerance below it; a stretch gives each
-    jump's; any other value is searched for (Grid.index_of). jumping and
-    stencils gather the indices of a stencil by C-level maps.
+    jump's, and a run's point, whose jump is its located value, at's; any
+    other value is searched for (Grid.index_of). jumping and stencils
+    gather the indices of a stencil by C-level maps.
     """
 
     def __init__(self, ts: TimeScale, points: Sequence[float], grid: Grid | None = None):
@@ -692,6 +708,7 @@ class _Jumps:
         self.sigma, self.mu, self.located = [], [], []
         self._spanned = [False]  # whether the step to each point has a span
         self._next: list[int] = []  # next where a stretch gives it, else -1
+        self._runs: list[slice] = []  # where the runs' points lie
         self._errors: dict[int, DomainError] = {}
         try:
             self._add(ts.walk_runs(points))
@@ -709,6 +726,7 @@ class _Jumps:
         for item in items:
             if isinstance(item, Run):
                 xs = item.points[:-1]
+                self._runs.append(slice(len(self.sigma), len(self.sigma) + len(xs)))
                 self.sigma += xs
                 self.mu += [0.0] * len(xs)
                 self.located += xs
@@ -755,7 +773,14 @@ class _Jumps:
 
     @cached_property
     def next(self) -> list[int | None]:
-        return self._indices(self.sigma, self._next, map(operator.lt, self._next, repeat(0)))
+        # a run's point jumps to its located value, whose index is at's
+        missing = list(map(operator.lt, self._next, repeat(0)))
+        for run in self._runs:
+            missing[run] = [False] * (run.stop - run.start)
+        col = self._indices(self.sigma, self._next, missing)
+        for run in self._runs:
+            col[run] = self.at[run]
+        return col
 
     def _indices(self, values, given, missing) -> list[int | None]:
         """The grid index of each of values, one a point: given's, but where
@@ -831,19 +856,20 @@ def _gather(values: Sequence, indices: Iterable[int]) -> tuple:
 
 
 def _extend_run(
-    points: Sequence[float], k: int, comp: ClosedInterval, xs: list[float], ascending: bool
+    points: Sequence[float], k: int, lo: float, hi: float, xs: list[float], ascending: bool
 ) -> int:
     """Append to the located points xs of a run, which end at point k, the
     points after it while each step has a span; the index of the last.
     This is the one place a step is given a span.
 
-    The step from point k, located at xs[-1] in comp, has a span when the
-    next point is above it and within comp's upper tolerance (so comp
-    accepts it, as _locate would find), and once snapped lies above xs[-1]
-    and no higher than hi. The first point can lie within the tolerance
-    below lo, located at lo. A point of a run past its first is its own
-    located value: _snap gives lo, hi or the point itself, the point lies
-    above lo, and no step from hi has a span.
+    The step from point k, located at xs[-1] in the closed interval
+    [lo, hi], has a span when the next point is above it and within its
+    upper tolerance (so the interval accepts it, as _locate would find),
+    and once snapped lies above xs[-1] and no higher than hi. The first
+    point can lie within the tolerance below lo, located at lo. A point of
+    a run past its first is its own located value: _snap gives lo, hi or
+    the point itself, the point lies above lo, and no step from hi has a
+    span.
 
     When the walk's points are ascending, the run's interior is one slice:
     the points after k below hi - MEMBERSHIP_TOL, found by bisection. If
@@ -854,7 +880,6 @@ def _extend_run(
     within the tolerance of an end are compared and snapped one at a time,
     or the whole run where a guard fails.
     """
-    lo, hi = comp.lo, comp.hi
     if ascending:
         e = bisect_left(points, hi - MEMBERSHIP_TOL, k + 1)
         if (
@@ -870,7 +895,7 @@ def _extend_run(
         q = points[k + 1]
         if not points[k] < q <= top:
             return k
-        u = _snap(comp, q)
+        u = _snap(lo, hi, q)
         if not xs[-1] < u <= hi:
             return k
         xs.append(u)
@@ -891,13 +916,13 @@ def _matched(a: Sequence[float], i: int, b: tuple, j: int, limit: int) -> int:
     return limit
 
 
-def _snap(comp: ClosedInterval, t: float) -> float:
-    """Canonical value of a t that comp accepts: an endpoint within the
-    membership tolerance of t, or t itself."""
-    if abs(t - comp.lo) <= MEMBERSHIP_TOL:
-        return comp.lo
-    if abs(t - comp.hi) <= MEMBERSHIP_TOL:
-        return comp.hi
+def _snap(lo: float, hi: float, t: float) -> float:
+    """Canonical value of a t that the closed interval [lo, hi] accepts: an
+    endpoint within the membership tolerance of t, or t itself."""
+    if abs(t - lo) <= MEMBERSHIP_TOL:
+        return lo
+    if abs(t - hi) <= MEMBERSHIP_TOL:
+        return hi
     return t
 
 
@@ -909,7 +934,7 @@ def interval(lo: float, hi: float) -> TimeScale:
 
 
 def isolated(*ts: float) -> TimeScale:
-    return TimeScale(_points(map(float, sorted(ts))))
+    return _of_values(tuple(map(float, sorted(ts))))
 
 
 def uniform(start: float, step: float, count: int) -> TimeScale:
@@ -918,7 +943,7 @@ def uniform(start: float, step: float, count: int) -> TimeScale:
         raise ValueError("count must be at least 1")
     if step <= 0:
         raise ValueError("step must be positive")
-    return TimeScale(_uniform_points(start, step, count))
+    return _of_values(_uniform_values(start, step, count))
 
 
 def normalize_components(components: Iterable[Component]) -> tuple[Component, ...]:
@@ -976,28 +1001,26 @@ def _in_order(values: tuple) -> bool:
     return all(map(operator.lt, after, islice(values, 1, None)))
 
 
-def _normalized_scale(components: Iterable[Component]) -> TimeScale:
-    """TimeScale(normalize_components(components)), the values of isolated
-    points read once: points that pass both normalize_components' order
-    test and construction's checks make the scale at once. The two gap
-    tests, a + tol < b and b - a > tol, can disagree by an ulp, so each is
-    kept. Any other input takes normalize_components and construction,
-    which raise the errors."""
-    comps = tuple(components)
-    values = _point_values(comps)
-    if values is None or not (_in_order(values) and _valid_points(values)):
-        return TimeScale(normalize_components(comps))
-    ts = object.__new__(TimeScale)  # construction, with no second read or check
-    object.__setattr__(ts, "components", comps)
-    ts._index(values, values, ())
-    return ts
+def _of_values(values: tuple, normalize: bool = False) -> TimeScale:
+    """TimeScale(_points(values)), or with normalize the scale of
+    normalize_components(_points(values)), made with no point object where
+    the values pass construction's checks, under which
+    normalize_components keeps the points as they are: the scale is then
+    its ends tables, and reading its components makes the points. Any
+    other values take the construction they stand for, which raises the
+    errors."""
+    if values and _valid_points(values):
+        ts = object.__new__(TimeScale)
+        ts._index(values, values, ())
+        return ts
+    points = _points(values)
+    return TimeScale(normalize_components(points) if normalize else points)
 
 
 def union(*scales: TimeScale) -> TimeScale:
-    comps: list[Component] = []
-    for s in scales:
-        comps.extend(s.components)
-    return _normalized_scale(comps)
+    if not any(s._intervals for s in scales):
+        return _of_values(tuple(chain.from_iterable(s._lefts for s in scales)), normalize=True)
+    return TimeScale(normalize_components(chain.from_iterable(s.components for s in scales)))
 
 
 # -- numeric delta derivative --------------------------------------------------
@@ -1023,10 +1046,10 @@ def delta_derivative_numeric(
     s = ts.sigma(tt)
     if s > tt:
         return (complex(f(s)) - complex(f(tt))) / (s - tt)
-    comp = ts.components[i]
-    if isinstance(comp, IsolatedPoint):
+    lo, hi = ts._lefts[i], ts._rights[i]
+    if lo == hi:
         raise DomainError(f"no neighboring members around t={t!r}")
-    hl, hr = tt - comp.lo, comp.hi - tt
+    hl, hr = tt - lo, hi - tt
     if hl > 0 and hr > 0:
         h = min(h0, hl, hr)
         return _richardson(

@@ -109,7 +109,7 @@ def test_parse_reads_the_values_of_ordered_points_once(monkeypatch):
     read = timescale._point_values
     monkeypatch.setattr(timescale, "_point_values", lambda comps: calls.append(1) or read(comps))
     ts = parse_scale("uniform(0,1e-3,1000)")
-    assert calls == [1]
+    assert calls == []
     monkeypatch.undo()
     assert vars(ts) == vars(uniform(0, 1e-3, 1000))
     # an ulp from the tolerance the two gap tests disagree: b - a > tol
@@ -632,6 +632,32 @@ def test_convergence_study_builds_a_scale_for_the_step_families_only(monkeypatch
     for family in ("nabla", "exact", "hilger", "cayley"):
         convergence_study(family, 0.5, 1.0, [0.5, 0.25])
     assert built == [(0.0, 0.5, 3), (0.0, 0.25, 5)] * 2
+
+
+def test_discrete_commands_make_no_point_objects(monkeypatch, capsys):
+    """A scale of isolated points made from values is queried through its
+    ends tables alone: converge, and eval, solve and every identity on a
+    uniform scale, make no IsolatedPoint."""
+    calls = []
+    make = timescale._points
+    counting = lambda values: calls.append(1) or make(values)
+    monkeypatch.setattr(timescale, "_points", counting)
+    monkeypatch.setattr(cli, "_points", counting)
+    scale = ["--scale", "uniform(0,1e-3,1000)"]
+    main(["converge"])
+    main(["converge", "--family", "hilger"])
+    main(["eval", *scale])
+    main(["solve", *scale])
+    for identity in cli._IDENTITIES:
+        # the semigroup report is quadratic in the points
+        small = ["--scale", "uniform(0,0.05,60)"] if identity == "semigroup" else scale
+        main(["identity", "--identity", identity, *small])
+    capsys.readouterr()
+    assert calls == []
+    main(["eval", "--scale", "points(0,1)", "--format", "json"])
+    assert calls == []
+    parse_scale("uniform(0,0.5,3)").components
+    assert calls == [1]
 
 
 @pytest.mark.parametrize(

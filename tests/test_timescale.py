@@ -14,14 +14,19 @@ from tscale import (
     IsolatedPoint,
     KappaError,
     OverlapError,
+    ParseError,
     TimeScale,
     delta_derivative_numeric,
+    exp_cayley,
+    exp_hilger,
     interval,
     isolated,
+    parse_scale,
+    render,
     uniform,
     union,
 )
-from tscale.timescale import MEMBERSHIP_TOL, _points, _uniform_points, normalize_components
+from tscale.timescale import MEMBERSHIP_TOL, _points, _uniform_values, normalize_components
 
 from helpers import (
     any_scale,
@@ -154,8 +159,9 @@ def test_construction_rejects_non_finite():
 
 
 def test_construction_rejects_empty_and_tiny_interval():
-    with pytest.raises(ValueError):
-        TimeScale(())
+    for empty in (lambda: TimeScale(()), isolated, union):
+        with pytest.raises(ValueError, match="needs at least one component"):
+            empty()
     with pytest.raises(ValueError):
         TimeScale((ClosedInterval(0.0, 1e-13),))
 
@@ -318,7 +324,7 @@ def test_points_built_in_bulk_are_the_points_built_one_at_a_time(values):
     st.integers(0, 50),
 )
 def test_uniform_points_are_start_plus_k_steps(start, step, count):
-    pts = _uniform_points(start, step, count)
+    pts = _points(_uniform_values(start, step, count))
     assert len(pts) == count
     for k, p in enumerate(pts):
         _same_point(p, IsolatedPoint(start + k * step))
@@ -332,6 +338,157 @@ def test_constructors_build_the_points_of_their_values():
         IsolatedPoint(-0.0), IsolatedPoint(2.0), IsolatedPoint(1e4)
     )
     assert repr(isolated(-0.0).components) == "(IsolatedPoint(t=-0.0),)"
+
+
+# -- scales made from values ------------------------------------------------------
+
+# in and out of order, duplicated, within the tolerance and an ulp either side
+# of it, and far from 0, where the tolerance is below an ulp
+_SCALE_VALUES = st.sampled_from(
+    [0.0, -0.0, 1e-12, 2e-12, 0.1, 0.10000000000100001, 0.3, 1e4, 1e4 + 2e-12, 1e8, -1.0]
+) | st.floats(-1e6, 1e6)
+
+
+def _parsed(make):
+    """make(), with a ValueError raised as parse_scale raises it."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+@st.composite
+def made_from_values(draw):
+    """A call that makes a scale of isolated points from values (uniform,
+    isolated, parse_scale's points and uniform terms, or union), and the
+    construction from point objects that it stands for."""
+    kind = draw(st.sampled_from(["uniform", "isolated", "parse", "union"]))
+    if kind == "uniform":
+        start = draw(st.sampled_from([0.0, -0.0, 1e4, 1e8, -1e4]) | st.floats(-1e6, 1e6))
+        step = draw(st.sampled_from([1e-13, 1e-12, 1e-3, 0.25]) | st.floats(1e-6, 1e3))
+        count = draw(st.integers(1, 40))
+        values = _uniform_values(start, step, count)
+        return lambda: uniform(start, step, count), lambda: TimeScale(_points(values))
+    chunk = st.lists(_SCALE_VALUES, min_size=1, max_size=5)
+    chunks = draw(st.lists(chunk, min_size=1, max_size=3))
+    if kind == "isolated":
+        values = [v for chunk in chunks for v in chunk]
+        return lambda: isolated(*values), lambda: TimeScale(_points(map(float, sorted(values))))
+    if kind == "union":
+        scales = lambda: (TimeScale(_points(map(float, sorted(c)))) for c in chunks)
+        return (
+            lambda: union(*(isolated(*c) for c in chunks)),
+            lambda: TimeScale(normalize_components(c for ts in scales() for c in ts.components)),
+        )
+    terms, values = [], []
+    for chunk in chunks:
+        if draw(st.booleans()):
+            terms.append("points(" + ",".join(map(repr, chunk)) + ")")
+            values += chunk
+        else:
+            start, step, count = chunk[0], draw(st.sampled_from([1e-12, 1e-3, 0.25])), len(chunk)
+            terms.append(f"uniform({start!r},{step!r},{count})")
+            values += _uniform_values(start, step, count)
+    text = " + ".join(terms)
+    return (
+        lambda: parse_scale(text),
+        lambda: _parsed(lambda: TimeScale(normalize_components(_points(values)))),
+    )
+
+
+def _answers(ts, probes):
+    """Every query of ts, at each probe and each pair of probes."""
+    out = [ts.inf, ts.sup, ts.constant_graininess(), ts.is_discrete(), ts._left_scattered_max]
+    grid = ts.make_grid(ts.inf, ts.sup, 0.1)
+    out.append(outcome(lambda: tuple(ts.walk(grid.points))))
+    f = lambda t: complex(t, 1.0)
+    for t in probes:
+        for query in (ts._locate, ts.sigma, ts.rho, ts.mu, ts.classify, ts.in_kappa):
+            out.append(outcome(query, t))
+        out.append(t in ts)
+        out.append(outcome(delta_derivative_numeric, ts, f, t))
+        for u in probes:
+            out += [
+                outcome(ts.scattered_points, t, u),
+                outcome(ts.dense_segments, t, u),
+                outcome(ts.delta_integral, f, t, u),
+                outcome(ts.make_grid, t, u, 0.1),
+                outcome(exp_cayley, ts, complex(-0.5, 2.0), t, u),
+                outcome(exp_hilger, ts, lambda s: complex(-0.5, s), t, u),
+            ]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(made_from_values(), st.data())
+def test_a_scale_made_from_values_answers_as_its_points(made, data):
+    """uniform, isolated, parse_scale and union make the scale, or raise
+    the error, that construction from point objects makes or raises, bit for
+    bit. Every query answers as there without reading the components, which
+    then give the same equality, hash, repr, rendering and pickle."""
+    make, reference = made
+    want = outcome(reference)
+    if isinstance(want, tuple):  # the error
+        assert outcome(make) == want
+        return
+    ts, want = make(), reference()
+    lazy = "components" not in vars(ts)
+    probes = data.draw(st.lists(probe_points(want), min_size=1, max_size=4))
+    assert _answers(ts, probes) == _answers(want, probes)
+    assert not lazy or "components" not in vars(ts)
+    assert ts == want and hash(ts) == hash(want) and repr(ts) == repr(want)
+    assert render(ts) == render(want) and parse_scale(render(ts)) == want
+    assert pickle.dumps(ts) == pickle.dumps(want)
+    assert repr(pickle.loads(pickle.dumps(ts))) == repr(want)
+
+
+# TimeScale pickles written before a scale of points could be made from its
+# values: uniform(0.0, 0.25, 3) at protocol 2, isolated(-0.0, 1e4) at
+# protocol 4 and interval(0, 1) + points(2) at protocol 4
+_SCALE_PICKLES = [
+    (
+        "800263747363616c652e74696d657363616c650a54696d655363616c650a7100298171017d710228580a"
+        "000000636f6d706f6e656e7473710363747363616c652e74696d657363616c650a49736f6c6174656450"
+        "6f696e740a7104298171057d7106580100000074710747000000000000000073626804298171087d7109"
+        "6807473fd0000000000000736268042981710a7d710b6807473fe0000000000000736287710c58060000"
+        "005f6c65667473710d470000000000000000473fd0000000000000473fe000000000000087710e580700"
+        "00005f726967687473710f680e580d0000005f6c6f7765725f626f756e6473711047bd719799812dea11"
+        "473fcfffffffff7343473fdfffffffffb9a2877111580a0000005f696e74657276616c73711229581300"
+        "00005f6c6566745f7363617474657265645f6d617871134b0275622e",
+        lambda: uniform(0.0, 0.25, 3),
+    ),
+    (
+        "800495e8000000000000008c10747363616c652e74696d657363616c65948c0954696d655363616c6594"
+        "93942981947d94288c0a636f6d706f6e656e74739468008c0d49736f6c61746564506f696e7494939429"
+        "81947d948c017494478000000000000000736268072981947d94680a4740c3880000000000736286948c"
+        "065f6c65667473944780000000000000004740c388000000000086948c075f72696768747394680f8c0d"
+        "5f6c6f7765725f626f756e64739447bd719799812dea114740c387ffffffffff86948c0a5f696e746572"
+        "76616c7394298c135f6c6566745f7363617474657265645f6d6178944b0175622e",
+        lambda: isolated(-0.0, 1e4),
+    ),
+    (
+        "80049522010000000000008c10747363616c652e74696d657363616c65948c0954696d655363616c6594"
+        "93942981947d94288c0a636f6d706f6e656e74739468008c0e436c6f736564496e74657276616c949394"
+        "2981947d94288c026c6f944700000000000000008c02686994473ff0000000000000756268008c0d4973"
+        "6f6c61746564506f696e749493942981947d948c017494474000000000000000736286948c065f6c6566"
+        "74739447000000000000000047400000000000000086948c075f72696768747394473ff0000000000000"
+        "47400000000000000086948c0d5f6c6f7765725f626f756e64739447bd719799812dea11473fffffffff"
+        "ffee6886948c0a5f696e74657276616c73944b0085948c135f6c6566745f7363617474657265645f6d61"
+        "78944b0175622e",
+        lambda: parse_scale("interval(0,1) + points(2)"),
+    ),
+]
+
+
+@pytest.mark.parametrize("data, make", _SCALE_PICKLES, ids=["uniform", "isolated", "mixed"])
+def test_scales_pickle_as_they_did_before_they_were_made_from_values(data, make):
+    """Both ways: an older pickle loads equal, with the same lookup tables,
+    and the scale pickles to the very same bytes."""
+    data = bytes.fromhex(data)
+    back, ts = pickle.loads(data), make()
+    assert repr(back) == repr(ts) and back == ts and hash(back) == hash(ts)
+    assert scale_state(back.components) == scale_state(ts.components)
+    assert pickle.dumps(ts, protocol=data[1]) == data
 
 
 # -- delta integral ------------------------------------------------------------

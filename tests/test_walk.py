@@ -382,7 +382,7 @@ def test_a_walk_snaps_only_near_the_ends_of_a_run(monkeypatch):
         points = ts.make_grid(0.0, 1.0, step).points
         snapped = []
         snap = timescale._snap
-        monkeypatch.setattr(timescale, "_snap", lambda c, t: snapped.append(t) or snap(c, t))
+        monkeypatch.setattr(timescale, "_snap", lambda lo, hi, t: snapped.append(t) or snap(lo, hi, t))
         records = list(ts.walk_runs(points))
         monkeypatch.undo()
         assert len(records) == 2 and records[0] == Run(0, list(points))
@@ -1185,3 +1185,39 @@ def test_stretch_walk_matches_one_record_per_step(scale_grid, make_coeff):
     assert jumps.next == [None if r[2] is None else grid.index_of(r[2]) for r in records]
     whole = ts.make_grid(ts.inf, ts.sup, 0.2)  # a grid the points are not
     assert _Jumps(ts, pts, whole).next == [None if r[2] is None else whole.index_of(r[2]) for r in records]
+
+
+def _searched_next(jumps):
+    """_Jumps.next as one search per point: a stretch's given index, else
+    own's where the jump is the point itself, else Grid.index_of."""
+    col = []
+    for k, (given, s) in enumerate(zip(jumps._next, jumps.sigma)):
+        if given >= 0:
+            col.append(given)
+        elif s is None:
+            col.append(None)
+        else:
+            col.append(jumps.own[k] if s == jumps.points[k] else jumps.grid.index_of(s))
+    return col
+
+
+@pytest.mark.parametrize(
+    "ts, step, unaligned",
+    [
+        (interval(0.0, 1.0), 1e-4, False),
+        (union(interval(0.0, 1.0), isolated(1.5, 2.0, 2.5), interval(3.0, 4.0)), 0.01, False),
+        (union(interval(0.0, 1.0), isolated(1.5, 2.0, 2.5), interval(3.0, 4.0)), 0.01, True),
+    ],
+)
+def test_the_jump_column_equals_a_search_at_each_point(ts, step, unaligned):
+    """next takes a run's points' indices from at: the column is the one a
+    search at every point gives, on a dense grid, a mixed grid, and points
+    that are not the grid's own (nudged within the tolerance, with a
+    non-member)."""
+    grid = ts.make_grid(ts.inf, ts.sup, step)
+    pts = grid.points
+    if unaligned:
+        pts = tuple(p + 5e-13 if k % 3 else p for k, p in enumerate(pts)) + (ts.sup + 1.0,)
+    jumps = _Jumps(ts, pts, grid)
+    assert jumps.next == _searched_next(jumps)
+    assert None in jumps.sigma if unaligned else jumps.next[:3] == [0, 1, 2]
