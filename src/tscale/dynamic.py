@@ -13,7 +13,7 @@ oscillator-cayley report shares one table between its two passes), gathers
 each point's stencil by the table's grid index columns (timescale._gather)
 and maps the stencil formulas (trig._quotients, trig._halves, _dense_second)
 over them, no Python call per point; delbis takes each distinct gap's
-cosine, denominator and pi guard once (exponential._by_gap). The pointwise
+cosine, denominator and pi guard once (exponential._GapMemo). The pointwise
 operators apply the same formulas to a one-point table: the same floats.
 """
 
@@ -35,7 +35,7 @@ from .errors import (
     ToleranceError,
 )
 from .exponential import (
-    _by_gap,
+    _GapMemo,
     _dense_integrals,
     _exp,
     _grid_steps,
@@ -437,10 +437,9 @@ def delbis_relation_residual(
     # a point apart from its jump, off the left-scattered maximum
     apart = map(and_, map(is_not, jumps.mu[:e], repeat(None)), map(ne, jumps.sigma[:e], pts))
     ks, js = jumps.jumping(compress(range(e), apart))
-    mus, steps, failed = _gather(jumps.mu, ks), {}, ()
+    mus, failed = _gather(jumps.mu, ks), ()
     if mu:  # isolated points: each gap's cosine, denominator and pi guard once
-        _by_gap(steps, mus, mus, lambda gap, _: _oscillator_step(omega, gap))
-        at = _gather(steps, mus)
+        at = _GapMemo(lambda gap, _: _oscillator_step(omega, gap)).over(mus, mus)
         cut = next(compress(count(), map(isinstance, at, repeat(SingularError))), len(at))
         ks, js, at, failed = ks[:cut], js[:cut], at[:cut], at[cut:]
         vc = map(mul, _gather(vals, _gather(jumps.at, ks)), map(itemgetter(0), at))

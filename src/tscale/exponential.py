@@ -16,8 +16,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, count, islice, repeat, tee
-from operator import add, lt, mul, not_, sub
+from itertools import accumulate, chain, compress, count, islice, tee
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -105,14 +105,14 @@ def _log_integral_range(
     # the lower end is located first, as a separate validation pass over
     # [t0, t1] did: of two non-members the same one is reported
     if t0 < t1:
-        (_, a), (_, b) = ts._locate(t0), ts._locate(t1)
+        (i, a), (j, b) = ts._locate(t0), ts._locate(t1)
     else:
-        (_, b), (_, a) = ts._locate(t1), ts._locate(t0)
+        (j, b), (i, a) = ts._locate(t1), ts._locate(t0)
     if a == b:
         return 0j
     if b < a:  # the run from the lower end, negated
-        return -1.0 * _Exponent(terms, b).to(a)
-    return _Exponent(terms, a).to(b)
+        return -1.0 * _Exponent(terms, b, (j, b)).to(a, (i, a))
+    return _Exponent(terms, a, (i, a)).to(b, (j, b))
 
 
 class _Terms:
@@ -125,15 +125,13 @@ class _Terms:
     repeat their gaps, and a uniform one has a handful. This is bit for
     bit, since the check and the log are pure functions of (mu, alpha). A
     constant coefficient's value is one object, so its steps are keyed by
-    mu alone, and fold takes a stretch of them with the bulk gap fold the
-    grid walk uses too (_by_gap): the gaps are finite and above the
-    membership tolerance, so a key is no NaN and no signed zero. It
-    evaluates the coefficient once per distinct gap. Any other
-    coefficient is evaluated once per component (Coefficient.at_step, with
-    the gap the fold holds), and its steps
-    are keyed by (mu, alpha). Keys that compare equal differ at most in
-    the sign of a zero: the abs tests of the check cannot tell them apart,
-    and their logs differ at most in the sign of a zero, which the fold,
+    mu alone, and fold maps a stretch of them through a _GapMemo, as the
+    grid walk does: the coefficient is evaluated once per distinct gap.
+    Any other coefficient is evaluated once per component
+    (Coefficient.at_step, with the gap the fold holds), and its steps are
+    keyed by (mu, alpha). Keys that compare equal differ at most in the
+    sign of a zero: the abs tests of the check cannot tell them apart, and
+    their logs differ at most in the sign of a zero, which the fold,
     started from 0j, erases. A NaN alpha matches only the very object it
     is, whose log is the same. A step that fails its check is never kept,
     so the first RegressivityError is raised at the same t.
@@ -148,10 +146,11 @@ class _Terms:
 
     def __init__(self, family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol: float):
         self.ts, self.coeff, self.tol = ts, coeff, tol
-        self._rule = _family_rule(family, coeff)
+        self._rule = rule = _family_rule(family, coeff)
         self._constant = coeff.is_constant
         self._logs: dict[int, complex] = {}
-        self._steps: dict = {}  # log by mu (constant) or by (mu, alpha)
+        # log by mu (constant; not by a bound method of self, a cycle) or by (mu, alpha)
+        self._steps = _GapMemo(partial(_checked_log, rule, coeff)) if self._constant else {}
         self._pieces: dict[tuple[float, float], complex] = {}
 
     def fold(self, total: complex, lo: int, e: int) -> complex:
@@ -161,17 +160,10 @@ class _Terms:
         if not self._constant:
             return reduce(add, map(self.log, range(lo, e)), total)
         mus, steps = self.ts._gaps(lo, e), self._steps
-        try:
+        try:  # every gap kept, as after the first target
             return reduce(add, map(steps.__getitem__, mus), total)
         except KeyError:  # a gap met for the first time
-            _by_gap(steps, mus, self.ts._rights[lo:e], self._checked_log)
-        return reduce(add, map(steps.__getitem__, mus), total)
-
-    def _checked_log(self, mu: float, s: float) -> complex:
-        """The step log of graininess mu at s, checked for regressivity."""
-        alpha = self.coeff.at_step(mu, s)
-        self._rule.check(s, mu * alpha, "alpha")
-        return self._rule.log(mu, alpha)
+            return reduce(add, steps.over(mus, self.ts._rights, lo), total)
 
     def log(self, k: int) -> complex:
         """Step log at the right end of component k for a coefficient that
@@ -191,27 +183,62 @@ class _Terms:
 
     def pieces(self, passed: Sequence[int], a: float, b: float) -> list[complex]:
         """The integrals of the dense view over the pieces in [a, b] of the
-        intervals passed (component indices, ascending), in order. Their
-        ends are the intervals' ends clipped at a and b with C-level maps;
-        an empty piece (at most the interval holding a) has none. A constant
-        dense view's pieces are one Coefficient.dense_integrals call, exact
-        and recomputed bit for bit, so none is kept. Any other's are kept
-        for every run: the pieces not yet kept are integrated by one
-        Coefficient.dense_integrals call, in order, and kept as they come."""
+        intervals passed (component indices, ascending), in order: the
+        intervals, all below b's component, the first clipped at a and
+        dropped if that empties it. A constant dense view's pieces are one
+        Coefficient.dense_integrals call, exact and recomputed bit for bit,
+        so none is kept. Any other's are kept for every run: the pieces not
+        yet kept are integrated by one such call, in order, and kept."""
         ts, coeff, tol = self.ts, self.coeff, self.tol
-        los = list(map(max, map(ts._lefts.__getitem__, passed), repeat(a)))
-        his = list(map(min, map(ts._rights.__getitem__, passed), repeat(b)))
+        los = list(map(ts._lefts.__getitem__, passed))
+        his = list(map(ts._rights.__getitem__, passed))
+        los[0] = max(los[0], a)  # each later interval starts above a
+        if not los[0] < his[0]:
+            del los[0], his[0]
         if coeff.dense_value is not None and tol > 0:
-            nonempty = list(map(lt, los, his))
-            los, his = list(compress(los, nonempty)), list(compress(his, nonempty))
             return list(coeff.dense_integrals(los, his, tol))
         kept = self._pieces
-        pairs = [p for p in zip(los, his) if p[0] < p[1]]
+        pairs = list(zip(los, his))
         new = [p for p in pairs if p not in kept]
         if new:
             los, his = zip(*new)
             kept.update(zip(new, coeff.dense_integrals(los, his, tol)))
         return list(map(kept.__getitem__, pairs))
+
+
+def _checked_log(rule: StepRule, coeff: Coefficient, mu: float, s: float) -> complex:
+    """The step log of graininess mu at s, checked for regressivity."""
+    alpha = coeff.at_step(mu, s)
+    rule.check(s, mu * alpha, "alpha")
+    return rule.log(mu, alpha)
+
+
+class _GapMemo(dict):
+    """fn(mu, p) by gap mu for a constant coefficient's scattered steps,
+    filled as over reads a stretch: once per distinct gap, in order of
+    first occurrence, p the point its first step leaves (sought from the
+    last gap filled on). The gaps are finite and above the membership
+    tolerance (no NaN, no signed zero), so each step's value is the same
+    bit for bit, and a fn that raises does so at the step a loop would.
+    Outside over a missing gap raises KeyError."""
+
+    def __init__(self, fn):
+        self._fn, self._mus = fn, None
+
+    def over(self, mus: list[float], ps: Sequence[float], k: int = 0) -> list:
+        """The values of the gaps mus in one C-level map, mus[i] leaving ps[k + i]."""
+        self._mus, self._ps, self._k, self._at = mus, ps, k, 0
+        try:
+            return list(map(self.__getitem__, mus))
+        finally:
+            self._mus = self._ps = None
+
+    def __missing__(self, mu: float):
+        if self._mus is None:
+            raise KeyError(mu)
+        i = self._at = self._mus.index(mu, self._at)
+        w = self[mu] = self._fn(mu, self._ps[self._k + i])
+        return w
 
 
 class _Exponent:
@@ -235,18 +262,18 @@ class _Exponent:
     check and log per distinct (mu, alpha).
     """
 
-    def __init__(self, terms: _Terms, anchor: float):
+    def __init__(self, terms: _Terms, anchor: float, located=None):
         self._terms = terms
-        self._k, self._a = terms.ts._locate(anchor)
+        self._k, self._a = located or terms.ts._locate(anchor)  # (component, value)
         self._b = self._a  # the last target
         self._sum = 0j  # the step logs in [anchor, last target)
         self._pieces: list[complex] = []  # the finished pieces' integrals
 
-    def to(self, x: float) -> complex:
+    def to(self, x: float, located=None) -> complex:
         terms, a, k = self._terms, self._a, self._k
         ts = terms.ts
         lefts, rights, intervals = ts._lefts, ts._rights, ts._intervals
-        _, b = ts._locate(x)
+        _, b = located or ts._locate(x)
         if b == a:
             return 0j
         if b < self._b:
@@ -410,10 +437,10 @@ def _validate_regressive(
 
     A stretch is checked as a whole, raising where a loop over its steps
     would, at the same t. A constant coefficient's m = mu * alpha is
-    tested once per distinct gap, in order of first occurrence, at its
-    first point (_by_gap). Any other coefficient is read and its m tested
-    through one chain of C-level maps that stops at the first step that
-    degenerates, reading no point past it.
+    tested once per distinct gap of the stretch, at its first point (a
+    _GapMemo). Any other coefficient is read and its m tested through one
+    chain of C-level maps that stops at the first step that degenerates,
+    reading no point past it.
     """
     constant = coeff.is_constant
     read = None if constant or rule is None else {}
@@ -425,10 +452,10 @@ def _validate_regressive(
             continue
         if isinstance(item, Stretch):
             k, _, _, mus = item
-            ps = points[k : k + len(mus)]
             if constant:
-                _by_gap({}, mus, ps, lambda mu, p: rule.check(p, mu * a, name))
+                _GapMemo(lambda mu, p: rule.check(p, mu * a, name)).over(mus, points, k)
                 continue
+            ps = points[k : k + len(mus)]
             # read and tested a step at a time, lazily: no read past the
             # first step that degenerates
             reads, alphas = tee(map(coeff.at_step, mus, ps))
@@ -444,21 +471,6 @@ def _validate_regressive(
                 a = read[p] = coeff.at_step(mu, p)
             rule.check(p, mu * a, name)
     return items, read
-
-
-def _by_gap(memo: dict, mus: list[float], ps: Sequence[float], fn) -> None:
-    """The bulk fold of a stretch of scattered steps of a constant
-    coefficient, shared by the grid walk and the running exponent
-    (_Terms.fold): memo[mu] = fn(mu, p) for each distinct gap mu of the
-    steps that memo lacks, in order of first occurrence, p the point the
-    first step of that gap leaves. The gaps are finite and above the
-    membership tolerance, so none is a NaN or a signed zero, and fn is a
-    function of the gap: taken once per distinct gap it gives each step's
-    value bit for bit, and a fn that raises does so at the first step a
-    loop over them would raise at. The gaps are looked up in memo by one
-    chain of C-level maps, which sees each gap taken as it goes."""
-    for i in compress(count(), map(not_, map(memo.__contains__, mus))):
-        memo[mus[i]] = fn(mus[i], ps[i])
 
 
 def _split_steps(items, anchor):
@@ -496,12 +508,12 @@ def _grid_steps(pts, items, coeff, read, step, dense):
 
     A constant coefficient's value is one object, so its step is a
     function of mu alone and is taken once per distinct mu, bit for bit:
-    a stretch's gaps are mapped through the walk's memo (_by_gap). Any
-    other coefficient's step is taken at every step, a stretch's with one
-    map: two of its values that compare equal can differ in the sign of a
-    zero part, which a fold from an off-grid anchor's exponent keeps.
+    a stretch's gaps are mapped through the walk's _GapMemo. Any other
+    coefficient's step is taken at every step, a stretch's with one map:
+    two of its values that compare equal can differ in the sign of a zero
+    part, which a fold from an off-grid anchor's exponent keeps.
     """
-    memo: dict[float, complex] = {}  # by mu, for a constant coefficient
+    memo = _GapMemo(lambda mu, p: step(mu, coeff.at_step(mu, p)))  # for a constant coefficient
     constant = coeff.is_constant
 
     def increments():
@@ -512,11 +524,10 @@ def _grid_steps(pts, items, coeff, read, step, dense):
                 continue
             if isinstance(item, Stretch):
                 k, _, _, mus = item
-                ps = pts[k : k + len(mus)]
                 if constant:
-                    _by_gap(memo, mus, ps, lambda mu, p: step(mu, coeff.at_step(mu, p)))
-                    yield map(memo.__getitem__, mus)
+                    yield memo.over(mus, pts, k)
                 else:
+                    ps = pts[k : k + len(mus)]
                     if read is None:
                         alphas = map(coeff.at_step, mus, ps)
                     else:

@@ -40,13 +40,13 @@ a constant coefficient's m = mu * alpha once per distinct gap, any other
 coefficient read with one map (Coefficient.at_step, with the graininess
 the walk holds) and each step tested up to the first that fails. It takes
 a constant coefficient's step log or factor once per distinct gap, a
-stretch's gaps mapped through a memo (exponential._by_gap, the bulk fold
-the running exponent shares), and evaluates any other coefficient once
-per scattered step, reusing the value read. A constant dense view
-integrates a run exactly (Coefficient.dense_integrals): each dense step
-is the value times its width, C-level maps over the run's points and no
-call. A query over a range [t0, t1] (scattered_points, dense_segments,
-make_grid) locates both ends and scans only the K
+stretch's gaps mapped through a memo that fills as it is read
+(exponential._GapMemo, which the running exponent shares), and evaluates
+any other coefficient once per scattered step, reusing the value read. A
+constant dense view integrates a run exactly (Coefficient.dense_integrals):
+each dense step is the value times its width, C-level maps over the run's
+points and no call. A query over a range [t0, t1] (scattered_points,
+dense_segments, make_grid) locates both ends and scans only the K
 components from the one holding the lower end to the one after the upper
 end, O(log C + K), taking a stretch of isolated points as one slice of
 their ends; so does delta_integral, which runs the first two, plus the

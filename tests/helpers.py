@@ -425,6 +425,16 @@ def reference_log_integral_range(family: ExpFamily, ts: TimeScale, coeff, t0, t1
     return -1.0 * total if reverse else total
 
 
+def clipped_pieces(ts: TimeScale, coeff, passed, a: float, b: float, tol: float) -> list:
+    """_Terms.pieces as it clipped every passed interval: each interval's
+    ends clipped at a and b, the empty pieces dropped, and the rest
+    integrated by one Coefficient.dense_integrals call, in order."""
+    los = [max(ts._lefts[i], a) for i in passed]
+    his = [min(ts._rights[i], b) for i in passed]
+    pairs = [(lo, hi) for lo, hi in zip(los, his) if lo < hi]
+    return list(coeff.dense_integrals([lo for lo, _ in pairs], [hi for _, hi in pairs], tol))
+
+
 def reference_exp_point(family: ExpFamily, ts: TimeScale, coeff, t, t0, tol):
     """exp_cayley / exp_hilger as the exp of reference_log_integral_range,
     overflow, or a value that is not finite, a ToleranceError."""

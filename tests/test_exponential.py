@@ -1,5 +1,8 @@
 import cmath
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,12 +16,15 @@ from tscale import (
     ExpEvaluation,
     ExpFamily,
     RegressivityError,
+    SampledFunction,
+    Scheme,
     SingularError,
     ToleranceError,
     TrigFamily,
     beta_of_alpha,
     check_semigroup,
     check_sigma_shift,
+    delbis_relation_residual,
     exp_cayley,
     exp_evaluate_grid,
     exp_exact,
@@ -29,15 +35,18 @@ from tscale import (
     interval,
     isolated,
     oplus_cayley,
+    solve_first_order,
     uniform,
     union,
 )
 
-from tscale import transforms
+from tscale import exponential, transforms
+from tscale.cli import parse_scale
 from tscale.exponential import _Exponent, _Terms, _exp_point, _exp_runs, _log_integral_range
 
 from helpers import (
     any_scale,
+    clipped_pieces,
     max_graininess,
     outcome,
     probe_points,
@@ -829,6 +838,136 @@ def test_running_exponent_rejects_a_descending_target():
     )
     with pytest.raises(ValueError, match="below the last target"):
         run.to(2.0)
+
+
+@pytest.mark.parametrize(
+    "spec", ["points(0,0.1,0.6,0.7)", "points(0,0.1,0.6,0.7)+interval(1,2)"]
+)
+def test_a_degenerate_gap_after_good_ones_is_reported_where_it_is_met(spec):
+    """The gap 0.5 at t = 0.1 degenerates alpha = -2 for the forward step,
+    after the passing gap 0.1 at t = 0 and before the distinct passing gap
+    at t = 0.6. Every path raises the error a loop over the steps raises,
+    whatever the order the gaps are first read in."""
+    ts = parse_scale(spec)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.25)
+    want = ("RegressivityError", "1 + mu*alpha = 0j at t=0.1", 0.1)
+    assert outcome(exp_hilger, ts, -2.0, 0.1, 0.0) == outcome(
+        reference_exp_point, ExpFamily.HILGER_DELTA, ts, Coefficient.constant(-2.0), 0.1, 0.0, 1e-12
+    )
+    for t, t0 in ((0.6, 0.0), (ts.sup, 0.0), (0.0, ts.sup), (0.7, 0.1)):
+        assert outcome(exp_hilger, ts, -2.0, t, t0) == want
+    assert outcome(exp_evaluate_grid, ExpFamily.HILGER_DELTA, ts, -2.0, 0.0, grid) == want
+    assert outcome(solve_first_order, Scheme.EXPLICIT_DELTA, ts, -2.0, 1.0, 0.0, grid) == (
+        "RegressivityError", "1 + mu*beta = 0j at t=0.1", 0.1
+    )
+    run = _exp_runs(ExpFamily.HILGER_DELTA, ts, Coefficient.constant(-2.0), 1e-12)(0.0)
+    assert outcome(run, 0.1) == outcome(exp_hilger, ts, -2.0, 0.1, 0.0)
+    assert outcome(run, 0.6) == want
+    assert outcome(run, ts.sup) == want  # the run goes on from 0.1
+
+
+def test_a_degenerate_delbis_gap_is_reported_as_before():
+    """delbis takes each gap's oscillator step once; a gap with
+    |omega*mu| >= pi raises the message it raised, at the first point."""
+    ts = uniform(0.0, 0.5, 8)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.25)
+    x = SampledFunction(grid, tuple(map(complex, range(8))))
+    assert outcome(delbis_relation_residual, ts, 7.0, x, grid) == (
+        "SingularError", "|omega*mu| = 3.5 must stay below pi", None
+    )
+
+
+def test_each_distinct_gap_is_checked_and_logged_once_per_terms(monkeypatch):
+    """Over shared terms, runs from two anchors and their targets check
+    each distinct gap and take its log once, in order of first occurrence,
+    however the gaps repeat within and across the stretches an interval
+    splits; every value is the one-pass fold."""
+    gaps = [0.25, 0.5, 0.25, 0.125, 0.5, 0.125, 0.375, 0.25]
+    pts = [0.0]
+    for g in gaps + gaps[::-1]:
+        pts.append(pts[-1] + g)
+    ts = union(isolated(*pts[:9]), interval(3.0, 4.0), isolated(*[p + 2.0 for p in pts[9:]]))
+    coeff = Coefficient.constant(-0.3 + 0.4j)
+    cases = [(0.0, 1.0), (0.0, 2.375), (1.125, 3.5), (0.0, ts.sup), (1.125, ts.sup)]
+    want = [
+        reference_log_integral_range(ExpFamily.HILGER_DELTA, ts, coeff, a, x, 1e-12)
+        for a, x in cases
+    ]
+    checks, logs = [], []
+    rule = transforms.FORWARD_RULE
+    counted = dataclasses.replace(
+        rule,
+        log=lambda mu, a: logs.append(mu) or rule.log(mu, a),
+        degenerate=lambda m: checks.append(m) or rule.degenerate(m),
+    )
+    monkeypatch.setitem(exponential._STEP_RULES, ExpFamily.HILGER_DELTA, counted)
+    terms = _Terms(ExpFamily.HILGER_DELTA, ts, coeff, 1e-12)
+    runs = {a: _Exponent(terms, a) for a in (0.0, 1.125)}
+    assert [runs[a].to(x) for a, x in cases] == want
+    # 0.625: from the last point below the interval to it, and from it on
+    assert logs == [0.25, 0.5, 0.125, 0.375, 0.625]
+    assert len(checks) == len(logs)
+
+
+def test_no_reference_cycle_keeps_a_scale():
+    """With the cyclic collector off, a scale dies with its last reference
+    after a pointwise value, a grid evaluation and a running exponent:
+    nothing they leave behind refers to it in a cycle."""
+    calls = [
+        lambda ts: exp_cayley(ts, 0.5j, 3.5, 0.0),
+        lambda ts: exp_evaluate_grid(ExpFamily.CAYLEY, ts, 0.5j, 0.0, ts.make_grid(0, 4, 0.25)),
+        lambda ts: _exp_runs(ExpFamily.CAYLEY, ts, Coefficient.constant(0.5j), 1e-12)(0.0)(3.5),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            ts = union(uniform(0.0, 0.125, 20), interval(3.0, 4.0))
+            ref = weakref.ref(ts)
+            call(ts)
+            del ts
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+_PIECES_SCALE = union(interval(0, 1), isolated(1.5), interval(2, 3), isolated(3.5), interval(4, 5))
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [Coefficient.constant(0.5 - 0.25j), Coefficient.from_function(lambda t: cmath.exp(1j * t))],
+    ids=["constant", "function"],
+)
+@pytest.mark.parametrize(
+    "anchor, targets",
+    [
+        (1.0, (4.5,)),  # at an interval's right end: its piece is empty
+        (0.3, (2.5, 4.5)),  # inside an interval, then a target in the interval after
+        (1.5, (4.5, 5.0)),  # at an isolated point
+        (0.3, (0.7, 3.5, 5.0)),
+    ],
+)
+def test_pieces_clip_only_the_first_interval(coeff, anchor, targets):
+    """The passed intervals' pieces, taken whole but for the first clipped
+    at the anchor, are the ones every interval clipped at both ends gave,
+    bit for bit, and each target's exponent is the one-pass fold."""
+    ts, family = _PIECES_SCALE, ExpFamily.CAYLEY
+    terms = _Terms(family, ts, coeff, 1e-12)
+    k, a = ts._locate(anchor)
+    for x in targets:
+        _, b = ts._locate(x)
+        passed = [i for i in ts._intervals if i >= k and ts._rights[i] < b]
+        if passed:
+            got = tuple(terms.pieces(passed, a, b))
+            assert outcome(lambda: got) == outcome(
+                lambda: tuple(clipped_pieces(ts, coeff, passed, a, b, 1e-12))
+            )
+    run = _Exponent(_Terms(family, ts, coeff, 1e-12), anchor)
+    for x in targets:
+        assert outcome(run.to, x) == outcome(
+            reference_log_integral_range, family, ts, coeff, anchor, x, 1e-12
+        )
 
 
 # -- non-finite coefficients and overflow ---------------------------------------------
