@@ -38,7 +38,7 @@ from .timescale import (
     _uniform_values,
     normalize_components,
 )
-from .transforms import as_coefficient, graininess_coefficient
+from .transforms import _graininess_only, as_coefficient, graininess_coefficient
 from .exponential import (
     _STEP_RULES,
     ExpFamily,
@@ -409,7 +409,7 @@ def _product_law_report(config, ts, grid, family):
     oplus = _STEP_RULES[family].oplus
     # the dense view is constant: its quadrature calls no integrand
     combo = graininess_coefficient(ts, lambda mu, s: oplus(mu, a, b), oplus(0.0, a, b))
-    eab = exp_evaluate_grid(family, ts, combo, t0, grid, config.tol)
+    eab = exp_evaluate_grid(family, ts, _graininess_only(combo), t0, grid, config.tol)
     residuals = tuple(
         abs(x * y - z) for x, y, z in zip(ea.values, eb.values, eab.values)
     )
@@ -441,8 +441,8 @@ def _oscillator_exact_report(config, ts, grid, family):
     x = SampledFunction(grid, tuple(map(math.sin, map(mul, repeat(omega), grid.points))))
     result = oscillator_residual_exact(ts, omega, x, grid, config.tol)
     # pass requires both forms and their mutual agreement below tol
-    pairs = zip(result.phi_form.residuals, result.sinc_form.residuals)
-    residuals = tuple(max(a, b, result.form_agreement) for a, b in pairs)
+    phi, sinc = result.phi_form.residuals, result.sinc_form.residuals
+    residuals = tuple(map(max, phi, sinc, repeat(result.form_agreement)))
     report = replace(result.phi_form, identity="oscillator-exact", residuals=residuals)
     extra = {
         "phi_form_max": result.phi_form.max_residual,

@@ -177,9 +177,9 @@ def solve_first_order(
     step = _SCHEME_RULES[scheme][0].factor
     dense = lambda ps, xs: map(_exp, _dense_integrals(ts, coeff, tol, ps, xs))
     before, after = _split_steps(items, anchor)
-    steps = _grid_steps(pts, after, coeff, read, step, dense)
-    values[anchor:] = accumulate(steps, mul, initial=values[anchor])  # values[k] * factor
-    back = list(_grid_steps(pts, before, coeff, read, step, dense))
+    steps = _grid_steps(pts, coeff, read, step, dense)
+    values[anchor:] = accumulate(steps(after), mul, initial=values[anchor])  # values[k] * factor
+    back = list(steps(before))
     if 0 in back or not all(map(cmath.isfinite, back)):
         # the first factor that cannot be inverted, marching down from the anchor
         k = max(k for k, f in enumerate(back) if f == 0 or not cmath.isfinite(f))

@@ -124,17 +124,19 @@ class _Terms:
     Each distinct step is checked and its step log taken once: scales
     repeat their gaps, and a uniform one has a handful. This is bit for
     bit, since the check and the log are pure functions of (mu, alpha). A
-    constant coefficient's value is one object, so its steps are keyed by
-    mu alone, and fold maps a stretch of them through a _GapMemo, as the
-    grid walk does: the coefficient is evaluated once per distinct gap.
-    Any other coefficient is evaluated once per component
-    (Coefficient.at_step, with the gap the fold holds), and its steps are
-    keyed by (mu, alpha). Keys that compare equal differ at most in the
-    sign of a zero: the abs tests of the check cannot tell them apart, and
-    their logs differ at most in the sign of a zero, which the fold,
-    started from 0j, erases. A NaN alpha matches only the very object it
-    is, whose log is the same. A step that fails its check is never kept,
-    so the first RegressivityError is raised at the same t.
+    coefficient whose step value is a function of the gap
+    (Coefficient._gap_only: a constant, or the Bohner-Peterson deformation
+    and the product law's circle-plus) has its steps keyed by mu alone, and
+    fold maps a stretch of them through a _GapMemo, as the grid walk does:
+    the coefficient is evaluated once per distinct gap. Any other
+    coefficient is evaluated once per component (Coefficient.at_step, with
+    the gap the fold holds), and its steps are keyed by (mu, alpha). Keys
+    that compare equal differ at most in the sign of a zero: the abs tests
+    of the check cannot tell them apart, and their logs differ at most in
+    the sign of a zero, which the fold, started from 0j, erases. A NaN
+    alpha matches only the very object it is, whose log is the same. A
+    step that fails its check is never kept, so the first
+    RegressivityError is raised at the same t.
 
     pieces takes the finished pieces of the intervals a target has passed
     as a whole, in one Coefficient.dense_integrals call, in order: all of
@@ -147,17 +149,17 @@ class _Terms:
     def __init__(self, family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol: float):
         self.ts, self.coeff, self.tol = ts, coeff, tol
         self._rule = rule = _family_rule(family, coeff)
-        self._constant = coeff.is_constant
+        self._gap_only = coeff._gap_only
         self._logs: dict[int, complex] = {}
-        # log by mu (constant; not by a bound method of self, a cycle) or by (mu, alpha)
-        self._steps = _GapMemo(partial(_checked_log, rule, coeff)) if self._constant else {}
+        # log by mu (not by a bound method of self, a cycle) or by (mu, alpha)
+        self._steps = _GapMemo(partial(_checked_log, rule, coeff)) if self._gap_only else {}
         self._pieces: dict[tuple[float, float], complex] = {}
 
     def fold(self, total: complex, lo: int, e: int) -> complex:
         """total plus the step logs at the right ends of components lo to
         e - 1, added in ascending order, each step checked before its log
         is first taken."""
-        if not self._constant:
+        if not self._gap_only:
             return reduce(add, map(self.log, range(lo, e)), total)
         mus, steps = self.ts._gaps(lo, e), self._steps
         try:  # every gap kept, as after the first target
@@ -166,9 +168,9 @@ class _Terms:
             return reduce(add, steps.over(mus, self.ts._rights, lo), total)
 
     def log(self, k: int) -> complex:
-        """Step log at the right end of component k for a coefficient that
-        is not constant, its (mu, alpha) checked for regressivity just
-        before its log is first taken."""
+        """Step log at the right end of component k for a coefficient whose
+        step value is not a function of the gap, its (mu, alpha) checked for
+        regressivity just before its log is first taken."""
         w = self._logs.get(k)
         if w is None:
             s = self.ts._rights[k]
@@ -214,13 +216,14 @@ def _checked_log(rule: StepRule, coeff: Coefficient, mu: float, s: float) -> com
 
 
 class _GapMemo(dict):
-    """fn(mu, p) by gap mu for a constant coefficient's scattered steps,
-    filled as over reads a stretch: once per distinct gap, in order of
-    first occurrence, p the point its first step leaves (sought from the
-    last gap filled on). The gaps are finite and above the membership
-    tolerance (no NaN, no signed zero), so each step's value is the same
-    bit for bit, and a fn that raises does so at the step a loop would.
-    Outside over a missing gap raises KeyError."""
+    """fn(mu, p) by gap mu for the scattered steps of a coefficient whose
+    step value is a function of the gap (Coefficient._gap_only), filled as
+    over reads a stretch: once per distinct gap, in order of first
+    occurrence, p the point its first step leaves (sought from the last
+    gap filled on). The gaps are finite and above the membership tolerance
+    (no NaN, no signed zero), so each step's value is the same bit for
+    bit, and a fn that raises does so at the step a loop would. Outside
+    over a missing gap raises KeyError."""
 
     def __init__(self, fn):
         self._fn, self._mus = fn, None
@@ -256,10 +259,10 @@ class _Exponent:
     _Terms.fold adds the step logs, _Terms.pieces integrates the passed
     intervals' new pieces as a whole, and one reduce adds the finished
     pieces. A run over n targets on a discrete scale costs O(n) in all.
-    With a constant coefficient that is C-level work per component plus
-    one coefficient call, check and log per distinct gap of the shared
-    terms; with any other, one coefficient call per component and one
-    check and log per distinct (mu, alpha).
+    With a coefficient whose step value is a function of the gap that is
+    C-level work per component plus one coefficient call, check and log
+    per distinct gap of the shared terms; with any other, one coefficient
+    call per component and one check and log per distinct (mu, alpha).
     """
 
     def __init__(self, terms: _Terms, anchor: float, located=None):
@@ -415,9 +418,9 @@ def _grid_log_integrals(
     items, read = _validate_regressive(rule, "alpha", ts, coeff, pts)
     before, after = _split_steps(items, anchor)
     log, dense = _STEP_RULES[family].log, partial(_dense_integrals, ts, coeff, tol)
-    steps = _grid_steps(pts, after, coeff, read, log, dense)
-    logs[anchor:] = accumulate(steps, initial=logs[anchor])  # logs[k] + the step's log
-    back = list(_grid_steps(pts, before, coeff, read, log, dense))
+    steps = _grid_steps(pts, coeff, read, log, dense)
+    logs[anchor:] = accumulate(steps(after), initial=logs[anchor])  # logs[k] + the step's log
+    back = list(steps(before))
     # logs[k] = logs[k + 1] - the step's log, from the anchor down
     logs[: anchor + 1] = reversed(list(accumulate(reversed(back), sub, initial=logs[anchor])))
     return logs
@@ -429,22 +432,28 @@ def _validate_regressive(
     """Walk the points once (TimeScale.walk_runs), raising at the first
     scattered step that degenerates by rule (none where rule is None), and
     return the walk's items and the coefficient value each check read, by
-    grid point (None for a constant coefficient, read once here, or where
-    rule is None). A step of graininess zero cannot degenerate, and the
-    left-scattered maximum takes none, so only scattered steps are
-    checked; the coefficient is read there by Coefficient.at_step, with the
-    graininess the walk holds.
+    grid point (None for a coefficient whose step value is a function of
+    the gap, or where rule is None). A step of graininess zero cannot
+    degenerate, and the left-scattered maximum takes none, so only
+    scattered steps are checked; the coefficient is read there by
+    Coefficient.at_step, with the graininess the walk holds, but for a
+    constant, whose value is read once here.
 
     A stretch is checked as a whole, raising where a loop over its steps
-    would, at the same t. A constant coefficient's m = mu * alpha is
-    tested once per distinct gap of the stretch, at its first point (a
-    _GapMemo). Any other coefficient is read and its m tested through one
-    chain of C-level maps that stops at the first step that degenerates,
-    reading no point past it.
+    would, at the same t. The m = mu * alpha of a coefficient whose step
+    value is a function of the gap (Coefficient._gap_only) is tested once
+    per distinct gap of the stretch, at its first point (a _GapMemo). Any
+    other coefficient is read and its m tested through one chain of
+    C-level maps that stops at the first step that degenerates, reading no
+    point past it.
     """
-    constant = coeff.is_constant
-    read = None if constant or rule is None else {}
-    a = coeff.constant_value if constant else None  # one object, read once
+    gap_only = coeff._gap_only
+    read = None if gap_only or rule is None else {}
+    if coeff.is_constant:
+        a = coeff.constant_value  # one object, read once
+        at = lambda mu, p: a
+    else:
+        at = coeff.at_step
     items = []
     for item in ts.walk_runs(points):
         items.append(item)
@@ -452,8 +461,8 @@ def _validate_regressive(
             continue
         if isinstance(item, Stretch):
             k, _, _, mus = item
-            if constant:
-                _GapMemo(lambda mu, p: rule.check(p, mu * a, name)).over(mus, points, k)
+            if gap_only:
+                _GapMemo(lambda mu, p: rule.check(p, mu * at(mu, p), name)).over(mus, points, k)
                 continue
             ps = points[k : k + len(mus)]
             # read and tested a step at a time, lazily: no read past the
@@ -467,8 +476,9 @@ def _validate_regressive(
             continue
         p, q, s, mu, _, tt = item
         if q is not None and s > tt:
-            if not constant:
-                a = read[p] = coeff.at_step(mu, p)
+            a = at(mu, p)
+            if read is not None:
+                read[p] = a
             rule.check(p, mu * a, name)
     return items, read
 
@@ -498,25 +508,30 @@ def _split_steps(items, anchor):
     return before, after
 
 
-def _grid_steps(pts, items, coeff, read, step, dense):
-    """The increment over each step of the walk items of the grid points
-    pts: step(mu, a) at a scattered point p (mu the gap to its jump, a the
-    coefficient at p, from read where the walk's check read it), and
-    dense(ps, xs) over the steps between consecutive grid points ps, xs
-    being a run's located points or None for one step outside a run. Each
-    item's increments are one iterable, chained at C level.
+def _grid_steps(pts, coeff, read, step, dense):
+    """The increments over the steps of walk items of the grid points pts,
+    a function of the items: step(mu, a) at a scattered point p (mu the
+    gap to its jump, a the coefficient at p, from read where the walk's
+    check read it), and dense(ps, xs) over the steps between consecutive
+    grid points ps, xs being a run's located points or None for one step
+    outside a run. Each item's increments are one iterable, chained at C
+    level.
 
-    A constant coefficient's value is one object, so its step is a
-    function of mu alone and is taken once per distinct mu, bit for bit:
-    a stretch's gaps are mapped through the walk's _GapMemo. Any other
-    coefficient's step is taken at every step, a stretch's with one map:
-    two of its values that compare equal can differ in the sign of a zero
-    part, which a fold from an off-grid anchor's exponent keeps.
+    The step of a coefficient whose step value is a function of the gap
+    (Coefficient._gap_only) is a function of mu alone and is taken once
+    per distinct mu, bit for bit, over every call of the function: a
+    stretch's gaps are mapped through one _GapMemo, which a step outside a
+    stretch shares where its gap h = s - p is the walk's mu (a point
+    within the membership tolerance of its located value has another h,
+    and its coefficient is read at mu). Any other coefficient's step is
+    taken at every step, a stretch's with one map: two of its values that
+    compare equal can differ in the sign of a zero part, which a fold
+    from an off-grid anchor's exponent keeps.
     """
-    memo = _GapMemo(lambda mu, p: step(mu, coeff.at_step(mu, p)))  # for a constant coefficient
-    constant = coeff.is_constant
+    memo = _GapMemo(lambda mu, p: step(mu, coeff.at_step(mu, p)))
+    gap_only = coeff._gap_only
 
-    def increments():
+    def increments(items):
         for item in items:
             if isinstance(item, Run):
                 k, xs = item
@@ -524,7 +539,7 @@ def _grid_steps(pts, items, coeff, read, step, dense):
                 continue
             if isinstance(item, Stretch):
                 k, _, _, mus = item
-                if constant:
+                if gap_only:
                     yield memo.over(mus, pts, k)
                 else:
                     ps = pts[k : k + len(mus)]
@@ -543,14 +558,15 @@ def _grid_steps(pts, items, coeff, read, step, dense):
                     f"grid skips the forward jump of {p!r}: next sample {q!r}, jump {s!r}"
                 )
             h = s - p
-            w = memo.get(h)
+            kept = gap_only and h == mu
+            w = memo.get(h) if kept else None
             if w is None:
                 w = step(h, coeff.at_step(mu, p) if read is None else read[p])
-                if constant:
+                if kept:
                     memo[h] = w
             yield (w,)
 
-    return chain.from_iterable(increments())
+    return lambda items: chain.from_iterable(increments(items))
 
 
 def _dense_integrals(ts: TimeScale, coeff: Coefficient, tol: float, ps, xs):

@@ -36,11 +36,12 @@ enters, plus the quadrature of its dense steps, and grid evaluations,
 solvers and jump tables built on it are linear in N, C-level work a point
 on a discrete scale. Each walks its grid once
 (exponential._validate_regressive), checking a stretch with C-level maps:
-a constant coefficient's m = mu * alpha once per distinct gap, any other
+the m = mu * alpha of a coefficient whose step value is a function of the
+gap (a constant, Coefficient._gap_only) once per distinct gap, any other
 coefficient read with one map (Coefficient.at_step, with the graininess
 the walk holds) and each step tested up to the first that fails. It takes
-a constant coefficient's step log or factor once per distinct gap, a
-stretch's gaps mapped through a memo that fills as it is read
+the first kind's step log or factor once per distinct gap, a stretch's
+gaps mapped through a memo that fills as it is read
 (exponential._GapMemo, which the running exponent shares), and evaluates
 any other coefficient once per scattered step, reusing the value read. A
 constant dense view integrates a run exactly (Coefficient.dense_integrals):
@@ -52,13 +53,13 @@ end, O(log C + K), taking a stretch of isolated points as one slice of
 their ends; so does delta_integral, which runs the first two, plus the
 quadrature of its dense pieces. A running exponent from one anchor
 (exponential._Exponent) locates each target once and bisects for the
-scattered ends and the intervals it has passed since the last. A
-constant coefficient's step logs over such a stretch are C-level maps
-over its gaps, the coefficient evaluated and each distinct gap checked
-and its log taken once over all targets; any other coefficient is
-evaluated once per component, and each distinct (mu, alpha) step
-checked and its log taken once. Each dense piece is integrated once
-over all targets. The intervals a target has passed since the last are
+scattered ends and the intervals it has passed since the last. The
+step logs of a coefficient whose step value is a function of the gap
+over such a stretch are C-level maps over its gaps, the coefficient
+evaluated and each distinct gap checked and its log taken once over all
+targets; any other coefficient is evaluated once per component, and
+each distinct (mu, alpha) step checked and its log taken once. Each
+dense piece is integrated once over all targets. The intervals a target has passed since the last are
 taken as a whole: their pieces' ends are C-level maps over the interval
 ends, the pieces not yet integrated are one Coefficient.dense_integrals
 call (for a constant dense view, C-level maps over the pairs of ends),

@@ -173,9 +173,14 @@ class Coefficient:
     is the dense evaluator's value at every t. Such a coefficient also
     takes its value at a scattered step from the graininess the caller
     holds (at_step), with no lookup of its own.
+
+    The value of a constant, or of a coefficient marked by _graininess_only,
+    at a scattered step is a function of the step's graininess alone
+    (_gap_only): a fold reads it, checks the step and takes its step log
+    once per distinct gap.
     """
 
-    __slots__ = ("kind", "_eval", "_dense", "payload", "dense_value", "_jump")
+    __slots__ = ("kind", "_eval", "_dense", "payload", "dense_value", "_jump", "_gap_only")
 
     def __init__(self, kind, eval_fn, payload, dense_fn=None, dense_value=None):
         self.kind = kind
@@ -184,6 +189,7 @@ class Coefficient:
         self.payload = payload
         self.dense_value = dense_value
         self._jump = None  # fn(mu, t) of a coefficient defined through the graininess
+        self._gap_only = kind == "constant"  # the value at a step is a function of mu
 
     @classmethod
     def constant(cls, value: complex) -> "Coefficient":
@@ -308,6 +314,7 @@ class Coefficient:
         if self._jump is not None:
             inner_jump = self._jump
             scaled._jump = lambda mu, t: factor * inner_jump(mu, t)
+        scaled._gap_only = self._gap_only
         return scaled
 
     def __neg__(self) -> "Coefficient":
@@ -359,6 +366,15 @@ def graininess_coefficient(ts: TimeScale, fn, dense_value=None) -> Coefficient:
         v,
     )
     coeff._jump = lambda mu, t: complex(fn(mu, t))
+    return coeff
+
+
+def _graininess_only(coeff: Coefficient) -> Coefficient:
+    """coeff, a graininess_coefficient whose fn(mu, t) reads mu alone,
+    marked as such: its value at a scattered step is a function of the
+    step's gap (Coefficient._gap_only), so a fold reads it, checks the step
+    and takes its step log once per distinct gap, as it does a constant's."""
+    coeff._gap_only = True
     return coeff
 
 

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .errors import ToleranceError
 from .timescale import DEFAULT_TOL, Grid, TimeScale, _gather, _Jumps, delta_derivative_numeric
-from .transforms import as_coefficient, graininess_coefficient
+from .transforms import _graininess_only, as_coefficient, graininess_coefficient
 from .exponential import (
     ExpFamily,
     _exps,
@@ -195,8 +195,8 @@ def pythagorean_residual(
     # its value along continuous pieces, where mu = 0: a zero, which
     # integrates exactly, or NaN where p2 overflows, which raises as before
     deform = graininess_coefficient(ts, lambda mu, s: sign * mu * p2, sign * 0.0 * p2)
-    reference = _hilger_grid_lenient(ts, deform, t0, grid, tol)
-    residuals = tuple(abs(q - r) for q, r in zip(squares, reference))
+    reference = _hilger_grid_lenient(ts, _graininess_only(deform), t0, grid, tol)
+    residuals = tuple(map(abs, map(sub, squares, reference)))
     return ResidualReport(
         name, grid.points, residuals, tol, reference=tuple(r.real for r in reference)
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -859,6 +860,21 @@ def test_degenerate_bp_overflow_exits_4(capsys):
     )
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("tscale: exponential overflows")
+
+
+def test_degenerate_bp_hyp_report_on_its_lenient_path_is_unchanged(capsys):
+    # the deformation's factor 1 - mu^2 * alpha^2 at the gap 1.001 from
+    # t = 3.999 is 2.2e-16, within the regressivity margin: its checked fold
+    # raises, and it is folded unchecked (exponential._hilger_grid_lenient);
+    # the bytes are those of the deformation read at every step
+    argv = ["identity", "--identity", "pythagorean", "--family", "bp", "--kind", "hyp",
+            "--alpha=0.999000999000999", "--scale", "uniform(0,0.001,4000)+points(5)"]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith(',2.2116018739631653e-16],"schema":"tscale/1"}\n')
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3b57607396f2adf398d633257640bc8ccd0d398a806486354b87cefab6bc9eed"
+    )
 
 
 def test_infinite_integrand_exits_4_without_hanging():

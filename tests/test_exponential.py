@@ -1,4 +1,5 @@
 import cmath
+import collections
 import dataclasses
 import gc
 import math
@@ -40,7 +41,7 @@ from tscale import (
     union,
 )
 
-from tscale import exponential, transforms
+from tscale import cli, dynamic, exponential, transforms
 from tscale.cli import parse_scale
 from tscale.exponential import _Exponent, _Terms, _exp_point, _exp_runs, _log_integral_range
 
@@ -907,6 +908,84 @@ def test_each_distinct_gap_is_checked_and_logged_once_per_terms(monkeypatch):
     # 0.625: from the last point below the interval to it, and from it on
     assert logs == [0.25, 0.5, 0.125, 0.375, 0.625]
     assert len(checks) == len(logs)
+
+
+@pytest.mark.parametrize(
+    "argv, family, per_gap",
+    [
+        # the trig exponential of 1j*omega and the deformation
+        (["--identity", "pythagorean", "--family", "bp"], ExpFamily.HILGER_DELTA, 2),
+        # e_alpha, e_beta and the exponential of their circle-plus
+        (["--identity", "product-law", "--family", "cayley", "--alpha=-0.25,0.35"],
+         ExpFamily.CAYLEY, 3),
+        (["--identity", "product-law", "--family", "hilger", "--alpha=-0.25,0.35"],
+         ExpFamily.HILGER_DELTA, 3),
+    ],
+)
+def test_graininess_only_coefficients_log_each_gap_once(monkeypatch, capsys, argv, family, per_gap):
+    """The Bohner-Peterson deformation and the product law's circle-plus
+    are functions of the gap alone: on uniform(0,1e-3,1000) each
+    exponential of a report takes each distinct gap's step log once, 18
+    logs (xi calls) for the pythagorean report and 27 (zeta or xi) for a
+    product law, where a log at every step made 1,008 and 1,017."""
+    scale = "uniform(0,1e-3,1000)"
+    ts = parse_scale(scale)
+    gaps = {mu for _, mu in ts.scattered_points(ts.inf, ts.sup)}
+    logs = []
+    rule = exponential._STEP_RULES[family]
+    counted = dataclasses.replace(rule, log=lambda mu, a: logs.append(mu) or rule.log(mu, a))
+    monkeypatch.setitem(exponential._STEP_RULES, family, counted)
+    assert cli.main(["identity", "--scale", scale, *argv]) == 0
+    assert collections.Counter(logs) == dict.fromkeys(gaps, per_gap)
+    assert len(logs) == {2: 18, 3: 27}[per_gap]
+
+
+def test_a_grid_fold_takes_each_gap_once_on_both_sides_of_its_anchor(monkeypatch):
+    """A grid exponential and a solve anchored inside the grid fold forward
+    and back from the anchor through one memo: on uniform(0,0.25,9) at
+    t0 = 1.0 the one gap 0.25 has its Cayley step log taken once, and its
+    trapezoidal factor once, where each side took its own."""
+    ts = uniform(0.0, 0.25, 9)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.25)
+    alpha = 0.5 - 0.25j
+    evaluate = lambda: exp_evaluate_grid(ExpFamily.CAYLEY, ts, alpha, 1.0, grid).values
+    solve = lambda: solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, ts, alpha, 1.0, 1.0, grid).values
+    want = evaluate(), solve()
+    logs, factors = [], []
+    rule = transforms.CAYLEY_RULE
+    counted = dataclasses.replace(
+        rule,
+        log=lambda mu, a: logs.append(mu) or rule.log(mu, a),
+        factor=lambda mu, a: factors.append(mu) or rule.factor(mu, a),
+    )
+    monkeypatch.setitem(exponential._STEP_RULES, ExpFamily.CAYLEY, counted)
+    monkeypatch.setitem(dynamic._SCHEME_RULES, Scheme.TRAPEZOIDAL_CAYLEY, (counted, "alpha"))
+    assert (evaluate(), solve()) == want
+    assert logs == [0.25] and factors == [0.25]
+
+
+@pytest.mark.parametrize("spec", ["points(0,0.1,0.6,0.7)", "points(0,0.1,0.6,0.7)+interval(1,2)"])
+def test_a_graininess_only_coefficient_fails_at_its_first_degenerate_gap(spec):
+    """-4 mu passes the forward step's check at the gap 0.1 and degenerates
+    it at the gap 0.5 from t = 0.1 (1 + 0.5 * -2 = 0). Marked as a function
+    of the gap, every checked path raises the error it raises read at
+    every step, at the same t."""
+    ts = parse_scale(spec)
+    grid = ts.make_grid(ts.inf, ts.sup, 0.25)
+    plain = lambda: graininess_coefficient(ts, lambda mu, s: -4.0 * mu, 0.0)
+    calls = [
+        lambda c: exp_evaluate_grid(ExpFamily.HILGER_DELTA, ts, c, 0.0, grid),
+        lambda c: exp_evaluate_grid(ExpFamily.HILGER_DELTA, ts, c, ts.sup, grid),
+        lambda c: exp_hilger(ts, c, ts.sup, 0.0),
+        lambda c: exp_hilger(ts, c, 0.0, ts.sup),
+        lambda c: _exp_runs(ExpFamily.HILGER_DELTA, ts, c, 1e-12)(0.0)(0.7),
+        lambda c: solve_first_order(Scheme.EXPLICIT_DELTA, ts, c, 1.0, 0.0, grid),
+    ]
+    got = [outcome(call, transforms._graininess_only(plain())) for call in calls]
+    assert got == [outcome(call, plain()) for call in calls]
+    want = ("RegressivityError", "1 + mu*alpha = 0j at t=0.1", 0.1)
+    assert got[:-1] == [want] * 5
+    assert got[-1] == ("RegressivityError", "1 + mu*beta = 0j at t=0.1", 0.1)
 
 
 def test_no_reference_cycle_keeps_a_scale():

@@ -33,7 +33,7 @@ from tscale import (
     zeta,
     zeta_inv,
 )
-from tscale.transforms import REGRESSIVITY_MARGIN
+from tscale.transforms import REGRESSIVITY_MARGIN, _graininess_only
 
 finite_complex = st.builds(
     complex,
@@ -381,6 +381,23 @@ def test_coefficient_scaled_keeps_a_constant_dense_view():
         assert scaled(1.0) == factor * 2.5  # the jump value, mu = 0.5
         assert scaled.dense_integral(0.25, 0.75, 1e-12) == factor * 2 * 0.5
     assert (-graininess_coefficient(ts, lambda mu, s: 2 + mu)).dense_value is None
+
+
+def test_step_values_by_gap_are_those_of_constants_and_marked_graininess_coefficients():
+    """A constant's step value is a function of the gap, and so is a
+    graininess coefficient's once marked by _graininess_only, which scaling
+    keeps; no other coefficient's is, a graininess coefficient's unmarked."""
+    ts = union(interval(0.0, 1.0), isolated(1.5))
+    plain = lambda: graininess_coefficient(ts, lambda mu, s: 2 + mu, 2)
+    marked = _graininess_only(plain())
+    assert marked(1.0) == 2.5
+    by_gap = [Coefficient.constant(0.5), -Coefficient.constant(0.5), marked, -marked,
+              marked.scaled(3)]
+    assert all(c._gap_only for c in by_gap)
+    others = [plain(), -plain(), Coefficient.from_function(lambda t: t),
+              Coefficient.piecewise([0.5], [1, 2]), Coefficient.tabulated([1.0], [3])]
+    assert not any(c._gap_only for c in others)
+    assert (-marked).at_step(0.5, 1.0) == -2.5 and marked.scaled(3).at_step(0.25, 7.0) == 6.75
 
 
 def _scan_piecewise(bps, vals, t):

@@ -37,7 +37,7 @@ from tscale import cli, exponential, timescale, transforms
 from tscale.exponential import _STEP_RULES, _grid_log_integrals, _validate_regressive
 from tscale.dynamic import _SCHEME_RULES
 from tscale.timescale import IsolatedPoint, Run, Stretch, _Jumps, _adaptive_simpson
-from tscale.transforms import xi, zeta
+from tscale.transforms import _graininess_only, xi, zeta
 
 from helpers import (
     any_scale,
@@ -686,6 +686,9 @@ _RUN_COEFFS = st.sampled_from(
         lambda ts: graininess_coefficient(ts, lambda mu, s: 0.3 + mu, 0.3),
         lambda ts: graininess_coefficient(ts, lambda mu, s: 0.3 + mu, math.nan),
         lambda ts: graininess_coefficient(ts, lambda mu, s: 0.3 + mu, 1e308),
+        # step values by gap, and one that degenerates at a gap of 0.5
+        lambda ts: _graininess_only(graininess_coefficient(ts, lambda mu, s: 0.3 + mu, 0.3)),
+        lambda ts: _graininess_only(graininess_coefficient(ts, lambda mu, s: -4.0 * mu, 0.0)),
     ]
 )
 
@@ -735,6 +738,33 @@ def test_run_walk_matches_one_record_per_step(scale_grid, make_coeff, tol):
         args = (scheme, ts, alpha, 1.0 - 0.5j, t0, grid, tol)
         want = outcome(lambda: reference_solve(*args).values)
         assert outcome(lambda: solve_first_order(*args).values) == want
+
+
+def test_a_graininess_only_step_off_its_located_point_reads_the_walks_mu():
+    """A grid point 4e-13 below an interval's right end is located there:
+    its step to the next point is h = 0.5000000000004 wide, but the
+    coefficient is read at the walk's mu = 0.5. An earlier stretch has a
+    gap of exactly h, so a gap memo keyed by h alone would hand this step
+    the value read at h. Marked as a function of the gap, the coefficient
+    gives the values, in hex, of the same coefficient read at every step,
+    from either end."""
+    p = 1.0 - 4e-13
+    h = 1.5 - p
+    ts = union(isolated(0.0, h), interval(0.75, 1.0), isolated(1.5))
+    grid = Grid((0.0, h, 0.75, 0.875, p, 1.5), 0.125)
+    *_, step, _ = ts.walk_runs(grid.points)
+    assert step[:4] == (p, 1.5, 1.5, 0.5) and h != 0.5
+    plain = lambda: graininess_coefficient(ts, lambda mu, s: 0.3 + mu, 0.3)
+    hexes = lambda values: [(v.real.hex(), v.imag.hex()) for v in values]
+    for t0 in (0.0, 1.5):
+        for family in EXP_FAMILIES.values():
+            if family is ExpFamily.NABLA_CONST:
+                continue
+            run = lambda c: hexes(exp_evaluate_grid(family, ts, c, t0, grid).values)
+            assert run(_graininess_only(plain())) == run(plain())
+        for scheme, _ in SOLVER_PAIRS.values():
+            run = lambda c: hexes(solve_first_order(scheme, ts, c, 1.0, t0, grid).values)
+            assert run(_graininess_only(plain())) == run(plain())
 
 
 @settings(max_examples=300, deadline=None)
@@ -1131,7 +1161,8 @@ def _stretch_grids(draw):
 
 def _reads(rule, name, ts, coeff, points):
     """The coefficient values _validate_regressive read, by grid point, in
-    order (None for a constant coefficient)."""
+    order (None for a coefficient whose step value is a function of the
+    gap, a constant's among them)."""
     read = _validate_regressive(rule, name, ts, coeff, points)[1]
     return None if read is None else tuple(sorted(read.items()))
 
@@ -1140,7 +1171,7 @@ def _reference_reads(rule, name, ts, coeff, points):
     """_reads of reference_checked_walk, which reads the coefficient at each
     scattered step it checks."""
     records = reference_checked_walk(rule, name, ts, coeff, points)
-    if coeff.is_constant:
+    if coeff._gap_only:
         return None
     return tuple((p, coeff(p)) for p, q, s, _, _, tt in records if q is not None and s > tt)
 
