@@ -35,6 +35,7 @@ from .timescale import (
     _Jumps,
     _of_values,
     _points,
+    _uniform_scale,
     _uniform_values,
     normalize_components,
 )
@@ -132,10 +133,14 @@ def parse_scale(text: str) -> TimeScale:
 
     Components are normalized: sorted, merged when touching. Intersecting
     or duplicate components raise OverlapError; malformed text raises
-    ParseError with the source position.
+    ParseError with the source position. A lone uniform term is made by
+    timescale._uniform_scale, with no gap scanned where its step proves
+    the points valid.
     """
     sc = _Scanner(text)
-    terms: list = []  # an interval, or the values of a points or uniform term
+    # (name, term): an interval, a points term's values, or a uniform
+    # term's (start, step, count), whose values are made once all parse
+    terms: list = []
     if sc.at_end():
         sc.fail("empty scale spec")
     while True:
@@ -146,6 +151,9 @@ def parse_scale(text: str) -> TimeScale:
         if sc.at_end():
             sc.fail("dangling '+'")
     try:
+        if len(terms) == 1 and terms[0][0] == "uniform":
+            return _uniform_scale(*terms[0][1], normalize=True)
+        terms = [_uniform_values(*t) if name == "uniform" else t for name, t in terms]
         if not any(isinstance(t, ClosedInterval) for t in terms):
             return _of_values(tuple(chain.from_iterable(terms)), normalize=True)
         comps = ((t,) if isinstance(t, ClosedInterval) else _points(t) for t in terms)
@@ -154,7 +162,7 @@ def parse_scale(text: str) -> TimeScale:
         raise ParseError(str(exc)) from exc
 
 
-def _parse_term(sc: _Scanner) -> ClosedInterval | tuple[float, ...]:
+def _parse_term(sc: _Scanner) -> tuple[str, ClosedInterval | tuple]:
     start = sc.pos
     name = sc.name()
     sc.expect("(")
@@ -165,14 +173,14 @@ def _parse_term(sc: _Scanner) -> ClosedInterval | tuple[float, ...]:
         sc.expect(")")
         if not hi > lo:
             sc.fail(f"interval needs lo < hi, got ({lo!r}, {hi!r})", start)
-        return ClosedInterval(lo, hi)
+        return name, ClosedInterval(lo, hi)
     if name == "points":
         vals = [sc.number()]
         while sc.peek(","):
             sc.expect(",")
             vals.append(sc.number())
         sc.expect(")")
-        return tuple(vals)
+        return name, tuple(vals)
     if name == "uniform":
         first = sc.number()
         sc.expect(",")
@@ -184,7 +192,7 @@ def _parse_term(sc: _Scanner) -> ClosedInterval | tuple[float, ...]:
             sc.fail(f"uniform count must be a positive integer, got {count!r}", start)
         if step <= 0:
             sc.fail(f"uniform step must be positive, got {step!r}", start)
-        return _uniform_values(first, step, int(count))
+        return name, (first, step, int(count))
     sc.fail(f"unknown term {name!r}", start)
 
 

@@ -16,8 +16,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, count, islice, tee
-from operator import add, mul, sub
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
+from operator import add, eq, mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -599,8 +599,15 @@ def _hilger_grid_lenient(
         pass
     pts, (_, t0s) = grid.points, ts._locate(t0)
     steps = ts.scattered_points(min(pts[0], t0s), max(pts[-1], t0s))
-    read = {s: coeff.at_step(mu, s) for s, mu in steps}
-    zero = next((s for s, mu in steps if FORWARD_RULE.factor(mu, read[s]) == 0), None)
+    ss, mus = [s for s, _ in steps], [mu for _, mu in steps]
+    # every step read, in order, before the first zero is sought: once per
+    # distinct gap for a coefficient whose step value is a function of the gap
+    if coeff._gap_only:
+        factor = lambda mu, s: FORWARD_RULE.factor(mu, coeff.at_step(mu, s))
+        factors = _GapMemo(factor).over(mus, ss)
+    else:
+        factors = map(FORWARD_RULE.factor, mus, list(map(coeff.at_step, mus, ss)))
+    zero = next(compress(ss, map(eq, factors, repeat(0))), None)
     if zero is not None and zero < t0s:
         raise SingularError("cannot evaluate backward through a degenerate (zero) step factor")
     # the points located at or below the zero factor

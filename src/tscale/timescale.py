@@ -12,7 +12,11 @@ Cost model, for a scale of C components: every query reads the tables of
 component ends, not the components. A scale of isolated points is its
 values: uniform, isolated, the CLI's points and uniform terms and a union
 of discrete scales test the values with a few C-level maps and index them
-(_of_values), making no point object. Reading components (equality,
+(_of_values), making no point object. uniform and a lone CLI uniform term
+test none where a float step proves them valid (_uniform_scale): the
+values never decrease, and a bound on the rounding of each gap, from the
+step and the larger end, puts every gap above the tolerance, O(1) work
+past making the values. Reading components (equality,
 hashing, repr, render, pickling) makes the points once, with two C-level
 maps (_points). Construction and normalize_components test isolated points
 already in order with a few C-level maps over their values, and check or
@@ -145,8 +149,14 @@ def _points(values: Iterable[float]) -> tuple[IsolatedPoint, ...]:
 
 
 def _uniform_values(start: float, step: float, count: int) -> tuple[float, ...]:
-    """The values start + k * step for k in range(count)."""
-    return tuple(map(operator.add, repeat(start), map(operator.mul, range(count), repeat(step))))
+    """The values start + k * step for k in range(count). With a float
+    step and a zero start of type int or float, the sums are the products,
+    bit for bit and of the same type: each k * step is a float at or above
+    +0.0, and 0 + y and either zero + y are y there."""
+    products = map(operator.mul, range(count), repeat(step))
+    if start == 0 and type(step) is float and type(start) in (int, float):
+        return tuple(products)
+    return tuple(map(operator.add, repeat(start), products))
 
 
 def _point_values(comps: tuple) -> tuple | None:
@@ -939,12 +949,18 @@ def isolated(*ts: float) -> TimeScale:
 
 
 def uniform(start: float, step: float, count: int) -> TimeScale:
-    """count isolated points start, start+step, ..."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if step <= 0:
+    """count isolated points start, start+step, ... (_uniform_values).
+
+    count is a positive integer, of any numeric type (3.0 is 3), and step
+    is positive, as the CLI's uniform term takes them; any other count or
+    step, NaN included, raises ValueError. The scale is made by
+    _uniform_scale, with no gap scanned where the step proves it valid.
+    """
+    if not count >= 1 or count % 1:  # NaN, and infinity, whose % 1 is NaN
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    if not step > 0:  # NaN too
         raise ValueError("step must be positive")
-    return _of_values(_uniform_values(start, step, count))
+    return _uniform_scale(start, step, int(count))
 
 
 def normalize_components(components: Iterable[Component]) -> tuple[Component, ...]:
@@ -1011,11 +1027,50 @@ def _of_values(values: tuple, normalize: bool = False) -> TimeScale:
     other values take the construction they stand for, which raises the
     errors."""
     if values and _valid_points(values):
-        ts = object.__new__(TimeScale)
-        ts._index(values, values, ())
-        return ts
+        return _indexed(values)
     points = _points(values)
     return TimeScale(normalize_components(points) if normalize else points)
+
+
+def _indexed(values: tuple) -> TimeScale:
+    """The scale of isolated points of values that pass construction's
+    checks: its ends tables, and no point object."""
+    ts = object.__new__(TimeScale)
+    ts._index(values, values, ())
+    return ts
+
+
+def _uniform_scale(start: float, step: float, count: int, normalize: bool = False) -> TimeScale:
+    """_of_values(_uniform_values(start, step, count), normalize), for a
+    positive step and a count of at least 1, with no value tested where a
+    float step proves the values pass construction's checks.
+
+    Write fl for one rounding, u = 2**-53 and n = count. The values are
+    v_k = fl(s + fl(k * step)), s the start (an int or Fraction start is
+    converted first, one more rounding of a constant). Rounding is
+    monotone, so the v_k never decrease: all are finite when v_0 and
+    v_(n-1) are, and |v_k| <= M = max(|v_0|, |v_(n-1)|). With k * step off
+    by at most u * k * step (k * step >= step is normal here) and a sum
+    off by at most u / (1 - u) of its rounded value (a sum that is
+    subnormal is exact), every exact gap v_(k+1) - v_k is at least
+    step * (1 - 2 n u) - 2 u M / (1 - u). Rounding the subtraction is
+    monotone too, so every computed gap exceeds MEMBERSHIP_TOL when that
+    bound is at least the tolerance's float successor. The test below asks
+    step - 1e-15 * (n * step + M) > 2 * MEMBERSHIP_TOL: 1e-15 is over four
+    times 2u, and 2 * MEMBERSHIP_TOL nearly twice the successor, slack enough
+    for the test's own roundings. A product n * step that overflows fails
+    it. Any other input, a step of any other type among them, takes
+    _of_values, which tests the values and raises the errors."""
+    values = _uniform_values(start, step, count)
+    a, b = values[0], values[-1]
+    if (
+        type(step) is float
+        and math.isfinite(a)
+        and math.isfinite(b)
+        and step - 1e-15 * (count * step + max(abs(a), abs(b))) > 2 * MEMBERSHIP_TOL
+    ):
+        return _indexed(values)
+    return _of_values(values, normalize)
 
 
 def union(*scales: TimeScale) -> TimeScale:

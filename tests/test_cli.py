@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -875,6 +876,22 @@ def test_degenerate_bp_hyp_report_on_its_lenient_path_is_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3b57607396f2adf398d633257640bc8ccd0d398a806486354b87cefab6bc9eed"
     )
+
+
+def test_degenerate_bp_hyp_report_reads_each_gap_once_on_its_lenient_path(capsys):
+    # the minus exponential and the deformation, both functions of the gap
+    # alone, take the lenient fold, which seeks the first zero factor: each
+    # is read, and its factor taken, once per distinct gap, where each of
+    # the 4,000 scattered steps was read (8,048 reads in all)
+    argv = ["identity", "--identity", "pythagorean", "--family", "bp", "--kind", "hyp",
+            "--alpha=0.999000999000999", "--scale", "uniform(0,0.001,4000)+points(5)"]
+    at_step = transforms.Coefficient.at_step
+    with mock.patch.object(
+        transforms.Coefficient, "at_step", autospec=True, side_effect=at_step
+    ) as read:
+        assert main(argv) == EXIT_OK
+    assert read.call_count == 72
+    assert capsys.readouterr().out.endswith(',2.2116018739631653e-16],"schema":"tscale/1"}\n')
 
 
 def test_infinite_integrand_exits_4_without_hanging():

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,15 @@ from tscale import (
     uniform,
     union,
 )
-from tscale.timescale import MEMBERSHIP_TOL, _points, _uniform_values, normalize_components
+from tscale import cli, timescale
+from tscale.timescale import (
+    MEMBERSHIP_TOL,
+    _points,
+    _uniform_scale,
+    _uniform_values,
+    _valid_points,
+    normalize_components,
+)
 
 from helpers import (
     any_scale,
@@ -365,7 +375,7 @@ def made_from_values(draw):
     kind = draw(st.sampled_from(["uniform", "isolated", "parse", "union"]))
     if kind == "uniform":
         start = draw(st.sampled_from([0.0, -0.0, 1e4, 1e8, -1e4]) | st.floats(-1e6, 1e6))
-        step = draw(st.sampled_from([1e-13, 1e-12, 1e-3, 0.25]) | st.floats(1e-6, 1e3))
+        step = draw(st.sampled_from([1e-13, 1e-12, 2e-12, 1e-3, 0.25]) | st.floats(1e-6, 1e3))
         count = draw(st.integers(1, 40))
         values = _uniform_values(start, step, count)
         return lambda: uniform(start, step, count), lambda: TimeScale(_points(values))
@@ -386,7 +396,8 @@ def made_from_values(draw):
             terms.append("points(" + ",".join(map(repr, chunk)) + ")")
             values += chunk
         else:
-            start, step, count = chunk[0], draw(st.sampled_from([1e-12, 1e-3, 0.25])), len(chunk)
+            steps = st.sampled_from([1e-12, 2e-12, 1e-3, 0.25])
+            start, step, count = chunk[0], draw(steps), len(chunk)
             terms.append(f"uniform({start!r},{step!r},{count})")
             values += _uniform_values(start, step, count)
     text = " + ".join(terms)
@@ -489,6 +500,69 @@ def test_scales_pickle_as_they_did_before_they_were_made_from_values(data, make)
     assert repr(back) == repr(ts) and back == ts and hash(back) == hash(ts)
     assert scale_state(back.components) == scale_state(ts.components)
     assert pickle.dumps(ts, protocol=data[1]) == data
+
+
+# -- uniform scales valid by their step -------------------------------------------
+
+
+def _scans(make):
+    """The outcome of make() and the number of _valid_points calls it made."""
+    with mock.patch.object(timescale, "_valid_points", wraps=_valid_points) as scan:
+        got = outcome(make)
+    return got, scan.call_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0.0, 1e4, -1e4, 1e8, 1e15, 1e16, 1e300, -1e300, math.nan, math.inf]),
+    st.sampled_from([1e-13, 1e-12, math.nextafter(1e-12, 1.0), 2e-12, 1e-3, 1e300]),
+    st.integers(1, 3000),
+)
+def test_a_uniform_scale_admitted_by_its_step_passes_the_scan(start, step, count):
+    """Where _uniform_scale's bound admits the values with no scan, the
+    scan admits them too, and the scale is the one the scan makes."""
+    got, scans = _scans(lambda: _uniform_scale(start, step, count))
+    if scans == 0:
+        values = _uniform_values(start, step, count)
+        assert _valid_points(values)
+        assert got == outcome(timescale._of_values, values)
+
+
+def test_uniform_scales_of_the_cli_and_converge_make_no_scan(capsys):
+    """uniform, a lone uniform term and the 14 scales of a converge study on
+    steps 2**-1 to 2**-14 are proven valid by their step; at 1e4 a step of
+    2e-12 is not, and its points are scanned once."""
+    assert _scans(lambda: uniform(0, 1e-3, 1000))[1] == 0
+    assert _scans(lambda: parse_scale("uniform(0,0.001,1000)"))[1] == 0
+    eps = ",".join(repr(2.0**-k) for k in range(1, 15))
+    argv = ["converge", "--family", "cayley", "--alpha=-1", "--eps-list", eps]
+    assert _scans(lambda: cli.main(argv)) == (0, 0)
+    assert capsys.readouterr().out.count("\n") == 15
+    assert _scans(lambda: uniform(1e4, 2e-12, 3))[1] == 1
+
+
+@pytest.mark.parametrize("start", [0, 0.0, -0.0, 1, 1e4, -1e4, 5e-324, Fraction(0)])
+@pytest.mark.parametrize("step", [1, 2, 0.5, 1e-3, 2e-12])
+def test_uniform_values_are_start_plus_k_steps_with_their_types(start, step):
+    """The values of uniform, int starts and steps among them, are start +
+    k * step in value, sign of zero and type."""
+    for count in (1, 2, 5, 40):
+        want = tuple(start + k * step for k in range(count))
+        got = _uniform_values(start, step, count)
+        assert repr(got) == repr(want)
+        assert list(map(type, got)) == list(map(type, want))
+        assert repr(uniform(start, step, count)._lefts) == repr(want)
+
+
+def test_uniform_checks_its_arguments_as_the_cli_term_does():
+    """A NaN step is not positive, and a count is a positive integral value
+    of any type (the CLI term reads it as a float)."""
+    with pytest.raises(ValueError, match="step must be positive"):
+        uniform(0.0, math.nan, 3)
+    assert uniform(0.0, 0.5, 3.0) == uniform(0.0, 0.5, 3) == parse_scale("uniform(0,0.5,3)")
+    for count in (2.5, 0.0, 0, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            uniform(0.0, 0.5, count)
 
 
 # -- delta integral ------------------------------------------------------------
