@@ -38,6 +38,7 @@ from .exponential import (
     _GapMemo,
     _dense_integrals,
     _exp,
+    _exps,
     _grid_steps,
     _split_steps,
     _validate_regressive,
@@ -157,9 +158,11 @@ def solve_first_order(
     walked once, by the checked walk of the grid exponentials
     (exponential._validate_regressive), and the step factors are taken
     from its items (exponential._grid_steps), a stretch of scattered steps
-    with C-level maps; the values are marched forward and back from the
-    anchor with C-level accumulates. A marched value or step factor that
-    overflows raises ToleranceError.
+    with C-level maps, and a run's dense pieces take their exponentials in
+    one; the values are marched forward and back from the anchor with
+    C-level accumulates. A marched value or step factor that overflows
+    raises ToleranceError, as does a dense piece's exponential, at the
+    first such piece in walk order.
 
     Every scheme steps from a right-dense point past its interval's
     unsampled upper end by the exponential of the dense view's delta
@@ -175,7 +178,13 @@ def solve_first_order(
     values: list[complex] = [0j] * len(pts)
     values[anchor] = complex(x0)
     step = _SCHEME_RULES[scheme][0].factor
-    dense = lambda ps, xs: map(_exp, _dense_integrals(ts, coeff, tol, ps, xs))
+
+    def dense(ps, xs):
+        pieces = _dense_integrals(ts, coeff, tol, ps, xs)
+        # a run's list of pieces takes one C-level map; a generator, which
+        # _exps' fallback would read twice, takes each piece as it comes
+        return _exps(pieces) if isinstance(pieces, (list, tuple)) else map(_exp, pieces)
+
     before, after = _split_steps(items, anchor)
     steps = _grid_steps(pts, coeff, read, step, dense)
     values[anchor:] = accumulate(steps(after), mul, initial=values[anchor])  # values[k] * factor

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from operator import add, gt, is_not, mul, not_, sub, truediv
+from operator import add, attrgetter, gt, is_not, mul, neg, not_, sub, truediv
 from typing import Iterator
 
 from .errors import ToleranceError
@@ -120,14 +120,14 @@ def hyp_grid(
     if family in _EXP_FAMILY_OF:
         # the reciprocal is exactly the exponential of the negated exponent
         logs = _validated_logs(_EXP_FAMILY_OF[family], ts, coeff, t0, grid, tol)
-        plus, minus = _exps(logs), _exps([-L for L in logs])
+        plus, minus = _exps(logs), _exps(list(map(neg, logs)))
     elif family is TrigFamily.BOHNER_PETERSON:
         plus = _hilger_grid_lenient(ts, coeff, t0, grid, tol)
         minus = _hilger_grid_lenient(ts, -coeff, t0, grid, tol)
     else:
         raise ValueError(f"unknown family {family!r}")
-    cs = tuple(0.5 * (a + b) for a, b in zip(plus, minus))
-    ss = tuple(0.5 * (a - b) for a, b in zip(plus, minus))
+    cs = tuple(_halves(plus, minus))
+    ss = tuple(map(mul, repeat(0.5), map(sub, plus, minus)))
     if not all(map(cmath.isfinite, cs + ss)):
         k = next(k for k, cv in enumerate(zip(cs, ss)) if not all(map(cmath.isfinite, cv)))
         raise ToleranceError(
@@ -152,7 +152,7 @@ def trig_grid(
     if exp_family is None:
         raise ValueError(f"unknown family {family!r}")
     values = exp_evaluate_grid(exp_family, ts, 1j * omega, t0, grid, tol).values
-    cs, ss = tuple(v.real for v in values), tuple(v.imag for v in values)
+    cs, ss = tuple(map(attrgetter("real"), values)), tuple(map(attrgetter("imag"), values))
     return TrigPair(family, TrigKind.TRIGONOMETRIC, omega, grid, cs, ss)
 
 
@@ -179,16 +179,15 @@ def pythagorean_residual(
     if t0 is None:
         t0 = grid.points[0]
     if kind is TrigKind.HYPERBOLIC:
-        pair = hyp_grid(family, ts, as_coefficient(param), t0, grid, tol)
-        squares = [c * c - s * s for c, s in zip(pair.c_values, pair.s_values)]
+        pair, combine = hyp_grid(family, ts, as_coefficient(param), t0, grid, tol), sub
     else:
-        pair = trig_grid(family, ts, float(param), t0, grid, tol)
-        squares = [
-            complex(c * c + s * s) for c, s in zip(pair.c_values, pair.s_values)
-        ]
+        pair, combine = trig_grid(family, ts, float(param), t0, grid, tol), add
+    cs, ss = pair.c_values, pair.s_values
+    # complex() leaves a hyperbolic pair's complex squares as they are
+    squares = list(map(complex, map(combine, map(mul, cs, cs), map(mul, ss, ss))))
     name = f"pythagorean-{family.value}-{kind.value}"
     if family is not TrigFamily.BOHNER_PETERSON:
-        residuals = tuple(abs(q - 1.0) for q in squares)
+        residuals = tuple(map(abs, map(sub, squares, repeat(1.0))))
         return ResidualReport(name, grid.points, residuals, tol)
     p2 = complex(param) * complex(param)
     sign = -1.0 if kind is TrigKind.HYPERBOLIC else 1.0

@@ -31,6 +31,7 @@ from tscale import (
     TrigKind,
     delta_derivative_numeric,
     exp_cayley,
+    exp_evaluate_grid,
     exp_exact,
     exp_hilger,
     exp_nabla_const,
@@ -46,9 +47,12 @@ from tscale import (
 from tscale.exponential import (
     _STEP_RULES,
     _exp,
+    _exps,
+    _hilger_grid_lenient,
     _memoized,
     _grid_log_integrals,
     _log_integral_range,
+    _validated_logs,
 )
 from tscale.dynamic import (
     _SCHEME_RULES,
@@ -815,6 +819,70 @@ def _hexed(v):
     if isinstance(v, tuple):
         return tuple(_hexed(x) for x in v)
     return v
+
+
+# -- the per-point loops of the CSV rows, the grid pairs and the residual
+#    reports, as they were before they became C-level maps
+
+
+def reference_rows_text(points, values) -> str:
+    """The CSV text of eval and solve: a header, then one .17g f-string per
+    (t, value) row, each line ended by LF."""
+    lines = ["t,re,im"]
+    lines += [f"{t:.17g},{v.real:.17g},{v.imag:.17g}" for t, v in zip(points, values)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_hyp_grid_values(family: TrigFamily, ts: TimeScale, alpha, t0, grid: Grid, tol=1e-12):
+    """trig.hyp_grid's (c_values, s_values), finite or not: the half-sum
+    and half-difference, point by point, of its two exponentials, the grid
+    exponential and its reciprocal (each log negated point by point) or the
+    lenient Bohner-Peterson folds of alpha and -alpha."""
+    coeff = as_coefficient(alpha)
+    if family is TrigFamily.BOHNER_PETERSON:
+        plus = _hilger_grid_lenient(ts, coeff, t0, grid, tol)
+        minus = _hilger_grid_lenient(ts, -coeff, t0, grid, tol)
+    else:
+        logs = _validated_logs(_PAIR_EXP_FAMILY[family], ts, coeff, t0, grid, tol)
+        plus, minus = _exps(logs), _exps([-L for L in logs])
+    cs = tuple(0.5 * (a + b) for a, b in zip(plus, minus))
+    return cs, tuple(0.5 * (a - b) for a, b in zip(plus, minus))
+
+
+def reference_trig_grid_values(family: TrigFamily, ts: TimeScale, omega, t0, grid: Grid, tol=1e-12):
+    """trig.trig_grid's (c_values, s_values): the real and the imaginary
+    part, point by point, of the grid exponential of 1j*omega (the exact
+    family's for Hilger, the forward-step one for Bohner-Peterson)."""
+    exp_family = {
+        **_PAIR_EXP_FAMILY,
+        TrigFamily.HILGER: ExpFamily.EXACT,
+        TrigFamily.BOHNER_PETERSON: ExpFamily.HILGER_DELTA,
+    }[family]
+    values = exp_evaluate_grid(exp_family, ts, 1j * float(omega), t0, grid, tol).values
+    return tuple(v.real for v in values), tuple(v.imag for v in values)
+
+
+def reference_pythagorean_residuals(kind: TrigKind, c_values, s_values, reference=None):
+    """pythagorean_residual's residuals from its pair, point by point: the
+    distance of c^2 - s^2 (hyperbolic) or c^2 + s^2 (trigonometric) from
+    one, or from each value of the Bohner-Peterson deformation."""
+    if kind is TrigKind.HYPERBOLIC:
+        squares = [c * c - s * s for c, s in zip(c_values, s_values)]
+    else:
+        squares = [complex(c * c + s * s) for c, s in zip(c_values, s_values)]
+    if reference is None:
+        return tuple(abs(q - 1.0) for q in squares)
+    return tuple(abs(q - r) for q, r in zip(squares, reference))
+
+
+def reference_product_law_residuals(ea, eb, eab):
+    """The product law's |E_a * E_b - E_(a circle-plus b)| at each point."""
+    return tuple(abs(x * y - z) for x, y, z in zip(ea, eb, eab))
+
+
+def reference_unit_circle_residuals(values):
+    """||E| - 1| at each point."""
+    return tuple(abs(abs(v) - 1.0) for v in values)
 
 
 # -- the residual operators as they were before they read one walk's jumps:

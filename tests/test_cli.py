@@ -7,7 +7,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tscale
@@ -42,7 +42,13 @@ from tscale.cli import (
 from tscale.report import ResidualReport
 from tscale.timescale import MEMBERSHIP_TOL
 
-from helpers import outcome, reference_convergence_study
+from helpers import (
+    outcome,
+    reference_convergence_study,
+    reference_product_law_residuals,
+    reference_rows_text,
+    reference_unit_circle_residuals,
+)
 
 
 # -- scale-spec parsing --------------------------------------------------------
@@ -162,6 +168,23 @@ def test_parse_error_carries_position():
         parse_scale("uniform(0,0.5,0)")
     with pytest.raises(ParseError):
         parse_scale("interval(3,1)")
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        ("uniform(0,1,1e400)", "inf"),
+        ("uniform(0,1,-1e400)", "-inf"),
+        ("uniform(0,1,1e400)+points(9)", "inf"),
+        ("uniform(0,1,2.5)", "2.5"),
+    ],
+)
+def test_a_uniform_count_that_is_no_positive_integer_is_a_config_error(capsys, spec, count):
+    # an infinite count overflowed int() and exited 4 as a numeric overflow
+    assert main(["eval", "--scale", spec]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"tscale: uniform count must be a positive integer, got {count} (line 1, column 1)\n"
 
 
 @pytest.mark.parametrize(
@@ -324,6 +347,50 @@ def test_csv_uses_17_significant_digits(capsys):
     main(["eval", "--scale", "uniform(0,1,2)", "--family", "exact", "--alpha", "1"])
     out = capsys.readouterr().out
     assert f"{math.e:.17g}" in out
+
+
+# .17g switches to exponent form below 1e-4 and from 1e17 on
+_CELLS = (
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16,
+         9999999999999998.0, 1e17, 99999999999999984.0, 1e-4, 9.9999999999999991e-05, 1e-5]
+    )
+    | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+    | st.floats(1e-6, 1e-3)
+    | st.floats(-1e-3, -1e-6)
+    | st.floats(1e15, 1e18)
+    | st.floats(-1e18, -1e15)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@given(st.lists(st.tuples(_CELLS, _CELLS, _CELLS), max_size=8))
+@example([(-0.0, -0.0, 5e-324)])
+@example([(1e-5, 1e16, -1e308)])
+def test_csv_rows_are_the_bytes_of_the_per_row_renderer(rows):
+    points = tuple(t for t, _, _ in rows)
+    values = tuple(complex(re, im) for _, re, im in rows)
+    got = cli._rows_text(cli.RunConfig("eval"), {"command": "eval"}, points, values)
+    assert got == reference_rows_text(points, values)
+
+
+@pytest.mark.parametrize(
+    "options, digest",
+    [
+        ([], "be7174d77932573a6291a7780c608ba8663235d2fb73e7fddd0aed065f17e4a8"),
+        (
+            ["--alpha=-0.3,0.4", "--t0", "1"],
+            "48b601c5ad4223286fb74eb4584793a9f581e7ebabbec0f2e05c9852d3c746fd",
+        ),
+    ],
+)
+def test_hybrid_dense_eval_csv_is_pinned(capsys, options, digest):
+    # 40,004 rows at dense step 1e-4, as the per-row renderer wrote them
+    argv = ["eval", "--scale", "interval(0,2)+points(2.3,2.6)+interval(3,5)", "--dense-step", "1e-4"]
+    assert main([*argv, *options]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("\n") == 40005
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- identity reports -------------------------------------------------------------
@@ -680,6 +747,39 @@ def test_converge_at_a_step_within_the_membership_tolerance(capsys, family, code
 
 def test_fit_loglog_slope_handles_zero_errors():
     assert fit_loglog_slope([0.5, 0.25], [0.0, 0.0]) == 0.0
+
+
+# -- the law reports against their per-point residuals ----------------------------------
+
+MAP_FORM_SCALES = [
+    ("uniform(0,1e-3,400)", 1e-3),
+    ("interval(0,2)+points(2.3,2.6)+interval(3,5)", 0.01),
+    ("interval(1e4,10000.5)+points(10000.75,10001)", 0.01),
+]
+
+
+@pytest.mark.parametrize("scale, step", MAP_FORM_SCALES)
+@pytest.mark.parametrize("family", ["cayley", "hilger"])
+def test_law_residuals_are_their_per_point_values(monkeypatch, scale, step, family):
+    """The product-law and unit-circle residuals, bit for bit, are those of
+    a loop over the points of the exponentials each report evaluates."""
+    config = cli.RunConfig(
+        "identity", scale=scale, dense_step=step, family=family, alpha=-0.25 + 0.35j,
+        beta=0.5 - 0.1j, omega=2.5,
+    )
+    ts, grid = cli._scale_and_grid(config)
+    evaluated = []
+    evaluate = cli.exp_evaluate_grid
+    monkeypatch.setattr(
+        cli, "exp_evaluate_grid", lambda *args: evaluated.append(evaluate(*args)) or evaluated[-1]
+    )
+    report, _ = cli._product_law_report(config, ts, grid, cli._LAW_FAMILIES[family])
+    want = reference_product_law_residuals(*(ev.values for ev in evaluated))
+    assert len(evaluated) == 3 and outcome(lambda: report.residuals) == outcome(lambda: want)
+    evaluated.clear()
+    report, _ = cli._unit_circle_report(config, ts, grid, None)
+    want = reference_unit_circle_residuals(evaluated[0].values)
+    assert outcome(lambda: report.residuals) == outcome(lambda: want)
 
 
 # -- pointwise identity reports against per-pair checks --------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tscale import (
+    Coefficient,
     ConstantGraininessError,
     ExpFamily,
     Grid,
@@ -37,7 +38,7 @@ from tscale import (
     union,
 )
 
-from helpers import max_graininess, random_scale
+from helpers import max_graininess, outcome, random_scale, reference_solve
 
 Z12 = uniform(0, 1, 12)
 G12 = Z12.make_grid(0, 11, 1.0)
@@ -101,6 +102,33 @@ def test_solver_examples():
     ex = solve_first_order(Scheme.EXACT_DISC, zs, 1, 1, 0.0, g)
     for k, v in enumerate(ex.values):
         assert abs(v - math.e ** k) < 1e-13 * math.e ** k
+
+
+@pytest.mark.parametrize("scheme", [Scheme.EXACT_DISC, Scheme.TRAPEZOIDAL_CAYLEY])
+@pytest.mark.parametrize(
+    "points, alpha, t0, exponent",
+    [
+        # every piece's exponent is 800: solve --dense-step 1 on interval(0,4)
+        ((0.0, 1.0, 2.0, 3.0, 4.0), 800, 0.0, "(800+0j)"),
+        ((0.0, 1.0, 2.0, 3.0, 4.0), 800, 4.0, "(800+0j)"),
+        # the first piece that overflows in walk order, from either end
+        ((0.0, 0.5, 2.0, 3.0, 4.0), 800, 0.0, "(1200+0j)"),
+        ((0.0, 0.5, 2.0, 3.0, 4.0), 800, 4.0, "(1200+0j)"),
+        # pieces a generator yields: integrated by Simpson, or a finite
+        # piece that overflows before a non-finite one
+        ((0.0, 0.5, 2.0, 3.0, 4.0), Coefficient.from_function(lambda t: 800.0), 0.0, "(1200+0j)"),
+        ((0.0, 1.0, 3.0, 4.0), 1e308, 0.0, "(1e+308+0j)"),
+    ],
+)
+def test_an_overflowing_dense_piece_raises_at_the_first_in_walk_order(
+    scheme, points, alpha, t0, exponent
+):
+    ts, grid = interval(0.0, 4.0), Grid(points, 1.0)
+    with pytest.raises(ToleranceError) as err:
+        solve_first_order(scheme, ts, alpha, 1.0, t0, grid)
+    assert str(err.value) == f"exponential overflows at exponent {exponent}"
+    want = outcome(lambda: reference_solve(scheme, ts, alpha, 1.0, t0, grid).values)
+    assert outcome(lambda: solve_first_order(scheme, ts, alpha, 1.0, t0, grid).values) == want
 
 
 @pytest.mark.parametrize("seed", range(5))

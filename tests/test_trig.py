@@ -45,8 +45,11 @@ from helpers import (
     reference_cayley_trig,
     reference_cayley_trig_grid,
     reference_hyp,
+    reference_hyp_grid_values,
     reference_product,
+    reference_pythagorean_residuals,
     reference_trig,
+    reference_trig_grid_values,
 )
 
 Z = uniform(0, 1, 6)
@@ -177,6 +180,63 @@ def test_pythagorean_bp_hyp_deformation_matches_closed_form():
     assert rep.max_residual < 1e-10
     for k, ref in enumerate(rep.reference):
         assert abs(ref - (1 - 0.25) ** k) < 1e-12
+
+
+# -- grid pairs and residuals against their per-point values ----------------------------
+
+# discrete, hybrid, near 1e4, and a gap of 0.5 on which the
+# Bohner-Peterson factor 1 - mu*2 vanishes
+MAP_FORM_SCALES = [
+    (uniform(0.0, 1e-3, 400), 1e-3),
+    (union(interval(0.0, 2.0), isolated(2.3, 2.6), interval(3.0, 5.0)), 0.01),
+    (union(interval(1e4, 10000.5), isolated(10000.75, 10001.0)), 0.01),
+    (uniform(0.0, 0.5, 10), 0.5),
+]
+
+
+@pytest.mark.parametrize("ts, step", MAP_FORM_SCALES)
+@pytest.mark.parametrize("family", list(TrigFamily))
+@pytest.mark.parametrize("anchor", [0, 3])
+def test_grid_pairs_are_their_per_point_values(ts, step, family, anchor):
+    """hyp_grid's half-sums and half-differences and trig_grid's real and
+    imaginary parts, bit for bit, errors included, are those of a loop
+    over the points of the exponentials each combines."""
+    grid = ts.make_grid(ts.inf, ts.sup, step)
+    t0 = grid.points[anchor]
+    for alpha in (-0.3 + 0.2j, 2.0):
+        want = outcome(reference_hyp_grid_values, family, ts, alpha, t0, grid)
+        assert outcome(_pair_values, hyp_grid, family, ts, alpha, t0, grid) == want
+    want = outcome(reference_trig_grid_values, family, ts, 2.5, t0, grid)
+    assert outcome(_pair_values, trig_grid, family, ts, 2.5, t0, grid) == want
+
+
+def _pair_values(pair_fn, *args):
+    pair = pair_fn(*args)
+    return pair.c_values, pair.s_values
+
+
+@pytest.mark.parametrize("ts, step", MAP_FORM_SCALES)
+@pytest.mark.parametrize("family", list(TrigFamily))
+@pytest.mark.parametrize(
+    "kind, param", [(TrigKind.HYPERBOLIC, -0.3 + 0.2j), (TrigKind.TRIGONOMETRIC, 2.5)]
+)
+def test_pythagorean_residuals_are_their_per_point_values(ts, step, family, kind, param):
+    """The residuals, bit for bit, are those of a loop over the points of
+    the report's pair and, for Bohner-Peterson, of the deformation values
+    it folds last."""
+    grid = ts.make_grid(ts.inf, ts.sup, step)
+    folds = []
+    fold = _hilger_grid_lenient
+    with mock.patch.object(
+        sys.modules["tscale.trig"], "_hilger_grid_lenient",
+        lambda *args: folds.append(fold(*args)) or folds[-1],
+    ):
+        report = pythagorean_residual(family, kind, ts, param, grid)
+    pair_of = hyp_grid if kind is TrigKind.HYPERBOLIC else trig_grid
+    pair = pair_of(family, ts, param, grid.points[0], grid)
+    reference = folds[-1] if family is TrigFamily.BOHNER_PETERSON else None
+    want = reference_pythagorean_residuals(kind, pair.c_values, pair.s_values, reference)
+    assert outcome(lambda: report.residuals) == outcome(lambda: want)
 
 
 # -- derivative laws -----------------------------------------------------------------
