@@ -7,10 +7,10 @@ identical configurations produce byte-identical CSV or JSON, with a dot
 decimal separator, 17 significant digits and LF line endings.
 
 Exit codes: 0 success or identity pass, 1 identity fail, 2 regressivity
-failure, 3 parse or configuration error (non-finite alpha, beta, omega or
-t0, a non-finite or non-positive tol or dense-step, and a family the
-identity does not accept, included), 4 internal tolerance failure or
-float overflow.
+failure, 3 parse or configuration error (non-finite alpha, beta, omega,
+t0, x0 or target-t, a non-finite or non-positive tol, dense-step or step
+of eps-list, and a family the identity does not accept, included), 4
+internal tolerance failure or float overflow.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .exponential import (
     ExpFamily,
     _exp_point,
     _exp_runs,
-    _memoized,
     _semigroup_residual,
     _sigma_shift_residual,
     exp_evaluate_grid,
@@ -247,10 +246,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        for name in ("alpha", "beta", "omega", "t0"):
+        for name in ("alpha", "beta", "omega", "t0", "x0", "target_t"):
             value = getattr(self, name)
             if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{name.replace('_', '-')} must be finite, got {value!r}")
 
 
 # The command-line names are the enums' values.
@@ -385,7 +384,7 @@ def _semigroup_report(config, ts, grid, family):
     each t_j along the rows (_exp_runs), and each E(x, t1) is computed
     once per report."""
     exp_from = _exp_runs(family, ts, as_coefficient(config.alpha), config.tol)
-    from_t1 = _memoized(exp_from(grid.points[0]))
+    from_t1 = functools.cache(exp_from(grid.points[0]))
     from_anchors, residuals = [], []
     for t in grid.points:
         from_anchors.append(exp_from(t))
@@ -400,7 +399,7 @@ def _sigma_shift_report(config, ts, grid, family):
     """check_sigma_shift at every grid point in the differentiation domain,
     t0 the first; each E(x, t0) is computed once, along one run from t0."""
     coeff = as_coefficient(config.alpha)
-    from_t0 = _memoized(_exp_runs(family, ts, coeff, config.tol)(grid.points[0]))
+    from_t0 = functools.cache(_exp_runs(family, ts, coeff, config.tol)(grid.points[0]))
     jumps = _Jumps(ts, grid.points, grid)
 
     def residual(k):
@@ -587,10 +586,11 @@ def _range_arg(text: str) -> tuple[float, float]:
 
 
 def _eps_list_arg(text: str) -> tuple[float, ...]:
-    vals = tuple(float(p) for p in text.split(","))
-    if not vals or any(v <= 0 for v in vals):
-        raise ValueError("eps list must be positive numbers")
-    return vals
+    syntax = "comma-separated positive finite steps"
+    vals = _floats(text, text.count(",") + 1, syntax)
+    if not all(0 < v < math.inf for v in vals):  # NaN too
+        raise argparse.ArgumentTypeError(f"expected {syntax}, got {text!r}")
+    return tuple(vals)
 
 
 def _add_common(p: _Parser):

@@ -116,10 +116,10 @@ def _log_integral_range(
 
 
 class _Terms:
-    """The terms of one family's exponent of one coefficient on one scale,
-    each computed once: the step log at the scattered right end of a
-    component, and the integral of the dense view over a finished piece of
-    an interval. Every _Exponent run over the same terms shares them.
+    """The terms of one family's exponent of one coefficient on one scale:
+    the step logs at the scattered right ends of components, and the
+    integrals of the dense view over the finished pieces of intervals.
+    Every _Exponent run over the same terms shares their step memo.
 
     Each distinct step is checked and its step log taken once: scales
     repeat their gaps, and a uniform one has a handful. This is bit for
@@ -129,83 +129,60 @@ class _Terms:
     and the product law's circle-plus) has its steps keyed by mu alone, and
     fold maps a stretch of them through a _GapMemo, as the grid walk does:
     the coefficient is evaluated once per distinct gap. Any other
-    coefficient is evaluated once per component (Coefficient.at_step, with
-    the gap the fold holds), and its steps are keyed by (mu, alpha). Keys
-    that compare equal differ at most in the sign of a zero: the abs tests
-    of the check cannot tell them apart, and their logs differ at most in
-    the sign of a zero, which the fold, started from 0j, erases. A NaN
-    alpha matches only the very object it is, whose log is the same. A
-    step that fails its check is never kept, so the first
-    RegressivityError is raised at the same t.
-
-    pieces takes the finished pieces of the intervals a target has passed
-    as a whole, in one Coefficient.dense_integrals call, in order: all of
-    them for a constant dense view, whose pieces are exact, and for any
-    other those not yet kept, a piece keyed by its ends. A piece that
-    raises leaves the ones after it uncomputed, as a loop would. Each
-    pointwise call builds its own terms: a scale is immutable, and keeps
-    none."""
+    coefficient is evaluated at every step a fold reads (Coefficient.at_step,
+    with the gap the fold holds), and its steps are keyed by (mu, alpha).
+    Keys that compare equal differ at most in the sign of a zero: the abs
+    tests of the check cannot tell them apart, and their logs differ at
+    most in the sign of a zero, which the fold, started from 0j, erases. A
+    NaN alpha matches only the very object it is, whose log is the same. A
+    step that fails its check is never kept, so the first RegressivityError
+    is raised at the same t. Each pointwise call builds its own terms: a
+    scale is immutable, and keeps none."""
 
     def __init__(self, family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol: float):
         self.ts, self.coeff, self.tol = ts, coeff, tol
         self._rule = rule = _family_rule(family, coeff)
         self._gap_only = coeff._gap_only
-        self._logs: dict[int, complex] = {}
         # log by mu (not by a bound method of self, a cycle) or by (mu, alpha)
         self._steps = _GapMemo(partial(_checked_log, rule, coeff)) if self._gap_only else {}
-        self._pieces: dict[tuple[float, float], complex] = {}
 
     def fold(self, total: complex, lo: int, e: int) -> complex:
         """total plus the step logs at the right ends of components lo to
         e - 1, added in ascending order, each step checked before its log
         is first taken."""
-        if not self._gap_only:
-            return reduce(add, map(self.log, range(lo, e)), total)
         mus, steps = self.ts._gaps(lo, e), self._steps
+        if not self._gap_only:
+            return reduce(add, map(self._step_log, mus, self.ts._rights[lo:e]), total)
         try:  # every gap kept, as after the first target
             return reduce(add, map(steps.__getitem__, mus), total)
         except KeyError:  # a gap met for the first time
             return reduce(add, steps.over(mus, self.ts._rights, lo), total)
 
-    def log(self, k: int) -> complex:
-        """Step log at the right end of component k for a coefficient whose
-        step value is not a function of the gap, its (mu, alpha) checked for
+    def _step_log(self, mu: float, s: float) -> complex:
+        """The step log of graininess mu at s for a coefficient whose step
+        value is not a function of the gap, its (mu, alpha) checked for
         regressivity just before its log is first taken."""
-        w = self._logs.get(k)
+        alpha = self.coeff.at_step(mu, s)
+        w = self._steps.get((mu, alpha))
         if w is None:
-            s = self.ts._rights[k]
-            mu = self.ts._lefts[k + 1] - s
-            alpha = self.coeff.at_step(mu, s)
-            w = self._steps.get((mu, alpha))
-            if w is None:
-                self._rule.check(s, mu * alpha, "alpha")
-                w = self._steps[mu, alpha] = self._rule.log(mu, alpha)
-            self._logs[k] = w
+            self._rule.check(s, mu * alpha, "alpha")
+            w = self._steps[mu, alpha] = self._rule.log(mu, alpha)
         return w
 
     def pieces(self, passed: Sequence[int], a: float, b: float) -> list[complex]:
         """The integrals of the dense view over the pieces in [a, b] of the
-        intervals passed (component indices, ascending), in order: the
-        intervals, all below b's component, the first clipped at a and
-        dropped if that empties it. A constant dense view's pieces are one
-        Coefficient.dense_integrals call, exact and recomputed bit for bit,
-        so none is kept. Any other's are kept for every run: the pieces not
-        yet kept are integrated by one such call, in order, and kept."""
-        ts, coeff, tol = self.ts, self.coeff, self.tol
+        intervals passed (component indices, ascending), in order, as one
+        Coefficient.dense_integrals call: the intervals, all below b's
+        component, the first clipped at a and dropped if that empties it.
+        A piece that raises leaves the ones after it uncomputed, as a loop
+        would."""
+        ts = self.ts
         los = list(map(ts._lefts.__getitem__, passed))
         his = list(map(ts._rights.__getitem__, passed))
         los[0] = max(los[0], a)  # each later interval starts above a
         if not los[0] < his[0]:
             del los[0], his[0]
-        if coeff.dense_value is not None and tol > 0:
-            return list(coeff.dense_integrals(los, his, tol))
-        kept = self._pieces
-        pairs = list(zip(los, his))
-        new = [p for p in pairs if p not in kept]
-        if new:
-            los, his = zip(*new)
-            kept.update(zip(new, coeff.dense_integrals(los, his, tol)))
-        return list(map(kept.__getitem__, pairs))
+        return list(self.coeff.dense_integrals(los, his, self.tol))
 
 
 def _checked_log(rule: StepRule, coeff: Coefficient, mu: float, s: float) -> complex:
@@ -257,12 +234,13 @@ class _Exponent:
     ends are one slice of the component ends and the intervals it has
     passed one slice of the scale's intervals, both found by bisection.
     _Terms.fold adds the step logs, _Terms.pieces integrates the passed
-    intervals' new pieces as a whole, and one reduce adds the finished
-    pieces. A run over n targets on a discrete scale costs O(n) in all.
-    With a coefficient whose step value is a function of the gap that is
-    C-level work per component plus one coefficient call, check and log
-    per distinct gap of the shared terms; with any other, one coefficient
-    call per component and one check and log per distinct (mu, alpha).
+    intervals' pieces as a whole, and one reduce adds the finished pieces.
+    A run over n targets on a discrete scale costs O(n) in all. With a
+    coefficient whose step value is a function of the gap that is C-level
+    work per component plus one coefficient call, check and log per
+    distinct gap of the shared terms; with any other, one coefficient call
+    per component of the run and one check and log per distinct
+    (mu, alpha) of the shared terms.
     """
 
     def __init__(self, terms: _Terms, anchor: float, located=None):
@@ -677,7 +655,7 @@ def _exp_runs(family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol):
 
     The values are those of _pointwise_runs, errors included. One
     _Exponent runs per anchor, and all the anchors of one returned function
-    share the step logs and dense pieces they have in common.
+    share one step memo (_Terms).
     """
     terms = _Terms(family, ts, coeff, tol)
 
@@ -686,22 +664,6 @@ def _exp_runs(family: ExpFamily, ts: TimeScale, coeff: Coefficient, tol):
         return lambda x: _finite_exp(to(x))
 
     return exp_from
-
-
-def _memoized(fn):
-    """fn, each value computed once.
-
-    Only values computed without error are kept, so a run of evaluations
-    raises the same first error as it would recomputing every value.
-    """
-    memo = {}
-
-    def value(x):
-        if x not in memo:
-            memo[x] = fn(x)
-        return memo[x]
-
-    return value
 
 
 def _semigroup_residual(from_t0, from_t1, t, t0) -> float:

@@ -8,66 +8,22 @@ Scales with accumulation points are not representable: construction
 requires a finite component list with gaps larger than the membership
 tolerance, which keeps the jump operators and the integral exact.
 
-Cost model, for a scale of C components: every query reads the tables of
-component ends, not the components. A scale of isolated points is its
-values: uniform, isolated, the CLI's points and uniform terms and a union
-of discrete scales test the values with a few C-level maps and index them
-(_of_values), making no point object. uniform and a lone CLI uniform term
-test none where a float step proves them valid (_uniform_scale): the
-values never decrease, and a bound on the rounding of each gap, from the
-step and the larger end, puts every gap above the tolerance, O(1) work
-past making the values. Reading components (equality,
-hashing, repr, render, pickling) makes the points once, with two C-level
-maps (_points). Construction and normalize_components test isolated points
-already in order with a few C-level maps over their values, and check or
-merge one component at a time any other input. Locating a point costs
-O(log C), since a bisection over the component left endpoints picks the
-few neighbouring components whose membership tests decide. A jump
-operator, graininess, classification or membership query is one lookup.
-TimeScale.walk_runs over a grid of N points takes the steps inside one
-closed interval as one run, and the steps between consecutive isolated
-points that each land on their forward jump as one stretch; it takes a
-point that is the forward jump of the one before as located at the next
-component, and locates every other point. On ascending points (checked
-once per walk, at its first run) a run's interior is one slice found by bisection, C-level
-work a point; only the points within the membership tolerance of an
-interval end are compared and snapped one at a time, a few float
-comparisons each, with no lookup, record or call. A stretch is the grid
-compared with the component left ends at C level, a slice at a time, and
-yields no record. On a grid such as make_grid gives, only the first point
-is looked up, so a walk costs O(N + log C) plus O(log N) per interval it
-enters, plus the quadrature of its dense steps, and grid evaluations,
-solvers and jump tables built on it are linear in N, C-level work a point
-on a discrete scale. Each walks its grid once
-(exponential._validate_regressive), checking a stretch with C-level maps:
-the m = mu * alpha of a coefficient whose step value is a function of the
-gap (a constant, Coefficient._gap_only) once per distinct gap, any other
-coefficient read with one map (Coefficient.at_step, with the graininess
-the walk holds) and each step tested up to the first that fails. It takes
-the first kind's step log or factor once per distinct gap, a stretch's
-gaps mapped through a memo that fills as it is read
-(exponential._GapMemo, which the running exponent shares), and evaluates
-any other coefficient once per scattered step, reusing the value read. A
-constant dense view integrates a run exactly (Coefficient.dense_integrals):
-each dense step is the value times its width, C-level maps over the run's
-points and no call. A query over a range [t0, t1] (scattered_points,
-dense_segments, make_grid) locates both ends and scans only the K
-components from the one holding the lower end to the one after the upper
-end, O(log C + K), taking a stretch of isolated points as one slice of
-their ends; so does delta_integral, which runs the first two, plus the
-quadrature of its dense pieces. A running exponent from one anchor
-(exponential._Exponent) locates each target once and bisects for the
-scattered ends and the intervals it has passed since the last. The
-step logs of a coefficient whose step value is a function of the gap
-over such a stretch are C-level maps over its gaps, the coefficient
-evaluated and each distinct gap checked and its log taken once over all
-targets; any other coefficient is evaluated once per component, and
-each distinct (mu, alpha) step checked and its log taken once. Each
-dense piece is integrated once over all targets. The intervals a target has passed since the last are
-taken as a whole: their pieces' ends are C-level maps over the interval
-ends, the pieces not yet integrated are one Coefficient.dense_integrals
-call (for a constant dense view, C-level maps over the pairs of ends),
-and the target adds all its finished pieces with one C-level reduce.
+Cost model, for a scale of C components; README "Performance" has the
+measurements, and the functions named here their own costs. Every query
+reads tables of component ends, not the components: locating a point is
+a bisection, O(log C), and a jump operator, graininess, classification
+or membership query is one lookup. A scale of isolated points is its
+values (_of_values): no point object is made until components is read
+(_points), and a uniform scale whose float step proves its gaps valid is
+not scanned (_uniform_scale). A query over [t0, t1] (scattered_points,
+dense_segments, make_grid, delta_integral) scans only the K components
+between its ends, O(log C + K), plus the quadrature of its dense pieces.
+TimeScale.walk_runs over a grid of N points such as make_grid gives
+costs O(N + log C) plus O(log N) per interval it enters, C-level work a
+point, so the grid evaluations, solvers and jump tables built on it are
+linear in N, plus the quadrature of their dense steps. A running exponent
+(exponential._Exponent) locates each target once and finds the steps
+and intervals passed since the last by bisection.
 """
 
 from __future__ import annotations
@@ -536,44 +492,14 @@ class TimeScale:
 
     # -- grids ----------------------------------------------------------------
 
-    def walk(self, points: Sequence[float]) -> Iterator[tuple]:
-        """One record per point of an ascending sequence of members, locating
-        each point once (walk_runs says which take no lookup).
-
-        Yields (p, q, sigma, mu, span, tt): p as given, the next point q
-        (None at the last), the forward jump sigma(p), the graininess mu(p)
-        (None at a left-scattered maximum), span, and the value tt that p
-        is located at. span is the located pair (tt, uu) of p and q when
-        lo <= tt < uu <= hi in the closed interval [lo, hi] holding p,
-        which makes p right-dense; it is None otherwise. The delta integral
-        over a step with a span is one quadrature over the span
-        (Coefficient.dense_integral).
-
-        These are the records of walk_runs, each run and stretch expanded
-        into the records of its steps: (p, q, x, 0.0, (x, y), x) for
-        consecutive located points x, y of a run, and (p, q, s, s - x,
-        None, x) for a stretch's step from the right end x of a component
-        to the next one's left end s.
-        """
-        lefts, rights = self._lefts, self._rights
-        for item in self.walk_runs(points):
-            if isinstance(item, Run):
-                k, xs = item
-                for j in range(len(xs) - 1):
-                    x = xs[j]
-                    yield points[k + j], points[k + j + 1], x, 0.0, (x, xs[j + 1]), x
-            elif isinstance(item, Stretch):
-                k, lo, _, mus = item
-                for j, mu in enumerate(mus):
-                    p, q = points[k + j], points[k + j + 1]
-                    yield p, q, lefts[lo + j + 1], mu, None, rights[lo + j]
-            else:
-                yield item
-
     def walk_runs(self, points: Sequence[float]) -> Iterator[tuple]:
-        """The records of walk, with the steps inside a closed interval
-        taken a run at a time and the steps between isolated points a
-        stretch at a time.
+        """Walk ascending members, locating each point once: the steps
+        inside a closed interval a run at a time, those between isolated
+        points a stretch at a time, and any other point as one record
+        (p, q, sigma, mu, None, tt): p as given, the next point q (None at
+        the last), sigma(p), mu(p) (None at a left-scattered maximum) and
+        the value tt that p is located at. None is the step's span: one
+        with a span is in a run.
 
         A run is a maximal stretch of consecutive points whose steps each
         have a span (_extend_run decides each step), starting at any point
@@ -597,9 +523,8 @@ class TimeScale:
         stretch of m steps costs O(m) C-level work and no record. The next
         interval, found by bisection, bounds it.
 
-        The record of a run's or stretch's last point follows it. Every
-        other point's record is reported as walk reports it, with span
-        None. The point after it is located with _locate, unless it is the
+        The record of a run's or stretch's last point follows it. The
+        point after a record is located with _locate, unless it is the
         record's forward jump to the next component: _locate would find it
         in that component at its left end, so it is taken as located there.
         """

@@ -18,6 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import compress, repeat
 from operator import add, attrgetter, gt, is_not, mul, neg, not_, sub, truediv
 from typing import Iterator
@@ -29,7 +30,6 @@ from .exponential import (
     ExpFamily,
     _exps,
     _hilger_grid_lenient,
-    _memoized,
     _validated_logs,
     exp_evaluate_grid,
 )
@@ -227,12 +227,12 @@ def derivative_residual(
         coeff = as_coefficient(param)
         pair = hyp_grid(family, ts, coeff, t0, grid, tol)
         c_rate = s_rate = coeff.constant_value
-        pair_at = _memoized(lambda u: hyp(family, ts, coeff, u, t0, tol))
+        pair_at = cache(lambda u: hyp(family, ts, coeff, u, t0, tol))
     else:
         w = float(param)
         pair = trig_grid(family, ts, w, t0, grid, tol)
         c_rate, s_rate = -w, w
-        pair_at = _memoized(lambda u: trig(family, ts, w, u, t0, tol))
+        pair_at = cache(lambda u: trig(family, ts, w, u, t0, tol))
     cs, ss = pair.c_values, pair.s_values
     jumps, pts = _Jumps(ts, grid.points, grid), grid.points
     # off the left-scattered maximum, a point below its jump takes the

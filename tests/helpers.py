@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -49,7 +50,6 @@ from tscale.exponential import (
     _exp,
     _exps,
     _hilger_grid_lenient,
-    _memoized,
     _grid_log_integrals,
     _log_integral_range,
     _validated_logs,
@@ -60,7 +60,7 @@ from tscale.dynamic import (
     psi,
     sinc,
 )
-from tscale.timescale import MEMBERSHIP_TOL, _adaptive_simpson
+from tscale.timescale import MEMBERSHIP_TOL, Run, Stretch, _adaptive_simpson
 from tscale.transforms import (
     REGRESSIVITY_MARGIN,
     _SERIES_CUTOFF,
@@ -123,8 +123,39 @@ def linear_locate(ts: TimeScale, t: float) -> tuple[int, float]:
     raise DomainError(f"t={t!r} is not a member of the time scale")
 
 
+def walk_records(ts: TimeScale, points):
+    """One record per point of an ascending sequence of members:
+    TimeScale.walk_runs with each run and stretch expanded into the
+    records of its steps.
+
+    Yields (p, q, sigma, mu, span, tt): p as given, the next point q
+    (None at the last), the forward jump sigma(p), the graininess mu(p)
+    (None at a left-scattered maximum), span, and the value tt that p is
+    located at. span is the located pair (tt, uu) of p and q when
+    lo <= tt < uu <= hi in the closed interval [lo, hi] holding p, which
+    makes p right-dense; it is None otherwise. A run's steps are
+    (p, q, x, 0.0, (x, y), x) for consecutive located points x, y, and a
+    stretch's (p, q, s, s - x, None, x) from the right end x of a
+    component to the next one's left end s.
+    """
+    lefts, rights = ts._lefts, ts._rights
+    for item in ts.walk_runs(points):
+        if isinstance(item, Run):
+            k, xs = item
+            for j in range(len(xs) - 1):
+                x = xs[j]
+                yield points[k + j], points[k + j + 1], x, 0.0, (x, xs[j + 1]), x
+        elif isinstance(item, Stretch):
+            k, lo, _, mus = item
+            for j, mu in enumerate(mus):
+                p, q = points[k + j], points[k + j + 1]
+                yield p, q, lefts[lo + j + 1], mu, None, rights[lo + j]
+        else:
+            yield item
+
+
 def reference_walk(ts: TimeScale, points):
-    """Slow reference for TimeScale.walk: locate every point with _locate."""
+    """Slow reference for walk_records: locate every point with _locate."""
     last = len(ts.components) - 1
     located = ts._locate(points[0])
     for k, p in enumerate(points):
@@ -1065,13 +1096,13 @@ def reference_derivative_residual(family, kind, ts, param, grid, tol=1e-12, t0=N
         a = coeff.constant_value
         c_rhs = lambda avg_c, avg_s: a * avg_s
         s_rhs = lambda avg_c, avg_s: a * avg_c
-        pair_at = _memoized(lambda u: hyp(family, ts, coeff, u, t0, tol))
+        pair_at = cache(lambda u: hyp(family, ts, coeff, u, t0, tol))
     else:
         w = float(param)
         pair = trig_grid(family, ts, w, t0, grid, tol)
         c_rhs = lambda avg_c, avg_s: -w * avg_s
         s_rhs = lambda avg_c, avg_s: w * avg_c
-        pair_at = _memoized(lambda u: trig(family, ts, w, u, t0, tol))
+        pair_at = cache(lambda u: trig(family, ts, w, u, t0, tol))
     pts, residuals, skipped = [], [], []
     for i, p in enumerate(grid.points):
         if not ts.in_kappa(p):

@@ -254,6 +254,19 @@ def test_malformed_values_name_their_syntax(capsys, option, value, message):
     assert captured.out == "" and captured.err == f"tscale: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "0.5,-1", "0.5,,0.25", "1e-400", "0", "nan", "0.5,inf"])
+def test_malformed_eps_lists_name_their_syntax(capsys, value):
+    """A step list that is not positive finite numbers, each above zero
+    once read as a float, names the syntax, not the parsing function."""
+    assert main(["converge", "--eps-list", value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"tscale: argument --eps-list: expected comma-separated positive finite steps, "
+        f"got {value!r}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, option, value",
     [
@@ -1034,22 +1047,30 @@ def test_python_m_tscale_runs_the_cli_without_warnings(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["eval", "--alpha", "nan"],
-        ["eval", "--family", "hilger", "--alpha", "1,nan"],
-        ["solve", "--alpha", "inf"],
-        ["identity", "--identity", "unit-circle", "--omega", "inf"],
-        ["identity", "--identity", "delbis", "--omega", "nan"],
-        ["identity", "--identity", "product-law", "--beta", "nan"],
-        ["converge", "--family", "nabla", "--alpha", "nan"],
+        (["eval", "--alpha", "nan"], "alpha must be finite, got (nan+0j)"),
+        (["eval", "--family", "hilger", "--alpha", "1,nan"], "alpha must be finite, got (1+nanj)"),
+        (["solve", "--alpha", "inf"], "alpha must be finite, got (inf+0j)"),
+        (["identity", "--identity", "unit-circle", "--omega", "inf"],
+         "omega must be finite, got inf"),
+        (["identity", "--identity", "delbis", "--omega", "nan"], "omega must be finite, got nan"),
+        (["identity", "--identity", "product-law", "--beta", "nan"],
+         "beta must be finite, got (nan+0j)"),
+        (["converge", "--family", "nabla", "--alpha", "nan"], "alpha must be finite, got (nan+0j)"),
+        # once an overflow (exit 4) and a float-to-integer error naming no option
+        (["converge", "--target-t", "inf"], "target-t must be finite, got inf"),
+        (["converge", "--target-t=-inf"], "target-t must be finite, got -inf"),
+        (["converge", "--target-t", "nan"], "target-t must be finite, got nan"),
+        # once "samples must be finite"
+        (["solve", "--x0", "nan"], "x0 must be finite, got (nan+0j)"),
+        (["solve", "--x0", "1,inf"], "x0 must be finite, got (1+infj)"),
     ],
 )
-def test_non_finite_parameters_are_config_errors(capsys, argv):
+def test_non_finite_parameters_are_config_errors(capsys, argv, message):
     scale = [] if argv[0] == "converge" else ["--scale", "uniform(0,0.5,10)"]
     assert main([*argv, *scale]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("tscale: ") and "must be finite" in err and err.count("\n") == 1
+    assert capsys.readouterr().err == f"tscale: {message}\n"
 
 
 @pytest.mark.parametrize(

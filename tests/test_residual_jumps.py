@@ -4,6 +4,7 @@ from one walk's jumps, against the per-point code they replaced
 and how often they map each stencil formula."""
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from tscale import (
     uniform,
     union,
 )
-from tscale.exponential import _exp_runs, _memoized, _pointwise_runs
+from tscale.exponential import _exp_runs, _pointwise_runs
 from tscale.transforms import REGRESSIVITY_MARGIN
 
 from helpers import (
@@ -174,7 +175,7 @@ def test_derivative_residual_matches_the_per_point_reference(scale_grid, param, 
 
 
 def _reference_sigma_shift_report(family, ts, coeff, grid, tol):
-    from_t0 = _memoized(_exp_runs(family, ts, coeff, tol)(grid.points[0]))
+    from_t0 = cache(_exp_runs(family, ts, coeff, tol)(grid.points[0]))
     pts, residuals, skipped = [], [], []
     for t in grid.points:
         if not ts.in_kappa(t):

@@ -56,6 +56,7 @@ from helpers import (
     reference_scale_state,
     relocates,
     scale_state,
+    walk_records,
 )
 
 MIXED = union(interval(0.0, 1.0), isolated(2.0))
@@ -411,7 +412,7 @@ def _answers(ts, probes):
     """Every query of ts, at each probe and each pair of probes."""
     out = [ts.inf, ts.sup, ts.constant_graininess(), ts.is_discrete(), ts._left_scattered_max]
     grid = ts.make_grid(ts.inf, ts.sup, 0.1)
-    out.append(outcome(lambda: tuple(ts.walk(grid.points))))
+    out.append(outcome(lambda: tuple(walk_records(ts, grid.points))))
     f = lambda t: complex(t, 1.0)
     for t in probes:
         for query in (ts._locate, ts.sigma, ts.rho, ts.mu, ts.classify, ts.in_kappa):
@@ -806,7 +807,7 @@ def test_jump_queries_answer_for_the_located_component():
     t = point + 4e-14
     assert ts._locate(t) == (1, point) and not relocates(ts, t)
     assert ts.mu(t) == reference_mu(ts, t) == ts.sigma(t) - point == 4e-12 - point
-    assert ts.mu(t) == next(ts.walk([t]))[3]
+    assert ts.mu(t) == next(walk_records(ts, [t]))[3]
     assert ts.classify(t).right_dense is False
 
 

@@ -314,12 +314,12 @@ def test_derivative_residual_evaluates_each_sample_pair_once(ts, kind, param, st
             return point(*args)
 
         with mock.patch.object(module, point.__name__, counted), mock.patch.object(
-            module, "_memoized", memoize
+            module, "cache", memoize
         ):
             rep = derivative_residual(TrigFamily.CAYLEY, kind, ts, param, grid)
         return outcome(lambda: (rep.points, rep.residuals, rep.skipped)), calls
 
-    once, once_calls = report(module._memoized)
+    once, once_calls = report(module.cache)
     afresh, afresh_calls = report(lambda fn: fn)
     assert once == afresh
     assert sorted(once_calls) == sorted(set(afresh_calls))

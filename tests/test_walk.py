@@ -54,6 +54,7 @@ from helpers import (
     reference_walk,
     tight_scales,
     walk_outcome,
+    walk_records,
 )
 
 W = union(interval(0.0, 1.0), isolated(1.5, 2.25), interval(3.0, 4.0))
@@ -234,7 +235,7 @@ def test_grid_point_just_below_an_interval_steps_into_it():
 
 def test_walk_records():
     ts = union(interval(0.0, 1.0), isolated(1.5, 2.0))
-    assert list(ts.walk((0.0, 0.5, 1.0, 1.5, 2.0))) == [
+    assert list(walk_records(ts, (0.0, 0.5, 1.0, 1.5, 2.0))) == [
         (0.0, 0.5, 0.0, 0.0, (0.0, 0.5), 0.0),
         (0.5, 1.0, 0.5, 0.0, (0.5, 1.0), 0.5),
         (1.0, 1.5, 1.5, 0.5, None, 1.0),
@@ -242,9 +243,9 @@ def test_walk_records():
         (2.0, None, 2.0, None, None, 2.0),  # left-scattered maximum: no graininess
     ]
     # a right-dense step that leaves its interval has no span
-    assert list(ts.walk((0.5, 2.0)))[0] == (0.5, 2.0, 0.5, 0.0, None, 0.5)
+    assert list(walk_records(ts, (0.5, 2.0)))[0] == (0.5, 2.0, 0.5, 0.0, None, 0.5)
     # a point within the tolerance of an isolated point is located at it
-    assert list(ts.walk((1.5 - 4e-13,)))[0][1:] == (None, 2.0, 0.5, None, 1.5)
+    assert list(walk_records(ts, (1.5 - 4e-13,)))[0][1:] == (None, 2.0, 0.5, None, 1.5)
 
 
 # -- the walker against a walk that locates every point ------------------------------
@@ -284,7 +285,7 @@ def test_walk_matches_locating_every_point(ts, data):
     """Records and the exception that ends the walk are those of a walk
     that locates every point, bit for bit."""
     points = data.draw(walk_points(ts))
-    assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
+    assert walk_outcome(walk_records, ts, points) == walk_outcome(reference_walk, ts, points)
 
 
 _HOP_SCALES = st.sampled_from(
@@ -325,7 +326,7 @@ def test_walk_steps_between_isolated_points_as_locating_each(scale_points):
     component, with no lookup; the records, and the exception that ends
     the walk, are those of a walk that locates every point."""
     ts, points = scale_points
-    assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
+    assert walk_outcome(walk_records, ts, points) == walk_outcome(reference_walk, ts, points)
 
 
 # offsets from the interval ends, exact in binary: 4.5e-13 and 1.8e-12
@@ -370,7 +371,7 @@ _EDGE = union(interval(0.0, 1.0), isolated(1.0 + _PAST), interval(2.0, 3.0))
     ],
 )
 def test_walk_matches_locating_every_point_at_tolerance_edges(ts, points):
-    assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
+    assert walk_outcome(walk_records, ts, points) == walk_outcome(reference_walk, ts, points)
 
 
 def test_a_walk_snaps_only_near_the_ends_of_a_run(monkeypatch):
@@ -400,7 +401,7 @@ def test_walk_locates_only_after_a_component_ends(monkeypatch):
     monkeypatch.setattr(
         TimeScale, "_locate", lambda self, t: located.append(t) or locate(self, t)
     )
-    records = list(ts.walk(points))
+    records = list(walk_records(ts, points))
     assert located == [0.0]
     monkeypatch.undo()
     assert records == list(reference_walk(ts, points))
@@ -602,7 +603,7 @@ def test_constant_coefficient_dense_steps_call_no_quadrature(monkeypatch, coeff_
     coeff = COEFFS[coeff_name]
     exp_evaluate_grid(ExpFamily.CAYLEY, W, coeff, 0.0, grid, TOL)
     solve_first_order(Scheme.TRAPEZOIDAL_CAYLEY, W, coeff, 1.0, 0.0, grid, TOL)
-    dense_steps = sum(1 for r in W.walk(grid.points) if r[4] is not None)
+    dense_steps = sum(1 for r in walk_records(W, grid.points) if r[4] is not None)
     assert len(calls) == (0 if coeff.is_constant else 2 * dense_steps)
 
 
@@ -784,7 +785,7 @@ def test_only_a_run_has_spans(scale_points):
             assert isinstance(item, (Run, Stretch)) or item[4] is None
     except DomainError:
         pass
-    assert walk_outcome(ts.walk, points) == walk_outcome(reference_walk, ts, points)
+    assert walk_outcome(walk_records, ts, points) == walk_outcome(reference_walk, ts, points)
 
 
 def test_a_point_just_below_an_interval_starts_its_run():
@@ -795,7 +796,7 @@ def test_a_point_just_below_an_interval_starts_its_run():
         (1.0, 1.5, 1.5, 0.5, None, 1.0),
         (1.5, None, 1.5, None, None, 1.5),
     ]
-    assert list(ts.walk(points))[0] == (-5e-13, 0.5, 0.0, 0.0, (0.0, 0.5), 0.0)
+    assert list(walk_records(ts, points))[0] == (-5e-13, 0.5, 0.0, 0.0, (0.0, 0.5), 0.0)
 
 
 def _reference_grid_values(family, ts, coeff, t0, grid, tol):
@@ -809,7 +810,7 @@ def test_constant_solve_evaluates_the_coefficient_per_scattered_step(monkeypatch
     value once, nor at any dense point."""
     ts = union(interval(0.0, 2.0), isolated(2.3, 2.6), interval(3.0, 5.0))
     grid = ts.make_grid(0.0, 5.0, 1e-3)
-    scattered = [r[0] for r in ts.walk(grid.points) if r[1] is not None and r[4] is None]
+    scattered = [r[0] for r in walk_records(ts, grid.points) if r[1] is not None and r[4] is None]
     assert scattered == [2.0, 2.3, 2.6] and len(grid) == 4004
     calls = []
     call = Coefficient.__call__
@@ -826,7 +827,7 @@ def test_function_grid_checks_evaluate_no_dense_run_point(monkeypatch):
     values again."""
     ts = union(interval(0.0, 2.0), isolated(2.3, 2.6), interval(3.0, 5.0))
     grid = ts.make_grid(0.0, 5.0, 1e-3)
-    scattered = [r[0] for r in ts.walk(grid.points) if r[1] is not None and r[4] is None]
+    scattered = [r[0] for r in walk_records(ts, grid.points) if r[1] is not None and r[4] is None]
     assert scattered == [2.0, 2.3, 2.6] and len(grid) == 4004
     coeff = Coefficient.from_function(lambda t: 0.6 - 0.4j + 0.3 * math.sin(3.0 * t))
     runs = [lambda f=f: exp_evaluate_grid(f, ts, coeff, 1.0, grid) for f in GRID_FAMILIES.values()]
@@ -1057,7 +1058,7 @@ def test_a_stretch_is_one_walk_item():
         Stretch(0, 0, 5, [0.25, 0.25, 0.25, 0.25, 0.25]),
         (1.25, None, 1.25, None, None, 1.25),
     ]
-    assert list(ts.walk(points)) == list(reference_walk(ts, points))
+    assert list(walk_records(ts, points)) == list(reference_walk(ts, points))
     points = W.make_grid(0.0, 4.0, 0.5).points
     assert list(W.walk_runs(points)) == [
         Run(0, [0.0, 0.5, 1.0]),
@@ -1066,7 +1067,7 @@ def test_a_stretch_is_one_walk_item():
         Run(5, [3.0, 3.5, 4.0]),
         (4.0, None, 4.0, 0.0, None, 4.0),
     ]
-    assert list(W.walk(points)) == list(reference_walk(W, points))
+    assert list(walk_records(W, points)) == list(reference_walk(W, points))
 
 
 def test_a_degenerate_gap_deep_in_a_stretch_raises_at_its_first_point():
@@ -1187,7 +1188,7 @@ def test_stretch_walk_matches_one_record_per_step(scale_grid, make_coeff):
     the code that took one walk record (reference_walk) per step."""
     ts, grid, t0 = scale_grid
     pts = grid.points
-    assert walk_outcome(ts.walk, pts) == walk_outcome(reference_walk, ts, pts)
+    assert walk_outcome(walk_records, ts, pts) == walk_outcome(reference_walk, ts, pts)
     alpha = make_coeff(ts)
     if not (isinstance(alpha, complex | float) and cmath.isnan(alpha)):
         coeff = as_coefficient(alpha)
